@@ -32,14 +32,12 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"log"
+	"io"
 	"math/rand"
-	"net"
 	"net/http"
-	"sync"
+	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dvsclient"
@@ -136,21 +134,6 @@ func (o Options) withDefaults() Options {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	if o.MaxInflight <= 0 {
-		o.MaxInflight = 8
-	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 4096
-	}
-	if o.DefaultTimeout <= 0 {
-		o.DefaultTimeout = 2 * time.Minute
-	}
-	if o.MaxTimeout <= 0 {
-		o.MaxTimeout = 15 * time.Minute
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
-	}
 	if o.Fanout <= 0 {
 		o.Fanout = 16
 	}
@@ -181,21 +164,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Gateway is the fleet front end. It exposes the same HTTP surface as a
-// single dvsd backend — POST /simulate, POST /sweep, GET /healthz,
-// GET /metrics — so clients (and load balancers) cannot tell the
-// difference, except for throughput.
+// Gateway is the fleet front end: the same HTTP frontend as a single
+// dvsd backend — POST /simulate, POST /sweep, GET /healthz,
+// GET /metrics — placing cells through the degradation ladder, so
+// clients (and load balancers) cannot tell the difference, except for
+// throughput.
 type Gateway struct {
-	opts  Options
-	pool  *Pool
-	local *runner.Runner
-	gate  chan struct{}
-	met   *gwMetrics
-	tr    *obs.Tracer
-	mux   *http.ServeMux
+	*server.Frontend
+	opts Options
+	pool *Pool
+	met  gwMetrics
+}
 
-	mu sync.Mutex
-	hs *http.Server
+// gwMetrics are the ladder's counters, the programmatic source of the
+// dvsgw_* series below and of Counters.
+type gwMetrics struct {
+	retried  *obs.Counter // cell attempts beyond a cell's first
+	hedged   *obs.Counter // hedge requests launched
+	shedWait *obs.Counter // waits on a backend 429 (backpressure, not failure)
+	local    *obs.Counter // cells executed in-process (degradation floor)
 }
 
 // New builds a gateway over at least one peer.
@@ -205,24 +192,63 @@ func New(opts Options) (*Gateway, error) {
 	}
 	opts = opts.withDefaults()
 	g := &Gateway{
-		opts:  opts,
-		pool:  newPool(opts.Peers, opts.Replicas, opts.FailAfter, opts.ProbeTimeout, opts.Client),
-		local: opts.Local,
-		gate:  make(chan struct{}, opts.MaxInflight),
-		met:   newGwMetrics(),
-		tr:    opts.Tracer,
+		opts: opts,
+		pool: newPool(opts.Peers, opts.Replicas, opts.FailAfter, opts.ProbeTimeout, opts.Client),
 	}
-	g.mux = http.NewServeMux()
-	g.mux.HandleFunc("/simulate", g.instrument("/simulate", g.handleSimulate))
-	g.mux.HandleFunc("/sweep", g.instrument("/sweep", g.handleSweep))
-	g.mux.HandleFunc("/healthz", g.handleHealthz)
-	g.mux.HandleFunc("/metrics", g.handleMetrics)
-	g.mux.Handle("/debug/traces", g.tr.DebugHandler())
+	g.Frontend = server.NewFrontend(server.Options{
+		MaxInflight:    opts.MaxInflight,
+		MaxJobs:        opts.MaxJobs,
+		DefaultTimeout: opts.DefaultTimeout,
+		MaxTimeout:     opts.MaxTimeout,
+		RetryAfter:     opts.RetryAfter,
+		Tracer:         opts.Tracer,
+		CheckpointDir:  opts.CheckpointDir,
+		CheckpointFS:   opts.CheckpointFS,
+	}, server.Daemon{
+		Name:         "dvsgw",
+		Placer:       gwPlacer{g},
+		Parallel:     opts.Fanout,
+		SimulateSpan: "gw.simulate",
+		// The gateway is healthy even with zero live backends — the local
+		// fallback still serves — so status stays "ok" and the live count
+		// carries the fleet's actual state.
+		Health: func(w io.Writer) {
+			fmt.Fprintf(w, `,"backends_live":%d,"backends_total":%d`, g.pool.live(), len(g.pool.backends))
+		},
+		Start: g.Start,
+		Stop:  g.pool.stopClose,
+	})
+
+	reg := g.Registry()
+	g.met = gwMetrics{
+		retried:  reg.Counter("dvsgw_requests_retried_total", "Cell attempts beyond each cell's first (failover and error retries).").Counter(),
+		hedged:   reg.Counter("dvsgw_hedged_requests_total", "Hedge requests launched against straggler cells.").Counter(),
+		shedWait: reg.Counter("dvsgw_shed_waits_total", "Backoff waits taken on a backend queue_full shed.").Counter(),
+		local:    reg.Counter("dvsgw_local_fallback_cells_total", "Cells executed in-process because no backend could serve them.").Counter(),
+	}
+	// Per-backend series, read from the pool's live state.
+	up := reg.Gauge("dvsgw_backend_up", "Probe state: 1 = admitted, 0 = ejected.", "backend")
+	requests := reg.Counter("dvsgw_backend_requests_total", "Cell forwards attempted, by backend.", "backend")
+	failures := reg.Counter("dvsgw_backend_failures_total", "Cell forwards that failed (transport error or shed), by backend.", "backend")
+	probes := reg.Counter("dvsgw_backend_probes_total", "Health probes sent, by backend.", "backend")
+	probeErr := reg.Counter("dvsgw_backend_probe_failures_total", "Health probes failed, by backend.", "backend")
+	cellSeconds := reg.Histogram("dvsgw_backend_cell_seconds", "Successful cell forward latency, by backend.", "backend")
+	load := func(c *atomic.Int64) obs.Func { return func() float64 { return float64(c.Load()) } }
+	for _, b := range g.pool.backends {
+		up.Set(obs.Func(func() float64 {
+			if b.up.Load() {
+				return 1
+			}
+			return 0
+		}), b.url)
+		requests.Set(load(&b.requests), b.url)
+		failures.Set(load(&b.failures), b.url)
+		probes.Set(load(&b.probes), b.url)
+		probeErr.Set(load(&b.probeErr), b.url)
+		cellSeconds.Set(&b.lat, b.url)
+	}
 	return g, nil
 }
-
-// Handler returns the routed handler, for embedding and httptest.
-func (g *Gateway) Handler() http.Handler { return g.mux }
 
 // Pool exposes the backend pool (probe state, for status printing).
 func (g *Gateway) Pool() *Pool { return g.pool }
@@ -232,253 +258,74 @@ func (g *Gateway) Pool() *Pool { return g.pool }
 // Handler with an external listener.
 func (g *Gateway) Start() { g.pool.start(g.opts.ProbeInterval) }
 
-// ListenAndServe serves on addr until Shutdown; a clean shutdown returns
-// nil.
-func (g *Gateway) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return g.Serve(ln)
+// Counters is a point-in-time snapshot of the gateway's fleet-level
+// counters — the programmatic twin of the dvsgw_* Prometheus series, so
+// invariant checkers (internal/chaos) can assert fault accounting
+// without scraping the text exposition.
+type Counters struct {
+	Retried          int64 // attempts beyond each cell's first
+	Hedged           int64 // hedge requests launched
+	ShedWaits        int64 // waits taken on backend 429 backpressure
+	Local            int64 // cells run in-process (degradation floor)
+	Resumed          int64 // cells replayed from a checkpoint journal
+	CheckpointErrors int64 // journals that could not be opened
 }
 
-// Serve starts probing and serves on ln until Shutdown.
-func (g *Gateway) Serve(ln net.Listener) error {
-	g.Start()
-	hs := &http.Server{Handler: g.mux, ReadHeaderTimeout: 10 * time.Second}
-	g.mu.Lock()
-	g.hs = hs
-	g.mu.Unlock()
-	err := hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
-
-// Shutdown stops probing and the listener, draining in-flight requests
-// (including streaming sweeps) until they finish or ctx expires.
-func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.pool.stopClose()
-	g.mu.Lock()
-	hs := g.hs
-	g.mu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
-}
-
-// statusWriter captures the response status for metrics and forwards
-// Flush so NDJSON streaming survives the wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
+// Counters snapshots the fleet-level counters. Each field is read
+// atomically; the snapshot is not a consistent cut across fields, which
+// is fine for monotone counters read at quiescence.
+func (g *Gateway) Counters() Counters {
+	return Counters{
+		Retried:          g.met.retried.Load(),
+		Hedged:           g.met.hedged.Load(),
+		ShedWaits:        g.met.shedWait.Load(),
+		Local:            g.met.local.Load(),
+		Resumed:          g.Resumed(),
+		CheckpointErrors: g.CheckpointErrors(),
 	}
 }
 
-func (g *Gateway) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		g.met.record(path, sw.status)
-	}
-}
+// gwPlacer adapts the gateway's degradation ladder (runCell) to the
+// frontend's Placer. A /simulate cell runs under its request span. A
+// sweep cell roots its own trace, so /debug/traces answers "why was THIS
+// cell slow" directly: the trace starts when the sweep's cells began
+// queueing, and records the fanout wait as its first child so queueing
+// delay is visible separately from execution.
+type gwPlacer struct{ g *Gateway }
 
-func (g *Gateway) tryAcquire() bool {
-	select {
-	case g.gate <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (g *Gateway) release() { <-g.gate }
-
-// timeoutFor resolves a request's timeout_ms against gateway bounds.
-func (g *Gateway) timeoutFor(ms float64) time.Duration {
-	if ms <= 0 {
-		return g.opts.DefaultTimeout
-	}
-	d := time.Duration(ms * float64(time.Millisecond))
-	if d > g.opts.MaxTimeout {
-		return g.opts.MaxTimeout
-	}
-	return d
-}
-
-func (g *Gateway) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	var req server.SimulateRequest
-	if ae := server.DecodeBody(r, &req); ae != nil {
-		server.WriteError(w, ae)
-		return
-	}
-	cell, err := req.JobSpec.Cell()
-	if err != nil {
-		server.WriteError(w, server.InField(err, ""))
-		return
-	}
-	sc, err := cell.Wire()
-	if err != nil {
-		server.WriteError(w, server.InField(err, ""))
-		return
-	}
-	if !g.tryAcquire() {
-		server.WriteError(w, server.QueueFull(g.opts.RetryAfter))
-		return
-	}
-	defer g.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), g.timeoutFor(req.TimeoutMS))
-	defer cancel()
-	// One trace per request; joins the caller's trace if it sent a
-	// traceparent, so an upstream client can stitch through the gateway.
-	ctx, sp := g.tr.StartRequest(ctx, "gw.simulate", r.Header.Get("traceparent"))
-	sp.SetAttr("key", sc.Key)
-	resp, ae := g.runCell(ctx, sc)
-	if ae != nil {
-		sp.SetAttr("error", ae.Code)
-		sp.End()
-		server.WriteError(w, ae)
-		return
-	}
-	sp.End()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(resp)
-}
-
-func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		server.MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	var req server.SweepRequest
-	if ae := server.DecodeBody(r, &req); ae != nil {
-		server.WriteError(w, ae)
-		return
-	}
-	plan, err := req.Plan(g.opts.MaxJobs)
-	if err != nil {
-		server.WriteError(w, server.InField(err, ""))
-		return
-	}
-	if !g.tryAcquire() {
-		server.WriteError(w, server.QueueFull(g.opts.RetryAfter))
-		return
-	}
-	defer g.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), g.timeoutFor(req.TimeoutMS))
-	defer cancel()
-	// Carry the tracer, not a request-level span: each cell roots its own
-	// trace, so /debug/traces answers "why was THIS cell slow" directly.
-	ctx = obs.WithTracer(ctx, g.tr)
-
-	// Checkpointing is best-effort: a journal that cannot be opened must
-	// not fail the sweep, it only costs re-execution after a crash. But
-	// the failure is surfaced — logged and counted — because a sweep that
-	// silently runs uncheckpointed is a resume that silently won't work.
-	var ckpt *sweep.Checkpoint
-	if g.opts.CheckpointDir != "" {
-		var cerr error
-		ckpt, cerr = sweep.OpenCheckpointFS(g.opts.CheckpointFS, sweep.CheckpointPath(g.opts.CheckpointDir, plan), plan)
-		if cerr != nil {
-			g.met.ckptErr.Add(1)
-			log.Printf("dvsgw: sweep running uncheckpointed: %v", cerr)
+func (p gwPlacer) Place(ctx context.Context, i int, c sweep.Cell) sweep.Outcome {
+	var root *obs.Span
+	if obs.SpanFrom(ctx) == nil {
+		queued := server.QueuedSince(ctx)
+		ctx, root = obs.StartAt(ctx, "gw.cell", queued)
+		if root != nil {
+			root.SetAttr("index", strconv.Itoa(i))
+			root.SetAttr("key", c.Key)
+			_, qsp := obs.StartAt(ctx, "queue", queued)
+			qsp.End()
 		}
 	}
-
-	// Same stream contract as a single backend: status 200 commits
-	// before results exist, one record per cell in completion order,
-	// per-cell failures in-band, then the done trailer. Resumed-cell
-	// counts go to /metrics, never the trailer — a resumed sweep's stream
-	// must be byte-compatible with an uninterrupted one.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := sweep.NewEncoder(w)
-	_, sum := sweep.Execute(ctx, plan, &gwPlacer{g: g, enqueued: time.Now()}, sweep.ExecOptions{
-		Parallel:   g.opts.Fanout,
-		OnRecord:   enc.Record,
-		Checkpoint: ckpt,
-	})
-	enc.Trailer(plan.Len())
-	g.met.addCells(plan.Len())
-	g.met.resumed.Add(int64(sum.Resumed))
-}
-
-// gwPlacer adapts the gateway's degradation ladder (runCell) to the sweep
-// pipeline's Placer. Each cell roots its own trace at sweep admission
-// time, recording the fanout wait as its first child so queueing delay is
-// visible separately from execution.
-type gwPlacer struct {
-	g        *Gateway
-	enqueued time.Time // all cells queue from sweep admission
-}
-
-func (p *gwPlacer) Place(ctx context.Context, i int, c sweep.Cell) sweep.Outcome {
-	cctx, root := obs.StartAt(ctx, "gw.cell", p.enqueued)
-	root.SetAttr("index", fmt.Sprint(i))
-	root.SetAttr("key", c.Key)
-	_, qsp := obs.StartAt(cctx, "queue", p.enqueued)
-	qsp.End()
-	resp, ae := p.g.runCell(cctx, c)
+	resp, ae := p.g.runCell(ctx, c)
 	if ae != nil {
 		root.SetAttr("error", ae.Code)
 		root.End()
 		return sweep.Outcome{Err: ae}
 	}
-	root.SetAttr("cached", fmt.Sprint(resp.Cached))
+	root.SetAttr("cached", strconv.FormatBool(resp.Cached))
 	root.End()
 	res := resp.Result
 	return sweep.Outcome{Cached: resp.Cached, Wire: &res}
 }
 
-func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		server.MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	// The gateway is healthy even with zero live backends — the local
-	// fallback still serves — so status stays "ok" and the live count
-	// carries the fleet's actual state.
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"status\":\"ok\",\"backends_live\":%d,\"backends_total\":%d,\"queue_depth\":%d,\"queue_capacity\":%d}\n",
-		g.pool.live(), len(g.pool.backends), len(g.gate), cap(g.gate))
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		server.MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	g.met.render(w, g.pool, len(g.gate), cap(g.gate))
-}
-
 // fwdResult is one forwarding attempt's classification.
 type fwdResult struct {
-	ok        bool                    // resp is valid
-	resp      server.SimulateResponse // when ok
-	ae        *server.APIError        // terminal: relay to the client as-is
-	retry     bool                    // failed, but another backend may succeed
-	transport bool                    // never got a usable HTTP response
-	shed      bool                    // backend 429: backpressure, wait and re-ask
-	waitHint  time.Duration           // from the shed envelope's retry_after_ms
+	ok        bool                   // resp is valid
+	resp      sweep.SimulateResponse // when ok
+	ae        *sweep.APIError        // terminal: relay to the client as-is
+	retry     bool                   // failed, but another backend may succeed
+	transport bool                   // never got a usable HTTP response
+	shed      bool                   // backend 429: backpressure, wait and re-ask
+	waitHint  time.Duration          // from the shed envelope's retry_after_ms
 }
 
 // forward POSTs one cell to one backend via the shared wire client and
@@ -500,7 +347,7 @@ func (g *Gateway) forward(ctx context.Context, b *backend, body []byte) fwdResul
 	switch {
 	case res.ok:
 		b.markSuccess()
-		b.lat.observe(time.Since(start))
+		b.lat.Observe(time.Since(start))
 		sp.SetAttr("outcome", "ok")
 	case res.ae != nil:
 		// A typed rejection proves the backend is alive and talking.
@@ -565,13 +412,13 @@ func (g *Gateway) backoff(n int) time.Duration {
 // execution when no backend could serve it. Every rung records a span
 // under the cell's trace, so a slow cell explains itself at
 // /debug/traces.
-func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (server.SimulateResponse, *server.APIError) {
+func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (sweep.SimulateResponse, *sweep.APIError) {
 	body := c.Body
 	failedAttempts := 0
 	var shedSpent time.Duration
 	for body != nil { // wire-inexpressible cells go straight to local fallback
 		if ctx.Err() != nil {
-			return server.SimulateResponse{}, server.OutcomeError(ctx.Err())
+			return sweep.SimulateResponse{}, sweep.OutcomeError(ctx.Err())
 		}
 		if failedAttempts >= g.opts.MaxAttempts {
 			break
@@ -593,7 +440,7 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (server.SimulateRes
 		case res.ok:
 			return res.resp, nil
 		case res.ae != nil:
-			return server.SimulateResponse{}, res.ae
+			return sweep.SimulateResponse{}, res.ae
 		case res.shed:
 			// Backpressure, not failure: the backend asked us to come
 			// back, so waiting doesn't burn a failover attempt. But the
@@ -634,19 +481,19 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (server.SimulateRes
 		}
 	}
 	if ctx.Err() != nil {
-		return server.SimulateResponse{}, server.OutcomeError(ctx.Err())
+		return sweep.SimulateResponse{}, sweep.OutcomeError(ctx.Err())
 	}
 	// Degradation floor: no backend could serve the cell — zero live, or
 	// the attempt budget burned down — so run it here, exactly as a
 	// single-node dvsd would.
 	g.met.local.Add(1)
 	lctx, lsp := obs.Start(ctx, "local")
-	out := g.local.Do(lctx, c.Job)
+	out := g.opts.Local.DoKey(lctx, c.Job, c.Key)
 	lsp.End()
 	if out.Err != nil {
-		return server.SimulateResponse{}, server.OutcomeError(out.Err)
+		return sweep.SimulateResponse{}, sweep.OutcomeError(out.Err)
 	}
-	return server.SimulateResponse{Cached: out.Cached, Result: server.ToResultJSON(out.Result)}, nil
+	return sweep.SimulateResponse{Cached: out.Cached, Result: sweep.ToResultJSON(out.Result)}, nil
 }
 
 // forwardHedged races the home backend against a delayed duplicate on

@@ -61,10 +61,10 @@ func getGW(g *Gateway, path string) *httptest.ResponseRecorder {
 
 // rawRecord keeps cell results raw for byte-level comparison.
 type rawRecord struct {
-	Index  int              `json:"index"`
-	Cached bool             `json:"cached"`
-	Result json.RawMessage  `json:"result"`
-	Error  *server.APIError `json:"error"`
+	Index  int             `json:"index"`
+	Cached bool            `json:"cached"`
+	Result json.RawMessage `json:"result"`
+	Error  *sweep.APIError `json:"error"`
 	// trailer fields
 	Done        bool `json:"done"`
 	Jobs        int  `json:"jobs"`
@@ -337,7 +337,7 @@ func TestShedBackpressure(t *testing.T) {
 // fakeResponse builds a wire-shaped /simulate success body whose result
 // name identifies the backend that served it.
 func fakeResponse(name string) string {
-	resp := server.SimulateResponse{Result: server.ResultJSON{Name: name, Strategy: "600"}}
+	resp := sweep.SimulateResponse{Result: sweep.ResultJSON{Name: name, Strategy: "600"}}
 	b, _ := json.Marshal(resp)
 	return string(b)
 }
@@ -392,7 +392,7 @@ func TestHedgedRequestWinsOnStraggler(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status=%d body=%s", rec.Code, rec.Body.String())
 	}
-	var resp server.SimulateResponse
+	var resp sweep.SimulateResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -420,12 +420,12 @@ func TestGatewayValidationParity(t *testing.T) {
 		t.Fatalf("status=%d", rec.Code)
 	}
 	var env struct {
-		Error *server.APIError `json:"error"`
+		Error *sweep.APIError `json:"error"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil {
 		t.Fatalf("not an error envelope: %s", rec.Body.String())
 	}
-	if env.Error.Code != server.CodeInvalidStrategy || env.Error.Field != "jobs[1].strategy.freq_mhz" {
+	if env.Error.Code != sweep.CodeInvalidStrategy || env.Error.Field != "jobs[1].strategy.freq_mhz" {
 		t.Fatalf("error=%+v, want invalid_strategy at jobs[1].strategy.freq_mhz", env.Error)
 	}
 	if got := g.pool.backends[0].requests.Load(); got != 0 {
@@ -455,7 +455,7 @@ func TestGatewaySimulatePassthrough(t *testing.T) {
 	}
 	// The backend has now seen the job once, so the gateway's answer is
 	// the cached variant of the same result.
-	var viaGW, ref server.SimulateResponse
+	var viaGW, ref sweep.SimulateResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &viaGW); err != nil {
 		t.Fatal(err)
 	}
@@ -596,8 +596,8 @@ func TestShedBudgetNoDeadline(t *testing.T) {
 	cells := sweepCells(t)
 
 	type result struct {
-		resp server.SimulateResponse
-		ae   *server.APIError
+		resp sweep.SimulateResponse
+		ae   *sweep.APIError
 	}
 	done := make(chan result, 1)
 	go func() {
@@ -623,5 +623,28 @@ func TestShedBudgetNoDeadline(t *testing.T) {
 	}
 	if g.met.shedWait.Load() == 0 {
 		t.Fatal("shed waits not counted in metrics")
+	}
+}
+
+// TestGatewayRequestLatencyHistogram: the gateway shares dvsd's request
+// instrumentation, so each path's latency histogram is on /metrics after
+// one request.
+func TestGatewayRequestLatencyHistogram(t *testing.T) {
+	_, url := startBackend(t)
+	g := newGateway(t, Options{Peers: []string{url}})
+	if rec := postGW(g, "/sweep", sweepGrid); rec.Code != http.StatusOK {
+		t.Fatalf("sweep status=%d", rec.Code)
+	}
+	if rec := postGW(g, "/simulate", simFTS2); rec.Code != http.StatusOK {
+		t.Fatalf("simulate status=%d", rec.Code)
+	}
+	body := getGW(g, "/metrics").Body.String()
+	for _, want := range []string{
+		`dvsgw_request_seconds_count{path="/sweep"} 1`,
+		`dvsgw_request_seconds_bucket{path="/simulate",le="+Inf"} 1`,
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, body)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -105,6 +106,73 @@ func TestSweepParityDvsdDvsgw(t *testing.T) {
 	}
 	if dRecs[0].Result.Name == dRecs[3].Result.Name {
 		t.Fatalf("both blocks ran workload %q; grid collapsed", dRecs[0].Result.Name)
+	}
+}
+
+// TestBodyBoundParity pins the request-body bound on both services: a
+// body past it is rejected 413 with the identical typed envelope before
+// anything is placed, while an explicit job list exactly at MaxJobs —
+// every job fully specified and pretty-printed — is still admitted.
+func TestBodyBoundParity(t *testing.T) {
+	const maxJobs = 6
+	dvsd := server.New(server.Options{Runner: runner.New(2), MaxJobs: maxJobs})
+	_, backendURL := startBackend(t)
+	gw := newGateway(t, Options{Peers: []string{backendURL}, MaxJobs: maxJobs})
+	handlers := map[string]http.Handler{"dvsd": dvsd.Handler(), "dvsgw": gw.Handler()}
+
+	over := `{"jobs":[` + simFTS2 + strings.Repeat(" ", 64<<10) + `]}`
+	envelopes := map[string]string{}
+	for name, h := range handlers {
+		for _, path := range []string{"/simulate", "/sweep"} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(over)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%s %s: oversize body status %d, want 413", name, path, rec.Code)
+			}
+			var env struct {
+				Error *sweep.APIError `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil ||
+				env.Error.Code != sweep.CodeBodyTooLarge {
+				t.Fatalf("%s %s: oversize body answered %s, want a body_too_large envelope", name, path, rec.Body.Bytes())
+			}
+			envelopes[path+" "+rec.Body.String()] = name
+		}
+	}
+	if len(envelopes) != 2 {
+		t.Fatalf("dvsd and dvsgw rejected the oversize body differently: %v", envelopes)
+	}
+	if n := dvsd.Runner().Stats().Runs; n != 0 {
+		t.Fatalf("oversize bodies ran %d simulations", n)
+	}
+
+	// A fully specified job, indented as a human would post it.
+	big, err := json.MarshalIndent(map[string]any{
+		"workload": map[string]any{"code": "CG", "class": "S", "ranks": 8, "variant": "internal",
+			"high_mhz": 1400, "low_mhz": 600},
+		"strategy": map[string]any{"kind": "external-per-node", "per_node": map[string]float64{
+			"0": 600, "1": 800, "2": 1000, "3": 1200, "4": 1400, "5": 600, "6": 800, "7": 1000}},
+		"config": map[string]any{"spin_wait": true, "wait_busy_frac": 0.5, "net_latency_us": 50,
+			"net_bandwidth_bps": 1e9, "net_loss_rate": 0.01, "net_seed": 7, "transition_latency_us": 20},
+	}, "\t\t", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := strings.TrimSuffix(strings.Repeat(string(big)+",\n", maxJobs), ",\n")
+	atLimit := "{\n\t\"jobs\": [\n\t\t" + jobs + "\n\t],\n\t\"timeout_ms\": 60000\n}"
+	// A cancelled client resolves every cell to a canceled record without
+	// simulating; admission is what is under test.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, h := range handlers {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(atLimit)).WithContext(ctx))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: at-limit job list (%d bytes) status %d, want 200: %s", name, len(atLimit), rec.Code, rec.Body.Bytes())
+		}
+		if _, trailer, err := sweep.DecodeStream(rec.Body); err != nil || trailer.Jobs != maxJobs {
+			t.Fatalf("%s: at-limit job list streamed trailer %+v (err %v)", name, trailer, err)
+		}
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // backend is one dvsd instance and its gateway-side state: probe-derived
@@ -22,7 +24,7 @@ type backend struct {
 	probes   atomic.Int64 // health probes sent
 	probeErr atomic.Int64 // health probes failed
 
-	lat latHist // successful cell forward latency
+	lat obs.Histogram // successful cell forward latency
 }
 
 // markFailure records one failed interaction (probe or data path) and

@@ -125,7 +125,7 @@ func TestRetryTraceRecorded(t *testing.T) {
 	}
 
 	var sawRetry, sawTransport bool
-	for _, tr := range g.tr.Snapshot(0) {
+	for _, tr := range g.opts.Tracer.Snapshot(0) {
 		for _, sp := range tr.Spans {
 			if sp.Name == "retry.backoff" {
 				sawRetry = true

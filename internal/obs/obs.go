@@ -18,6 +18,9 @@
 // inbound header parses, so a gateway span and the backend spans it
 // caused share one trace ID and consistent parent IDs even though each
 // process keeps its own ring.
+//
+// The package also holds the daemons' one metrics registry (Registry,
+// metrics.go), which /metrics renders in the Prometheus text format.
 package obs
 
 import (

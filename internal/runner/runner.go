@@ -213,7 +213,16 @@ func (r *Runner) RunContext(ctx context.Context, w npb.Workload, strat core.Stra
 // SweepContext for callers (like the dvsd service) that surface whether
 // a result was served from cache.
 func (r *Runner) Do(ctx context.Context, j Job) Outcome {
-	return r.run(ctx, j)
+	key, _ := j.Key()
+	return r.DoKey(ctx, j, key)
+}
+
+// DoKey is Do for a caller that already holds the job's content address
+// — j.Key()'s key, "" for an uncacheable job — such as a sweep cell, so
+// the job is not hashed a second time. Any other key files the result
+// under the wrong address.
+func (r *Runner) DoKey(ctx context.Context, j Job, key string) Outcome {
+	return r.run(ctx, j, key)
 }
 
 // coreRun is the simulation entry point, indirected so crash-containment
@@ -237,18 +246,18 @@ func (r *Runner) exec(ctx context.Context, j Job) (res core.Result, err error) {
 	return coreRun(ctx, j.Workload, j.Strategy, j.Config)
 }
 
-// run executes or memo-resolves a single job. Cancellation is checked
-// before starting work and while blocked on a coalesced in-flight entry;
-// cancelled jobs resolve to ctx.Err() and touch neither cache nor stats.
-// Cache provenance is recorded on the caller's active span (if any):
-// cache.hit / cache.miss events, and a cache.wait span for the time
-// spent coalesced behind an identical in-flight job.
-func (r *Runner) run(ctx context.Context, j Job) Outcome {
+// run executes or memo-resolves a single job under its content key ("":
+// uncacheable). Cancellation is checked before starting work and while
+// blocked on a coalesced in-flight entry; cancelled jobs resolve to
+// ctx.Err() and touch neither cache nor stats. Cache provenance is
+// recorded on the caller's active span (if any): cache.hit / cache.miss
+// events, and a cache.wait span for the time spent coalesced behind an
+// identical in-flight job.
+func (r *Runner) run(ctx context.Context, j Job, key string) Outcome {
 	if err := ctx.Err(); err != nil {
 		return Outcome{Err: err}
 	}
-	key, cacheable := j.Key()
-	if !cacheable {
+	if key == "" {
 		r.mu.Lock()
 		r.stats.Runs++
 		r.mu.Unlock()
@@ -302,7 +311,7 @@ func (r *Runner) runCell(ctx context.Context, j Job, i int, out []Outcome, emit 
 			}
 		}
 	}()
-	out[i] = r.run(ctx, j)
+	out[i] = r.Do(ctx, j)
 	emit(i, out[i])
 }
 

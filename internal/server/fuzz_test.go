@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+
+	"repro/internal/sweep"
 )
 
 // Fuzz seeds: the README quickstart bodies, the CI smoke bodies, and one
@@ -37,7 +39,7 @@ var fuzzSeeds = []string{
 // /simulate body and the /sweep body — asserting the decode surface never
 // panics and that every rejection it produces is the service's typed
 // error carrying a field path (the registry rejections must survive the
-// translation into APIError with their paths intact).
+// translation into sweep.APIError with their paths intact).
 func FuzzDecodeSpec(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add([]byte(seed))
@@ -47,9 +49,9 @@ func FuzzDecodeSpec(f *testing.F) {
 			if err == nil {
 				return
 			}
-			ae, ok := err.(*APIError)
+			ae, ok := err.(*sweep.APIError)
 			if !ok {
-				t.Fatalf("decode error %T is not the typed APIError: %v", err, err)
+				t.Fatalf("decode error %T is not the typed sweep.APIError: %v", err, err)
 			}
 			if ae.Field == "" {
 				t.Fatalf("decode rejection carries no field path: %v", ae)

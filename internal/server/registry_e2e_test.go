@@ -12,6 +12,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/spec"
+	"repro/internal/sweep"
 )
 
 // TestRegisteredStrategyServedOverHTTP is the acceptance check for the
@@ -44,7 +45,7 @@ func TestRegisteredStrategyServedOverHTTP(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status=%d body=%s", rec.Code, rec.Body.String())
 	}
-	var resp SimulateResponse
+	var resp sweep.SimulateResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestRegisteredStrategyServedOverHTTP(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status=%d, want 400", rec.Code)
 	}
-	if ae := errEnvelope(t, rec); ae.Field != "strategy.freq_mhz" || ae.Code != CodeInvalidStrategy {
+	if ae := errEnvelope(t, rec); ae.Field != "strategy.freq_mhz" || ae.Code != sweep.CodeInvalidStrategy {
 		t.Fatalf("rejection %+v, want invalid_strategy at strategy.freq_mhz", ae)
 	}
 

@@ -1,8 +1,11 @@
-// Package server is dvsd's HTTP layer: simulation-as-a-service over the
-// sweep engine. One long-lived runner.Runner backs every request, so the
-// content-addressed memo cache warms across clients — the service
-// behaves like an inference endpoint fronting a batch engine: repeated
-// grid cells are answered from cache, fresh cells pay one simulation.
+// Package server is the HTTP frontend of both daemons — dvsd, which runs
+// cells in-process, and dvsgw (internal/fleet), which shards them across
+// dvsd backends — and dvsd itself. The frontend (frontend.go) owns the
+// request path; a daemon supplies the sweep.Placer that resolves cells
+// and the few things it does differently (Daemon). One long-lived
+// runner.Runner backs every dvsd request, so the content-addressed memo
+// cache warms across clients: repeated grid cells are answered from
+// cache, fresh cells pay one simulation.
 //
 // Endpoints:
 //
@@ -12,21 +15,15 @@
 //	GET  /healthz   liveness + queue snapshot
 //	GET  /metrics   Prometheus text format
 //
-// Production shape: strict typed validation (errors.go), a bounded
-// admission gate that sheds with 429 + Retry-After (queue.go),
-// per-request deadlines propagated into the runner as context
+// Production shape: strict typed validation (spec.go) of a bounded body,
+// a bounded admission gate that sheds with 429 + Retry-After (queue.go),
+// per-request deadlines propagated into placement as context
 // cancellation, and graceful shutdown that drains in-flight requests.
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
-	"sync"
+	"io"
 	"time"
 
 	"repro/internal/obs"
@@ -42,7 +39,8 @@ type Options struct {
 	// MaxInflight bounds concurrently admitted requests; beyond it the
 	// server sheds with 429. Default 8.
 	MaxInflight int
-	// MaxJobs bounds the cells of a single sweep request. Default 4096.
+	// MaxJobs bounds the cells of a single sweep request, and with them
+	// the request body's bytes. Default 4096.
 	MaxJobs int
 	// DefaultTimeout applies when a request carries no timeout_ms.
 	// Default 2 minutes.
@@ -68,9 +66,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Runner == nil {
-		o.Runner = runner.New(0)
-	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 8
 	}
@@ -89,261 +84,59 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the dvsd HTTP service.
+// Server is the dvsd HTTP service: the frontend over sweep.Local.
 type Server struct {
-	opts   Options
+	*Frontend
 	runner *runner.Runner
-	gate   *gate
-	met    *metrics
-	tr     *obs.Tracer
-	mux    *http.ServeMux
-
-	mu sync.Mutex
-	hs *http.Server
 }
 
 // New builds a service from opts (zero value is usable).
 func New(opts Options) *Server {
-	opts = opts.withDefaults()
-	s := &Server{
-		opts:   opts,
-		runner: opts.Runner,
-		gate:   newGate(opts.MaxInflight),
-		met:    newMetrics(),
-		tr:     opts.Tracer,
+	r := opts.Runner
+	if r == nil {
+		r = runner.New(0)
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/simulate", s.instrument("/simulate", s.handleSimulate))
-	s.mux.HandleFunc("/sweep", s.instrument("/sweep", s.handleSweep))
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.Handle("/debug/traces", s.tr.DebugHandler())
+	s := &Server{runner: r}
+	s.Frontend = NewFrontend(opts, Daemon{
+		Name:         "dvsd",
+		Placer:       sweep.Local{Runner: r},
+		Parallel:     r.Workers(),
+		SimulateSpan: "dvsd.simulate",
+		SweepSpan:    "dvsd.sweep",
+		Health: func(w io.Writer) {
+			st := r.Stats()
+			fmt.Fprintf(w, `,"workers":%d,"cache_entries":%d,"cache_bytes":%d`, r.Workers(), st.Entries, st.Bytes)
+		},
+	})
+
+	// Runner series, sampled from its Stats at render time.
+	reg := s.Registry()
+	for _, m := range []struct {
+		family     func(name, help string, labels ...string) *obs.Family
+		name, help string
+		value      func(runner.Stats) float64
+	}{
+		{reg.Counter, "dvsd_runner_runs_total", "Simulations actually executed by the shared runner.",
+			func(st runner.Stats) float64 { return float64(st.Runs) }},
+		{reg.Counter, "dvsd_runner_cache_hits_total", "Jobs satisfied from the memo cache.",
+			func(st runner.Stats) float64 { return float64(st.Hits) }},
+		{reg.Gauge, "dvsd_runner_cache_hit_rate", "Hits / (hits + runs) over the runner lifetime.",
+			func(st runner.Stats) float64 { return float64(st.Hits) / max(1, float64(st.Runs+st.Hits)) }},
+		{reg.Counter, "dvsd_runner_panics_recovered_total", "Simulation panics contained by the engine and converted to error outcomes.",
+			func(st runner.Stats) float64 { return float64(st.Panics) }},
+		{reg.Counter, "dvsd_runner_poisoned_total", "Error outcomes withheld from durable memoization by the failure policy.",
+			func(st runner.Stats) float64 { return float64(st.Poisoned) }},
+		{reg.Counter, "dvsd_runner_cache_evictions_total", "Completed memo entries dropped by the LRU bound.",
+			func(st runner.Stats) float64 { return float64(st.Evictions) }},
+		{reg.Gauge, "dvsd_runner_cache_entries", "Resident memo-cache entries (completed + in-flight).",
+			func(st runner.Stats) float64 { return float64(st.Entries) }},
+		{reg.Gauge, "dvsd_runner_cache_bytes", "Approximate resident memo-cache payload bytes.",
+			func(st runner.Stats) float64 { return float64(st.Bytes) }},
+	} {
+		m.family(m.name, m.help).Set(obs.Func(func() float64 { return m.value(r.Stats()) }))
+	}
 	return s
 }
 
 // Runner returns the shared engine (its Stats feed /metrics).
 func (s *Server) Runner() *runner.Runner { return s.runner }
-
-// Handler returns the routed handler, for embedding and httptest.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-// ListenAndServe serves on addr until Shutdown; a clean shutdown
-// returns nil.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Serve serves on an existing listener until Shutdown; a clean shutdown
-// returns nil.
-func (s *Server) Serve(ln net.Listener) error {
-	hs := &http.Server{
-		Handler:           s.mux,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	s.mu.Lock()
-	s.hs = hs
-	s.mu.Unlock()
-	err := hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
-	}
-	return err
-}
-
-// Shutdown stops accepting connections and drains in-flight requests
-// (including streaming sweeps) until they finish or ctx expires.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	hs := s.hs
-	s.mu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
-}
-
-// statusWriter captures the response status for metrics and forwards
-// Flush so NDJSON streaming survives the wrapper.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// instrument wraps a handler with request counting and latency
-// observation.
-func (s *Server) instrument(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		start := time.Now()
-		h(sw, r)
-		s.met.record(path, sw.status, time.Since(start))
-	}
-}
-
-// DecodeBody strictly parses a JSON body into v; unknown fields are typed
-// errors, not silently dropped — a misspelled knob must not run a
-// default-configured simulation. Exported so the fleet gateway applies
-// the identical trust boundary before fanning cells out.
-func DecodeBody(r *http.Request, v any) *APIError {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badField(CodeBadRequest, "", "invalid JSON body: %v", err)
-	}
-	return nil
-}
-
-// timeoutFor resolves a request's timeout_ms against server bounds.
-func (s *Server) timeoutFor(ms float64) time.Duration {
-	if ms <= 0 {
-		return s.opts.DefaultTimeout
-	}
-	d := time.Duration(ms * float64(time.Millisecond))
-	if d > s.opts.MaxTimeout {
-		return s.opts.MaxTimeout
-	}
-	return d
-}
-
-// MethodNotAllowed renders the typed 405 naming the verb to use.
-func MethodNotAllowed(w http.ResponseWriter, method string) {
-	WriteError(w, Errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "",
-		"use %s", method))
-}
-
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	var req SimulateRequest
-	if ae := DecodeBody(r, &req); ae != nil {
-		WriteError(w, ae)
-		return
-	}
-	job, err := req.JobSpec.build()
-	if err != nil {
-		WriteError(w, InField(err, ""))
-		return
-	}
-	if !s.gate.tryAcquire() {
-		WriteError(w, QueueFull(s.opts.RetryAfter))
-		return
-	}
-	defer s.gate.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMS))
-	defer cancel()
-	// Root span of this process's part of the trace; a traceparent sent
-	// by a fleet gateway stitches it under the gateway's route span.
-	ctx, sp := s.tr.StartRequest(ctx, "dvsd.simulate", r.Header.Get("traceparent"))
-	sp.SetAttr("queue_depth", fmt.Sprint(s.gate.depth()))
-	out := s.runner.Do(ctx, job)
-	if out.Err != nil {
-		sp.SetAttr("error", out.Err.Error())
-		sp.End()
-		WriteError(w, OutcomeError(out.Err))
-		return
-	}
-	sp.SetAttr("cached", fmt.Sprint(out.Cached))
-	sp.End()
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(SimulateResponse{Cached: out.Cached, Result: ToResultJSON(out.Result)})
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		MethodNotAllowed(w, http.MethodPost)
-		return
-	}
-	var req SweepRequest
-	if ae := DecodeBody(r, &req); ae != nil {
-		WriteError(w, ae)
-		return
-	}
-	plan, err := req.Plan(s.opts.MaxJobs)
-	if err != nil {
-		WriteError(w, InField(err, ""))
-		return
-	}
-	if !s.gate.tryAcquire() {
-		WriteError(w, QueueFull(s.opts.RetryAfter))
-		return
-	}
-	defer s.gate.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMS))
-	defer cancel()
-	// One trace per sweep request: cells show up as runner/sim child
-	// spans. (Per-cell traces are the gateway's view; a direct sweep is
-	// one client operation.)
-	ctx, sp := s.tr.StartRequest(ctx, "dvsd.sweep", r.Header.Get("traceparent"))
-	sp.SetAttr("jobs", fmt.Sprint(plan.Len()))
-	defer sp.End()
-
-	// Checkpointing is best-effort: a journal that cannot be opened must
-	// not fail the sweep, it only costs re-execution after a crash. The
-	// failure is still surfaced — logged, counted, and marked on the
-	// request span — because a sweep that silently runs uncheckpointed is
-	// a resume that silently won't work.
-	var ckpt *sweep.Checkpoint
-	if s.opts.CheckpointDir != "" {
-		var cerr error
-		ckpt, cerr = sweep.OpenCheckpointFS(s.opts.CheckpointFS, sweep.CheckpointPath(s.opts.CheckpointDir, plan), plan)
-		if cerr != nil {
-			s.met.ckptErr.Add(1)
-			sp.Event("checkpoint.open_failed")
-			log.Printf("dvsd: sweep running uncheckpointed: %v", cerr)
-		}
-	}
-
-	// Stream: one record per cell in completion order, then a trailer.
-	// The header commits status 200 before results exist; per-cell
-	// failures travel in-band as error records.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := sweep.NewEncoder(w)
-	sweep.Execute(ctx, plan, sweep.Local{Runner: s.runner}, sweep.ExecOptions{
-		Parallel:   s.runner.Workers(),
-		OnRecord:   enc.Record, // Execute serializes observer calls
-		Checkpoint: ckpt,
-	})
-	enc.Trailer(plan.Len())
-	s.met.addCells(plan.Len())
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	st := s.runner.Stats()
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\"status\":\"ok\",\"queue_depth\":%d,\"queue_capacity\":%d,\"workers\":%d,\"cache_entries\":%d,\"cache_bytes\":%d}\n",
-		s.gate.depth(), s.gate.capacity(), s.runner.Workers(), st.Entries, st.Bytes)
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		MethodNotAllowed(w, http.MethodGet)
-		return
-	}
-	st := s.runner.Stats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.render(w, s.gate, st)
-}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/npb"
 	"repro/internal/runner"
+	"repro/internal/sweep"
 )
 
 // testServer returns a small, fast service instance.
@@ -42,10 +43,10 @@ func get(s *Server, path string) *httptest.ResponseRecorder {
 }
 
 // errEnvelope decodes the typed error envelope.
-func errEnvelope(t *testing.T, rec *httptest.ResponseRecorder) *APIError {
+func errEnvelope(t *testing.T, rec *httptest.ResponseRecorder) *sweep.APIError {
 	t.Helper()
 	var env struct {
-		Error *APIError `json:"error"`
+		Error *sweep.APIError `json:"error"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
 		t.Fatalf("error body is not the JSON envelope: %v\n%s", err, rec.Body.String())
@@ -64,7 +65,7 @@ func TestSimulateOKThenCached(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status=%d body=%s", rec.Code, rec.Body.String())
 	}
-	var resp SimulateResponse
+	var resp sweep.SimulateResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestSimulateOKThenCached(t *testing.T) {
 	if rec2.Code != http.StatusOK {
 		t.Fatalf("repeat status=%d", rec2.Code)
 	}
-	var resp2 SimulateResponse
+	var resp2 sweep.SimulateResponse
 	if err := json.Unmarshal(rec2.Body.Bytes(), &resp2); err != nil {
 		t.Fatal(err)
 	}
@@ -106,26 +107,26 @@ func TestSimulateValidation(t *testing.T) {
 		code   string
 		field  string // substring match; "" skips
 	}{
-		{"malformed json", `{`, 400, CodeBadRequest, ""},
-		{"unknown field", `{"bogus":1}`, 400, CodeBadRequest, ""},
-		{"missing code", `{"workload":{},"strategy":{"kind":"nodvs"}}`, 400, CodeInvalidWorkload, "workload.code"},
-		{"bad class", `{"workload":{"code":"FT","class":"Z"},"strategy":{"kind":"nodvs"}}`, 400, CodeInvalidWorkload, "workload.class"},
-		{"unknown benchmark", `{"workload":{"code":"ZZ"},"strategy":{"kind":"nodvs"}}`, 400, CodeInvalidWorkload, "workload"},
-		{"negative ranks", `{"workload":{"code":"FT","ranks":-4},"strategy":{"kind":"nodvs"}}`, 400, CodeInvalidWorkload, "workload.ranks"},
-		{"internal on EP", `{"workload":{"code":"EP","variant":"internal"},"strategy":{"kind":"nodvs"}}`, 400, CodeInvalidWorkload, "workload.variant"},
-		{"unknown variant", `{"workload":{"code":"FT","variant":"turbo"},"strategy":{"kind":"nodvs"}}`, 400, CodeInvalidWorkload, "workload.variant"},
-		{"missing kind", `{"workload":{"code":"FT","class":"S"},"strategy":{}}`, 400, CodeInvalidStrategy, "strategy.kind"},
-		{"unknown kind", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"warp"}}`, 400, CodeInvalidStrategy, "strategy.kind"},
-		{"external no freq", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external"}}`, 400, CodeInvalidStrategy, "strategy.freq_mhz"},
-		{"external off-table freq", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external","freq_mhz":700}}`, 400, CodeInvalidStrategy, "strategy.freq_mhz"},
-		{"per-node bad key", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external-per-node","per_node":{"x":600}}}`, 400, CodeInvalidStrategy, "strategy.per_node"},
-		{"per-node off-table", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external-per-node","per_node":{"0":611}}}`, 400, CodeInvalidStrategy, "strategy.per_node[0]"},
-		{"daemon bad preset", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","preset":"v9"}}`, 400, CodeInvalidStrategy, "strategy.preset"},
-		{"daemon bad interval", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","interval_ms":-5}}`, 400, CodeInvalidStrategy, "strategy.interval_ms"},
-		{"powercap no budget", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"powercap"}}`, 400, CodeInvalidStrategy, "strategy.budget_watts"},
-		{"config bad wait frac", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"wait_busy_frac":2}}`, 400, CodeInvalidConfig, "config.wait_busy_frac"},
-		{"config bad loss rate", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"net_loss_rate":1.5}}`, 400, CodeInvalidConfig, "config.net_loss_rate"},
-		{"config bad bandwidth", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"net_bandwidth_bps":-1}}`, 400, CodeInvalidConfig, "config.net_bandwidth_bps"},
+		{"malformed json", `{`, 400, sweep.CodeBadRequest, ""},
+		{"unknown field", `{"bogus":1}`, 400, sweep.CodeBadRequest, ""},
+		{"missing code", `{"workload":{},"strategy":{"kind":"nodvs"}}`, 400, sweep.CodeInvalidWorkload, "workload.code"},
+		{"bad class", `{"workload":{"code":"FT","class":"Z"},"strategy":{"kind":"nodvs"}}`, 400, sweep.CodeInvalidWorkload, "workload.class"},
+		{"unknown benchmark", `{"workload":{"code":"ZZ"},"strategy":{"kind":"nodvs"}}`, 400, sweep.CodeInvalidWorkload, "workload"},
+		{"negative ranks", `{"workload":{"code":"FT","ranks":-4},"strategy":{"kind":"nodvs"}}`, 400, sweep.CodeInvalidWorkload, "workload.ranks"},
+		{"internal on EP", `{"workload":{"code":"EP","variant":"internal"},"strategy":{"kind":"nodvs"}}`, 400, sweep.CodeInvalidWorkload, "workload.variant"},
+		{"unknown variant", `{"workload":{"code":"FT","variant":"turbo"},"strategy":{"kind":"nodvs"}}`, 400, sweep.CodeInvalidWorkload, "workload.variant"},
+		{"missing kind", `{"workload":{"code":"FT","class":"S"},"strategy":{}}`, 400, sweep.CodeInvalidStrategy, "strategy.kind"},
+		{"unknown kind", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"warp"}}`, 400, sweep.CodeInvalidStrategy, "strategy.kind"},
+		{"external no freq", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external"}}`, 400, sweep.CodeInvalidStrategy, "strategy.freq_mhz"},
+		{"external off-table freq", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external","freq_mhz":700}}`, 400, sweep.CodeInvalidStrategy, "strategy.freq_mhz"},
+		{"per-node bad key", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external-per-node","per_node":{"x":600}}}`, 400, sweep.CodeInvalidStrategy, "strategy.per_node"},
+		{"per-node off-table", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external-per-node","per_node":{"0":611}}}`, 400, sweep.CodeInvalidStrategy, "strategy.per_node[0]"},
+		{"daemon bad preset", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","preset":"v9"}}`, 400, sweep.CodeInvalidStrategy, "strategy.preset"},
+		{"daemon bad interval", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","interval_ms":-5}}`, 400, sweep.CodeInvalidStrategy, "strategy.interval_ms"},
+		{"powercap no budget", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"powercap"}}`, 400, sweep.CodeInvalidStrategy, "strategy.budget_watts"},
+		{"config bad wait frac", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"wait_busy_frac":2}}`, 400, sweep.CodeInvalidConfig, "config.wait_busy_frac"},
+		{"config bad loss rate", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"net_loss_rate":1.5}}`, 400, sweep.CodeInvalidConfig, "config.net_loss_rate"},
+		{"config bad bandwidth", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"net_bandwidth_bps":-1}}`, 400, sweep.CodeInvalidConfig, "config.net_bandwidth_bps"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,7 +164,7 @@ func TestMethodNotAllowed(t *testing.T) {
 		if rec.Code != http.StatusMethodNotAllowed {
 			t.Fatalf("%s %s: status=%d want 405", c.method, c.path, rec.Code)
 		}
-		if ae := errEnvelope(t, rec); ae.Code != CodeMethodNotAllowed {
+		if ae := errEnvelope(t, rec); ae.Code != sweep.CodeMethodNotAllowed {
 			t.Fatalf("%s %s: code=%q", c.method, c.path, ae.Code)
 		}
 	}
@@ -190,7 +191,7 @@ func TestQueueFullSheds(t *testing.T) {
 			t.Fatalf("%s: Retry-After=%q want \"3\"", path, got)
 		}
 		ae := errEnvelope(t, rec)
-		if ae.Code != CodeQueueFull || ae.RetryAfterMS != 3000 {
+		if ae.Code != sweep.CodeQueueFull || ae.RetryAfterMS != 3000 {
 			t.Fatalf("%s: error=%+v", path, ae)
 		}
 	}
@@ -218,8 +219,8 @@ func TestSimulateDeadlineExpired(t *testing.T) {
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status=%d want 504; body=%s", rec.Code, rec.Body.String())
 	}
-	if ae := errEnvelope(t, rec); ae.Code != CodeDeadlineExceeded {
-		t.Fatalf("code=%q want %q", ae.Code, CodeDeadlineExceeded)
+	if ae := errEnvelope(t, rec); ae.Code != sweep.CodeDeadlineExceeded {
+		t.Fatalf("code=%q want %q", ae.Code, sweep.CodeDeadlineExceeded)
 	}
 	if st := s.Runner().Stats(); st.Runs != 0 {
 		t.Fatalf("expired request still ran %d simulations", st.Runs)
@@ -235,11 +236,11 @@ func TestSimulateClientGone(t *testing.T) {
 	req := httptest.NewRequest(http.MethodPost, "/simulate", strings.NewReader(simFTS2)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, req)
-	if rec.Code != statusClientClosed {
-		t.Fatalf("status=%d want %d", rec.Code, statusClientClosed)
+	if rec.Code != sweep.StatusClientClosed {
+		t.Fatalf("status=%d want %d", rec.Code, sweep.StatusClientClosed)
 	}
-	if ae := errEnvelope(t, rec); ae.Code != CodeCanceled {
-		t.Fatalf("code=%q want %q", ae.Code, CodeCanceled)
+	if ae := errEnvelope(t, rec); ae.Code != sweep.CodeCanceled {
+		t.Fatalf("code=%q want %q", ae.Code, sweep.CodeCanceled)
 	}
 	if st := s.Runner().Stats(); st.Runs != 0 {
 		t.Fatalf("abandoned request still ran %d simulations", st.Runs)
@@ -252,7 +253,7 @@ type rawRecord struct {
 	Index  int             `json:"index"`
 	Cached bool            `json:"cached"`
 	Result json.RawMessage `json:"result"`
-	Error  *APIError       `json:"error"`
+	Error  *sweep.APIError `json:"error"`
 	// trailer fields
 	Done   bool `json:"done"`
 	Jobs   int  `json:"jobs"`
@@ -324,7 +325,7 @@ func TestSweepGridNDJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(ToResultJSON(res))
+		b, err := json.Marshal(sweep.ToResultJSON(res))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -367,13 +368,13 @@ func TestSweepShapeValidation(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"empty", `{}`, 400, CodeInvalidSweep},
-		{"both forms", `{"jobs":[` + simFTS2 + `],"workloads":[{"code":"FT"}],"strategies":[{"kind":"nodvs"}]}`, 400, CodeInvalidSweep},
-		{"grid missing strategies", `{"workloads":[{"code":"FT"}]}`, 400, CodeInvalidSweep},
-		{"config on explicit jobs", `{"jobs":[` + simFTS2 + `],"config":{"spin_wait":true}}`, 400, CodeInvalidSweep},
-		{"too many explicit", `{"jobs":[` + simFTS2 + `,` + simFTS2 + `,` + simFTS2 + `]}`, statusTooLarge, CodeTooManyJobs},
-		{"too large grid", `{"workloads":[{"code":"FT","class":"S"}],"strategies":[{"kind":"nodvs"},{"kind":"daemon"},{"kind":"ondemand"}]}`, statusTooLarge, CodeTooManyJobs},
-		{"bad nested job", `{"jobs":[{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external"}}]}`, 400, CodeInvalidStrategy},
+		{"empty", `{}`, 400, sweep.CodeInvalidSweep},
+		{"both forms", `{"jobs":[` + simFTS2 + `],"workloads":[{"code":"FT"}],"strategies":[{"kind":"nodvs"}]}`, 400, sweep.CodeInvalidSweep},
+		{"grid missing strategies", `{"workloads":[{"code":"FT"}]}`, 400, sweep.CodeInvalidSweep},
+		{"config on explicit jobs", `{"jobs":[` + simFTS2 + `],"config":{"spin_wait":true}}`, 400, sweep.CodeInvalidSweep},
+		{"too many explicit", `{"jobs":[` + simFTS2 + `,` + simFTS2 + `,` + simFTS2 + `]}`, http.StatusRequestEntityTooLarge, sweep.CodeTooManyJobs},
+		{"too large grid", `{"workloads":[{"code":"FT","class":"S"}],"strategies":[{"kind":"nodvs"},{"kind":"daemon"},{"kind":"ondemand"}]}`, http.StatusRequestEntityTooLarge, sweep.CodeTooManyJobs},
+		{"bad nested job", `{"jobs":[{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external"}}]}`, 400, sweep.CodeInvalidStrategy},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -423,7 +424,7 @@ func TestSweepClientGone(t *testing.T) {
 		t.Fatalf("trailer=%+v, want jobs=2 errors=2", trailer)
 	}
 	for _, r := range recs {
-		if r.Error == nil || r.Error.Code != CodeCanceled {
+		if r.Error == nil || r.Error.Code != sweep.CodeCanceled {
 			t.Fatalf("record %d: %+v, want canceled error", r.Index, r.Error)
 		}
 	}

@@ -1,10 +1,14 @@
 // Request specs: the JSON wire forms of (workload, strategy, config) and
-// their compilation into runner.Jobs. Validation is strict and typed —
+// their compilation into sweep cells and plans. Validation is strict and typed —
 // every rejection names a code and the offending field — because the
 // service is the trust boundary: past this file, inputs are assumed good.
 package server
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
 	"strings"
 	"time"
 
@@ -12,7 +16,25 @@ import (
 	"repro/internal/dvs"
 	"repro/internal/npb"
 	"repro/internal/runner"
+	"repro/internal/spec"
+	"repro/internal/sweep"
 )
+
+// specErr translates a registry decode rejection (a *spec.Error whose
+// field path is relative to the object being decoded) into the service's
+// typed 400, rooted under the given object path ("workload", "strategy").
+// Non-registry errors blame the whole object.
+func specErr(err error, code, root string) *sweep.APIError {
+	var se *spec.Error
+	if errors.As(err, &se) {
+		field := root
+		if se.Field != "" {
+			field = root + "." + se.Field
+		}
+		return sweep.BadField(code, field, "%s", se.Msg)
+	}
+	return sweep.BadField(code, root, "%v", err)
+}
 
 // WorkloadSpec names a benchmark instance.
 type WorkloadSpec struct {
@@ -43,7 +65,7 @@ func (s WorkloadSpec) build() (npb.Workload, error) {
 		LowMHz:  s.LowMHz,
 	}.Build()
 	if err != nil {
-		return npb.Workload{}, specErr(err, CodeInvalidWorkload, "workload")
+		return npb.Workload{}, specErr(err, sweep.CodeInvalidWorkload, "workload")
 	}
 	return w, nil
 }
@@ -81,7 +103,7 @@ type StrategySpec struct {
 // admitted (and advertised) without touching this file.
 func (s StrategySpec) build(table dvs.Table) (core.Strategy, error) {
 	if s.Kind == "" {
-		return core.Strategy{}, badField(CodeInvalidStrategy, "strategy.kind",
+		return core.Strategy{}, sweep.BadField(sweep.CodeInvalidStrategy, "strategy.kind",
 			"required; one of %s", strings.Join(core.StrategyNames(), ", "))
 	}
 	strat, err := core.DecodeStrategy(s.Kind, core.StrategyArgs{
@@ -95,7 +117,7 @@ func (s StrategySpec) build(table dvs.Table) (core.Strategy, error) {
 		Table:       table,
 	})
 	if err != nil {
-		return core.Strategy{}, specErr(err, CodeInvalidStrategy, "strategy")
+		return core.Strategy{}, specErr(err, sweep.CodeInvalidStrategy, "strategy")
 	}
 	return strat, nil
 }
@@ -132,28 +154,28 @@ func (s *ConfigSpec) build() (core.Config, error) {
 	}
 	if s.WaitBusyFrac != nil {
 		if *s.WaitBusyFrac < 0 || *s.WaitBusyFrac > 1 {
-			return core.Config{}, badField(CodeInvalidConfig, "config.wait_busy_frac",
+			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.wait_busy_frac",
 				"must be in [0,1], got %g", *s.WaitBusyFrac)
 		}
 		cfg.Node.WaitBusyFrac = *s.WaitBusyFrac
 	}
 	if s.NetLatencyUS != nil {
 		if *s.NetLatencyUS < 0 {
-			return core.Config{}, badField(CodeInvalidConfig, "config.net_latency_us",
+			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.net_latency_us",
 				"must be non-negative, got %g", *s.NetLatencyUS)
 		}
 		cfg.Net.Latency = time.Duration(*s.NetLatencyUS * float64(time.Microsecond))
 	}
 	if s.NetBandwidthBps != nil {
 		if *s.NetBandwidthBps <= 0 {
-			return core.Config{}, badField(CodeInvalidConfig, "config.net_bandwidth_bps",
+			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.net_bandwidth_bps",
 				"must be positive, got %g", *s.NetBandwidthBps)
 		}
 		cfg.Net.BandwidthBps = *s.NetBandwidthBps
 	}
 	if s.NetLossRate != nil {
 		if *s.NetLossRate < 0 || *s.NetLossRate >= 1 {
-			return core.Config{}, badField(CodeInvalidConfig, "config.net_loss_rate",
+			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.net_loss_rate",
 				"must be in [0,1), got %g", *s.NetLossRate)
 		}
 		cfg.Net.LossRate = *s.NetLossRate
@@ -163,7 +185,7 @@ func (s *ConfigSpec) build() (core.Config, error) {
 	}
 	if s.TransitionLatencyUS != nil {
 		if *s.TransitionLatencyUS < 0 {
-			return core.Config{}, badField(CodeInvalidConfig, "config.transition_latency_us",
+			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.transition_latency_us",
 				"must be non-negative, got %g", *s.TransitionLatencyUS)
 		}
 		cfg.Node.Transition.Latency = time.Duration(*s.TransitionLatencyUS * float64(time.Microsecond))
@@ -194,6 +216,28 @@ func (s JobSpec) build() (runner.Job, error) {
 	return runner.Job{Workload: w, Strategy: strat, Config: cfg}, nil
 }
 
+// Cell compiles the spec into the sweep pipeline's placeable form: the
+// compiled job, its content key, and the spec as a forwardable POST
+// /simulate body.
+func (s JobSpec) Cell() (sweep.Cell, error) {
+	job, err := s.build()
+	if err != nil {
+		return sweep.Cell{}, err
+	}
+	return compiledCell(s, job)
+}
+
+// compiledCell pairs a spec with the job already compiled from it.
+func compiledCell(s JobSpec, job runner.Job) (sweep.Cell, error) {
+	body, err := json.Marshal(s)
+	if err != nil { // specs are built from decoded JSON; cannot recur
+		return sweep.Cell{}, sweep.Errf(http.StatusInternalServerError, sweep.CodeSimFailed, "",
+			"encode cell: %v", err)
+	}
+	key, _ := job.Key()
+	return sweep.Cell{Key: key, Job: job, Body: body}, nil
+}
+
 // SimulateRequest is the POST /simulate body: one job plus a deadline.
 type SimulateRequest struct {
 	JobSpec
@@ -212,5 +256,69 @@ type SweepRequest struct {
 	TimeoutMS  float64        `json:"timeout_ms,omitempty"`
 }
 
-// statusTooLarge is the HTTP status for an over-bound sweep.
-const statusTooLarge = 413 // http.StatusRequestEntityTooLarge
+// Plan expands the request into the sweep pipeline's executable form:
+// the single validated cell list, each cell carrying its content key,
+// compiled job and wire body, with field paths naming the offending
+// entry ("jobs[3].strategy.kind"). Grid form is workload-major, cell
+// (i, j) at index i*len(strategies)+j. This is THE expansion path — dvsd,
+// dvsgw, and any embedder execute exactly this plan.
+func (s SweepRequest) Plan(maxJobs int) (*sweep.Plan, error) {
+	explicit := len(s.Jobs) > 0
+	grid := len(s.Workloads) > 0 || len(s.Strategies) > 0
+	switch {
+	case explicit && grid:
+		return nil, sweep.BadField(sweep.CodeInvalidSweep, "jobs",
+			"give either jobs or workloads×strategies, not both")
+	case explicit:
+		if s.Config != nil {
+			return nil, sweep.BadField(sweep.CodeInvalidSweep, "config",
+				"top-level config applies only to the grid form; set it per job")
+		}
+		if len(s.Jobs) > maxJobs {
+			return nil, sweep.TooManyJobs("jobs",
+				"%d jobs exceeds the per-request bound of %d", len(s.Jobs), maxJobs)
+		}
+		cells := make([]sweep.Cell, len(s.Jobs))
+		for i, js := range s.Jobs {
+			c, err := js.Cell()
+			if err != nil {
+				return nil, sweep.InField(err, fmt.Sprintf("jobs[%d]", i))
+			}
+			cells[i] = c
+		}
+		return sweep.NewPlan(cells), nil
+	case len(s.Workloads) > 0 && len(s.Strategies) > 0:
+		n := len(s.Workloads) * len(s.Strategies)
+		if n > maxJobs {
+			return nil, sweep.TooManyJobs("workloads",
+				"%d×%d grid = %d jobs exceeds the per-request bound of %d",
+				len(s.Workloads), len(s.Strategies), n, maxJobs)
+		}
+		cfg, err := s.Config.build()
+		if err != nil {
+			return nil, err
+		}
+		cells := make([]sweep.Cell, 0, n)
+		for i, ws := range s.Workloads {
+			w, err := ws.build()
+			if err != nil {
+				return nil, sweep.InField(err, fmt.Sprintf("workloads[%d]", i))
+			}
+			for j, ss := range s.Strategies {
+				strat, err := ss.build(cfg.Node.Table)
+				if err != nil {
+					return nil, sweep.InField(err, fmt.Sprintf("strategies[%d]", j))
+				}
+				c, err := compiledCell(JobSpec{Workload: ws, Strategy: ss, Config: s.Config},
+					runner.Job{Workload: w, Strategy: strat, Config: cfg})
+				if err != nil {
+					return nil, sweep.InField(err, fmt.Sprintf("jobs[%d]", len(cells)))
+				}
+				cells = append(cells, c)
+			}
+		}
+		return sweep.NewPlan(cells), nil
+	}
+	return nil, sweep.BadField(sweep.CodeInvalidSweep, "jobs",
+		"empty sweep: give jobs, or workloads and strategies")
+}

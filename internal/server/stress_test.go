@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/npb"
 	"repro/internal/runner"
+	"repro/internal/sweep"
 )
 
 // TestConcurrentSimulateSharesCache hammers /simulate from many clients
@@ -77,7 +78,7 @@ func TestConcurrentSimulateSharesCache(t *testing.T) {
 		for _, tagged := range got[c] {
 			sep := strings.IndexByte(tagged, '|')
 			kind, body := tagged[:sep], tagged[sep+1:]
-			var resp SimulateResponse
+			var resp sweep.SimulateResponse
 			if err := json.Unmarshal([]byte(body), &resp); err != nil {
 				t.Fatal(err)
 			}
@@ -140,7 +141,7 @@ func TestConcurrentSweepsMatchSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(ToResultJSON(res))
+		b, err := json.Marshal(sweep.ToResultJSON(res))
 		if err != nil {
 			t.Fatal(err)
 		}

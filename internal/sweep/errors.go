@@ -22,6 +22,7 @@ const (
 	CodeInvalidConfig    = "invalid_config"     // config spec failed validation
 	CodeInvalidSweep     = "invalid_sweep"      // sweep shape (jobs vs grid) invalid
 	CodeTooManyJobs      = "too_many_jobs"      // sweep exceeds the per-request job bound
+	CodeBodyTooLarge     = "body_too_large"     // request body exceeds the per-request byte bound
 	CodeQueueFull        = "queue_full"         // admission queue at capacity; retry later
 	CodeDeadlineExceeded = "deadline_exceeded"  // per-request deadline expired
 	CodeCanceled         = "canceled"           // client went away before completion
@@ -102,7 +103,7 @@ func (e *APIError) HTTPStatus() int {
 		return e.status
 	}
 	switch e.Code {
-	case CodeTooManyJobs:
+	case CodeTooManyJobs, CodeBodyTooLarge:
 		return statusTooLarge
 	case CodeQueueFull:
 		return http.StatusTooManyRequests

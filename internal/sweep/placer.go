@@ -63,11 +63,12 @@ type Placer interface {
 
 // Local places every cell on an in-process runner: the single-node
 // execution substrate dvsd and cmd/reproduce default to. Memoization,
-// in-flight coalescing, and panic containment are the runner's.
+// in-flight coalescing, and panic containment are the runner's; the cell
+// hands over its precomputed Key, so the job is hashed once per cell.
 type Local struct {
 	Runner *runner.Runner
 }
 
 func (l Local) Place(ctx context.Context, _ int, c Cell) Outcome {
-	return FromRunner(l.Runner.Do(ctx, c.Job))
+	return FromRunner(l.Runner.DoKey(ctx, c.Job, c.Key))
 }

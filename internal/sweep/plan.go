@@ -1,6 +1,6 @@
 // Package sweep is the one sweep pipeline: plan → place → execute →
 // merge. A Plan is the validated, ordered cell list every sweep executes
-// (one expansion path — server.SweepRequest.Cells — feeds it, whether
+// (one expansion path — server.SweepRequest.Plan — feeds it, whether
 // the caller is dvsd, dvsgw, or cmd/reproduce); a Placer decides where
 // one cell runs (in-process runner, a remote dvsd, or a fleet ring); the
 // Executor streams outcomes in completion order with the runner's

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/runner"
 )
 
 // ResultJSON is the wire form of one simulation's measurements: the
@@ -109,14 +108,4 @@ func OutcomeError(err error) *APIError {
 	default:
 		return Errf(http.StatusInternalServerError, CodeSimFailed, "", "%v", err)
 	}
-}
-
-// Record builds the NDJSON line for one runner outcome — the shared
-// shape for in-process sweeps and the gateway's local-fallback cells.
-func Record(i int, o runner.Outcome) SweepRecord {
-	if o.Err != nil {
-		return SweepRecord{Index: i, Error: OutcomeError(o.Err)}
-	}
-	r := ToResultJSON(o.Result)
-	return SweepRecord{Index: i, Cached: o.Cached, Result: &r}
 }
