@@ -2,70 +2,44 @@ package main
 
 import (
 	"bytes"
-	"flag"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "regenerate testdata/ goldens from the cmd/nemo, cmd/dvsched and cmd/powerprof binaries")
-
 // goldenCase is one pinned invocation. "$TMP" in args expands to a
 // per-case temp dir; the same path in stdout is written back as "$TMP".
 type goldenCase struct {
 	name  string
-	tool  string // nemo, dvsched or powerprof
+	tool  string // subcommand
 	args  []string
 	files []string // written under $TMP, pinned as testdata/<name>.<file>
 	fails bool     // exits 1; testdata/<name>.stderr holds the message
 }
 
+// goldenCases pin the subcommands to the output of the standalone nemo
+// (grid), dvsched (run) and powerprof (power) binaries they replaced: the
+// testdata files were generated by those binaries, and every byte must
+// still match. Error messages are compared after the program prefix.
 var goldenCases = []goldenCase{
-	{name: "grid", tool: "nemo", args: []string{"-codes", "FT,CG", "-classes", "S", "-ranks", "4",
+	{name: "grid", tool: "grid", args: []string{"-codes", "FT,CG", "-classes", "S", "-ranks", "4",
 		"-freqs", "all", "-auto", "-csv", "$TMP/grid.csv"}, files: []string{"grid.csv"}},
-	{name: "grid_twotier", tool: "nemo", args: []string{"-codes", "FT", "-classes", "S", "-ranks", "4",
+	{name: "grid_twotier", tool: "grid", args: []string{"-codes", "FT", "-classes", "S", "-ranks", "4",
 		"-freqs", "600,1000,1400", "-topology", "two-tier"}},
-	{name: "grid_offtable", tool: "nemo", args: []string{"-codes", "FT", "-classes", "S", "-freqs", "700"}, fails: true},
-	{name: "run_trace_baseline", tool: "dvsched", args: []string{"-code", "CG", "-class", "S", "-trace", "-baseline"}},
-	{name: "run_internal", tool: "dvsched", args: []string{"-code", "CG", "-class", "S",
+	{name: "grid_offtable", tool: "grid", args: []string{"-codes", "FT", "-classes", "S", "-freqs", "700"}, fails: true},
+	{name: "run_trace_baseline", tool: "run", args: []string{"-code", "CG", "-class", "S", "-trace", "-baseline"}},
+	{name: "run_internal", tool: "run", args: []string{"-code", "CG", "-class", "S",
 		"-strategy", "internal", "-high", "1200", "-low", "800"}},
-	{name: "run_powercap", tool: "dvsched", args: []string{"-code", "CG", "-class", "S", "-strategy", "powercap", "-budget", "200"}},
-	{name: "run_daemon_v11", tool: "dvsched", args: []string{"-code", "FT", "-class", "S",
+	{name: "run_powercap", tool: "run", args: []string{"-code", "CG", "-class", "S", "-strategy", "powercap", "-budget", "200"}},
+	{name: "run_daemon_v11", tool: "run", args: []string{"-code", "FT", "-class", "S",
 		"-strategy", "daemon", "-daemon-version", "1.1"}},
-	{name: "run_autotune", tool: "dvsched", args: []string{"-code", "CG", "-class", "S", "-strategy", "auto-tune"}},
-	{name: "run_unknown_code", tool: "dvsched", args: []string{"-code", "ZZ", "-class", "S"}, fails: true},
-	{name: "power", tool: "powerprof", args: []string{"-code", "FT", "-class", "S",
+	{name: "run_autotune", tool: "run", args: []string{"-code", "CG", "-class", "S", "-strategy", "auto-tune"}},
+	{name: "run_unknown_code", tool: "run", args: []string{"-code", "ZZ", "-class", "S"}, fails: true},
+	{name: "power", tool: "power", args: []string{"-code", "FT", "-class", "S",
 		"-profile", "$TMP/profile.csv", "-json", "$TMP/measurement.json"},
 		files: []string{"profile.csv", "measurement.json"}},
-	{name: "power_unknown_strategy", tool: "powerprof", args: []string{"-code", "FT", "-class", "S", "-strategy", "warp"}, fails: true},
-}
-
-// buildTools compiles the three pinned binaries once per test run.
-func buildTools(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", dir, "../nemo", "../dvsched", "../powerprof")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return dir
-}
-
-// invoke runs one case and returns its stdout, stderr and exit code.
-func invoke(t *testing.T, bin string, c goldenCase, args []string) (stdout, stderr string, code int) {
-	t.Helper()
-	var o, e bytes.Buffer
-	cmd := exec.Command(filepath.Join(bin, c.tool), args...)
-	cmd.Stdout, cmd.Stderr = &o, &e
-	err := cmd.Run()
-	if ee, ok := err.(*exec.ExitError); ok {
-		code = ee.ExitCode()
-	} else if err != nil {
-		t.Fatalf("%s: %v", c.tool, err)
-	}
-	return o.String(), e.String(), code
+	{name: "power_unknown_strategy", tool: "power", args: []string{"-code", "FT", "-class", "S", "-strategy", "warp"}, fails: true},
 }
 
 // afterPrefix drops the "<program>: " prefix of an error line.
@@ -77,7 +51,6 @@ func afterPrefix(s string) string {
 }
 
 func TestGolden(t *testing.T) {
-	bin := buildTools(t)
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			tmp := t.TempDir()
@@ -85,8 +58,9 @@ func TestGolden(t *testing.T) {
 			for i, a := range c.args {
 				args[i] = strings.ReplaceAll(a, "$TMP", tmp)
 			}
-			stdout, stderr, code := invoke(t, bin, c, args)
-			stdout = strings.ReplaceAll(stdout, tmp, "$TMP")
+			var o, e bytes.Buffer
+			code := runSubcommand(c.tool, args, &o, &e)
+			stdout, stderr := strings.ReplaceAll(o.String(), tmp, "$TMP"), e.String()
 
 			got := map[string]string{"stdout": stdout}
 			if c.fails {
@@ -106,12 +80,6 @@ func TestGolden(t *testing.T) {
 			}
 			for suffix, g := range got {
 				path := filepath.Join("testdata", c.name+"."+suffix)
-				if *update {
-					if err := os.WriteFile(path, []byte(g), 0o644); err != nil {
-						t.Fatal(err)
-					}
-					continue
-				}
 				want, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)

@@ -1,6 +1,9 @@
 // Command reproduce regenerates every table and figure of the paper's
 // evaluation on the simulated NEMO cluster and prints them with deltas
-// against the published values.
+// against the published values. Three subcommands drive ad-hoc studies
+// on the same sweep path: grid (code × class × ranks × frequency grids),
+// run (one benchmark under one strategy) and power (one instrumented run
+// with its power profile).
 //
 // Usage:
 //
@@ -11,6 +14,9 @@
 //	reproduce -csv out/          # additionally write CSV files
 //	reproduce -server URL        # place sweep cells on a remote dvsd
 //	reproduce -checkpoint DIR    # journal sweeps; re-run resumes
+//	reproduce grid -codes FT,CG -classes S -freqs all -csv out.csv
+//	reproduce run -code CG -strategy internal -high 1200 -low 800
+//	reproduce power -code FT -profile ft.csv -json ft.json
 package main
 
 import (
@@ -261,6 +267,9 @@ func validIDs() []string {
 }
 
 func main() {
+	if len(os.Args) > 1 && subcommands[os.Args[1]] != nil {
+		os.Exit(runSubcommand(os.Args[1], os.Args[2:], os.Stdout, os.Stderr))
+	}
 	only := flag.String("only", "", "comma-separated artifact ids (see -only errors for the list); empty = paper artifacts; 'all' adds the extensions")
 	classFlag := flag.String("class", "C", "problem class (S, W, A, B, C)")
 	workers := flag.Int("workers", 0, "sweep-engine parallelism: simulations run concurrently across this many workers (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")

@@ -11,8 +11,9 @@
 //
 //   - internal/core — run a workload under a strategy, get energy & delay;
 //   - cmd/reproduce — regenerate all paper artifacts with paper deltas;
-//   - cmd/dvsched   — run one benchmark under one strategy;
-//   - cmd/nemo      — parameter sweeps with CSV output;
+//     its subcommands grid, run and power sweep parameter grids with CSV
+//     output, run one benchmark under one strategy, and run one
+//     instrumented benchmark with its power profile;
 //   - cmd/calibrate — model-vs-paper calibration report;
 //   - examples/     — five runnable walk-throughs.
 //

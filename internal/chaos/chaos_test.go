@@ -50,7 +50,7 @@ func TestSeedSweep(t *testing.T) {
 func TestTransportDeterministic(t *testing.T) {
 	plan := Plan{PConnRefused: 0.25, PCutBody: 0.25, P429: 0.25, P500: 0.25}
 	kinds := func() []string {
-		tr := &Transport{Seed: 7, Plan: plan}
+		tr := &Transport{Base: stubBase{}, Seed: 7, Plan: plan}
 		var out []string
 		for attempt := 0; attempt < 32; attempt++ {
 			req, _ := http.NewRequest(http.MethodPost, "http://unused.invalid/simulate",
@@ -83,11 +83,20 @@ func TestTransportDeterministic(t *testing.T) {
 	}
 }
 
+// stubBase answers every pass-through attempt with a fixed 200, so the
+// schedule tests need no network: a real dial's error text would embed
+// an ephemeral port and make identical schedules compare unequal.
+type stubBase struct{}
+
+func (stubBase) RoundTrip(req *http.Request) (*http.Response, error) {
+	return synthesize(req, http.StatusOK, "application/json", "{}\n"), nil
+}
+
 // TestSeedsDiffer guards the other direction: different seeds must
 // produce different schedules, or the sweep explores nothing.
 func TestSeedsDiffer(t *testing.T) {
 	outcome := func(seed int64) string {
-		tr := &Transport{Seed: seed, Plan: Plan{PConnRefused: 0.5, P500: 0.5}}
+		tr := &Transport{Base: stubBase{}, Seed: seed, Plan: Plan{PConnRefused: 0.5, P500: 0.5}}
 		var out strings.Builder
 		for attempt := 0; attempt < 16; attempt++ {
 			req, _ := http.NewRequest(http.MethodPost, "http://unused.invalid/simulate",

@@ -89,3 +89,27 @@ func TestPropertyInstrumentedParity(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyExternalTopIsNoDVS: a static EXTERNAL strategy at the top
+// operating point is NoDVS exactly — same elapsed, joules and transition
+// count. The grid subcommand relies on this when it skips the top
+// frequency and reuses the baseline row.
+func TestPropertyExternalTopIsNoDVS(t *testing.T) {
+	cfg := core.DefaultConfig()
+	top := core.External(cfg.Node.Table.Top().Frequency)
+	for i, j := range randomJobs(t, 3, 16) {
+		base, err := core.Run(j.w, core.NoDVS(), cfg)
+		if err != nil {
+			t.Fatalf("cell %d (%s): %v", i, j.w.Name(), err)
+		}
+		ext, err := core.Run(j.w, top, cfg)
+		if err != nil {
+			t.Fatalf("cell %d (%s) external: %v", i, j.w.Name(), err)
+		}
+		if base.Elapsed != ext.Elapsed || base.Energy != ext.Energy || base.Transitions != ext.Transitions {
+			t.Errorf("cell %d (%s): External(top) = %v/%v J/%d transitions, NoDVS = %v/%v J/%d",
+				i, j.w.Name(), ext.Elapsed, ext.Energy, ext.Transitions,
+				base.Elapsed, base.Energy, base.Transitions)
+		}
+	}
+}

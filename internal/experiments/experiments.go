@@ -154,7 +154,7 @@ func crescendoOf(w npb.Workload, o Options) (CrescendoResult, error) {
 	if err != nil {
 		return CrescendoResult{}, err
 	}
-	prof, err := plan.Assemble(o.sweep(plan.Jobs()))
+	prof, err := plan.Assemble(o.Sweep(plan.Jobs()))
 	if err != nil {
 		return CrescendoResult{}, err
 	}
@@ -209,7 +209,7 @@ func BuildProfiles(o Options) (*ProfileSet, error) {
 		plans[i] = plan
 		jobs = append(jobs, plan.Jobs()...)
 	}
-	outs := o.sweep(jobs)
+	outs := o.Sweep(jobs)
 	ps := &ProfileSet{Options: o, Profiles: map[string]core.Profile{}}
 	off := 0
 	for i, code := range NPBCodes {
@@ -381,7 +381,7 @@ func Figure11(o Options) (StrategyComparison, error) {
 		return StrategyComparison{}, err
 	}
 	jobs := append(plan.Jobs(), runner.Job{Workload: internal, Strategy: core.NoDVS(), Config: o.Config})
-	outs := o.sweep(jobs)
+	outs := o.Sweep(jobs)
 	prof, err := plan.Assemble(outs[:len(outs)-1])
 	if err != nil {
 		return StrategyComparison{}, err
@@ -453,7 +453,7 @@ func Figure14(o Options) (StrategyComparison, error) {
 		}
 		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.NoDVS(), Config: o.Config})
 	}
-	outs := o.sweep(jobs)
+	outs := o.Sweep(jobs)
 	prof, err := plan.Assemble(outs[:nProf])
 	if err != nil {
 		return StrategyComparison{}, err
@@ -526,7 +526,7 @@ func AblationCPUSpeed(o Options, code string) (v11, v121 core.Normalized, err er
 	if err != nil {
 		return
 	}
-	outs := o.sweep([]runner.Job{
+	outs := o.Sweep([]runner.Job{
 		{Workload: w, Strategy: core.NoDVS(), Config: o.Config},
 		{Workload: w, Strategy: core.Daemon(sched.CPUSpeedV11()), Config: o.Config},
 		{Workload: w, Strategy: core.Daemon(sched.CPUSpeedV121()), Config: o.Config},
@@ -556,7 +556,7 @@ func AblationTransitionCost(o Options, latencies []time.Duration) (*report.Table
 		cfg.Node.Transition.Latency = lat
 		jobs = append(jobs, runner.Job{Workload: internal, Strategy: core.NoDVS(), Config: cfg})
 	}
-	outs := o.sweep(jobs)
+	outs := o.Sweep(jobs)
 	if err := runner.FirstErr(outs); err != nil {
 		return nil, nil, err
 	}

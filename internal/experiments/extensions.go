@@ -72,7 +72,7 @@ func X2PredictiveDaemon(o Options, codes []string) (*report.Table, map[string][3
 			runner.Job{Workload: w, Strategy: core.OnDemand(sched.DefaultOnDemand()), Config: o.Config},
 			runner.Job{Workload: w, Strategy: core.Predictive(sched.DefaultPredictive()), Config: o.Config})
 	}
-	outs := o.sweep(jobs)
+	outs := o.Sweep(jobs)
 	if err := runner.FirstErr(outs); err != nil {
 		return nil, nil, err
 	}
@@ -194,7 +194,7 @@ func X6Reliability(o Options) (*report.Table, map[string]core.Result, error) {
 	}
 	// Local-only: the thermal series this figure reads never crosses the
 	// wire, so remote placement would silently zero the table.
-	outs := o.localOnly().sweep(jobs)
+	outs := o.localOnly().Sweep(jobs)
 	if err := runner.FirstErr(outs); err != nil {
 		return nil, nil, err
 	}
@@ -226,7 +226,7 @@ func X7PowerCap(o Options, fractions []float64) (*report.Table, map[float64]core
 	if err != nil {
 		return nil, nil, err
 	}
-	bouts := o.sweep([]runner.Job{{Workload: w, Strategy: core.NoDVS(), Config: o.Config}})
+	bouts := o.Sweep([]runner.Job{{Workload: w, Strategy: core.NoDVS(), Config: o.Config}})
 	if err := runner.FirstErr(bouts); err != nil {
 		return nil, nil, err
 	}
@@ -253,7 +253,7 @@ func X7PowerCap(o Options, fractions []float64) (*report.Table, map[float64]core
 		budget := basePower * frac
 		jobs[i] = runner.Job{Workload: w, Strategy: core.PowerCap(sched.DefaultPowerCap(budget)), Config: o.Config}
 	}
-	outs := o.sweep(jobs)
+	outs := o.Sweep(jobs)
 	if err := runner.FirstErr(outs); err != nil {
 		return nil, nil, err
 	}
@@ -286,7 +286,7 @@ func X5Scaling(o Options, sizes []int) (*report.Table, map[int]core.Normalized, 
 			runner.Job{Workload: plain, Strategy: core.NoDVS(), Config: o.Config},
 			runner.Job{Workload: internal, Strategy: core.NoDVS(), Config: o.Config})
 	}
-	outs := o.sweep(jobs)
+	outs := o.Sweep(jobs)
 	if err := runner.FirstErr(outs); err != nil {
 		return nil, nil, err
 	}

@@ -25,13 +25,13 @@ type SweepStats struct {
 	Remote  int // cells served by the remote server (-server mode)
 }
 
-// sweep executes jobs through the sweep pipeline and returns outcomes in
+// Sweep executes jobs through the sweep pipeline and returns outcomes in
 // submission order, runner-shaped so profile plans assemble unchanged.
 // With Server set, wire-expressible cells are placed remotely (falling
 // back to the local engine on placement failure); with CheckpointDir
 // set, completed cells journal to disk and an interrupted reproduction
 // resumes where it stopped.
-func (o Options) sweep(jobs []runner.Job) []runner.Outcome {
+func (o Options) Sweep(jobs []runner.Job) []runner.Outcome {
 	eng := o.engine()
 	cells := make([]sweep.Cell, len(jobs))
 	for i, j := range jobs {

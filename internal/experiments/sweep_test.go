@@ -36,7 +36,7 @@ func TestSweepRemotePlacement(t *testing.T) {
 	o.Server = ts.URL
 	o.Stats = &SweepStats{}
 	jobs := smallJobs(t)
-	outs := o.sweep(jobs)
+	outs := o.Sweep(jobs)
 	if err := runner.FirstErr(outs); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSweepRemotePlacement(t *testing.T) {
 
 	lo := Quick()
 	lo.Runner = runner.New(2)
-	louts := lo.sweep(jobs)
+	louts := lo.Sweep(jobs)
 	if err := runner.FirstErr(louts); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSweepServerFallback(t *testing.T) {
 	o.Runner = runner.New(2)
 	o.Server = ts.URL
 	o.Stats = &SweepStats{}
-	outs := o.sweep(smallJobs(t))
+	outs := o.Sweep(smallJobs(t))
 	if err := runner.FirstErr(outs); err != nil {
 		t.Fatalf("dead server failed the sweep: %v", err)
 	}

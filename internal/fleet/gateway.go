@@ -16,13 +16,13 @@
 //
 //  1. route   — the cell's home backend on the ring
 //  2. retry   — bounded attempts with exponential backoff + jitter,
-//               failing over along the ring; backend 429s are treated
-//               as backpressure (wait, don't burn an attempt)
+//     failing over along the ring; backend 429s are treated
+//     as backpressure (wait, don't burn an attempt)
 //  3. hedge   — optionally, a duplicate request to the next backend
-//               when the home one is a straggler; first answer wins
+//     when the home one is a straggler; first answer wins
 //  4. local   — in-process execution on the gateway's own runner, so a
-//               gateway with zero live backends degrades to exactly
-//               today's single-node dvsd behaviour instead of failing
+//     gateway with zero live backends degrades to exactly
+//     today's single-node dvsd behaviour instead of failing
 //
 // Liveness is probed (GET /healthz per backend on an interval) with
 // ejection after consecutive failures and re-admission on the next

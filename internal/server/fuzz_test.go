@@ -3,8 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"repro/internal/npb"
+	"repro/internal/runner"
 	"repro/internal/sweep"
 )
 
@@ -72,4 +76,79 @@ func FuzzDecodeSpec(f *testing.F) {
 			checkErr(err)
 		}
 	})
+}
+
+// FuzzFrontend posts arbitrary bodies to /simulate and /sweep on a real
+// dvsd frontend, asserting the handlers never panic, answer only 200,
+// 400, 413 or 429, and give every non-200 the typed error envelope with a
+// code. Bodies that would simulate more than a class-S, 8-rank cell, or
+// run /simulate under a client deadline (a legitimate 504), are skipped.
+func FuzzFrontend(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		f.Add([]byte(seed))
+	}
+	const maxJobs = 4
+	h := New(Options{Runner: runner.New(1), MaxJobs: maxJobs}).Handler()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, path := range []string{"/simulate", "/sweep"} {
+			if !fuzzSmall(path, data, maxJobs) {
+				continue
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+			switch rec.Code {
+			case http.StatusOK:
+				continue
+			case http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+			default:
+				t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+			}
+			var env struct{ Error *sweep.APIError }
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil || env.Error.Code == "" {
+				t.Fatalf("%s: status %d body %q is not the typed error envelope (%v)", path, rec.Code, rec.Body, err)
+			}
+		}
+	})
+}
+
+// fuzzSmall reports whether the frontend may serve body on path: true
+// when it would be rejected before simulating, or would simulate only
+// class-S cells of at most 8 ranks without a /simulate deadline.
+func fuzzSmall(path string, body []byte, maxJobs int) bool {
+	decode := func(v any) bool {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v) == nil
+	}
+	var cells []sweep.Cell
+	if path == "/simulate" {
+		var req SimulateRequest
+		if !decode(&req) {
+			return true
+		}
+		c, err := req.JobSpec.Cell()
+		if err != nil {
+			return true
+		}
+		if req.TimeoutMS > 0 {
+			return false
+		}
+		cells = []sweep.Cell{c}
+	} else {
+		var req SweepRequest
+		if !decode(&req) {
+			return true
+		}
+		plan, err := req.Plan(maxJobs)
+		if err != nil {
+			return true
+		}
+		cells = plan.Cells()
+	}
+	for _, c := range cells {
+		if w := c.Job.Workload; w.Class != npb.ClassS || w.Ranks > 8 {
+			return false
+		}
+	}
+	return true
 }

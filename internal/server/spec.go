@@ -179,6 +179,12 @@ func (s *ConfigSpec) build() (core.Config, error) {
 				"must be in [0,1), got %g", *s.NetLossRate)
 		}
 		cfg.Net.LossRate = *s.NetLossRate
+		if cfg.Net.LossRate > 0 {
+			// The wire form has no retransmit-timeout knob, and the network
+			// refuses loss without one: detect each loss after Linux's
+			// minimum TCP RTO.
+			cfg.Net.RetransmitTimeout = 200 * time.Millisecond
+		}
 	}
 	if s.NetSeed != nil {
 		cfg.Net.Seed = *s.NetSeed

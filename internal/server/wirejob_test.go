@@ -32,6 +32,7 @@ func TestJobSpecForRoundTrip(t *testing.T) {
 	netCfg := cfg
 	netCfg.Net.Latency = 50 * time.Microsecond
 	netCfg.Net.LossRate = 0.01
+	netCfg.Net.RetransmitTimeout = 200 * time.Millisecond
 	netCfg.Net.Seed = 7
 	spinCfg := cfg
 	spinCfg.MPI.SpinWait = true
