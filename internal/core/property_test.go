@@ -3,6 +3,7 @@ package core_test
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/npb"
@@ -110,6 +111,41 @@ func TestPropertyExternalTopIsNoDVS(t *testing.T) {
 			t.Errorf("cell %d (%s): External(top) = %v/%v J/%d transitions, NoDVS = %v/%v J/%d",
 				i, j.w.Name(), ext.Elapsed, ext.Energy, ext.Transitions,
 				base.Elapsed, base.Energy, base.Transitions)
+		}
+	}
+}
+
+// TestPropertyEnergyAndResidency: joules and time are conserved exactly.
+// The cluster total is the sum of the per-node totals, no energy
+// component is negative, and each node's residency over the operating
+// points adds up to the run's elapsed time.
+func TestPropertyEnergyAndResidency(t *testing.T) {
+	for i, j := range randomJobs(t, 4, 32) {
+		res, err := core.Run(j.w, j.s, core.DefaultConfig())
+		if err != nil {
+			t.Fatalf("cell %d (%s/%s): %v", i, j.w.Name(), j.s, err)
+		}
+		var total float64
+		for n, e := range res.NodeEnergy {
+			total += e.Total()
+			if e.CPU < 0 || e.Memory < 0 || e.NIC < 0 || e.Disk < 0 || e.Base < 0 {
+				t.Errorf("cell %d (%s/%s) node %d: negative energy component %+v", i, j.w.Name(), j.s, n, e)
+			}
+		}
+		if total != res.Energy {
+			t.Errorf("cell %d (%s/%s): node energies sum to %v J, result says %v J", i, j.w.Name(), j.s, total, res.Energy)
+		}
+		if len(res.TimeAtOp) != len(res.NodeEnergy) {
+			t.Fatalf("cell %d: residency for %d nodes, energy for %d", i, len(res.TimeAtOp), len(res.NodeEnergy))
+		}
+		for n, at := range res.TimeAtOp {
+			var sum time.Duration
+			for _, d := range at {
+				sum += d
+			}
+			if sum != res.Elapsed {
+				t.Errorf("cell %d (%s/%s) node %d: residency sums to %v, elapsed %v", i, j.w.Name(), j.s, n, sum, res.Elapsed)
+			}
 		}
 	}
 }

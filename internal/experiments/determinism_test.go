@@ -1,22 +1,84 @@
 package experiments
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/npb"
 	"repro/internal/runner"
 )
 
+// TestBuildProfileMatchesCore pins profile assembly over the sweep path —
+// runner.PlanProfile's jobs through Options.Sweep, then Assemble — to the
+// serial reference implementation in core.
+func TestBuildProfileMatchesCore(t *testing.T) {
+	o := Default()
+	w, err := npb.FT(npb.ClassS, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.BuildProfile(w, o.Config, o.Daemon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		o.Runner = runner.New(workers)
+		plan, err := runner.PlanProfile(w, o.Config, o.Daemon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := plan.Assemble(o.Sweep(plan.Jobs()))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: profile differs from core.BuildProfile", workers)
+		}
+	}
+}
+
+// TestBuildProfilesFlattensAcrossWorkloads: BuildProfiles runs every
+// code's grid as one flat sweep and hands each code the slice of
+// outcomes its plan submitted — each profile equals that code's serial
+// core.BuildProfile, and no cell runs twice.
+func TestBuildProfilesFlattensAcrossWorkloads(t *testing.T) {
+	o := Default()
+	o.Class = npb.ClassS
+	o.Runner = runner.New(4)
+	ps, err := BuildProfiles(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, code := range NPBCodes {
+		w, err := npb.New(code, o.Class, npb.PaperRanks(code))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.BuildProfile(w, o.Config, o.Daemon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ps.Profiles[code]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s profile differs from core.BuildProfile", code)
+		}
+	}
+	// 8 codes x (5 static + auto) distinct cells.
+	if st := o.Runner.Stats(); st.Runs != 48 || st.Hits != 0 {
+		t.Fatalf("runs=%d hits=%d, want 48/0", st.Runs, st.Hits)
+	}
+}
+
 // TestBuildProfilesByteIdenticalAcrossWorkers is the determinism guarantee
 // the reproduction rests on: the rendered Table 2 and Figure 5 must be
 // byte-identical whether the grid is simulated serially or fanned out
-// across a worker pool.
+// across several sweep workers.
 func TestBuildProfilesByteIdenticalAcrossWorkers(t *testing.T) {
 	render := func(workers int) (string, string) {
 		t.Helper()
 		o := Default()
 		o.Class = npb.ClassW
-		o.Workers = workers
+		o.Runner = runner.New(workers)
 		ps, err := BuildProfiles(o)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

@@ -25,14 +25,11 @@ type Options struct {
 	Class  npb.Class
 	Config core.Config
 	Daemon sched.CPUSpeedConfig
-	// Workers is the sweep-engine parallelism for the grid experiments;
-	// 0 means GOMAXPROCS, 1 is the serial reference path (results are
-	// byte-identical at any setting — see internal/runner).
-	Workers int
-	// Runner optionally shares a sweep engine — and its memoized run
-	// cache — across experiment calls, so e.g. Figure 11 reuses the FT
-	// grid cells Table 2 already simulated. When nil each call builds a
-	// fresh engine with Workers parallelism.
+	// Runner optionally shares a runner — its memoized run cache and its
+	// Workers capacity, the sweeps' parallelism — across experiment
+	// calls, so e.g. Figure 11 reuses the FT grid cells Table 2 already
+	// simulated. When nil each call builds a fresh GOMAXPROCS runner.
+	// Results are byte-identical at any capacity.
 	Runner *runner.Runner
 	// Server optionally places wire-expressible sweep cells on a remote
 	// dvsd-compatible endpoint (base URL). Cells the wire form cannot
@@ -56,12 +53,12 @@ func Default() Options {
 	}
 }
 
-// engine returns the shared sweep engine, or a fresh one per call.
+// engine returns the shared runner, or a fresh one per call.
 func (o Options) engine() *runner.Runner {
 	if o.Runner != nil {
 		return o.Runner
 	}
-	return runner.New(o.Workers)
+	return runner.New(0)
 }
 
 // Quick reproduces at class W for fast test/bench cycles.

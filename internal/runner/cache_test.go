@@ -27,13 +27,13 @@ func gridJobs(t *testing.T) []Job {
 }
 
 // TestEvictionBound is the acceptance scenario: with a bound of N cells,
-// a sweep of 2N distinct cells holds resident entries at ≤ N, evicted
+// running 2N distinct cells holds resident entries at ≤ N, evicted
 // cells re-simulate on resubmission, and retained cells still hit.
 func TestEvictionBound(t *testing.T) {
 	jobs := gridJobs(t) // 6 distinct cells
 	const bound = 3
 	r := NewWithOptions(Options{Workers: 1, MaxEntries: bound})
-	outs := r.Sweep(jobs)
+	outs := doEach(r, jobs)
 	if err := FirstErr(outs); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestEvictionBound(t *testing.T) {
 	if st.Bytes <= 0 {
 		t.Fatalf("bytes gauge %d, want > 0", st.Bytes)
 	}
-	// Serial sweep: the first len-bound cells were evicted oldest-first.
+	// Run serially, the first len-bound cells were evicted oldest-first.
 	if out := r.Do(context.Background(), jobs[0]); out.Err != nil || out.Cached {
 		t.Fatalf("evicted cell: err=%v cached=%v, want fresh re-run", out.Err, out.Cached)
 	}
@@ -93,7 +93,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	jobs := gridJobs(t)
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
 	warm := New(2)
-	want := warm.Sweep(jobs)
+	want := doEach(warm, jobs)
 	if err := FirstErr(want); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if loaded != n {
 		t.Fatalf("loaded %d entries, want %d", loaded, n)
 	}
-	got := cold.Sweep(jobs)
+	got := doEach(cold, jobs)
 	for i := range jobs {
 		if got[i].Err != nil {
 			t.Fatalf("cell %d failed after reload: %v", i, got[i].Err)
@@ -141,7 +141,7 @@ func TestLoadRespectsBound(t *testing.T) {
 	jobs := gridJobs(t)
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
 	warm := New(1)
-	if err := FirstErr(warm.Sweep(jobs)); err != nil {
+	if err := FirstErr(doEach(warm, jobs)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.SaveCache(path); err != nil {
@@ -175,7 +175,7 @@ func TestLoadSkipsGarbageAndMissingFile(t *testing.T) {
 	jobs := gridJobs(t)[:2]
 	path := filepath.Join(dir, "cache.ndjson")
 	warm := New(1)
-	if err := FirstErr(warm.Sweep(jobs)); err != nil {
+	if err := FirstErr(doEach(warm, jobs)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.SaveCache(path); err != nil {

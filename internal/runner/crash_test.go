@@ -25,7 +25,7 @@ func swapCoreRun(t *testing.T, fn func(npb.Workload, core.Strategy, core.Config)
 }
 
 // TestWorkloadBodyPanicNotMemoized is the acceptance scenario: a workload
-// body that panics mid-sweep yields an error outcome for that cell only —
+// body that panics yields an error outcome for that cell only —
 // the other cells complete, duplicate submissions coalesce and unblock —
 // and the poisoned cell is not memoized, so re-submitting the fixed job
 // gets a fresh successful run.
@@ -40,7 +40,7 @@ func TestWorkloadBodyPanicNotMemoized(t *testing.T) {
 	bad := Job{Workload: broken, Strategy: core.External(600), Config: cfg}
 	good := Job{Workload: w, Strategy: core.External(800), Config: cfg}
 	r := New(4)
-	outs := r.Sweep([]Job{bad, bad, bad, good}) // duplicates must coalesce and unblock
+	outs := doConcurrently(r, []Job{bad, bad, bad, good}) // duplicates must coalesce and unblock
 	for i := 0; i < 3; i++ {
 		if outs[i].Err == nil {
 			t.Fatalf("panicking cell %d returned no error", i)
@@ -70,9 +70,9 @@ func TestWorkloadBodyPanicNotMemoized(t *testing.T) {
 
 // TestCoreRunPanicContainedInWorkers injects a panic at the core.Run call
 // site — the calling-goroutine failure mode the sim kernel cannot recover
-// — and asserts sweep workers contain it: the cell gets a *PanicError,
-// coalesced waiters unblock, other cells complete, and the process stays
-// up.
+// — and asserts concurrent Do callers contain it: the cell gets a
+// *PanicError, coalesced waiters unblock, other cells complete, and the
+// process stays up.
 func TestCoreRunPanicContainedInWorkers(t *testing.T) {
 	poison := core.External(800)
 	swapCoreRun(t, func(w npb.Workload, s core.Strategy, c core.Config) (core.Result, error) {
@@ -92,7 +92,7 @@ func TestCoreRunPanicContainedInWorkers(t *testing.T) {
 		Job{Workload: w, Strategy: core.NoDVS(), Config: cfg},
 	)
 	r := New(4)
-	outs := r.Sweep(jobs)
+	outs := doConcurrently(r, jobs)
 	for i := 0; i < 3; i++ {
 		var pe *PanicError
 		if !errors.As(outs[i].Err, &pe) {
@@ -119,8 +119,8 @@ func TestCoreRunPanicContainedInWorkers(t *testing.T) {
 	}
 }
 
-// TestSerialPanicContained covers the workers<=1 path and the uncacheable
-// path through the same containment.
+// TestSerialPanicContained covers a lone Do and the uncacheable path
+// through the same containment.
 func TestSerialPanicContained(t *testing.T) {
 	swapCoreRun(t, func(npb.Workload, core.Strategy, core.Config) (core.Result, error) {
 		panic("serial panic")
@@ -128,7 +128,7 @@ func TestSerialPanicContained(t *testing.T) {
 	w := ftS(t)
 	cfg := quickCfg()
 	r := New(1)
-	if _, err := r.Run(w, core.External(600), cfg); err == nil {
+	if out := r.Do(context.Background(), Job{Workload: w, Strategy: core.External(600), Config: cfg}); out.Err == nil {
 		t.Fatal("panic did not surface as error on the serial path")
 	}
 	uncacheable := w
@@ -207,38 +207,5 @@ func TestErrorTTLNegativeCaching(t *testing.T) {
 	st := r.Stats()
 	if st.Runs != 2 || st.Hits != 1 || st.Poisoned != 2 {
 		t.Fatalf("runs=%d hits=%d poisoned=%d, want 2/1/2", st.Runs, st.Hits, st.Poisoned)
-	}
-}
-
-// TestObserverPanicBackstop asserts the worker-level backstop: a
-// panicking streaming observer cannot kill a sweep worker — the sweep
-// still delivers every outcome and the process stays up.
-func TestObserverPanicBackstop(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	var jobs []Job
-	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
-	}
-	for _, workers := range []int{1, 4} {
-		r := New(workers)
-		calls := 0
-		outs := r.SweepFunc(context.Background(), jobs, func(i int, o Outcome) {
-			calls++
-			if calls == 1 {
-				panic("observer blew up")
-			}
-		})
-		if calls < 2 {
-			t.Fatalf("workers=%d: observer panic killed the sweep after %d calls", workers, calls)
-		}
-		for i, o := range outs {
-			if o.Err != nil {
-				t.Fatalf("workers=%d: cell %d failed: %v", workers, i, o.Err)
-			}
-		}
-		if st := r.Stats(); st.Panics == 0 {
-			t.Fatalf("workers=%d: backstop recovery not counted", workers)
-		}
 	}
 }

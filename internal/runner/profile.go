@@ -12,7 +12,7 @@ import (
 // every static operating point plus the daemon — into sweep jobs, and
 // knows how to assemble the outcomes back into a core.Profile. Plans
 // compose: concatenate several plans' Jobs (plus any extra one-off jobs)
-// into a single Sweep, then hand each plan its slice of the outcomes.
+// into a single sweep, then hand each plan its slice of the outcomes.
 type ProfilePlan struct {
 	workload npb.Workload
 	settings []string // column order: frequencies ascending, then "auto"
@@ -51,9 +51,9 @@ func PlanProfile(w npb.Workload, cfg core.Config, daemon sched.CPUSpeedConfig) (
 // Jobs returns the plan's sweep jobs in settings order.
 func (p *ProfilePlan) Jobs() []Job { return p.jobs }
 
-// Assemble turns the plan's outcomes (the Sweep results for exactly
-// Jobs()) into a core.Profile, normalizing every cell to the top-point
-// baseline.
+// Assemble turns the plan's outcomes (the sweep results for exactly
+// Jobs(), in order) into a core.Profile, normalizing every cell to the
+// top-point baseline.
 func (p *ProfilePlan) Assemble(outs []Outcome) (core.Profile, error) {
 	prof := core.Profile{
 		Workload: p.workload.Name(),
@@ -78,46 +78,4 @@ func (p *ProfilePlan) Assemble(outs []Outcome) (core.Profile, error) {
 		prof.Cells[key] = core.Normalize(r, base)
 	}
 	return prof, nil
-}
-
-// Base returns the plan's baseline (top-point NoDVS) result from outs.
-func (p *ProfilePlan) Base(outs []Outcome) core.Result { return outs[p.baseIdx].Result }
-
-// BuildProfile measures one workload's full grid across the pool — the
-// parallel, memoized equivalent of core.BuildProfile.
-func (r *Runner) BuildProfile(w npb.Workload, cfg core.Config, daemon sched.CPUSpeedConfig) (core.Profile, error) {
-	plan, err := PlanProfile(w, cfg, daemon)
-	if err != nil {
-		return core.Profile{}, err
-	}
-	return plan.Assemble(r.Sweep(plan.Jobs()))
-}
-
-// BuildProfiles measures several workloads' grids in one flat sweep, so
-// every cell of every code fans out across the pool at once. Profiles are
-// returned in workload order.
-func (r *Runner) BuildProfiles(ws []npb.Workload, cfg core.Config, daemon sched.CPUSpeedConfig) ([]core.Profile, error) {
-	plans := make([]*ProfilePlan, len(ws))
-	var jobs []Job
-	for i, w := range ws {
-		plan, err := PlanProfile(w, cfg, daemon)
-		if err != nil {
-			return nil, err
-		}
-		plans[i] = plan
-		jobs = append(jobs, plan.Jobs()...)
-	}
-	outs := r.Sweep(jobs)
-	profs := make([]core.Profile, len(ws))
-	off := 0
-	for i, plan := range plans {
-		n := len(plan.Jobs())
-		prof, err := plan.Assemble(outs[off : off+n])
-		if err != nil {
-			return nil, err
-		}
-		profs[i] = prof
-		off += n
-	}
-	return profs, nil
 }

@@ -1,21 +1,22 @@
-// Package runner is the parallel sweep engine: it fans independent
-// core.Run invocations — the cells of a profile grid, the arms of a
-// strategy comparison, the points of an ablation sweep — across a
-// work-stealing worker pool and returns results in deterministic
-// submission order.
+// Package runner is the memo cache and single-job engine behind every
+// in-process simulation: Do runs one core.Run on the calling goroutine,
+// and a content-addressed cache keyed by Job.Key memoizes it. Every
+// simulation is a pure function of its (workload, strategy, config)
+// inputs, so overlapping experiments (Table 2 → Figures 5–8 → Figure 11)
+// never re-simulate the same cell, and identical jobs submitted
+// concurrently coalesce onto one in-flight run.
 //
-// Every simulation is a pure function of its (workload, strategy, config)
-// inputs, so the engine also memoizes completed runs in a content-addressed
-// cache: overlapping experiments (Table 2 → Figures 5–8 → Figure 11) never
-// re-simulate the same cell, whether they execute concurrently within one
-// sweep or across separate calls sharing a Runner.
+// The runner owns no worker pool. Every sweep runs through sweep.Execute
+// over sweep.Local, which calls DoKey from a bounded worker set sized by
+// the runner's Workers; outcomes land at their submission index, so
+// results depend only on the job list, never on the parallelism.
 //
-// The engine is crash-safe in the shape a long-lived service needs:
+// The runner is crash-safe in the shape a long-lived service needs:
 //
 //   - Panic containment: a panic out of core.Run or a workload body is
-//     recovered — in the serial path and in every sweep worker — and
-//     converted to a *PanicError outcome for that cell alone. Coalesced
-//     waiters on the panicking cell always unblock; the process stays up.
+//     recovered and converted to a *PanicError outcome for that job
+//     alone. Coalesced waiters on the panicking job always unblock; the
+//     process stays up.
 //   - Failure policy: error outcomes are not memoized by default, so a
 //     transient failure never poisons the cache for future identical
 //     jobs. Options.ErrorTTL enables bounded negative caching instead.
@@ -24,12 +25,6 @@
 //     in-flight entry, so coalescing stays correct under churn. A cache
 //     can be snapshotted to disk and reloaded (see SaveCache/LoadCache)
 //     to keep its hit rate across process restarts.
-//
-// Determinism guarantee: because each core.Run builds its own simulation
-// kernel and shares no mutable state, Sweep's output depends only on the
-// job list — never on the worker count or on scheduling order. Rendered
-// tables are byte-identical at Workers: 1 and Workers: N; the serial
-// configuration exists purely for bisection and baseline benchmarking.
 package runner
 
 import (
@@ -74,8 +69,7 @@ func (j Job) Key() (string, bool) {
 	return hex.EncodeToString(h.Sum(nil)), true
 }
 
-// Outcome is one job's result, aligned index-for-index with the submitted
-// job list.
+// Outcome is one job's result.
 type Outcome struct {
 	Result core.Result
 	Err    error
@@ -85,13 +79,12 @@ type Outcome struct {
 	Cached bool
 }
 
-// Stats counts the engine's work and the memo cache's occupancy.
+// Stats counts the runner's work and the memo cache's occupancy.
 type Stats struct {
 	Runs int // simulations actually executed
 	Hits int // jobs satisfied from the cache (or coalesced in-flight)
-	// Panics counts panics recovered from simulations (and, as a
-	// backstop, from sweep observers); each became an error outcome
-	// instead of a process crash.
+	// Panics counts panics recovered from simulations; each became an
+	// error outcome instead of a process crash.
 	Panics int
 	// Poisoned counts error outcomes withheld from durable memoization
 	// by the failure policy (dropped outright, or negative-cached with a
@@ -107,7 +100,7 @@ type Stats struct {
 }
 
 // PanicError is the outcome error of a simulation that panicked. The
-// engine contains the panic so one poisoned cell cannot take down a whole
+// runner contains the panic so one poisoned cell cannot take down a whole
 // sweep — or the dvsd process hosting it.
 type PanicError struct {
 	Value any    // the recovered panic value
@@ -120,8 +113,9 @@ func (e *PanicError) Error() string {
 
 // Options configures a Runner beyond its parallelism.
 type Options struct {
-	// Workers is the pool size; <= 0 selects GOMAXPROCS, 1 is the serial
-	// reference configuration.
+	// Workers is the in-process capacity sweeps run this runner at (the
+	// sweep.ExecOptions.Parallel callers pass); <= 0 selects GOMAXPROCS,
+	// 1 is the serial reference configuration.
 	Workers int
 	// MaxEntries bounds the memo cache. 0 selects DefaultMaxEntries;
 	// negative disables the bound (the pre-service, in-process sweep
@@ -136,8 +130,9 @@ type Options struct {
 	ErrorTTL time.Duration
 }
 
-// Runner is the sweep engine. It is safe for concurrent use; a single
-// Runner shared across experiments shares one memo cache.
+// Runner is the memo cache and single-job engine. It is safe for
+// concurrent use; a single Runner shared across experiments shares one
+// memo cache.
 type Runner struct {
 	workers    int
 	maxEntries int // resolved: > 0, or < 0 for unbounded
@@ -151,13 +146,13 @@ type Runner struct {
 	stats Stats
 }
 
-// New returns an engine with the given parallelism and default cache
+// New returns a runner with the given capacity and default cache
 // policy; workers <= 0 selects GOMAXPROCS.
 func New(workers int) *Runner {
 	return NewWithOptions(Options{Workers: workers})
 }
 
-// NewWithOptions returns an engine with explicit cache and failure
+// NewWithOptions returns a runner with explicit cache and failure
 // policy. The zero Options value matches New(0).
 func NewWithOptions(opts Options) *Runner {
 	workers := opts.Workers
@@ -179,10 +174,10 @@ func NewWithOptions(opts Options) *Runner {
 	return r
 }
 
-// Workers returns the engine's parallelism.
+// Workers returns the runner's in-process capacity.
 func (r *Runner) Workers() int { return r.workers }
 
-// Stats returns a snapshot of the engine's counters and cache gauges.
+// Stats returns a snapshot of the runner's counters and cache gauges.
 func (r *Runner) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -192,26 +187,12 @@ func (r *Runner) Stats() Stats {
 	return st
 }
 
-// Run executes one job through the memo cache on the calling goroutine.
-func (r *Runner) Run(w npb.Workload, strat core.Strategy, cfg core.Config) (core.Result, error) {
-	return r.RunContext(context.Background(), w, strat, cfg)
-}
-
-// RunContext is Run with cancellation: if ctx is done before the
-// simulation starts (or while waiting on a coalesced in-flight identical
-// job), it returns ctx.Err() without simulating. A simulation that has
-// already started always runs to completion — core.Run is a pure function
-// with no cancellation points — so cancellation is only observed at job
-// boundaries.
-func (r *Runner) RunContext(ctx context.Context, w npb.Workload, strat core.Strategy, cfg core.Config) (core.Result, error) {
-	out := r.Do(ctx, Job{Workload: w, Strategy: strat, Config: cfg})
-	return out.Result, out.Err
-}
-
 // Do executes one job through the memo cache on the calling goroutine,
-// reporting cache provenance in the outcome — the single-job analogue of
-// SweepContext for callers (like the dvsd service) that surface whether
-// a result was served from cache.
+// reporting cache provenance in the outcome. Cancellation is observed at
+// job boundaries only: if ctx is done before the simulation starts (or
+// while waiting on a coalesced in-flight identical job), Do returns
+// ctx.Err() without simulating; a simulation that has started always runs
+// to completion, since core.Run has no cancellation points.
 func (r *Runner) Do(ctx context.Context, j Job) Outcome {
 	key, _ := j.Key()
 	return r.DoKey(ctx, j, key)
@@ -294,152 +275,6 @@ func (r *Runner) run(ctx context.Context, j Job, key string) Outcome {
 	res, err := r.exec(ctx, j)
 	r.finalize(e, res, err)
 	return Outcome{Result: res, Err: err}
-}
-
-// runCell executes one sweep cell into out[i] and notifies the observer.
-// The deferred recover is a backstop for panics that escape r.run's own
-// containment — an observer callback blowing up, say — so a sweep worker
-// never dies mid-loop and the cells behind it still run.
-func (r *Runner) runCell(ctx context.Context, j Job, i int, out []Outcome, emit func(int, Outcome)) {
-	defer func() {
-		if v := recover(); v != nil {
-			r.mu.Lock()
-			r.stats.Panics++
-			r.mu.Unlock()
-			if out[i].Err == nil && out[i].Result.Name == "" {
-				out[i] = Outcome{Err: &PanicError{Value: v, Stack: debug.Stack()}}
-			}
-		}
-	}()
-	out[i] = r.Do(ctx, j)
-	emit(i, out[i])
-}
-
-// deque is one worker's mutex-guarded job queue (indices into the sweep's
-// job slice). The owner pops from the back; thieves take from the front,
-// so steals grab the work farthest from what the owner touches next.
-type deque struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-func (d *deque) pop() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.jobs)
-	if n == 0 {
-		return 0, false
-	}
-	i := d.jobs[n-1]
-	d.jobs = d.jobs[:n-1]
-	return i, true
-}
-
-// steal moves up to half the victim's jobs (front half) into grab,
-// returning them. It returns nil when the victim has nothing to give.
-func (d *deque) steal() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	n := len(d.jobs)
-	if n == 0 {
-		return nil
-	}
-	take := (n + 1) / 2
-	grab := make([]int, take)
-	copy(grab, d.jobs[:take])
-	d.jobs = append(d.jobs[:0], d.jobs[take:]...)
-	return grab
-}
-
-func (d *deque) push(jobs []int) {
-	d.mu.Lock()
-	d.jobs = append(d.jobs, jobs...)
-	d.mu.Unlock()
-}
-
-// Sweep executes all jobs across the worker pool and returns outcomes in
-// submission order, independent of worker count and scheduling. Identical
-// jobs within a sweep simulate once and coalesce.
-func (r *Runner) Sweep(jobs []Job) []Outcome {
-	return r.SweepContext(context.Background(), jobs)
-}
-
-// SweepContext is Sweep with cancellation: once ctx is done, queued
-// not-yet-started jobs resolve to Outcome{Err: ctx.Err()} instead of
-// simulating, so an abandoned caller stops burning workers at the next
-// job boundary. Every job still gets an outcome at its submission index.
-func (r *Runner) SweepContext(ctx context.Context, jobs []Job) []Outcome {
-	return r.SweepFunc(ctx, jobs, nil)
-}
-
-// SweepFunc is SweepContext with a streaming observer: if fn is non-nil
-// it is called once per job, as that job completes, with the job's
-// submission index and outcome. Calls to fn are serialized (never
-// concurrent) but arrive in completion order, which depends on
-// scheduling; the returned slice is still in submission order.
-func (r *Runner) SweepFunc(ctx context.Context, jobs []Job, fn func(i int, o Outcome)) []Outcome {
-	out := make([]Outcome, len(jobs))
-	var emitMu sync.Mutex
-	emit := func(i int, o Outcome) {
-		if fn == nil {
-			return
-		}
-		emitMu.Lock()
-		// Deferred, not inline: a panicking observer must release the
-		// serialization lock on its way up to runCell's backstop, or
-		// every later cell's emit would deadlock.
-		defer emitMu.Unlock()
-		fn(i, o)
-	}
-	workers := r.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers <= 1 {
-		for i, j := range jobs {
-			r.runCell(ctx, j, i, out, emit)
-		}
-		return out
-	}
-
-	// Deal contiguous chunks to per-worker deques; workers that drain
-	// their own deque steal half of a victim's remainder. No job creates
-	// new jobs, so the sweep is done when every deque is empty.
-	deques := make([]*deque, workers)
-	for w := 0; w < workers; w++ {
-		deques[w] = &deque{}
-	}
-	for i := range jobs {
-		d := deques[i*workers/len(jobs)]
-		d.jobs = append(d.jobs, i)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			for {
-				i, ok := deques[self].pop()
-				if !ok {
-					stolen := false
-					for v := 1; v < workers; v++ {
-						if grab := deques[(self+v)%workers].steal(); grab != nil {
-							deques[self].push(grab)
-							stolen = true
-							break
-						}
-					}
-					if !stolen {
-						return
-					}
-					continue
-				}
-				r.runCell(ctx, jobs[i], i, out, emit)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out
 }
 
 // FirstErr returns the first error among outcomes, in submission order.

@@ -3,8 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
-	"math/rand"
-	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -14,6 +13,32 @@ import (
 )
 
 func quickCfg() core.Config { return core.DefaultConfig() }
+
+// doEach runs jobs through Do one after another, in submission order.
+func doEach(r *Runner, jobs []Job) []Outcome {
+	outs := make([]Outcome, len(jobs))
+	for i, j := range jobs {
+		outs[i] = r.Do(context.Background(), j)
+	}
+	return outs
+}
+
+// doConcurrently calls Do for every job from its own goroutine, as sweep
+// workers and concurrent service requests do, so identical jobs coalesce.
+// Outcomes come back in submission order.
+func doConcurrently(r *Runner, jobs []Job) []Outcome {
+	outs := make([]Outcome, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i] = r.Do(context.Background(), j)
+		}()
+	}
+	wg.Wait()
+	return outs
+}
 
 func ftS(t testing.TB) npb.Workload {
 	t.Helper()
@@ -88,300 +113,34 @@ func TestKeyRefusesIncompleteIdentity(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesSerial proves the determinism guarantee at the Result
-// level: a parallel sweep returns exactly what per-job serial execution
-// returns, in submission order.
-func TestSweepMatchesSerial(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	var jobs []Job
-	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
-	}
-	jobs = append(jobs, Job{Workload: w, Strategy: core.NoDVS(), Config: cfg})
-
-	serial := make([]core.Result, len(jobs))
-	for i, j := range jobs {
-		r, err := core.Run(j.Workload, j.Strategy, j.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = r
-	}
-	for _, workers := range []int{1, 2, 8} {
-		outs := New(workers).Sweep(jobs)
-		if err := FirstErr(outs); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range outs {
-			if !reflect.DeepEqual(outs[i].Result, serial[i]) {
-				t.Fatalf("workers=%d: job %d result differs from serial run", workers, i)
-			}
-		}
-	}
-}
-
-// TestRepeatedCellSimulatesOnce asserts the memo cache: a duplicated grid
-// cell — within one sweep and across sweeps — runs exactly one simulation.
-func TestRepeatedCellSimulatesOnce(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	job := Job{Workload: w, Strategy: core.External(600), Config: cfg}
-	r := New(4)
-	outs := r.Sweep([]Job{job, job, job, job})
-	if err := FirstErr(outs); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.Runs != 1 || st.Hits != 3 {
-		t.Fatalf("after one sweep of 4 identical jobs: runs=%d hits=%d, want 1/3", st.Runs, st.Hits)
-	}
-	if _, err := r.Run(job.Workload, job.Strategy, job.Config); err != nil {
-		t.Fatal(err)
-	}
-	if st := r.Stats(); st.Runs != 1 || st.Hits != 4 {
-		t.Fatalf("after repeat call: runs=%d hits=%d, want 1/4", st.Runs, st.Hits)
-	}
-	for i := range outs {
-		if !reflect.DeepEqual(outs[i].Result, outs[0].Result) {
-			t.Fatalf("coalesced outcome %d differs", i)
-		}
-	}
-}
-
-// TestBuildProfileMatchesCore pins the runner's profile assembly to the
-// serial reference implementation in core.
-func TestBuildProfileMatchesCore(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	daemon := sched.CPUSpeedV121()
-	want, err := core.BuildProfile(w, cfg, daemon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := New(workers).BuildProfile(w, cfg, daemon)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: profile differs from core.BuildProfile", workers)
-		}
-	}
-}
-
-func TestBuildProfilesFlattensAcrossWorkloads(t *testing.T) {
-	cfg := quickCfg()
-	daemon := sched.CPUSpeedV121()
-	var ws []npb.Workload
-	for _, code := range []string{"EP", "FT"} {
-		w, err := npb.New(code, npb.ClassS, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws = append(ws, w)
-	}
-	r := New(8)
-	profs, err := r.BuildProfiles(ws, cfg, daemon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(profs) != 2 || profs[0].Workload != ws[0].Name() || profs[1].Workload != ws[1].Name() {
-		t.Fatalf("profiles out of order: %+v", profs)
-	}
-	// 2 codes x (5 static + auto) distinct cells.
-	if st := r.Stats(); st.Runs != 12 {
-		t.Fatalf("runs=%d, want 12", st.Runs)
-	}
-}
-
-func TestSweepPropagatesErrors(t *testing.T) {
-	w := ftS(t)
-	bad := quickCfg()
-	bad.Node.Table = nil // core.Run must reject this
-	outs := New(2).Sweep([]Job{
-		{Workload: w, Strategy: core.NoDVS(), Config: quickCfg()},
-		{Workload: w, Strategy: core.NoDVS(), Config: bad},
-	})
-	if outs[0].Err != nil {
-		t.Fatalf("good job failed: %v", outs[0].Err)
-	}
-	if outs[1].Err == nil {
-		t.Fatal("bad job should fail")
-	}
-	if FirstErr(outs) != outs[1].Err {
-		t.Fatal("FirstErr should surface the bad job's error")
-	}
-}
-
-func TestSweepManyMoreJobsThanWorkers(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	freqs := cfg.Node.Table.Frequencies()
-	var jobs []Job
-	for i := 0; i < 40; i++ {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(freqs[i%len(freqs)]), Config: cfg})
-	}
-	r := New(3)
-	outs := r.Sweep(jobs)
-	if err := FirstErr(outs); err != nil {
-		t.Fatal(err)
-	}
-	// 40 jobs over 5 distinct cells: exactly 5 simulations.
-	if st := r.Stats(); st.Runs != len(freqs) || st.Runs+st.Hits != len(jobs) {
-		t.Fatalf("runs=%d hits=%d, want %d distinct and %d total", st.Runs, st.Hits, len(freqs), len(jobs))
-	}
-	for i, out := range outs {
-		if out.Result.Strategy != jobs[i].Strategy.String() {
-			t.Fatalf("job %d: outcome misaligned (%s vs %s)", i, out.Result.Strategy, jobs[i].Strategy)
-		}
-	}
-}
-
-// TestSweepContextCancelledUpfront asserts that a sweep submitted with an
-// already-cancelled context runs zero simulations: every outcome resolves
-// to ctx.Err() and neither cache nor stats are touched.
-func TestSweepContextCancelledUpfront(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	var jobs []Job
-	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := New(4)
-	outs := r.SweepContext(ctx, jobs)
-	if len(outs) != len(jobs) {
-		t.Fatalf("got %d outcomes, want %d", len(outs), len(jobs))
-	}
-	for i, o := range outs {
-		if !errors.Is(o.Err, context.Canceled) {
-			t.Fatalf("job %d: err=%v, want context.Canceled", i, o.Err)
-		}
-	}
-	if st := r.Stats(); st.Runs != 0 || st.Hits != 0 {
-		t.Fatalf("cancelled sweep touched the engine: runs=%d hits=%d", st.Runs, st.Hits)
-	}
-}
-
-// TestSweepFuncCancelMidSweep cancels after the first completed job on the
-// serial path and asserts the remaining queued jobs are skipped, not run.
-func TestSweepFuncCancelMidSweep(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	var jobs []Job
-	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := New(1) // serial: deterministic completion order
-	outs := r.SweepFunc(ctx, jobs, func(i int, o Outcome) {
-		if i == 0 {
-			cancel()
-		}
-	})
-	if outs[0].Err != nil {
-		t.Fatalf("job 0 should have completed before cancel: %v", outs[0].Err)
-	}
-	for i := 1; i < len(outs); i++ {
-		if !errors.Is(outs[i].Err, context.Canceled) {
-			t.Fatalf("job %d: err=%v, want context.Canceled", i, outs[i].Err)
-		}
-	}
-	if st := r.Stats(); st.Runs != 1 {
-		t.Fatalf("runs=%d, want 1 (only the pre-cancel job)", st.Runs)
-	}
-}
-
-// TestSweepFuncObserverSeesEveryJobOnce asserts the streaming observer
-// contract: one serialized call per job, with the outcome that lands at
-// that job's submission index.
-func TestSweepFuncObserverSeesEveryJobOnce(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
-	var jobs []Job
-	for _, f := range cfg.Node.Table.Frequencies() {
-		jobs = append(jobs, Job{Workload: w, Strategy: core.External(f), Config: cfg})
-	}
-	seen := make([]int, len(jobs))
-	got := make([]Outcome, len(jobs))
-	outs := New(4).SweepFunc(context.Background(), jobs, func(i int, o Outcome) {
-		seen[i]++ // serialized by SweepFunc: no lock needed
-		got[i] = o
-	})
-	for i := range jobs {
-		if seen[i] != 1 {
-			t.Fatalf("job %d observed %d times, want 1", i, seen[i])
-		}
-		if !reflect.DeepEqual(got[i], outs[i]) {
-			t.Fatalf("job %d: observed outcome differs from returned outcome", i)
-		}
-	}
-	if err := FirstErr(outs); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunContextCancelledWaiterLeavesCacheIntact starts one simulation,
 // then cancels a second identical request while it would coalesce; the
 // cache entry must stay usable for later callers.
 func TestRunContextCancelledWaiterLeavesCacheIntact(t *testing.T) {
-	w := ftS(t)
-	cfg := quickCfg()
+	job := Job{Workload: ftS(t), Strategy: core.External(600), Config: quickCfg()}
 	r := New(2)
-	if _, err := r.Run(w, core.External(600), cfg); err != nil {
-		t.Fatal(err)
+	if out := r.Do(context.Background(), job); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunContext(ctx, w, core.External(600), cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err=%v, want context.Canceled", err)
+	if out := r.Do(ctx, job); !errors.Is(out.Err, context.Canceled) {
+		t.Fatalf("err=%v, want context.Canceled", out.Err)
 	}
-	if _, err := r.Run(w, core.External(600), cfg); err != nil {
-		t.Fatal(err)
+	if out := r.Do(context.Background(), job); out.Err != nil {
+		t.Fatal(out.Err)
 	}
 	if st := r.Stats(); st.Runs != 1 || st.Hits != 1 {
 		t.Fatalf("runs=%d hits=%d, want 1/1 (cancelled waiter counts as neither)", st.Runs, st.Hits)
 	}
 }
 
-// TestPropertySweepWorkersInvariance: sweep output is a function of the
-// job list alone, not of -workers — the determinism guarantee the
-// service and fleet layers inherit. Random seeded cells across the full
-// workload/strategy registries, with duplicates mixed in so coalescing
-// and cache hits are under test too; results must match a serial sweep
-// exactly at every parallelism.
-func TestPropertySweepWorkersInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	codes := npb.Codes()
-	regs := core.Strategies()
-	cfg := quickCfg()
-	var jobs []Job
-	for len(jobs) < 14 {
-		w, err := npb.New(codes[rng.Intn(len(codes))], npb.ClassS, []int{1, 2, 4}[rng.Intn(3)])
-		if err != nil {
-			continue // some kernels constrain rank counts; redraw
-		}
-		jobs = append(jobs, Job{Workload: w, Strategy: regs[rng.Intn(len(regs))].Example(), Config: cfg})
+func TestFirstErr(t *testing.T) {
+	a, b := errors.New("a"), errors.New("b")
+	if got := FirstErr([]Outcome{{}, {Err: a}, {}, {Err: b}}); got != a {
+		t.Fatalf("FirstErr = %v, want the first error in submission order", got)
 	}
-	jobs = append(jobs, jobs[rng.Intn(len(jobs))], jobs[rng.Intn(len(jobs))])
-
-	ref := New(1).Sweep(jobs)
-	for _, workers := range []int{2, 8} {
-		outs := New(workers).Sweep(jobs)
-		for i := range outs {
-			if (outs[i].Err == nil) != (ref[i].Err == nil) {
-				t.Fatalf("workers=%d job %d: err %v vs serial %v", workers, i, outs[i].Err, ref[i].Err)
-			}
-			if outs[i].Err != nil {
-				continue
-			}
-			a, b := outs[i].Result, ref[i].Result
-			if a.Name != b.Name || a.Strategy != b.Strategy || a.Elapsed != b.Elapsed || a.Energy != b.Energy {
-				t.Errorf("workers=%d job %d (%s/%s): diverged from serial: elapsed %v vs %v, energy %v vs %v",
-					workers, i, a.Name, a.Strategy, a.Elapsed, b.Elapsed, a.Energy, b.Energy)
-			}
-		}
+	if got := FirstErr([]Outcome{{}, {}}); got != nil {
+		t.Fatalf("FirstErr = %v, want nil when every outcome succeeded", got)
 	}
 }

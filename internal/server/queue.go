@@ -8,7 +8,7 @@ package server
 // unbounded goroutines all contending for the same workers.
 //
 // Capacity bounds *requests*, not simulations: one admitted sweep may
-// carry many jobs, which the runner's own worker pool serializes. The
+// carry many jobs, which sweep.Execute places a bounded few at a time. The
 // gate's job is to bound memory (decoded requests, response buffers) and
 // keep admission latency flat.
 type gate struct {

@@ -1,11 +1,10 @@
 package sweep
 
 import (
+	"context"
 	"net/http"
 	"runtime"
 	"sync"
-
-	"context"
 )
 
 // ExecOptions configures one Execute call.
@@ -17,7 +16,8 @@ type ExecOptions struct {
 	// OnRecord observes each cell's stream record as it completes.
 	// Calls are serialized (never concurrent) and arrive in completion
 	// order — replayed checkpoint cells first, then live cells as their
-	// placements finish. Nil disables streaming.
+	// placements finish. A panic out of OnRecord is recovered and the
+	// sweep goes on. Nil disables streaming.
 	OnRecord func(SweepRecord)
 	// Checkpoint journals completed cells and replays the ones a prior
 	// interrupted run already finished. Nil disables checkpointing.
@@ -41,8 +41,8 @@ type Summary struct {
 // outcomes in submission order plus the sweep's summary. Cells stream to
 // OnRecord in completion order; cancellation follows the runner's
 // job-boundary semantics (in-flight cells finish, queued cells resolve
-// to canceled error records). A panicking placer fails its cell, not the
-// sweep.
+// to canceled error records). A panicking placer fails its cell; a
+// panicking OnRecord is recovered. Neither stops the sweep.
 func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outcome, Summary) {
 	cells := p.Cells()
 	outs := make([]Outcome, len(cells))
@@ -50,9 +50,13 @@ func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outco
 
 	var mu sync.Mutex // serializes OnRecord and the summary counters
 	emit := func(i int, o Outcome) {
+		// A panicking observer is contained here, on the caller's
+		// goroutine for replayed cells and on a worker's for live ones,
+		// so the sweep and every remaining cell go on. Deferred first, so
+		// it runs after the unlock below: a panic that skipped the unlock
+		// would deadlock every later emit.
+		defer func() { _ = recover() }()
 		mu.Lock()
-		// Deferred, not inline: a panicking observer must release the
-		// serialization lock on its way up, or every later emit deadlocks.
 		defer mu.Unlock()
 		switch {
 		case o.Err != nil:

@@ -49,3 +49,64 @@ func TestLocalSharesCacheWithDo(t *testing.T) {
 		t.Fatalf("runs=%d hits=%d, want 2/2", st.Runs, st.Hits)
 	}
 }
+
+// TestObserverPanicBackstop: an OnRecord that panics on every record
+// cannot kill a sweep, whether the panic comes from a replayed record
+// (raised on the caller's goroutine) or a live one (raised on a worker).
+// The sweep still places every remaining cell, the observer still sees
+// every record, and Execute returns every outcome.
+func TestObserverPanicBackstop(t *testing.T) {
+	w, err := npb.FT(npb.ClassS, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	var cells []Cell
+	for _, f := range cfg.Node.Table.Frequencies() {
+		j := runner.Job{Workload: w, Strategy: core.External(f), Config: cfg}
+		key, _ := j.Key()
+		cells = append(cells, Cell{Key: key, Job: j})
+	}
+	const journaled = 2 // cells replayed from the checkpoint
+	for _, parallel := range []int{1, 4} {
+		plan := NewPlan(cells)
+		path := CheckpointPath(t.TempDir(), plan)
+		ck, err := OpenCheckpoint(path, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := runner.New(parallel)
+		for i := 0; i < journaled; i++ {
+			ck.append(i, Local{Runner: r}.Place(context.Background(), i, cells[i]))
+		}
+		ck.finish(false)
+		if ck, err = OpenCheckpoint(path, plan); err != nil {
+			t.Fatal(err)
+		}
+
+		calls := 0
+		outs, sum := Execute(context.Background(), plan, Local{Runner: r}, ExecOptions{
+			Parallel:   parallel,
+			Checkpoint: ck,
+			OnRecord: func(SweepRecord) {
+				calls++
+				panic("observer blew up")
+			},
+		})
+		if calls != len(cells) {
+			t.Fatalf("parallel=%d: observer called %d times, want %d", parallel, calls, len(cells))
+		}
+		if sum.Resumed != journaled || sum.Errors != 0 {
+			t.Fatalf("parallel=%d: summary %+v, want %d resumed and no errors", parallel, sum, journaled)
+		}
+		for i, o := range outs {
+			if o.Err != nil || o.ResultJSON() == nil {
+				t.Fatalf("parallel=%d: cell %d: err=%v, want a result", parallel, i, o.Err)
+			}
+		}
+		// The journaled cells ran once to fill the journal, the rest live.
+		if st := r.Stats(); st.Runs != len(cells) {
+			t.Fatalf("parallel=%d: runs=%d, want %d", parallel, st.Runs, len(cells))
+		}
+	}
+}

@@ -3,8 +3,9 @@
 // (one expansion path — server.SweepRequest.Plan — feeds it, whether
 // the caller is dvsd, dvsgw, or cmd/reproduce); a Placer decides where
 // one cell runs (in-process runner, a remote dvsd, or a fleet ring); the
-// Executor streams outcomes in completion order with the runner's
-// cancellation and serialized-observer semantics; and the Merger owns
+// Executor, the repo's one worker pool, streams outcomes in completion
+// order to a serialized, panic-contained observer and cancels at cell
+// boundaries; and the Merger owns
 // the NDJSON record/trailer wire contract end to end. On top of the
 // unified plan sits checkpoint/resume: the executor journals completed
 // cells to an NDJSON file keyed by the plan's fingerprint, so a killed
