@@ -31,8 +31,8 @@ import (
 
 // defaultBench selects the substrate benchmarks: the simulator's hot paths
 // (kernel events, proc switch), the MPI layer over them, the daemon poll
-// step, and one end-to-end cluster run.
-const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkFullRunFT"
+// step, and one end-to-end cluster run per NPB code.
+const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkFullRun"
 
 // Result is one benchmark's measured costs.
 type Result struct {

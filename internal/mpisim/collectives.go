@@ -42,11 +42,7 @@ func (r *Rank) Barrier() {
 		for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
 			dst := (r.id + dist) % n
 			src := (r.id - dist + n) % n
-			tag := r.collTag(round)
-			rreq := r.Irecv(src, tag)
-			sreq := r.Isend(dst, tag, 0)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.SendRecv(dst, 0, src, 0, r.collTag(round))
 		}
 		r.nextColl()
 	})
@@ -114,11 +110,7 @@ func (r *Rank) Allreduce(bytes int) {
 	r.emitColl("allreduce", bytes, func() {
 		for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
 			partner := r.id ^ dist
-			tag := r.collTag(round)
-			rreq := r.Irecv(partner, tag)
-			sreq := r.Isend(partner, tag, bytes)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.SendRecv(partner, bytes, partner, bytes, r.collTag(round))
 		}
 		r.nextColl()
 	})
@@ -161,11 +153,7 @@ func (r *Rank) Alltoall(bytesPerPair int) {
 		for i := 1; i < n; i++ {
 			dst := (r.id + i) % n
 			src := (r.id - i + n) % n
-			tag := r.collTag(i)
-			rreq := r.Irecv(src, tag)
-			sreq := r.Isend(dst, tag, bytesPerPair)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.SendRecv(dst, bytesPerPair, src, bytesPerPair, r.collTag(i))
 		}
 		r.nextColl()
 	})
@@ -184,7 +172,7 @@ func (r *Rank) Alltoallv(bytesTo []int) {
 		total += b
 	}
 	r.emitColl("alltoallv", total, func() {
-		reqs := make([]*Request, 0, 2*(n-1))
+		reqs := r.reqs[:0]
 		for i := 1; i < n; i++ {
 			src := (r.id - i + n) % n
 			reqs = append(reqs, r.Irecv(src, r.collTag(0)))
@@ -193,6 +181,7 @@ func (r *Rank) Alltoallv(bytesTo []int) {
 			dst := (r.id + i) % n
 			reqs = append(reqs, r.Isend(dst, r.collTag(0), bytesTo[dst]))
 		}
+		r.reqs = reqs
 		r.WaitAll(reqs...)
 		r.nextColl()
 	})
@@ -204,13 +193,14 @@ func (r *Rank) Gather(root, bytes int) {
 	n := r.Size()
 	r.emitColl("gather", bytes, func() {
 		if r.id == root {
-			reqs := make([]*Request, 0, n-1)
+			reqs := r.reqs[:0]
 			for src := 0; src < n; src++ {
 				if src == root {
 					continue
 				}
 				reqs = append(reqs, r.Irecv(src, r.collTag(0)))
 			}
+			r.reqs = reqs
 			r.WaitAll(reqs...)
 		} else {
 			r.Send(root, r.collTag(0), bytes)

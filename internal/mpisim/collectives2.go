@@ -16,11 +16,7 @@ func (r *Rank) Allgather(bytes int) {
 		next := (r.id + 1) % n
 		prev := (r.id - 1 + n) % n
 		for step := 0; step < n-1; step++ {
-			tag := r.collTag(step)
-			rreq := r.Irecv(prev, tag)
-			sreq := r.Isend(next, tag, bytes)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.SendRecv(next, bytes, prev, bytes, r.collTag(step))
 		}
 		r.nextColl()
 	})
@@ -64,11 +60,7 @@ func (r *Rank) ReduceScatter(bytes int) {
 		for step := 1; step < n; step++ {
 			dst := (r.id + step) % n
 			src := (r.id - step + n) % n
-			tag := r.collTag(step)
-			rreq := r.Irecv(src, tag)
-			sreq := r.Isend(dst, tag, bytes)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.SendRecv(dst, bytes, src, bytes, r.collTag(step))
 		}
 		r.nextColl()
 	})

@@ -126,11 +126,7 @@ func (c *Comm) Barrier(r *Rank) {
 		for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
 			dst := c.members[(me+dist)%n]
 			src := c.members[(me-dist+n)%n]
-			tag := c.commTag(r, round)
-			rreq := r.Irecv(src, tag)
-			sreq := r.Isend(dst, tag, 0)
-			r.Wait(sreq)
-			r.Wait(rreq)
+			r.SendRecv(dst, 0, src, 0, c.commTag(r, round))
 		}
 		c.nextColl(r)
 	})
@@ -165,10 +161,7 @@ func (c *Comm) Allreduce(r *Rank, bytes int) {
 			}
 			for round, dist := 0, 1; dist < p2; round, dist = round+1, dist*2 {
 				partner := c.members[me^dist]
-				rreq := r.Irecv(partner, tag(round))
-				sreq := r.Isend(partner, tag(round), bytes)
-				r.Wait(sreq)
-				r.Wait(rreq)
+				r.SendRecv(partner, bytes, partner, bytes, tag(round))
 			}
 			if me < extra {
 				r.Send(c.members[me+p2], tag(33), bytes)

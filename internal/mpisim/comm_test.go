@@ -392,3 +392,34 @@ func TestCheckOrderingSequencesStamped(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCheckOrderingTagsApartByTwoToThe20(t *testing.T) {
+	// Tags 0 and 1<<20 are different tags, so receiving them in the
+	// opposite order to the sends is legal MPI; the verifier must not
+	// fold them into one (source, tag) slot.
+	k := sim.NewKernel()
+	nodes := []*node.Node{
+		node.MustNew(k, 0, node.DefaultConfig()),
+		node.MustNew(k, 1, node.DefaultConfig()),
+	}
+	cfg := DefaultConfig()
+	cfg.CheckOrdering = true
+	w, err := NewWorld(k, netsim.MustNew(k, netsim.DefaultConfig(2)), nodes, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Launch("t", func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 1<<20, 10)
+			r.Send(1, 0, 10)
+		} else {
+			r.Recv(0, 0)
+			r.Recv(0, 1<<20)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(sim.MaxTime); err != nil {
+		t.Fatalf("ordering verifier tripped on a legal program: %v", err)
+	}
+}

@@ -20,6 +20,7 @@ package mpisim
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/netsim"
@@ -157,6 +158,8 @@ type World struct {
 	// FinishedAt records each rank's completion time of the launched
 	// program; Elapsed() is their max.
 	finishedAt []sim.Time
+	// deliveries recycles in-flight message deliveries (see isend).
+	deliveries []*delivery
 }
 
 // NewWorld builds a world over the given nodes. The network must have at
@@ -174,7 +177,7 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, nodes []*node.Node, cfg Config
 	}
 	w := &World{k: k, net: net, nodes: nodes, cfg: cfg, finishedAt: make([]sim.Time, len(nodes))}
 	for i, nd := range nodes {
-		w.ranks = append(w.ranks, &Rank{world: w, id: i, node: nd})
+		w.ranks = append(w.ranks, &Rank{world: w, id: i, node: nd, q: k.NewQueue(fmt.Sprintf("mpi.r%d", i))})
 	}
 	return w, nil
 }
@@ -204,7 +207,7 @@ func (w *World) Launch(name string, body func(r *Rank)) error {
 	w.started = true
 	for _, r := range w.ranks {
 		r := r
-		w.k.Spawn(fmt.Sprintf("%s.rank%d", name, r.id), func(p *sim.Proc) {
+		w.k.Spawn(name+".rank"+strconv.Itoa(r.id), func(p *sim.Proc) {
 			r.proc = p
 			if w.policy != nil {
 				w.policy.AtStart(r)

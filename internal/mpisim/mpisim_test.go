@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -244,6 +245,27 @@ func TestWaitOnForeignRequestPanics(t *testing.T) {
 	}
 	if err := k.Run(sim.MaxTime); err == nil {
 		t.Fatal("foreign Wait not rejected")
+	}
+}
+
+func TestWaitOnFreedRequestPanics(t *testing.T) {
+	// Wait frees its request, as MPI_Wait nulls the handle: a second
+	// Wait on it is a use after free, even on the owning rank.
+	k, w := world(t, 2)
+	if err := w.Launch("t", func(r *Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 0, 10)
+		} else {
+			req := r.Irecv(0, 0)
+			r.Wait(req)
+			r.Wait(req)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	err := k.Run(sim.MaxTime)
+	if err == nil || !strings.Contains(err.Error(), "foreign or freed request") {
+		t.Fatalf("second Wait on a freed request: err = %v", err)
 	}
 }
 

@@ -8,7 +8,7 @@ import "fmt"
 // Iprobe reports whether a message matching (src, tag) has been delivered
 // but not yet received, without consuming it. src may be AnySource.
 func (r *Rank) Iprobe(src, tag int) (ok bool, bytes int) {
-	probe := &Request{owner: r, isRecv: true, src: src, tag: tag}
+	probe := Request{src: src, tag: tag}
 	for _, m := range r.mailbox {
 		if probe.matches(m) {
 			return true, m.bytes
@@ -25,15 +25,14 @@ func (r *Rank) Probe(src, tag int) int {
 			return bytes
 		}
 		// Park until any delivery arrives, then re-check the match.
-		q := r.world.k.NewQueue(fmt.Sprintf("probe.r%d", r.id))
-		r.probeWaiters = append(r.probeWaiters, q)
-		r.waitSpan(q)
+		r.watch()
 	}
 }
 
 // WaitAny blocks until at least one request completes and returns its
 // index (the lowest-numbered completed request, matching MPI_Waitany's
-// deterministic tie-break on simultaneous completion).
+// deterministic tie-break on simultaneous completion). It frees that
+// request, as Wait does; the others stay live.
 func (r *Rank) WaitAny(reqs ...*Request) int {
 	if len(reqs) == 0 {
 		panic(fmt.Sprintf("rank %d: WaitAny with no requests", r.id))
@@ -41,28 +40,28 @@ func (r *Rank) WaitAny(reqs ...*Request) int {
 	for {
 		for i, req := range reqs {
 			if req.owner != r {
-				panic(fmt.Sprintf("rank %d: WaitAny on foreign request", r.id))
+				panic(fmt.Sprintf("rank %d: WaitAny on foreign or freed request", r.id))
 			}
 			if req.done {
 				r.Wait(req) // charge receive overhead / trace event
 				return i
 			}
 		}
-		q := r.world.k.NewQueue(fmt.Sprintf("waitany.r%d", r.id))
-		r.anyWaiters = append(r.anyWaiters, q)
-		r.waitSpan(q)
+		r.watch()
 	}
 }
 
-// notifyWatchers wakes probe/waitany parkers after a delivery or request
-// completion.
+// watch parks the rank until the next delivery or request completion.
+func (r *Rank) watch() {
+	r.watching = true
+	r.waitSpan()
+}
+
+// notifyWatchers wakes a Probe or WaitAny parker after a delivery or
+// request completion.
 func (r *Rank) notifyWatchers() {
-	for _, q := range r.probeWaiters {
-		q.Broadcast()
+	if r.watching {
+		r.watching = false
+		r.q.Signal()
 	}
-	r.probeWaiters = r.probeWaiters[:0]
-	for _, q := range r.anyWaiters {
-		q.Broadcast()
-	}
-	r.anyWaiters = r.anyWaiters[:0]
 }

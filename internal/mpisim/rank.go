@@ -23,15 +23,26 @@ type Rank struct {
 	collSeq int // per-rank collective sequence number for internal tags
 	// commColl tracks per-communicator collective sequences (comm.go).
 	commColl map[int]int
-	// probeWaiters/anyWaiters park Probe and WaitAny callers until the
-	// next delivery or completion (probe.go).
-	probeWaiters []*sim.Queue
-	anyWaiters   []*sim.Queue
+	// q is the rank's one wait queue: Wait, Probe and WaitAny all park
+	// on it. waiting is the request a parked Wait needs; watching marks a
+	// parked Probe or WaitAny, which the next delivery or completion
+	// wakes (probe.go). A completion signals q only when it is the one
+	// awaited, so a proc on q always has exactly one reason to wake.
+	q        *sim.Queue
+	waiting  *Request
+	watching bool
+	// free recycles the requests Wait has released; reqs is the request
+	// slice Alltoallv and Gather reuse.
+	free []*Request
+	reqs []*Request
 	// sendSeq/recvSeq implement the CheckOrdering verifier: the next
-	// sequence number per destination / the last matched per source.
+	// sequence number per destination / the last matched per (src, tag).
 	sendSeq map[int]uint64
-	recvSeq map[int]uint64
+	recvSeq map[srcTag]uint64
 }
+
+// srcTag keys the CheckOrdering verifier's per-(source, tag) sequence.
+type srcTag struct{ src, tag int }
 
 // message is a delivered payload descriptor.
 type message struct {
@@ -41,16 +52,79 @@ type message struct {
 	seq uint64
 }
 
-// Request is a nonblocking-operation handle.
+// delivery is one message in flight to dst. The world recycles
+// deliveries, and fn (bound once, at first allocation) is what isend
+// schedules at the arrival instant, so a delivery costs no allocation.
+type delivery struct {
+	dst *Rank
+	msg message
+	fn  func()
+}
+
+// newDelivery returns a delivery from the freelist, or a new one with its
+// fn bound.
+func (w *World) newDelivery() *delivery {
+	if n := len(w.deliveries); n > 0 {
+		d := w.deliveries[n-1]
+		w.deliveries = w.deliveries[:n-1]
+		return d
+	}
+	d := &delivery{}
+	d.fn = d.fire
+	return d
+}
+
+// fire delivers d's message, returning d to the world's freelist first.
+func (d *delivery) fire() {
+	dst, m := d.dst, d.msg
+	dst.world.deliveries = append(dst.world.deliveries, d)
+	dst.deliver(m)
+}
+
+// Request is a nonblocking-operation handle. Wait (and WaitAny, for the
+// request it returns) frees it, as MPI_Wait sets the handle to
+// MPI_REQUEST_NULL: the rank recycles it for a later Isend or Irecv, and
+// waiting on it again panics.
 type Request struct {
-	owner *Rank
+	owner *Rank // nil once freed
 	done  bool
 	bytes int
 	seq   uint64 // matched message's sequence (CheckOrdering)
 	// recv matching state (recv requests only)
 	isRecv   bool
 	src, tag int
-	q        *sim.Queue
+	// complete is the Isend completion callback, bound once per Request.
+	complete func()
+}
+
+// newRequest returns a cleared request owned by r, reusing a freed one
+// when available.
+func (r *Rank) newRequest() *Request {
+	if n := len(r.free); n > 0 {
+		req := r.free[n-1]
+		r.free = r.free[:n-1]
+		*req = Request{owner: r, complete: req.complete}
+		return req
+	}
+	req := &Request{owner: r}
+	req.complete = req.completeSend
+	return req
+}
+
+// completeSend marks an Isend complete once its data has left (or, under
+// rendezvous, arrived). Runs inside a kernel At callback.
+func (req *Request) completeSend() {
+	req.done = true
+	r := req.owner
+	r.wake(req)
+	r.notifyWatchers()
+}
+
+// wake releases the rank's proc if it is parked in Wait on req.
+func (r *Rank) wake(req *Request) {
+	if r.waiting == req {
+		r.q.Signal()
+	}
 }
 
 // ID returns the rank number.
@@ -148,11 +222,12 @@ func (r *Rank) waitActivity() dvs.Activity {
 	return a
 }
 
-// waitSpan blocks on q at communication-wait activity.
-func (r *Rank) waitSpan(q *sim.Queue) {
+// waitSpan parks the rank on its wait queue at communication-wait
+// activity.
+func (r *Rank) waitSpan() {
 	start := r.Now()
 	r.node.Span(r.waitActivity(), r.waitVisibility(), func() {
-		q.Wait(r.proc)
+		r.q.Wait(r.proc)
 	})
 	r.stats.Wait += r.Now().Sub(start)
 }
@@ -162,21 +237,42 @@ func (r *Rank) waitSpan(q *sim.Queue) {
 // (eager) or delivered (rendezvous, above the eager limit).
 func (r *Rank) Send(dst, tag, bytes int) {
 	start := r.Now()
-	r.isend(dst, tag, bytes, true)
+	txDone, completeAt := r.isend(dst, tag, bytes)
+	// Uplink serialization: the CPU streams the data out.
+	r.transferSpan(txDone)
+	if completeAt > r.Now() {
+		// Rendezvous tail: waiting for the receiver to drain.
+		startW := r.Now()
+		r.node.Span(r.waitActivity(), r.waitVisibility(), func() {
+			r.proc.Sleep(completeAt.Sub(startW))
+		})
+		r.stats.Wait += r.Now().Sub(startW)
+	}
 	r.world.emit(r.id, EvSend, "send", start, r.Now(), bytes, dst)
 }
 
-// Isend starts a nonblocking send and returns its request. The CPU
-// overhead is charged immediately; the wire transfer proceeds in the
-// background.
+// Isend starts a nonblocking send and returns its request, which Wait
+// frees. The CPU overhead is charged immediately; the wire transfer
+// proceeds in the background.
 func (r *Rank) Isend(dst, tag, bytes int) *Request {
 	start := r.Now()
-	req := r.isend(dst, tag, bytes, false)
+	_, completeAt := r.isend(dst, tag, bytes)
+	req := r.newRequest()
+	req.bytes = bytes
+	if completeAt <= r.Now() {
+		req.done = true
+	} else {
+		r.world.k.At(completeAt, req.complete)
+	}
 	r.world.emit(r.id, EvSend, "isend", start, r.Now(), bytes, dst)
 	return req
 }
 
-func (r *Rank) isend(dst, tag, bytes int, blocking bool) *Request {
+// isend charges the send overhead and puts the message on the wire,
+// scheduling its delivery. It returns when the uplink finishes
+// transmitting and when the send completes: txDone for eager messages,
+// the arrival instant under rendezvous.
+func (r *Rank) isend(dst, tag, bytes int) (txDone, completeAt sim.Time) {
 	if dst < 0 || dst >= r.Size() {
 		panic(fmt.Sprintf("rank %d: send to invalid rank %d", r.id, dst))
 	}
@@ -204,39 +300,14 @@ func (r *Rank) isend(dst, tag, bytes int, blocking bool) *Request {
 		r.sendSeq[dst]++
 		msg.seq = r.sendSeq[dst]
 	}
-	dstRank := w.ranks[dst]
-	w.k.At(arrive, func() { dstRank.deliver(msg) })
+	d := w.newDelivery()
+	d.dst, d.msg = w.ranks[dst], msg
+	w.k.At(arrive, d.fn)
 
-	req := &Request{owner: r, bytes: bytes}
-	completeAt := txDone
 	if bytes > w.cfg.EagerLimit {
-		completeAt = arrive // rendezvous
+		return txDone, arrive // rendezvous
 	}
-	if blocking {
-		// Uplink serialization: the CPU streams the data out.
-		r.transferSpan(txDone)
-		if completeAt > r.Now() {
-			// Rendezvous tail: waiting for the receiver to drain.
-			startW := r.Now()
-			r.node.Span(r.waitActivity(), r.waitVisibility(), func() {
-				r.proc.Sleep(completeAt.Sub(startW))
-			})
-			r.stats.Wait += r.Now().Sub(startW)
-		}
-		req.done = true
-		return req
-	}
-	if completeAt <= r.Now() {
-		req.done = true
-		return req
-	}
-	req.q = w.k.NewQueue(fmt.Sprintf("isend.r%d", r.id))
-	w.k.At(completeAt, func() {
-		req.done = true
-		req.q.Broadcast()
-		r.notifyWatchers()
-	})
-	return req
+	return txDone, txDone
 }
 
 // deliver matches an arriving message against posted receives, else
@@ -246,15 +317,20 @@ func (r *Rank) deliver(m message) {
 	for i, req := range r.posted {
 		if req.matches(m) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)
-			req.done = true
-			req.bytes = m.bytes
-			req.src = m.src
-			req.seq = m.seq
-			req.q.Broadcast()
+			req.completeRecv(m)
+			r.wake(req)
 			return
 		}
 	}
 	r.mailbox = append(r.mailbox, m)
+}
+
+// completeRecv records the message a receive request matched.
+func (req *Request) completeRecv(m message) {
+	req.done = true
+	req.bytes = m.bytes
+	req.src = m.src
+	req.seq = m.seq
 }
 
 func (req *Request) matches(m message) bool {
@@ -262,37 +338,37 @@ func (req *Request) matches(m message) bool {
 }
 
 // Irecv posts a nonblocking receive for a message from src (or AnySource)
-// with the given tag.
+// with the given tag, returning a request that Wait frees.
 func (r *Rank) Irecv(src, tag int) *Request {
 	if src != AnySource && (src < 0 || src >= r.Size()) {
 		panic(fmt.Sprintf("rank %d: recv from invalid rank %d", r.id, src))
 	}
-	req := &Request{owner: r, isRecv: true, src: src, tag: tag}
+	req := r.newRequest()
+	req.isRecv, req.src, req.tag = true, src, tag
 	// Match already-delivered messages first (arrival order).
 	for i, m := range r.mailbox {
 		if req.matches(m) {
 			r.mailbox = append(r.mailbox[:i], r.mailbox[i+1:]...)
-			req.done = true
-			req.bytes = m.bytes
-			req.src = m.src
-			req.seq = m.seq
+			req.completeRecv(m)
 			return req
 		}
 	}
-	req.q = r.world.k.NewQueue(fmt.Sprintf("irecv.r%d", r.id))
 	r.posted = append(r.posted, req)
 	return req
 }
 
-// Wait blocks until req completes and returns the message size (for
-// receives). The blocked time is CPU slack at communication-wait activity.
+// Wait blocks until req completes, frees it (as MPI_Wait does: waiting on
+// it again panics) and returns the message size (for receives). The
+// blocked time is CPU slack at communication-wait activity.
 func (r *Rank) Wait(req *Request) int {
 	if req.owner != r {
-		panic(fmt.Sprintf("rank %d: waiting on foreign request", r.id))
+		panic(fmt.Sprintf("rank %d: waiting on foreign or freed request", r.id))
 	}
 	start := r.Now()
 	if !req.done {
-		r.waitSpan(req.q)
+		r.waiting = req
+		r.waitSpan()
+		r.waiting = nil
 		if !req.done {
 			panic(fmt.Sprintf("rank %d: woke with incomplete request", r.id))
 		}
@@ -305,9 +381,9 @@ func (r *Rank) Wait(req *Request) int {
 			// lower sequence than one already matched from that source
 			// with the same tag — we verify per (src, tag).)
 			if r.recvSeq == nil {
-				r.recvSeq = map[int]uint64{}
+				r.recvSeq = map[srcTag]uint64{}
 			}
-			key := req.src<<20 | (req.tag & 0xFFFFF)
+			key := srcTag{req.src, req.tag}
 			if last := r.recvSeq[key]; req.seq < last {
 				panic(fmt.Sprintf("rank %d: ordering violation from %d tag %d: seq %d after %d",
 					r.id, req.src, req.tag, req.seq, last))
@@ -322,10 +398,13 @@ func (r *Rank) Wait(req *Request) int {
 		r.stats.Bytes += int64(req.bytes)
 	}
 	r.world.emit(r.id, EvWait, "wait", start, r.Now(), req.bytes, req.src)
+	// Free the request; its fields stay readable until it is reused.
+	req.owner = nil
+	r.free = append(r.free, req)
 	return req.bytes
 }
 
-// WaitAll waits for every request.
+// WaitAll waits for (and frees) every request.
 func (r *Rank) WaitAll(reqs ...*Request) {
 	for _, q := range reqs {
 		r.Wait(q)

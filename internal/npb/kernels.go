@@ -108,17 +108,16 @@ func IS(class Class, ranks int) (Workload, error) {
 	mem := 3080.0 * s * 8 / float64(ranks) // ms
 	pair := bytesScaled(1_430_000*8/ranks, s)
 	return Workload{Code: "IS", Class: class, Ranks: ranks, Body: func(r *mpisim.Rank) {
-		n := r.Size()
+		sizes := make([]int, r.Size())
+		for d := range sizes {
+			if d != r.ID() {
+				sizes[d] = pair
+			}
+		}
 		for it := 0; it < iters; it++ {
 			r.MemoryStall(msec(mem))
 			r.Compute(comp)
 			r.Alltoall(1024) // bucket-size exchange
-			sizes := make([]int, n)
-			for d := range sizes {
-				if d != r.ID() {
-					sizes[d] = pair
-				}
-			}
 			r.Alltoallv(sizes)
 			r.Allreduce(8)
 		}

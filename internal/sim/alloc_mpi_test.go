@@ -1,11 +1,12 @@
 package sim_test
 
 // The kernel's own alloc tests (alloc_test.go) pin the handoff substrate
-// at zero allocations. This external-package test pins the full mpisim
-// ping-pong round trip — Send/Recv through netsim and the node model —
-// at its steady-state allocation budget, so a kernel change that sneaks
-// allocations into the proc switch (or an MPI-layer change that regresses
-// the message path) fails here rather than only showing up in -benchmem.
+// at zero allocations. This external-package test pins the mpisim message
+// path over it — Send/Recv and the collectives through netsim and the
+// node model — at zero steady-state allocations, so a kernel change that
+// sneaks allocations into the proc switch (or an MPI-layer change that
+// regresses the message path) fails here rather than only showing up in
+// -benchmem.
 
 import (
 	"runtime"
@@ -17,45 +18,40 @@ import (
 	"repro/internal/sim"
 )
 
-// pingPongAllocBudget is the per-round-trip allocation count across both
-// ranks: per Irecv a Request, a wait queue, and its name; per Isend a
-// Request and the delivery closure. The kernel handoff path contributes
-// zero — every event comes from the freelist and every proc switch is a
-// direct continuation handoff (or no switch at all).
-const pingPongAllocBudget = 13
+// msgPathAllocBudget is the steady-state allocation count per operation
+// across all ranks. The message path costs nothing: each rank reuses one
+// wait queue and recycles its requests, the world recycles deliveries,
+// every kernel event comes from the freelist, and every proc switch is a
+// direct continuation handoff. The budget leaves room only for a stray
+// runtime allocation in the whole-process Mallocs count.
+const msgPathAllocBudget = 0.05
 
-func TestMPIPingPongSteadyStateAllocBudget(t *testing.T) {
+// steadyStateAllocs runs op on every rank of a fresh world warmup times,
+// then rounds times, and returns the process-wide mallocs per round of the
+// second phase, read from rank 0.
+func steadyStateAllocs(t *testing.T, ranks, warmup, rounds int, op func(r *mpisim.Rank)) float64 {
+	t.Helper()
 	k := sim.NewKernel()
-	nodes := []*node.Node{
-		node.MustNew(k, 0, node.DefaultConfig()),
-		node.MustNew(k, 1, node.DefaultConfig()),
+	nodes := make([]*node.Node, ranks)
+	for i := range nodes {
+		nodes[i] = node.MustNew(k, i, node.DefaultConfig())
 	}
-	net := netsim.MustNew(k, netsim.DefaultConfig(2))
+	net := netsim.MustNew(k, netsim.DefaultConfig(ranks))
 	w, err := mpisim.NewWorld(k, net, nodes, mpisim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const warmup, rounds = 64, 1024
 	var mallocs uint64
-	if err := w.Launch("pingpong", func(r *mpisim.Rank) {
-		roundTrip := func() {
-			if r.ID() == 0 {
-				r.Send(1, 0, 64)
-				r.Recv(1, 1)
-			} else {
-				r.Recv(0, 0)
-				r.Send(0, 1, 64)
-			}
-		}
+	if err := w.Launch("alloc", func(r *mpisim.Rank) {
 		for i := 0; i < warmup; i++ {
-			roundTrip()
+			op(r)
 		}
 		var m0, m1 runtime.MemStats
 		if r.ID() == 0 {
 			runtime.ReadMemStats(&m0)
 		}
 		for i := 0; i < rounds; i++ {
-			roundTrip()
+			op(r)
 		}
 		if r.ID() == 0 {
 			runtime.ReadMemStats(&m1)
@@ -67,8 +63,31 @@ func TestMPIPingPongSteadyStateAllocBudget(t *testing.T) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	perRound := float64(mallocs) / rounds
-	if perRound > pingPongAllocBudget {
-		t.Fatalf("ping-pong round trip allocates %.2f objects, budget %d", perRound, pingPongAllocBudget)
+	return float64(mallocs) / float64(rounds)
+}
+
+func TestMPIPingPongSteadyStateAllocBudget(t *testing.T) {
+	perRound := steadyStateAllocs(t, 2, 64, 1024, func(r *mpisim.Rank) {
+		if r.ID() == 0 {
+			r.Send(1, 0, 64)
+			r.Recv(1, 1)
+		} else {
+			r.Recv(0, 0)
+			r.Send(0, 1, 64)
+		}
+	})
+	if perRound > msgPathAllocBudget {
+		t.Fatalf("ping-pong round trip allocates %.2f objects, budget %v", perRound, msgPathAllocBudget)
+	}
+}
+
+func TestMPICollectivesSteadyStateAllocBudget(t *testing.T) {
+	perOp := steadyStateAllocs(t, 8, 16, 512, func(r *mpisim.Rank) {
+		r.Alltoall(4096)
+		r.Allreduce(8)
+		r.Barrier()
+	})
+	if perOp > msgPathAllocBudget {
+		t.Fatalf("Alltoall+Allreduce+Barrier on 8 ranks allocates %.2f objects, budget %v", perOp, msgPathAllocBudget)
 	}
 }

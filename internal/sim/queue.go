@@ -40,8 +40,7 @@ func (q *Queue) enqueue(p *Proc) {
 }
 
 // grow doubles the ring, unrolling it so head restarts at zero. The ring
-// starts small: most queues (one per in-flight Irecv in mpisim) only ever
-// hold a single waiter.
+// starts small: most queues only ever hold a single waiter.
 func (q *Queue) grow() {
 	c := len(q.waiters) * 2
 	if c == 0 {
