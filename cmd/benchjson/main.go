@@ -12,9 +12,12 @@
 //
 // With -baseline, each benchmark is emitted as {before, after, speedup}
 // where speedup is baseline ns/op divided by current ns/op (>1 = faster).
-// Adding -fail-under makes the run a regression gate: after writing the
-// report it exits non-zero if any compared benchmark's speedup is below
-// the threshold.
+// The baseline may be a plain report or a compared ledger such as a
+// committed BENCH_<n>.json, whose after values are then the baseline. A
+// selected benchmark missing from the baseline is an error. Adding
+// -fail-under makes the run a regression gate: after writing the report
+// it exits non-zero if any compared benchmark's speedup is below the
+// threshold.
 package main
 
 import (
@@ -67,7 +70,7 @@ func main() {
 	count := flag.Int("count", 1, "repetitions; the best (lowest ns/op) of count runs is kept")
 	pkg := flag.String("pkg", ".", "package to benchmark")
 	out := flag.String("out", "bench.json", "output path ('-' for stdout)")
-	baseline := flag.String("baseline", "", "prior benchjson output; emit before/after/speedup against it")
+	baseline := flag.String("baseline", "", "prior benchjson output or compared ledger; emit before/after/speedup against it")
 	failUnder := flag.Float64("fail-under", 0, "with -baseline: exit non-zero when any compared benchmark's speedup falls below this ratio (e.g. 0.9 = tolerate a 10% regression; 0 = never fail)")
 	flag.Parse()
 	if *failUnder < 0 {
@@ -98,7 +101,10 @@ func main() {
 		if err != nil {
 			fatalf("baseline: %v", err)
 		}
-		compared = compare(base, rep)
+		compared, err = compare(base, rep)
+		if err != nil {
+			fatalf("baseline %s: %v", *baseline, err)
+		}
 		payload = compared
 	}
 	buf, err := json.MarshalIndent(payload, "", "  ")
@@ -124,8 +130,7 @@ func main() {
 }
 
 // regressions lists compared benchmarks whose speedup is below the
-// threshold, sorted for stable output. Benchmarks without a baseline
-// entry have no speedup and cannot regress.
+// threshold, sorted for stable output.
 func regressions(rep *Report, threshold float64) []string {
 	var slow []string
 	for name, c := range rep.Compared {
@@ -171,6 +176,8 @@ func parseF(s string) float64 {
 	return v
 }
 
+// readReport loads a baseline. A compared ledger carries no plain
+// benchmarks; its after values, the numbers it last measured, stand in.
 func readReport(path string) (*Report, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -180,29 +187,42 @@ func readReport(path string) (*Report, error) {
 	if err := json.Unmarshal(buf, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
+	if len(rep.Benchmarks) == 0 {
+		rep.Benchmarks = make(map[string]Result, len(rep.Compared))
+		for name, c := range rep.Compared {
+			rep.Benchmarks[name] = c.After
+		}
+	}
 	return &rep, nil
 }
 
-// compare merges a baseline report into the current one. Benchmarks
-// missing from the baseline carry only their after numbers.
-func compare(base, cur *Report) *Report {
+// compare merges a baseline report into the current one. Every current
+// benchmark must have a baseline entry: a missing one is an error, since
+// a gate that skips it would pass without measuring anything.
+func compare(base, cur *Report) (*Report, error) {
 	out := &Report{
 		Goos: cur.Goos, Goarch: cur.Goarch, CPU: cur.CPU,
 		Benchtime: cur.Benchtime, Count: cur.Count,
 		Compared: map[string]Comparison{},
 	}
+	var missing []string
 	for name, after := range cur.Benchmarks {
-		c := Comparison{After: after}
-		if before, ok := base.Benchmarks[name]; ok {
-			b := before
-			c.Before = &b
-			if after.NsPerOp > 0 {
-				c.Speedup = round3(before.NsPerOp / after.NsPerOp)
-			}
+		before, ok := base.Benchmarks[name]
+		if !ok {
+			missing = append(missing, name)
+			continue
+		}
+		c := Comparison{After: after, Before: &before}
+		if after.NsPerOp > 0 {
+			c.Speedup = round3(before.NsPerOp / after.NsPerOp)
 		}
 		out.Compared[name] = c
 	}
-	return out
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		return nil, fmt.Errorf("no baseline entry for %s", strings.Join(missing, ", "))
+	}
+	return out, nil
 }
 
 func round3(v float64) float64 { return float64(int64(v*1000+0.5)) / 1000 }

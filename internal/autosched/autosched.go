@@ -333,71 +333,6 @@ type Result struct {
 	Normalized core.Normalized
 }
 
-// TuneWithGuarantee runs Tune and then *verifies* the performance
-// constraint on the tuned run; if the measured delay exceeds maxDelay the
-// schedule is relaxed one notch (raise the wrap speed, then lift the
-// slowest per-rank base) and re-measured, until the guarantee holds or
-// nothing is left to relax. This closes the loop the paper leaves open:
-// its schedules are chosen a priori and trusted.
-func TuneWithGuarantee(w npb.Workload, clusterCfg core.Config, cfg Config, maxDelay float64) (*Result, error) {
-	if maxDelay < 1 {
-		return nil, fmt.Errorf("autosched: delay bound %v below 1", maxDelay)
-	}
-	res, err := Tune(w, clusterCfg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	table := clusterCfg.Node.Table
-	for res.Normalized.Delay > maxDelay {
-		s := res.Schedule
-		if !relax(&s, table) {
-			break // fully relaxed: the schedule is now a no-op
-		}
-		tuned := w.WithPolicy("autosched", s.Policy(w.Ranks))
-		r2, err := core.Run(tuned, core.NoDVS(), clusterCfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Schedule = s
-		res.Tuned = r2
-		res.Normalized = core.Normalize(r2, res.Baseline)
-	}
-	return res, nil
-}
-
-// relax weakens a schedule one notch; it reports whether anything changed.
-func relax(s *Schedule, table dvs.Table) bool {
-	// First lever: raise the wrap speed one operating point.
-	if len(s.WrapOps) > 0 {
-		idx := table.IndexOf(s.WrapLow)
-		if idx >= 0 && idx < len(table)-1 {
-			s.WrapLow = table[idx+1].Frequency
-			s.Rationale = append(s.Rationale,
-				fmt.Sprintf("guarantee violated: wrap speed raised to %v MHz", float64(s.WrapLow)))
-			return true
-		}
-		// Wrapping at top speed is a no-op: drop the wraps entirely.
-		s.WrapOps = map[PhaseKey]bool{}
-		s.Rationale = append(s.Rationale, "guarantee violated: phase wraps removed")
-		return true
-	}
-	// Second lever: lift the slowest per-rank base one point.
-	slowest, idx := -1, len(table)
-	for i, f := range s.PerRank {
-		if j := table.IndexOf(f); j >= 0 && j < idx {
-			slowest, idx = i, j
-		}
-	}
-	if slowest >= 0 && idx < len(table)-1 {
-		s.PerRank[slowest] = table[idx+1].Frequency
-		s.Heterogeneous = heteroFreqs(s.PerRank)
-		s.Rationale = append(s.Rationale,
-			fmt.Sprintf("guarantee violated: rank %d base raised to %v MHz", slowest, float64(s.PerRank[slowest])))
-		return true
-	}
-	return false
-}
-
 // Tune runs the full pipeline on a workload: profile, analyze, apply, and
 // measure the tuned application against the untouched baseline.
 func Tune(w npb.Workload, clusterCfg core.Config, cfg Config) (*Result, error) {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dvs"
 	"repro/internal/metrics"
 	"repro/internal/micro"
 	"repro/internal/npb"
@@ -211,81 +210,5 @@ func TestPolicyDeterministic(t *testing.T) {
 	d2, e2 := run()
 	if d1 != d2 || e1 != e2 {
 		t.Fatalf("nondeterministic tuning: %v/%v vs %v/%v", d1, e1, d2, e2)
-	}
-}
-
-func TestTuneWithGuaranteeHolds(t *testing.T) {
-	w, err := npb.FT(npb.ClassB, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := TuneWithGuarantee(w, core.DefaultConfig(), DefaultConfig(), 1.03)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Normalized.Delay > 1.03 {
-		t.Fatalf("guarantee violated: delay %.3f", res.Normalized.Delay)
-	}
-	if res.Normalized.Energy >= 1.0 {
-		t.Fatalf("guarantee loop destroyed all savings: %.3f", res.Normalized.Energy)
-	}
-}
-
-func TestTuneWithGuaranteeRelaxesTightBound(t *testing.T) {
-	// An extremely tight bound forces relaxation; the loop must terminate
-	// and end at or near a no-op schedule rather than violating the bound
-	// by much.
-	w, err := npb.IS(npb.ClassB, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := TuneWithGuarantee(w, core.DefaultConfig(), DefaultConfig(), 1.0005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Either the bound holds, or the schedule fully relaxed to (near)
-	// baseline behaviour.
-	if res.Normalized.Delay > 1.0005 && res.Normalized.Delay > 1.02 {
-		t.Fatalf("relaxation stalled at delay %.4f", res.Normalized.Delay)
-	}
-}
-
-func TestTuneWithGuaranteeValidation(t *testing.T) {
-	w, err := npb.EP(npb.ClassS, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := TuneWithGuarantee(w, core.DefaultConfig(), DefaultConfig(), 0.9); err == nil {
-		t.Fatal("bound below 1 accepted")
-	}
-}
-
-func TestRelaxLevers(t *testing.T) {
-	table := core.DefaultConfig().Node.Table
-	s := Schedule{
-		PerRank: repeatFreq(1400, 2),
-		WrapOps: map[PhaseKey]bool{"alltoall": true},
-		WrapLow: 600,
-	}
-	// Wrap speed climbs 600→800→1000→1200→1400, then wraps drop.
-	for _, want := range []float64{800, 1000, 1200, 1400} {
-		if !relax(&s, table) {
-			t.Fatal("relax stalled")
-		}
-		if float64(s.WrapLow) != want {
-			t.Fatalf("wrap low %v, want %v", s.WrapLow, want)
-		}
-	}
-	if !relax(&s, table) || len(s.WrapOps) != 0 {
-		t.Fatal("wraps not dropped")
-	}
-	// With bases already at top, nothing is left.
-	if relax(&s, table) {
-		t.Fatal("relaxed an already-trivial schedule")
-	}
-	// Heterogeneous bases lift the slowest first.
-	s2 := Schedule{PerRank: []dvs.MHz{600, 1000}, WrapOps: map[PhaseKey]bool{}}
-	if !relax(&s2, table) || s2.PerRank[0] != 800 {
-		t.Fatalf("slowest base not lifted: %v", s2.PerRank)
 	}
 }

@@ -7,7 +7,35 @@ import (
 
 	"repro/internal/mpisim"
 	"repro/internal/powerpack"
+	"repro/internal/sim"
 )
+
+// run launches body on every rank of c and drives it to completion, with
+// the meter bracketing the run when c is instrumented.
+func run(t *testing.T, c *Cluster, body func(r *mpisim.Rank)) {
+	t.Helper()
+	if m := c.Meter(); m != nil {
+		m.Begin()
+	}
+	if err := c.World().Launch("test", body); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kernel().Run(sim.MaxTime); err != nil {
+		t.Fatal(err)
+	}
+	if !c.World().Done() {
+		t.Fatal("world not done")
+	}
+}
+
+// energy sums the true per-node joules consumed so far.
+func energy(c *Cluster) float64 {
+	var total float64
+	for _, n := range c.Nodes() {
+		total += n.Energy().Total()
+	}
+	return total
+}
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 0}); err == nil {
@@ -25,10 +53,10 @@ func TestNEMOAssembly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != 16 || len(c.Nodes()) != 16 {
-		t.Fatalf("size = %d", c.Size())
+	if len(c.Nodes()) != 16 {
+		t.Fatalf("size = %d", len(c.Nodes()))
 	}
-	if c.Node(3).ID != 3 {
+	if c.Nodes()[3].ID != 3 {
 		t.Fatal("node ids wrong")
 	}
 	if c.World().Size() != 16 {
@@ -47,55 +75,61 @@ func TestRunSimplProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed, err := c.Run("hello", func(r *mpisim.Rank) {
+	run(t, c, func(r *mpisim.Rank) {
 		r.Compute(140) // 100 ms
 		r.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed < 100*time.Millisecond {
+	if elapsed := c.World().Elapsed(); elapsed < sim.Time(100*time.Millisecond) {
 		t.Fatalf("elapsed %v", elapsed)
 	}
-	if c.Energy() <= 0 {
+	if energy(c) <= 0 {
 		t.Fatal("no energy")
 	}
-	if got := c.EnergyByNode(); len(got) != 4 {
-		t.Fatalf("per-node energy %d", len(got))
+	for _, n := range c.Nodes() {
+		if n.Energy().Total() <= 0 {
+			t.Fatalf("node %d consumed no energy", n.ID)
+		}
 	}
 }
 
+// Every node is its own DVS domain: setting each one moves it alone.
 func TestSetAllFrequencies(t *testing.T) {
 	c, err := New(NEMO(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.SetAllFrequencies(800); err != nil {
-		t.Fatal(err)
+	for _, n := range c.Nodes() {
+		if err := n.SetFrequency(800); err != nil {
+			t.Fatal(err)
+		}
 	}
+	transitions := 0
 	for _, n := range c.Nodes() {
 		if n.Frequency() != 800 {
 			t.Fatalf("node %d at %v", n.ID, n.Frequency())
 		}
+		transitions += n.Transitions()
 	}
-	if c.Transitions() != 3 {
-		t.Fatalf("transitions = %d", c.Transitions())
+	if transitions != 3 {
+		t.Fatalf("transitions = %d", transitions)
 	}
 }
 
 func TestInstrumentedMeasurement(t *testing.T) {
-	c, err := New(Instrumented(2))
+	cfg := NEMO(2)
+	cfg.Instrument = true
+	cfg.Battery = powerpack.DefaultBattery()
+	cfg.CollectPeriod = time.Second
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Meter() == nil || c.Collector() == nil {
 		t.Fatal("instruments missing")
 	}
-	if _, err := c.Run("load", func(r *mpisim.Rank) {
+	run(t, c, func(r *mpisim.Rank) {
 		r.Compute(1400 * 90) // 90 s busy
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	m, err := c.Measurement()
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +137,8 @@ func TestInstrumentedMeasurement(t *testing.T) {
 	if m.True <= 0 {
 		t.Fatal("no measured energy")
 	}
-	if math.Abs(m.True-c.Energy()) > 1e-6 {
-		t.Fatalf("meter true %.1f vs cluster %.1f", m.True, c.Energy())
+	if math.Abs(m.True-energy(c)) > 1e-6 {
+		t.Fatalf("meter true %.1f vs cluster %.1f", m.True, energy(c))
 	}
 	if err := m.CrossCheck(2, 0.02); err != nil {
 		t.Fatal(err)
@@ -140,72 +174,14 @@ func TestClusterIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Run("x", func(r *mpisim.Rank) { r.Compute(1400) }); err != nil {
-		t.Fatal(err)
+	run(t, a, func(r *mpisim.Rank) { r.Compute(1400) })
+	if energy(a) <= 0 {
+		t.Fatal("cluster A consumed no energy")
 	}
 	if b.Kernel().Now() != 0 {
 		t.Fatal("cluster B clock moved")
 	}
-	if b.Energy() != 0 {
+	if energy(b) != 0 {
 		t.Fatal("cluster B consumed energy")
-	}
-}
-
-func TestPowerJitterVariesNodes(t *testing.T) {
-	cfg := NEMO(8)
-	cfg.PowerJitter = 0.05
-	cfg.JitterSeed = 7
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run("load", func(r *mpisim.Rank) {
-		r.Compute(1400 * 10)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	energies := c.EnergyByNode()
-	allEqual := true
-	for _, e := range energies[1:] {
-		if e.Total() != energies[0].Total() {
-			allEqual = false
-		}
-	}
-	if allEqual {
-		t.Fatal("jittered nodes consumed identical energy")
-	}
-	// Variation is bounded by the jitter magnitude.
-	lo, hi := energies[0].Total(), energies[0].Total()
-	for _, e := range energies {
-		if e.Total() < lo {
-			lo = e.Total()
-		}
-		if e.Total() > hi {
-			hi = e.Total()
-		}
-	}
-	if hi/lo > 1.15 {
-		t.Fatalf("jitter spread too wide: %.1f..%.1f", lo, hi)
-	}
-	// Determinism: the same seed reproduces the same spread.
-	c2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.Run("load", func(r *mpisim.Rank) { r.Compute(1400 * 10) }); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range c2.EnergyByNode() {
-		if e.Total() != energies[i].Total() {
-			t.Fatal("jitter not deterministic")
-		}
-	}
-}
-
-func TestPowerJitterValidation(t *testing.T) {
-	cfg := NEMO(2)
-	cfg.PowerJitter = 1.0
-	if _, err := New(cfg); err == nil {
-		t.Fatal("jitter 1.0 accepted")
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dvs"
 	"repro/internal/npb"
 	"repro/internal/sched"
 )
@@ -60,14 +59,4 @@ func BuildProfile(w npb.Workload, cfg Config, daemon sched.CPUSpeedConfig) (Prof
 	p.Results["auto"] = auto
 	p.Cells["auto"] = Normalize(auto, base)
 	return p, nil
-}
-
-// Crescendo returns the static-frequency cells in ascending frequency
-// order (the energy-delay crescendo of Figures 2 and 8).
-func (p Profile) Crescendo(table dvs.Table) []Normalized {
-	out := make([]Normalized, 0, len(table))
-	for _, f := range table.Frequencies() {
-		out = append(out, p.Cells[fmt.Sprintf("%.0f", float64(f))])
-	}
-	return out
 }

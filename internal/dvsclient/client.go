@@ -91,7 +91,7 @@ func Do(ctx context.Context, hc *http.Client, baseURL string, body []byte, trace
 // Placer places every cell on one remote dvsd-compatible endpoint — the
 // single-backend counterpart of the fleet ring, used by
 // `reproduce -server URL`. Transient failures retry with doubling
-// backoff; backend 429s are waited out (bounded by ShedBudget) without
+// backoff; backend 429s are waited out (bounded by shedBudget) without
 // charging an attempt. Cells without a wire body fail typed — callers
 // that can run them in-process should wrap Placer with a local fallback.
 type Placer struct {
@@ -102,9 +102,10 @@ type Placer struct {
 	// Backoff is the base retry delay, doubled per attempt up to 2s;
 	// default 100ms.
 	Backoff time.Duration
-	// ShedBudget caps cumulative 429 wait per cell; default 30s.
-	ShedBudget time.Duration
 }
+
+// shedBudget caps the cumulative 429 wait per cell.
+const shedBudget = 30 * time.Second
 
 func (p *Placer) attempts() int {
 	if p.MaxAttempts > 0 {
@@ -126,13 +127,6 @@ func (p *Placer) backoff(n int) time.Duration {
 		d = maxDelay
 	}
 	return d
-}
-
-func (p *Placer) shedBudget() time.Duration {
-	if p.ShedBudget > 0 {
-		return p.ShedBudget
-	}
-	return 30 * time.Second
 }
 
 func (p *Placer) Place(ctx context.Context, _ int, c sweep.Cell) sweep.Outcome {
@@ -162,7 +156,7 @@ func (p *Placer) Place(ctx context.Context, _ int, c sweep.Cell) sweep.Outcome {
 			if wait <= 0 {
 				wait = p.backoff(1)
 			}
-			if rem := p.shedBudget() - shedSpent; wait > rem {
+			if rem := shedBudget - shedSpent; wait > rem {
 				wait = rem
 			}
 			if wait <= 0 {

@@ -67,11 +67,9 @@ type Options struct {
 	MaxJobs int
 	// DefaultTimeout applies when a request carries no timeout_ms.
 	// Default 2 minutes. MaxTimeout clamps client-requested timeouts
-	// (default 15 minutes); RetryAfter is the backoff hint on gateway
-	// 429s (default 1s).
+	// (default 15 minutes).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	RetryAfter     time.Duration
 
 	// Fanout bounds concurrently in-flight cells per sweep. Default 16.
 	Fanout int
@@ -200,7 +198,6 @@ func New(opts Options) (*Gateway, error) {
 		MaxJobs:        opts.MaxJobs,
 		DefaultTimeout: opts.DefaultTimeout,
 		MaxTimeout:     opts.MaxTimeout,
-		RetryAfter:     opts.RetryAfter,
 		Tracer:         opts.Tracer,
 		CheckpointDir:  opts.CheckpointDir,
 		CheckpointFS:   opts.CheckpointFS,
@@ -249,9 +246,6 @@ func New(opts Options) (*Gateway, error) {
 	}
 	return g, nil
 }
-
-// Pool exposes the backend pool (probe state, for status printing).
-func (g *Gateway) Pool() *Pool { return g.pool }
 
 // Start launches the health-probe loop: one synchronous round, then one
 // per ProbeInterval. Serve calls it; call it directly when using

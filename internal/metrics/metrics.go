@@ -142,14 +142,3 @@ func (c Crescendo) Classify() paper.CrescendoType {
 		return paper.TypeII
 	}
 }
-
-// SavingsAt reports the energy saving (1−E) and delay cost (D−1) of the
-// candidate with the given label, or an error if absent.
-func (c Crescendo) SavingsAt(label string) (saving, cost float64, err error) {
-	for _, cand := range c {
-		if cand.Label == label {
-			return 1 - cand.Energy, cand.Delay - 1, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("metrics: no candidate %q", label)
-}

@@ -169,21 +169,6 @@ func TestClassifyDegenerate(t *testing.T) {
 	}
 }
 
-func TestSavingsAt(t *testing.T) {
-	c := Crescendo{{"600", 1.13, 0.62}, {"1400", 1, 1}}
-	s, d, err := c.SavingsAt("600")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s-0.38) > 1e-9 || math.Abs(d-0.13) > 1e-9 {
-		t.Fatalf("savings %v cost %v", s, d)
-	}
-	if _, _, err := c.SavingsAt("999"); err == nil {
-		t.Fatal("missing label accepted")
-	}
-}
-
-// Property: Select returns a candidate whose metric value is ≤ all others.
 func TestPropertySelectIsArgmin(t *testing.T) {
 	f := func(ds, es []uint8) bool {
 		n := len(ds)

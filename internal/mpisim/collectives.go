@@ -1,7 +1,5 @@
 package mpisim
 
-import "repro/internal/sim"
-
 // Collective algorithms over point-to-point, matching the classic MPICH
 // implementations. Every rank of the world must call the same collectives
 // in the same order; per-rank sequence numbers generate matching internal
@@ -48,56 +46,11 @@ func (r *Rank) Barrier() {
 	})
 }
 
-// Bcast broadcasts bytes from root via a binomial tree.
-func (r *Rank) Bcast(root, bytes int) {
-	n := r.Size()
-	r.emitColl("bcast", bytes, func() {
-		if n == 1 {
-			return
-		}
-		// Relative rank with root mapped to 0.
-		rel := (r.id - root + n) % n
-		// Receive from parent (highest set bit), then forward to children.
-		if rel != 0 {
-			parentRel := rel &^ (1 << (bitLen(rel) - 1))
-			parent := (parentRel + root) % n
-			r.Recv(parent, r.collTag(0))
-		}
-		for dist := nextPow2(rel + 1); rel+dist < n; dist *= 2 {
-			child := (rel + dist + root) % n
-			r.Send(child, r.collTag(0), bytes)
-		}
-		r.nextColl()
-	})
-}
-
-// Reduce combines bytes from every rank at root (binomial tree, leaves
-// inward). The reduction compute itself is charged by the caller's
-// workload model; this models only the message traffic.
-func (r *Rank) Reduce(root, bytes int) {
-	n := r.Size()
-	r.emitColl("reduce", bytes, func() {
-		if n == 1 {
-			return
-		}
-		rel := (r.id - root + n) % n
-		for dist := 1; dist < n; dist *= 2 {
-			if rel&dist != 0 {
-				parent := (rel - dist + root) % n
-				r.Send(parent, r.collTag(dist), bytes)
-				break
-			}
-			if rel+dist < n {
-				child := (rel + dist + root) % n
-				r.Recv(child, r.collTag(dist))
-			}
-		}
-		r.nextColl()
-	})
-}
-
-// Allreduce combines bytes across all ranks (recursive doubling for
-// power-of-two worlds; fall back to Reduce+Bcast otherwise).
+// Allreduce combines bytes across all ranks: recursive doubling for
+// power-of-two worlds, otherwise a binomial-tree reduce to rank 0 followed
+// by a binomial-tree broadcast from it. The reduction compute itself is
+// charged by the caller's workload model; this models only the message
+// traffic.
 func (r *Rank) Allreduce(bytes int) {
 	n := r.Size()
 	if n&(n-1) != 0 {
@@ -185,37 +138,6 @@ func (r *Rank) Alltoallv(bytesTo []int) {
 		r.WaitAll(reqs...)
 		r.nextColl()
 	})
-}
-
-// Gather collects bytes from every rank at root (flat tree, as in small
-// MPICH gathers).
-func (r *Rank) Gather(root, bytes int) {
-	n := r.Size()
-	r.emitColl("gather", bytes, func() {
-		if r.id == root {
-			reqs := r.reqs[:0]
-			for src := 0; src < n; src++ {
-				if src == root {
-					continue
-				}
-				reqs = append(reqs, r.Irecv(src, r.collTag(0)))
-			}
-			r.reqs = reqs
-			r.WaitAll(reqs...)
-		} else {
-			r.Send(root, r.collTag(0), bytes)
-		}
-		r.nextColl()
-	})
-}
-
-// WaitUntil idles the rank until absolute time t (used by tests and
-// synthetic workloads).
-func (r *Rank) WaitUntil(t sim.Time) {
-	if t <= r.Now() {
-		return
-	}
-	r.proc.Sleep(t.Sub(r.Now()))
 }
 
 func bitLen(x int) int {

@@ -10,7 +10,6 @@ import (
 // involve only its members; the real NPB codes use row/column
 // communicators for their reductions (CG's reduce_exch, BT/SP's sweeps).
 type Comm struct {
-	world *World
 	// members maps comm rank → world rank, ascending in world rank (the
 	// MPI_Comm_split ordering for equal keys).
 	members []int
@@ -69,7 +68,7 @@ func (r *Rank) Split(splitKey, color int) *Comm {
 				idx[m] = i
 			}
 			w.commSeq++
-			st.result.comms[c] = &Comm{world: w, members: members, index: idx, id: w.commSeq}
+			st.result.comms[c] = &Comm{members: members, index: idx, id: w.commSeq}
 		}
 	}
 	return st.result.comms[color]
@@ -84,17 +83,6 @@ type splitState struct {
 
 // Size returns the communicator's member count.
 func (c *Comm) Size() int { return len(c.members) }
-
-// Rank returns r's rank within the communicator, or -1 if not a member.
-func (c *Comm) Rank(r *Rank) int {
-	if i, ok := c.index[r.id]; ok {
-		return i
-	}
-	return -1
-}
-
-// WorldRank translates a comm rank to the world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
 
 // commTag derives collective tags unique to this communicator.
 func (c *Comm) commTag(r *Rank, round int) int {
@@ -116,20 +104,6 @@ func (c *Comm) member(r *Rank) int {
 		panic(fmt.Sprintf("mpisim: rank %d not in communicator", r.id))
 	}
 	return i
-}
-
-// Barrier synchronizes the communicator's members (dissemination).
-func (c *Comm) Barrier(r *Rank) {
-	me := c.member(r)
-	n := c.Size()
-	r.emitColl("comm-barrier", 0, func() {
-		for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-			dst := c.members[(me+dist)%n]
-			src := c.members[(me-dist+n)%n]
-			r.SendRecv(dst, 0, src, 0, c.commTag(r, round))
-		}
-		c.nextColl(r)
-	})
 }
 
 // Allreduce combines bytes across the communicator (recursive doubling
@@ -165,25 +139,6 @@ func (c *Comm) Allreduce(r *Rank, bytes int) {
 			}
 			if me < extra {
 				r.Send(c.members[me+p2], tag(33), bytes)
-			}
-		}
-		c.nextColl(r)
-	})
-}
-
-// Bcast broadcasts bytes from the comm-rank root over a binomial tree.
-func (c *Comm) Bcast(r *Rank, root, bytes int) {
-	me := c.member(r)
-	n := c.Size()
-	r.emitColl("comm-bcast", bytes, func() {
-		if n > 1 {
-			rel := (me - root + n) % n
-			if rel != 0 {
-				parentRel := rel &^ (1 << (bitLen(rel) - 1))
-				r.Recv(c.members[(parentRel+root)%n], c.commTag(r, 0))
-			}
-			for dist := nextPow2(rel + 1); rel+dist < n; dist *= 2 {
-				r.Send(c.members[(rel+dist+root)%n], c.commTag(r, 0), bytes)
 			}
 		}
 		c.nextColl(r)

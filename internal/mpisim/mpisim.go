@@ -4,11 +4,11 @@
 //
 // Supported operations: blocking and nonblocking point-to-point
 // (Send/Recv/Isend/Irecv/Wait/WaitAll/SendRecv), and the collectives the
-// NAS Parallel Benchmarks use (Barrier, Bcast, Reduce, Allreduce,
-// Alltoall, Alltoallv), implemented over point-to-point with the classic
-// binomial/recursive-doubling/pairwise algorithms so their cost structure
-// (rounds × (overhead + latency + bandwidth)) emerges from the network
-// model rather than being asserted.
+// NAS Parallel Benchmarks use (Barrier, Allreduce, Alltoall, Alltoallv,
+// and Allreduce on a Split communicator), implemented over point-to-point
+// with the classic dissemination/binomial/recursive-doubling/pairwise
+// algorithms so their cost structure (rounds × (overhead + latency +
+// bandwidth)) emerges from the network model rather than being asserted.
 //
 // Cost model per message: the sender pays a CPU software overhead (cycles,
 // so it scales with DVS frequency), occupies its uplink for the wire time,
@@ -177,7 +177,7 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, nodes []*node.Node, cfg Config
 	}
 	w := &World{k: k, net: net, nodes: nodes, cfg: cfg, finishedAt: make([]sim.Time, len(nodes))}
 	for i, nd := range nodes {
-		w.ranks = append(w.ranks, &Rank{world: w, id: i, node: nd, q: k.NewQueue(fmt.Sprintf("mpi.r%d", i))})
+		w.ranks = append(w.ranks, &Rank{world: w, id: i, node: nd, q: k.NewQueue()})
 	}
 	return w, nil
 }

@@ -294,12 +294,15 @@ func TestBarrierSingleRank(t *testing.T) {
 	launch(t, k, w, func(r *Rank) { r.Barrier() })
 }
 
+// The binomial broadcast and reduce trees run inside non-power-of-two
+// Allreduce; these drive them directly, at every world size and root.
+
 func TestBcastReachesAll(t *testing.T) {
 	for _, n := range []int{2, 3, 4, 7, 8, 9, 16} {
 		k, w := world(t, n)
 		done := make([]bool, n)
 		launch(t, k, w, func(r *Rank) {
-			r.Bcast(0, 4096)
+			r.bcastNoEmit(0, 4096)
 			done[r.ID()] = true
 		})
 		for i, d := range done {
@@ -307,25 +310,79 @@ func TestBcastReachesAll(t *testing.T) {
 				t.Fatalf("n=%d: rank %d did not complete bcast", n, i)
 			}
 		}
+		// A tree over n ranks has n−1 edges, one 4096 B message each.
+		if st := w.net.Stats(); st.Messages != n-1 || st.Bytes != int64(n-1)*4096 {
+			t.Fatalf("n=%d: bcast moved %d messages / %d bytes", n, st.Messages, st.Bytes)
+		}
 	}
 }
 
 func TestBcastNonzeroRoot(t *testing.T) {
-	k, w := world(t, 5)
-	launch(t, k, w, func(r *Rank) { r.Bcast(3, 1024) })
+	const n, root = 5, 3
+	k, w := world(t, n)
+	launch(t, k, w, func(r *Rank) { r.bcastNoEmit(root, 1024) })
+	// Ranks sit in the tree by their distance from the root; each non-root
+	// receives once from its parent (clear the highest set bit).
+	want := make([]int, n)
+	for rel := 1; rel < n; rel++ {
+		want[(rel+root)%n]++
+		want[(rel&^(1<<(bitLen(rel)-1))+root)%n]++
+	}
+	for i := 0; i < n; i++ {
+		if got := w.Rank(i).Stats().Messages; got != want[i] {
+			t.Errorf("rank %d: %d messages, want %d", i, got, want[i])
+		}
+	}
 }
 
 func TestReduceCompletes(t *testing.T) {
 	for _, n := range []int{2, 4, 8, 9} {
 		k, w := world(t, n)
-		launch(t, k, w, func(r *Rank) { r.Reduce(0, 64) })
+		launch(t, k, w, func(r *Rank) { r.reduceNoEmit(0, 64) })
+		if st := w.net.Stats(); st.Messages != n-1 {
+			t.Fatalf("n=%d: reduce moved %d messages, want %d", n, st.Messages, n-1)
+		}
 	}
 }
 
 func TestAllreduceCompletesPow2AndNot(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 3, 6, 9} {
+	// Power-of-two worlds use recursive doubling: log₂ n exchanges, each a
+	// send and a receive. Other sizes reduce to rank 0 over a binomial tree
+	// (parent: clear the lowest set bit) and broadcast back over another
+	// (parent: clear the highest set bit); each tree edge is one send and
+	// one receive.
+	reduceParent := func(rel int) int { return rel & (rel - 1) }
+	bcastParent := func(rel int) int { return rel &^ (1 << (bitLen(rel) - 1)) }
+	const bytes = 96
+	for _, n := range []int{2, 4, 8, 3, 5, 6, 7, 9} {
+		want := make([]int, n)
+		if n&(n-1) == 0 {
+			for i := range want {
+				want[i] = 2 * (bitLen(n) - 1)
+			}
+		} else {
+			for c := 1; c < n; c++ {
+				want[c] += 2 // its reduce send and bcast receive
+				want[reduceParent(c)]++
+				want[bcastParent(c)]++
+			}
+		}
 		k, w := world(t, n)
-		launch(t, k, w, func(r *Rank) { r.Allreduce(8) })
+		done := make([]bool, n)
+		launch(t, k, w, func(r *Rank) {
+			r.Allreduce(bytes)
+			done[r.ID()] = true
+		})
+		for i := 0; i < n; i++ {
+			if !done[i] {
+				t.Fatalf("n=%d: rank %d did not complete allreduce", n, i)
+			}
+			st := w.Rank(i).Stats()
+			if st.Messages != want[i] || st.Bytes != int64(want[i]*bytes) {
+				t.Errorf("n=%d rank %d: %d messages / %d bytes, want %d / %d",
+					n, i, st.Messages, st.Bytes, want[i], want[i]*bytes)
+			}
+		}
 	}
 }
 
@@ -365,14 +422,6 @@ func TestAlltoallvSizeMismatchPanics(t *testing.T) {
 	}
 	if err := k.Run(sim.MaxTime); err == nil {
 		t.Fatal("size mismatch not rejected")
-	}
-}
-
-func TestGather(t *testing.T) {
-	k, w := world(t, 6)
-	launch(t, k, w, func(r *Rank) { r.Gather(2, 512) })
-	if st := w.net.Stats(); st.Bytes != 5*512 {
-		t.Fatalf("gather moved %d bytes", st.Bytes)
 	}
 }
 
@@ -612,10 +661,10 @@ func TestEagerLimitBoundary(t *testing.T) {
 func TestZeroByteCollectivesEverywhere(t *testing.T) {
 	k, w := world(t, 5)
 	launch(t, k, w, func(r *Rank) {
-		r.Bcast(0, 0)
+		r.Barrier()
 		r.Allreduce(0)
 		r.Alltoall(0)
-		r.Allgather(0)
+		r.Alltoallv(make([]int, 5))
 	})
 	_ = k
 }

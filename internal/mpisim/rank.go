@@ -23,16 +23,14 @@ type Rank struct {
 	collSeq int // per-rank collective sequence number for internal tags
 	// commColl tracks per-communicator collective sequences (comm.go).
 	commColl map[int]int
-	// q is the rank's one wait queue: Wait, Probe and WaitAny all park
-	// on it. waiting is the request a parked Wait needs; watching marks a
-	// parked Probe or WaitAny, which the next delivery or completion
-	// wakes (probe.go). A completion signals q only when it is the one
-	// awaited, so a proc on q always has exactly one reason to wake.
-	q        *sim.Queue
-	waiting  *Request
-	watching bool
+	// q is the rank's one wait queue, where Wait parks; waiting is the
+	// request the parked Wait needs. A completion signals q only when it
+	// is the one awaited, so a proc on q always has exactly one reason to
+	// wake.
+	q       *sim.Queue
+	waiting *Request
 	// free recycles the requests Wait has released; reqs is the request
-	// slice Alltoallv and Gather reuse.
+	// slice Alltoallv reuses.
 	free []*Request
 	reqs []*Request
 	// sendSeq/recvSeq implement the CheckOrdering verifier: the next
@@ -81,10 +79,9 @@ func (d *delivery) fire() {
 	dst.deliver(m)
 }
 
-// Request is a nonblocking-operation handle. Wait (and WaitAny, for the
-// request it returns) frees it, as MPI_Wait sets the handle to
-// MPI_REQUEST_NULL: the rank recycles it for a later Isend or Irecv, and
-// waiting on it again panics.
+// Request is a nonblocking-operation handle. Wait frees it, as MPI_Wait
+// sets the handle to MPI_REQUEST_NULL: the rank recycles it for a later
+// Isend or Irecv, and waiting on it again panics.
 type Request struct {
 	owner *Rank // nil once freed
 	done  bool
@@ -115,9 +112,7 @@ func (r *Rank) newRequest() *Request {
 // rendezvous, arrived). Runs inside a kernel At callback.
 func (req *Request) completeSend() {
 	req.done = true
-	r := req.owner
-	r.wake(req)
-	r.notifyWatchers()
+	req.owner.wake(req)
 }
 
 // wake releases the rank's proc if it is parked in Wait on req.
@@ -313,7 +308,6 @@ func (r *Rank) isend(dst, tag, bytes int) (txDone, completeAt sim.Time) {
 // deliver matches an arriving message against posted receives, else
 // enqueues it. Runs inside a kernel At callback.
 func (r *Rank) deliver(m message) {
-	defer r.notifyWatchers()
 	for i, req := range r.posted {
 		if req.matches(m) {
 			r.posted = append(r.posted[:i], r.posted[i+1:]...)

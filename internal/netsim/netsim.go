@@ -233,14 +233,6 @@ func (n *Network) pruneRxQueue(dst int, now sim.Time) []inflight {
 	return q
 }
 
-// Backlog returns the number of undelivered messages headed to dst.
-func (n *Network) Backlog(dst int) int {
-	if dst < 0 || dst >= n.cfg.Nodes {
-		return 0
-	}
-	return len(n.pruneRxQueue(dst, n.k.Now()))
-}
-
 func maxTime(a, b sim.Time) sim.Time {
 	if a > b {
 		return a

@@ -161,25 +161,17 @@ func TestBacklogPruning(t *testing.T) {
 	n := MustNew(k, DefaultConfig(4))
 	n.Transfer(1, 0, 125000)
 	n.Transfer(2, 0, 125000)
-	if b := n.Backlog(0); b != 2 {
+	if b := len(n.pruneRxQueue(0, k.Now())); b != 2 {
 		t.Fatalf("backlog = %d, want 2", b)
 	}
 	// Advance virtual time past both deliveries.
 	k.At(sim.Time(time.Second), func() {
-		if b := n.Backlog(0); b != 0 {
+		if b := len(n.pruneRxQueue(0, k.Now())); b != 0 {
 			t.Errorf("backlog after delivery = %d", b)
 		}
 	})
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBacklogOutOfRange(t *testing.T) {
-	k := sim.NewKernel()
-	n := MustNew(k, DefaultConfig(2))
-	if n.Backlog(-1) != 0 || n.Backlog(5) != 0 {
-		t.Fatal("out-of-range backlog not zero")
 	}
 }
 

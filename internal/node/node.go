@@ -84,7 +84,6 @@ type Node struct {
 	k   *sim.Kernel
 
 	opIdx      int
-	freqEpoch  uint64
 	transUntil sim.Time
 	transOp    dvs.OperatingPoint // point whose power applies during transition
 
@@ -97,10 +96,6 @@ type Node struct {
 	nTrans    int             // DVS transitions performed
 	computing *sim.Proc       // proc currently in Compute, if any
 	thermal   *thermalState   // die-temperature integrator
-
-	// freqListeners are notified (via callback) after each completed
-	// SetFrequency; used by traces and tests.
-	freqListeners []func(t sim.Time, op dvs.OperatingPoint)
 }
 
 // New creates a node bound to kernel k.
@@ -255,11 +250,6 @@ func (n *Node) TimeAt() []time.Duration {
 	return out
 }
 
-// OnFrequencyChange registers a callback invoked after each transition.
-func (n *Node) OnFrequencyChange(fn func(t sim.Time, op dvs.OperatingPoint)) {
-	n.freqListeners = append(n.freqListeners, fn)
-}
-
 // SetFrequencyIndex requests a DVS transition to the operating point with
 // the given index. It may be called from any proc (the application itself,
 // the cpuspeed daemon, or external control). A transition to the current
@@ -276,7 +266,6 @@ func (n *Node) SetFrequencyIndex(idx int) error {
 	old := n.cfg.Table[n.opIdx]
 	next := n.cfg.Table[idx]
 	n.opIdx = idx
-	n.freqEpoch++
 	n.nTrans++
 	// Power during the stall follows the higher-voltage point.
 	n.transOp = old
@@ -287,9 +276,6 @@ func (n *Node) SetFrequencyIndex(idx int) error {
 	// A compute phase in flight must re-derive its remaining duration.
 	if n.computing != nil {
 		n.computing.Interrupt()
-	}
-	for _, fn := range n.freqListeners {
-		fn(n.k.Now(), next)
 	}
 	return nil
 }

@@ -288,20 +288,23 @@ func TestSetFrequencyIndexOutOfRange(t *testing.T) {
 	}
 }
 
-func TestOnFrequencyChangeCallback(t *testing.T) {
+func TestSetFrequencyTransitionsObservable(t *testing.T) {
 	k, n := newNode(t)
-	var seen []dvs.MHz
-	n.OnFrequencyChange(func(_ sim.Time, op dvs.OperatingPoint) {
-		seen = append(seen, op.Frequency)
-	})
+	type obs struct {
+		f     dvs.MHz
+		trans int
+	}
+	var seen []obs
 	k.Spawn("w", func(p *sim.Proc) {
 		n.SetFrequency(600)
+		seen = append(seen, obs{n.Frequency(), n.Transitions()})
 		p.Sleep(time.Millisecond)
 		n.SetFrequency(1000)
+		seen = append(seen, obs{n.Frequency(), n.Transitions()})
 	})
 	run(t, k)
-	if len(seen) != 2 || seen[0] != 600 || seen[1] != 1000 {
-		t.Fatalf("callbacks = %v", seen)
+	if len(seen) != 2 || seen[0] != (obs{600, 1}) || seen[1] != (obs{1000, 2}) {
+		t.Fatalf("after each transition (frequency, count) = %v", seen)
 	}
 }
 

@@ -122,9 +122,3 @@ func (n *Node) Thermal() ThermalStats {
 	}
 	return out
 }
-
-// Temperature returns the instantaneous die temperature.
-func (n *Node) Temperature() float64 {
-	n.advance()
-	return n.thermal.tempC
-}

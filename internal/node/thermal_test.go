@@ -25,7 +25,7 @@ func TestThermalConfigValidate(t *testing.T) {
 
 func TestTemperatureStartsAtAmbient(t *testing.T) {
 	_, n := newNode(t)
-	if got := n.Temperature(); got != DefaultThermal().AmbientC {
+	if got := n.Thermal().CurrentC; got != DefaultThermal().AmbientC {
 		t.Fatalf("initial temperature %v", got)
 	}
 }
@@ -38,7 +38,7 @@ func TestTemperatureApproachesSteadyState(t *testing.T) {
 	run(t, k)
 	cfg := n.Config()
 	wantSS := cfg.Thermal.AmbientC + cfg.Power.CPUWatts(n.Table().Top(), dvs.ActCompute)*cfg.Thermal.ResistanceCPerW
-	if got := n.Temperature(); math.Abs(got-wantSS) > 0.5 {
+	if got := n.Thermal().CurrentC; math.Abs(got-wantSS) > 0.5 {
 		t.Fatalf("temperature %v, steady state %v", got, wantSS)
 	}
 	st := n.Thermal()
@@ -55,9 +55,9 @@ func TestTemperatureCoolsWhenIdle(t *testing.T) {
 	var hot, cooled float64
 	k.Spawn("w", func(p *sim.Proc) {
 		n.Compute(p, 1400*60)
-		hot = n.Temperature()
+		hot = n.Thermal().CurrentC
 		p.Sleep(time.Minute)
-		cooled = n.Temperature()
+		cooled = n.Thermal().CurrentC
 	})
 	run(t, k)
 	if cooled >= hot-10 {
@@ -75,7 +75,7 @@ func TestLowFrequencyRunsCooler(t *testing.T) {
 			n.Compute(p, float64(f)*120) // 2 min busy at f
 		})
 		run(t, k)
-		return n.Temperature()
+		return n.Thermal().CurrentC
 	}
 	hi := tempAt(1400)
 	lo := tempAt(600)

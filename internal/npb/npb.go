@@ -176,12 +176,3 @@ func checkRanks(code string, ranks, min int) error {
 	}
 	return nil
 }
-
-// classParams applies the class scale to a base (class C) value.
-func classParams(class Class, base float64) (float64, error) {
-	s, err := class.scale()
-	if err != nil {
-		return 0, err
-	}
-	return base * s, nil
-}

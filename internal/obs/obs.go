@@ -12,9 +12,9 @@
 // they end, and when the root ends the finished trace is published to a
 // bounded ring buffer served as JSON by DebugHandler (/debug/traces).
 //
-// Cross-process stitching uses the W3C Trace Context contract: Inject
-// writes a `traceparent` header (00-<trace-id>-<span-id>-01) on outbound
-// requests and Tracer.StartRequest joins the caller's trace when the
+// Cross-process stitching uses the W3C Trace Context contract: Traceparent
+// renders the `traceparent` header (00-<trace-id>-<span-id>-01) callers set
+// on outbound requests and Tracer.StartRequest joins the caller's trace when the
 // inbound header parses, so a gateway span and the backend spans it
 // caused share one trace ID and consistent parent IDs even though each
 // process keeps its own ring.
@@ -27,7 +27,6 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/binary"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -369,15 +368,6 @@ func Traceparent(sp *Span) string {
 		return ""
 	}
 	return "00-" + sp.trace.id + "-" + sp.data.SpanID + "-01"
-}
-
-// Inject sets the traceparent header on an outbound request so the
-// receiving process's spans stitch under this span. No-op on nil.
-func Inject(sp *Span, h http.Header) {
-	if sp == nil {
-		return
-	}
-	h.Set("traceparent", Traceparent(sp))
 }
 
 func isLowerHex(s string) bool {

@@ -96,21 +96,14 @@ func TestNilTracerEverywhere(t *testing.T) {
 	if tp := Traceparent(nil); tp != "" {
 		t.Fatalf("nil span traceparent=%q", tp)
 	}
-	h := http.Header{}
-	Inject(nil, h)
-	if len(h) != 0 {
-		t.Fatal("nil inject wrote headers")
-	}
 }
 
-// TestTraceparentRoundTrip: Inject's header parses back to the same IDs,
+// TestTraceparentRoundTrip: Traceparent's header parses back to the same IDs,
 // and malformed variants are rejected.
 func TestTraceparentRoundTrip(t *testing.T) {
 	tr := New("test", 4)
 	_, sp := Start(WithTracer(context.Background(), tr), "root")
-	h := http.Header{}
-	Inject(sp, h)
-	tp := h.Get("traceparent")
+	tp := Traceparent(sp)
 	tid, pid, ok := ParseTraceparent(tp)
 	if !ok {
 		t.Fatalf("own header does not parse: %q", tp)

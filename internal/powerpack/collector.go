@@ -21,7 +21,6 @@ type Sample struct {
 // It runs as a sim proc; call Stop when the application completes (core
 // wires this to the MPI world's completion hook).
 type Collector struct {
-	k       *sim.Kernel
 	nodes   []*node.Node
 	period  time.Duration
 	lastE   []float64
@@ -38,7 +37,7 @@ func StartCollector(k *sim.Kernel, nodes []*node.Node, period time.Duration) (*C
 	if period <= 0 {
 		return nil, fmt.Errorf("powerpack: non-positive collection period")
 	}
-	c := &Collector{k: k, nodes: nodes, period: period, lastE: make([]float64, len(nodes))}
+	c := &Collector{nodes: nodes, period: period, lastE: make([]float64, len(nodes))}
 	for i, n := range nodes {
 		c.lastE[i] = n.Energy().Total()
 	}
@@ -73,17 +72,6 @@ func (c *Collector) Stop() {
 func (c *Collector) Samples() []Sample {
 	out := make([]Sample, len(c.samples))
 	copy(out, c.samples)
-	return out
-}
-
-// Series returns node i's samples ordered by time.
-func (c *Collector) Series(i int) []Sample {
-	var out []Sample
-	for _, s := range c.samples {
-		if s.Node == i {
-			out = append(out, s)
-		}
-	}
 	return out
 }
 

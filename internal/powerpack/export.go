@@ -3,15 +3,11 @@ package powerpack
 import (
 	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
-	"time"
-
-	"repro/internal/sim"
 )
 
-// Export/import of power profiles — the data-workstation side of the
+// Export of power profiles — the data-workstation side of the
 // framework (§4.3: "we created software to filter and align data sets from
 // individual nodes for use in power and performance analysis").
 
@@ -35,41 +31,6 @@ func WriteSamplesCSV(w io.Writer, samples []Sample) error {
 	return cw.Error()
 }
 
-// ReadSamplesCSV parses the WriteSamplesCSV format.
-func ReadSamplesCSV(r io.Reader) ([]Sample, error) {
-	cr := csv.NewReader(r)
-	recs, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("powerpack: empty profile")
-	}
-	if len(recs[0]) != 3 || recs[0][0] != "node" {
-		return nil, fmt.Errorf("powerpack: unexpected header %v", recs[0])
-	}
-	out := make([]Sample, 0, len(recs)-1)
-	for i, rec := range recs[1:] {
-		if len(rec) != 3 {
-			return nil, fmt.Errorf("powerpack: row %d has %d fields", i+1, len(rec))
-		}
-		node, err := strconv.Atoi(rec[0])
-		if err != nil {
-			return nil, fmt.Errorf("powerpack: row %d node: %w", i+1, err)
-		}
-		at, err := strconv.ParseInt(rec[1], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("powerpack: row %d time: %w", i+1, err)
-		}
-		watts, err := strconv.ParseFloat(rec[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("powerpack: row %d watts: %w", i+1, err)
-		}
-		out = append(out, Sample{Node: node, At: sim.Time(at), Watts: watts})
-	}
-	return out, nil
-}
-
 // measurementJSON is the serialized form of a Measurement.
 type measurementJSON struct {
 	ACPIJoules    float64 `json:"acpi_joules"`
@@ -88,18 +49,4 @@ func WriteMeasurementJSON(w io.Writer, m Measurement) error {
 		TrueJoules:    m.True,
 		ElapsedNs:     int64(m.Elapsed),
 	})
-}
-
-// ReadMeasurementJSON parses WriteMeasurementJSON output.
-func ReadMeasurementJSON(r io.Reader) (Measurement, error) {
-	var mj measurementJSON
-	if err := json.NewDecoder(r).Decode(&mj); err != nil {
-		return Measurement{}, err
-	}
-	return Measurement{
-		ACPI:    mj.ACPIJoules,
-		Baytech: mj.BaytechJoules,
-		True:    mj.TrueJoules,
-		Elapsed: time.Duration(mj.ElapsedNs),
-	}, nil
 }

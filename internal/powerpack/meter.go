@@ -31,24 +31,25 @@ func (m Measurement) CrossCheck(nodes int, frac float64) error {
 	return nil
 }
 
-// Meter instruments a set of nodes with one battery each plus a shared
-// Baytech strip and measures the energy of a [Begin, End] window.
+// Meter instruments a set of nodes with one battery each and measures the
+// energy of a [Begin, End] window. Its Baytech figure is reconstructed
+// from the strip's once-a-minute reporting windows (see End).
 type Meter struct {
 	k         *sim.Kernel
 	nodes     []*node.Node
 	batteries []*Battery
-	strip     *Baytech
 
 	beginReadings []int
 	beginTrue     float64
 	beginAt       sim.Time
 	began         bool
-	baytechAccum  float64
-	lastBaytechAt sim.Time
 }
 
 // NewMeter attaches instruments to the nodes.
 func NewMeter(k *sim.Kernel, nodes []*node.Node, battery BatteryConfig) (*Meter, error) {
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("powerpack: no nodes to meter")
+	}
 	m := &Meter{k: k, nodes: nodes}
 	for _, n := range nodes {
 		b, err := NewBattery(n, battery)
@@ -57,19 +58,8 @@ func NewMeter(k *sim.Kernel, nodes []*node.Node, battery BatteryConfig) (*Meter,
 		}
 		m.batteries = append(m.batteries, b)
 	}
-	strip, err := NewBaytech(k, nodes, DefaultBaytechInterval)
-	if err != nil {
-		return nil, err
-	}
-	m.strip = strip
 	return m, nil
 }
-
-// Batteries exposes the per-node batteries (for polling during a run).
-func (m *Meter) Batteries() []*Battery { return m.batteries }
-
-// Strip exposes the Baytech instrument.
-func (m *Meter) Strip() *Baytech { return m.strip }
 
 // Begin starts a measurement window: the §4.2 protocol's "disconnect from
 // wall power and record" moment. Batteries are force-refreshed so the

@@ -36,22 +36,16 @@ func DefaultBattery() BatteryConfig {
 
 // Battery models one node's ACPI smart battery while the node runs on DC
 // power. Remaining capacity decreases with the node's true energy draw but
-// is visible only in integer mWh and only at refresh boundaries. While on
-// wall power (the Baytech-controlled outlet of §4.2) the battery holds its
-// charge instead of draining.
+// is visible only in integer mWh and only at refresh boundaries.
 type Battery struct {
 	n   *node.Node
 	cfg BatteryConfig
-	// baseline is the node's cumulative joules at the last recharge,
-	// advanced across wall-power periods so they do not count as drain.
+	// baseline is the node's cumulative joules at the last recharge.
 	baseline float64
 	// lastReading/lastRefresh implement the stale-until-refresh behaviour.
 	lastReading int
 	lastRefresh sim.Time
 	fresh       bool
-	// onWall marks wall power; wallStart anchors the exclusion window.
-	onWall    bool
-	wallStart float64
 }
 
 // NewBattery attaches a fully-charged battery to a node.
@@ -70,38 +64,14 @@ func NewBattery(n *node.Node, cfg BatteryConfig) (*Battery, error) {
 // Recharge restores full capacity (the "fully charge all batteries" step).
 func (b *Battery) Recharge() {
 	b.baseline = b.n.Energy().Total()
-	b.wallStart = b.baseline
 	b.lastReading = b.cfg.CapacityMWh
 	b.lastRefresh = b.n.Kernel().Now()
 	b.fresh = true
 }
 
-// SetWallPower connects or disconnects the node's outlet. While
-// connected the node draws from the wall and the battery holds; the §4.2
-// protocol disconnects all laptops before a measurement.
-func (b *Battery) SetWallPower(on bool) {
-	if on == b.onWall {
-		return
-	}
-	if on {
-		b.wallStart = b.n.Energy().Total()
-	} else {
-		// Exclude the wall-powered consumption from battery drain.
-		b.baseline += b.n.Energy().Total() - b.wallStart
-	}
-	b.onWall = on
-}
-
-// OnWallPower reports whether the outlet is connected.
-func (b *Battery) OnWallPower() bool { return b.onWall }
-
 // trueRemaining returns the exact remaining capacity in mWh (float).
 func (b *Battery) trueRemaining() float64 {
-	end := b.n.Energy().Total()
-	if b.onWall {
-		end = b.wallStart // nothing drawn from the battery since connect
-	}
-	drawn := end - b.baseline
+	drawn := b.n.Energy().Total() - b.baseline
 	return float64(b.cfg.CapacityMWh) - drawn/JoulesPerMWh
 }
 
@@ -123,73 +93,3 @@ func (b *Battery) ForceRefresh() { b.fresh = true }
 
 // Empty reports whether the battery is exhausted.
 func (b *Battery) Empty() bool { return b.trueRemaining() <= 0 }
-
-// Baytech models the remote power-management strip: per-outlet average
-// power, updated once per interval, reported over SNMP to the data
-// workstation.
-type Baytech struct {
-	k        *sim.Kernel
-	outlets  []*node.Node
-	interval time.Duration
-	// lastE/lastT anchor the current reporting window; readings hold the
-	// previous window's averages.
-	lastE    []float64
-	lastT    sim.Time
-	readings []float64
-}
-
-// NewBaytech attaches a strip to the given nodes (one outlet each).
-func NewBaytech(k *sim.Kernel, outlets []*node.Node, interval time.Duration) (*Baytech, error) {
-	if len(outlets) == 0 {
-		return nil, fmt.Errorf("powerpack: no outlets")
-	}
-	if interval <= 0 {
-		return nil, fmt.Errorf("powerpack: non-positive Baytech interval")
-	}
-	bt := &Baytech{
-		k:        k,
-		outlets:  outlets,
-		interval: interval,
-		lastE:    make([]float64, len(outlets)),
-		lastT:    k.Now(),
-		readings: make([]float64, len(outlets)),
-	}
-	for i, n := range outlets {
-		bt.lastE[i] = n.Energy().Total()
-	}
-	return bt, nil
-}
-
-// DefaultBaytechInterval is the GPML50 update period from §4.2.
-const DefaultBaytechInterval = time.Minute
-
-// refresh closes the reporting window if it has elapsed.
-func (bt *Baytech) refresh() {
-	now := bt.k.Now()
-	if d := now.Sub(bt.lastT); d >= bt.interval {
-		sec := d.Seconds()
-		for i, n := range bt.outlets {
-			e := n.Energy().Total()
-			bt.readings[i] = (e - bt.lastE[i]) / sec
-			bt.lastE[i] = e
-		}
-		bt.lastT = now
-	}
-}
-
-// PollOutlet returns the last completed window's average watts at outlet i.
-func (bt *Baytech) PollOutlet(i int) (float64, error) {
-	if i < 0 || i >= len(bt.outlets) {
-		return 0, fmt.Errorf("powerpack: outlet %d out of range", i)
-	}
-	bt.refresh()
-	return bt.readings[i], nil
-}
-
-// PollAll returns all outlet readings.
-func (bt *Baytech) PollAll() []float64 {
-	bt.refresh()
-	out := make([]float64, len(bt.readings))
-	copy(out, bt.readings)
-	return out
-}

@@ -119,41 +119,42 @@ func TestBatteryRecharge(t *testing.T) {
 	}
 }
 
-func TestBaytechValidation(t *testing.T) {
+func TestMeterValidation(t *testing.T) {
 	k := sim.NewKernel()
-	if _, err := NewBaytech(k, nil, time.Minute); err == nil {
-		t.Error("no outlets accepted")
+	if _, err := NewMeter(k, nil, DefaultBattery()); err == nil {
+		t.Error("no nodes accepted")
 	}
 	n := newNode(t, k)
-	if _, err := NewBaytech(k, []*node.Node{n}, 0); err == nil {
-		t.Error("zero interval accepted")
+	if _, err := NewMeter(k, []*node.Node{n}, BatteryConfig{CapacityMWh: 1}); err == nil {
+		t.Error("zero battery refresh accepted")
 	}
 }
 
+// The Baytech figure is the strip's per-minute average power over whole
+// reporting windows: a 61 s busy run yields one window at busy power.
 func TestBaytechWindowAverages(t *testing.T) {
 	k := sim.NewKernel()
 	n := newNode(t, k)
-	bt, err := NewBaytech(k, []*node.Node{n}, time.Minute)
+	m, err := NewMeter(k, []*node.Node{n}, DefaultBattery())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var watts float64
+	var meas Measurement
 	k.Spawn("load", func(p *sim.Proc) {
+		m.Begin()
 		n.Compute(p, 1400*61) // 61 s busy
-		watts, _ = bt.PollOutlet(0)
+		meas, err = m.End()
 	})
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	watts := meas.Baytech / 60
 	busy := n.Config().Power.Watts(n.Table().Top(), dvs.ActCompute)
 	if math.Abs(watts-busy) > 0.5 {
-		t.Fatalf("baytech read %.1f W, busy power is %.1f W", watts, busy)
-	}
-	if _, err := bt.PollOutlet(5); err == nil {
-		t.Fatal("bad outlet accepted")
-	}
-	if got := bt.PollAll(); len(got) != 1 {
-		t.Fatalf("PollAll = %v", got)
+		t.Fatalf("baytech window average %.1f W, busy power is %.1f W", watts, busy)
 	}
 }
 
@@ -253,8 +254,12 @@ func TestCollectorSamplesAndAligns(t *testing.T) {
 	if len(samples) < 8 {
 		t.Fatalf("samples = %d", len(samples))
 	}
-	if len(c.Series(0)) != len(c.Series(1)) {
-		t.Fatalf("uneven series")
+	var perNode [2]int
+	for _, s := range samples {
+		perNode[s.Node]++
+	}
+	if perNode[0] != perNode[1] {
+		t.Fatalf("uneven series: %v samples per node", perNode)
 	}
 	rows := Align(samples, 2)
 	if len(rows) == 0 {
@@ -333,64 +338,6 @@ func TestPropertyBatteryMonotone(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWallPowerHoldsCharge(t *testing.T) {
-	k := sim.NewKernel()
-	n := newNode(t, k)
-	b, err := NewBattery(n, DefaultBattery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Spawn("exp", func(p *sim.Proc) {
-		// Burn a minute on wall power: no battery drain.
-		b.SetWallPower(true)
-		if !b.OnWallPower() {
-			t.Error("wall power not reported")
-		}
-		n.Compute(p, 1400*60)
-		b.ForceRefresh()
-		if got := b.Poll(); got != DefaultBattery().CapacityMWh {
-			t.Errorf("battery drained on wall power: %d", got)
-		}
-		// Disconnect (the §4.2 protocol) and burn another minute: drains.
-		b.SetWallPower(false)
-		n.Compute(p, 1400*60)
-		b.ForceRefresh()
-		if got := b.Poll(); got >= DefaultBattery().CapacityMWh {
-			t.Errorf("battery did not drain on DC: %d", got)
-		}
-	})
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWallPowerIdempotentToggles(t *testing.T) {
-	k := sim.NewKernel()
-	n := newNode(t, k)
-	b, err := NewBattery(n, DefaultBattery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.Spawn("exp", func(p *sim.Proc) {
-		b.SetWallPower(true)
-		b.SetWallPower(true) // no-op
-		n.Compute(p, 1400*30)
-		b.SetWallPower(false)
-		b.SetWallPower(false) // no-op
-		n.Compute(p, 1400*30)
-		b.ForceRefresh()
-		drawn := DefaultBattery().CapacityMWh - b.Poll()
-		// Only the DC half counts: ~30 s of busy power.
-		wantJ := n.Config().Power.Watts(n.Table().Top(), dvs.ActCompute) * 30
-		if math.Abs(float64(drawn)*JoulesPerMWh-wantJ) > 2*JoulesPerMWh {
-			t.Errorf("drawn %.0f J, want ≈%.0f J", float64(drawn)*JoulesPerMWh, wantJ)
-		}
-	})
-	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
 }

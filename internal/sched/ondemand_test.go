@@ -37,12 +37,9 @@ func TestOnDemandJumpsToTopUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var reachedTopAt sim.Time
-	n.OnFrequencyChange(func(at sim.Time, op dvs.OperatingPoint) {
-		if op.Frequency == 1400 && reachedTopAt == 0 {
-			reachedTopAt = at
-		}
-	})
+	// Observe just after 300 ms, so a jump at exactly 300 ms counts.
+	var freqAt300ms dvs.MHz
+	k.At(sim.Time(300*time.Millisecond)+1, func() { freqAt300ms = n.Frequency() })
 	busyFor(k, n, 3*time.Second)
 	k.At(sim.Time(4*time.Second), func() { d.Stop() })
 	if err := k.Run(sim.MaxTime); err != nil {
@@ -50,8 +47,8 @@ func TestOnDemandJumpsToTopUnderLoad(t *testing.T) {
 	}
 	// Asymmetry: the jump to top happens within ~two sampling periods,
 	// not a step walk (contrast with cpuspeed's one-step-per-2s).
-	if reachedTopAt == 0 || reachedTopAt > sim.Time(300*time.Millisecond) {
-		t.Fatalf("ondemand reached top at %v, want < 300ms", reachedTopAt)
+	if freqAt300ms != 1400 {
+		t.Fatalf("ondemand at %v after 300ms, want the top point", freqAt300ms)
 	}
 }
 

@@ -48,6 +48,9 @@ type Daemon struct {
 // together, plus config and deadline).
 const bodyBytesPerJob = 4 << 10
 
+// retryAfter is the backoff hint attached to 429 responses.
+const retryAfter = time.Second
+
 // Frontend is the HTTP service both daemons are made of: decode and
 // validate, admit or shed, apply the deadline, open the request span and
 // the checkpoint journal, place the cells, encode the response. It serves
@@ -229,7 +232,7 @@ func (f *Frontend) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !f.gate.tryAcquire() {
-		sweep.WriteError(w, sweep.QueueFull(f.opts.RetryAfter))
+		sweep.WriteError(w, sweep.QueueFull(retryAfter))
 		return
 	}
 	defer f.gate.release()
@@ -272,7 +275,7 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !f.gate.tryAcquire() {
-		sweep.WriteError(w, sweep.QueueFull(f.opts.RetryAfter))
+		sweep.WriteError(w, sweep.QueueFull(retryAfter))
 		return
 	}
 	defer f.gate.release()

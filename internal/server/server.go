@@ -47,9 +47,6 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps client-requested timeouts. Default 15 minutes.
 	MaxTimeout time.Duration
-	// RetryAfter is the backoff hint attached to 429 responses.
-	// Default 1 second.
-	RetryAfter time.Duration
 	// Tracer records per-request spans (admission, runner cache
 	// resolution, sim phases) into the /debug/traces ring, joining the
 	// caller's trace when the request carries a traceparent header. Nil
@@ -77,9 +74,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxTimeout <= 0 {
 		o.MaxTimeout = 15 * time.Minute
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	return o
 }

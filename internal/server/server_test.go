@@ -174,7 +174,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // admission gate saturated, both endpoints return 429 with Retry-After,
 // and admission recovers once a slot frees.
 func TestQueueFullSheds(t *testing.T) {
-	s := testServer(t, Options{MaxInflight: 2, RetryAfter: 3 * time.Second})
+	s := testServer(t, Options{MaxInflight: 2})
 	if !s.gate.tryAcquire() || !s.gate.tryAcquire() {
 		t.Fatal("could not saturate the gate")
 	}
@@ -187,11 +187,11 @@ func TestQueueFullSheds(t *testing.T) {
 		if rec.Code != http.StatusTooManyRequests {
 			t.Fatalf("%s: status=%d want 429", path, rec.Code)
 		}
-		if got := rec.Header().Get("Retry-After"); got != "3" {
-			t.Fatalf("%s: Retry-After=%q want \"3\"", path, got)
+		if got := rec.Header().Get("Retry-After"); got != "1" {
+			t.Fatalf("%s: Retry-After=%q want \"1\"", path, got)
 		}
 		ae := errEnvelope(t, rec)
-		if ae.Code != sweep.CodeQueueFull || ae.RetryAfterMS != 3000 {
+		if ae.Code != sweep.CodeQueueFull || ae.RetryAfterMS != 1000 {
 			t.Fatalf("%s: error=%+v", path, ae)
 		}
 	}

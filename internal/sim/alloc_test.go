@@ -39,7 +39,7 @@ func TestScheduleHotPathAllocFree(t *testing.T) {
 // recycled events keep it allocation-free too.
 func TestSignalHotPathAllocFree(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	const rounds = 2000
 	k.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
@@ -63,7 +63,7 @@ func TestSignalHotPathAllocFree(t *testing.T) {
 // direct-handoff resume path allocation-free.
 func TestQueueWaitSignalAllocFree(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	const warmup, runs = 8, 1000
 	// AllocsPerRun invokes f runs+1 times (one warm-up call); the waiter
 	// must consume exactly every signal and then exit so the final Run

@@ -6,8 +6,8 @@ import (
 	"runtime/debug"
 )
 
-// ErrInterrupted is returned by interruptible blocking primitives when
-// another proc called Interrupt on the blocked proc.
+// ErrInterrupted is returned by SleepInterruptible when another proc
+// called Interrupt on the sleeping proc.
 var ErrInterrupted = errors.New("sim: interrupted")
 
 // errAborted is panicked inside proc primitives during kernel shutdown; it
@@ -75,7 +75,6 @@ func (p *Proc) run(fn func(p *Proc)) {
 		}
 		p.done = true
 		delete(p.k.procs, p)
-		p.k.tracef("proc %s: exit", p.name)
 		if aborting {
 			// Hand the baton back to the abort coordinator (abortAll).
 			p.k.done <- struct{}{}
@@ -91,12 +90,8 @@ func (p *Proc) run(fn func(p *Proc)) {
 	if kind == wakeAborted {
 		return
 	}
-	p.k.tracef("proc %s: start", p.name)
 	fn(p)
 }
-
-// Name returns the proc's name.
-func (p *Proc) Name() string { return p.name }
 
 // Kernel returns the owning kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
@@ -160,10 +155,9 @@ func (p *Proc) SleepInterruptible(d Duration) (elapsed Duration, err error) {
 	return elapsed, nil
 }
 
-// Interrupt wakes p immediately if it is blocked in an interruptible
-// primitive (SleepInterruptible or Queue.WaitInterruptible). It reports
-// whether an interrupt was delivered. Interrupting a proc that is running,
-// done, or in a non-interruptible block is a no-op.
+// Interrupt wakes p immediately if it is blocked in SleepInterruptible. It
+// reports whether an interrupt was delivered. Interrupting a proc that is
+// running, done, or in a non-interruptible block is a no-op.
 func (p *Proc) Interrupt() bool {
 	if p.done || !p.interruptible || p.k.running == p {
 		return false
@@ -172,26 +166,9 @@ func (p *Proc) Interrupt() bool {
 		p.pendingWake.canceled = true
 		p.pendingWake = nil
 	}
-	if p.queue != nil {
-		p.queue.remove(p)
-	}
 	ev := p.k.alloc()
 	ev.t, ev.proc, ev.kind = p.k.now, p, wakeInterrupted
 	p.k.schedule(ev)
 	p.pendingWake = ev
 	return true
-}
-
-// Hold parks the proc until another proc wakes it through a Queue; it is a
-// building block used by Queue and rarely called directly.
-func (p *Proc) hold(q *Queue, interruptible bool) error {
-	p.queue = q
-	p.interruptible = interruptible
-	kind := p.yield()
-	p.interruptible = false
-	p.queue = nil
-	if kind == wakeInterrupted {
-		return ErrInterrupted
-	}
-	return nil
 }

@@ -1,31 +1,25 @@
 package sim
 
 // Queue is a FIFO wait queue: procs block on it with Wait and are released
-// one at a time by Signal or all at once by Broadcast. It is the kernel's
-// condition-variable analogue and the building block for mailboxes,
-// barriers, and resource locks in higher layers.
+// one at a time by Signal. It is the kernel's condition-variable analogue
+// and the building block for mailboxes and barriers in higher layers.
 //
 // A Queue belongs to a single kernel and, like all sim types, must only be
 // used from proc bodies and At callbacks of that kernel.
 type Queue struct {
-	k    *Kernel
-	name string
+	k *Kernel
 	// waiters is a power-of-two ring buffer: head indexes the
 	// longest-waiting proc and n counts the blocked procs. A ring makes
-	// Signal O(1) — the old flat slice shifted every remaining waiter on
-	// each release, turning Broadcast into O(n²) — and, once grown, the
-	// enqueue/release cycle is allocation-free.
+	// Signal O(1) and, once grown, the enqueue/release cycle
+	// allocation-free.
 	waiters []*Proc
 	head, n int
 }
 
-// NewQueue creates a wait queue. The name appears in deadlock reports.
-func (k *Kernel) NewQueue(name string) *Queue {
-	return &Queue{k: k, name: name}
+// NewQueue creates a wait queue.
+func (k *Kernel) NewQueue() *Queue {
+	return &Queue{k: k}
 }
-
-// Name returns the queue's name.
-func (q *Queue) Name() string { return q.name }
 
 // Len returns the number of procs currently blocked on the queue.
 func (q *Queue) Len() int { return q.n }
@@ -53,19 +47,13 @@ func (q *Queue) grow() {
 	q.waiters, q.head = buf, 0
 }
 
-// Wait blocks the calling proc until a Signal or Broadcast releases it.
+// Wait blocks the calling proc until a Signal releases it. It cannot be
+// interrupted.
 func (q *Queue) Wait(p *Proc) {
 	q.enqueue(p)
-	if err := p.hold(q, false); err != nil {
-		panic("sim: uninterruptible wait interrupted")
-	}
-}
-
-// WaitInterruptible blocks like Wait but may be cut short by
-// Proc.Interrupt, in which case it returns ErrInterrupted.
-func (q *Queue) WaitInterruptible(p *Proc) error {
-	q.enqueue(p)
-	return p.hold(q, true)
+	p.queue = q
+	p.yield()
+	p.queue = nil
 }
 
 // Signal releases the longest-waiting proc, scheduling it to resume at the
@@ -85,16 +73,8 @@ func (q *Queue) Signal() bool {
 	return true
 }
 
-// Broadcast releases all waiting procs in FIFO order.
-func (q *Queue) Broadcast() int {
-	n := q.n
-	for q.Signal() {
-	}
-	return n
-}
-
-// remove deletes p from the queue without waking it (used by Interrupt and
-// kernel shutdown), closing the gap so later waiters keep FIFO order.
+// remove deletes p from the queue without waking it (used by kernel
+// shutdown), closing the gap so later waiters keep FIFO order.
 func (q *Queue) remove(p *Proc) {
 	mask := len(q.waiters) - 1
 	for i := 0; i < q.n; i++ {

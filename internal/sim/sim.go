@@ -22,7 +22,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -157,14 +156,12 @@ type Kernel struct {
 	// cbPanic records a panic raised by an At callback while the loop was
 	// running; Run re-raises it in its caller after aborting the procs.
 	cbPanic *callbackPanic
-	trace   func(t Time, format string, args ...any)
 }
 
 // callbackPanic carries an At-callback panic from whichever goroutine ran
 // the dispatch loop back to the Run caller.
 type callbackPanic struct {
 	value any
-	stack string
 }
 
 // eventPrealloc sizes the event heap and freelist at construction so
@@ -205,16 +202,6 @@ func (k *Kernel) release(e *event) {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// SetTrace installs a debug trace sink invoked on proc lifecycle events.
-// Pass nil to disable.
-func (k *Kernel) SetTrace(fn func(t Time, format string, args ...any)) { k.trace = fn }
-
-func (k *Kernel) tracef(format string, args ...any) {
-	if k.trace != nil {
-		k.trace(k.now, format, args...)
-	}
-}
 
 // schedule inserts an event at absolute time t.
 func (k *Kernel) schedule(e *event) *event {
@@ -331,7 +318,7 @@ func (k *Kernel) runLoop(self *Proc) (st loopStatus, kind wakeKind) {
 	defer func() {
 		if r := recover(); r != nil {
 			if k.cbPanic == nil {
-				k.cbPanic = &callbackPanic{value: r, stack: string(debug.Stack())}
+				k.cbPanic = &callbackPanic{value: r}
 			}
 			st, kind = loopFinished, 0
 		}

@@ -146,7 +146,7 @@ func TestRunUntilLimit(t *testing.T) {
 
 func TestQueueSignalFIFO(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	var order []string
 	mk := func(name string) {
 		k.Spawn(name, func(p *Proc) {
@@ -176,43 +176,17 @@ func TestQueueSignalFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueBroadcast(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	released := 0
-	for i := 0; i < 5; i++ {
-		k.Spawn("w", func(p *Proc) {
-			q.Wait(p)
-			released++
-		})
-	}
-	k.At(Time(1e9), func() {
-		if n := q.Broadcast(); n != 5 {
-			t.Errorf("broadcast released %d, want 5", n)
-		}
-	})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if released != 5 {
-		t.Fatalf("released = %d", released)
-	}
-}
-
 func TestSignalEmptyQueue(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	if q.Signal() {
 		t.Fatal("Signal on empty queue returned true")
-	}
-	if n := q.Broadcast(); n != 0 {
-		t.Fatalf("Broadcast on empty queue = %d", n)
 	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("never")
+	q := k.NewQueue()
 	k.Spawn("stuck", func(p *Proc) { q.Wait(p) })
 	err := k.Run(MaxTime)
 	var dl *DeadlockError
@@ -231,7 +205,7 @@ func TestProcPanicPropagates(t *testing.T) {
 		panic("kapow")
 	})
 	// A second proc that would otherwise run forever must be unwound.
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	k.Spawn("victim", func(p *Proc) { q.Wait(p) })
 	err := k.Run(MaxTime)
 	var pe *PanicError
@@ -296,6 +270,30 @@ func TestInterruptNonInterruptibleIsNoop(t *testing.T) {
 	if delivered {
 		t.Fatal("Interrupt on plain Sleep should be a no-op")
 	}
+
+	// A queue wait is never interruptible either: the waiter stays queued
+	// until a Signal releases it.
+	q := k.NewQueue()
+	released := false
+	waiter := k.Spawn("waiter", func(p *Proc) {
+		q.Wait(p)
+		released = true
+	})
+	k.At(Time(7e9), func() {
+		if waiter.Interrupt() {
+			t.Error("Interrupt on Queue.Wait should be a no-op")
+		}
+		if q.Len() != 1 {
+			t.Errorf("queue len after Interrupt = %d, want 1", q.Len())
+		}
+		q.Signal()
+	})
+	if err := k.Run(MaxTime); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !released {
+		t.Fatal("Signal did not release the waiter")
+	}
 }
 
 func TestInterruptDoneProcIsNoop(t *testing.T) {
@@ -308,26 +306,6 @@ func TestInterruptDoneProcIsNoop(t *testing.T) {
 	})
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatalf("run: %v", err)
-	}
-}
-
-func TestQueueWaitInterruptible(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	var werr error
-	var target *Proc
-	target = k.Spawn("waiter", func(p *Proc) {
-		werr = q.WaitInterruptible(p)
-	})
-	k.At(Time(1e9), func() { target.Interrupt() })
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if !errors.Is(werr, ErrInterrupted) {
-		t.Fatalf("err = %v", werr)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("interrupted proc left on queue, len=%d", q.Len())
 	}
 }
 
@@ -522,7 +500,7 @@ func TestCallbackPanicPropagatesAndAborts(t *testing.T) {
 	// must not be misattributed to the proc whose goroutine was running
 	// the loop — nor run that proc's deferred functions.
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	deferRan := false
 	k.Spawn("bystander", func(p *Proc) {
 		defer func() { deferRan = true }()
@@ -552,7 +530,7 @@ func TestCallbackPanicPropagatesAndAborts(t *testing.T) {
 
 func TestKernelReusableAfterAbortKeepsCapacity(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	for i := 0; i < 4; i++ {
 		k.Spawn("w", func(p *Proc) { q.Wait(p) })
 	}
@@ -574,7 +552,7 @@ func TestQueueRingWraparound(t *testing.T) {
 	// Waiters cycling through the queue force the ring's head past the
 	// buffer boundary; FIFO order must survive the wrap.
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	var order []string
 	const rounds = 3
 	mk := func(name string) {
@@ -609,33 +587,29 @@ func TestQueueRingWraparound(t *testing.T) {
 
 func TestQueueRemoveMiddlePreservesFIFO(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	var order []string
-	var w1 *Proc
-	mk := func(name string, interruptible bool) *Proc {
+	mk := func(name string) *Proc {
 		return k.Spawn(name, func(p *Proc) {
-			if interruptible {
-				if err := q.WaitInterruptible(p); err != nil {
-					return // interrupted: drop out without recording
-				}
-			} else {
-				q.Wait(p)
-			}
+			q.Wait(p)
 			order = append(order, name)
 		})
 	}
-	mk("w0", false)
-	w1 = mk("w1", true)
-	mk("w2", false)
-	mk("w3", false)
+	mk("w0")
+	w1 := mk("w1")
+	mk("w2")
+	mk("w3")
 	k.At(Time(1e9), func() {
-		w1.Interrupt() // removes w1 from the middle of the ring
+		q.remove(w1) // as abortAll does, from the middle of the ring
 		q.Signal()
 		q.Signal()
 		q.Signal()
 	})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatalf("run: %v", err)
+	// w1 was dropped from the queue without a wake, so it is reported
+	// blocked once the others finish.
+	var dl *DeadlockError
+	if err := k.Run(MaxTime); !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != "w1" {
+		t.Fatalf("run: %v, want a deadlock on w1 alone", err)
 	}
 	want := []string{"w0", "w2", "w3"}
 	if len(order) != len(want) {
@@ -652,7 +626,7 @@ func TestAbortLeavesNoGoroutines(t *testing.T) {
 	// After an error, Run must unwind all proc goroutines; re-running the
 	// kernel is a no-op rather than a hang.
 	k := NewKernel()
-	q := k.NewQueue("q")
+	q := k.NewQueue()
 	for i := 0; i < 10; i++ {
 		k.Spawn("w", func(p *Proc) { q.Wait(p) })
 	}
@@ -662,25 +636,5 @@ func TestAbortLeavesNoGoroutines(t *testing.T) {
 	}
 	if len(k.procs) != 0 {
 		t.Fatalf("%d procs still live after abort", len(k.procs))
-	}
-}
-
-func TestSetTraceReceivesLifecycle(t *testing.T) {
-	k := NewKernel()
-	var lines []string
-	k.SetTrace(func(tm Time, format string, args ...interface{}) {
-		lines = append(lines, format)
-	})
-	k.Spawn("p", func(p *Proc) { p.Sleep(time.Millisecond) })
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) < 2 {
-		t.Fatalf("trace lines = %v", lines)
-	}
-	k.SetTrace(nil) // disabling must not panic on the next spawn
-	k.Spawn("q", func(p *Proc) {})
-	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
 	}
 }

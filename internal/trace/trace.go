@@ -297,22 +297,6 @@ func (l *Log) Render(width int) string {
 	return sb.String()
 }
 
-// TopMessages returns the n largest messages (Figure 12b's
-// message-granularity view orders by size and frequency).
-func (l *Log) TopMessages(n int) []Event {
-	msgs := make([]Event, 0, len(l.events))
-	for _, e := range l.events {
-		if e.Kind == mpisim.EvSend || e.Kind == mpisim.EvRecv {
-			msgs = append(msgs, e)
-		}
-	}
-	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Bytes > msgs[j].Bytes })
-	if n > len(msgs) {
-		n = len(msgs)
-	}
-	return msgs[:n]
-}
-
 func maxf(a, b float64) float64 {
 	if a > b {
 		return a

@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -160,27 +159,6 @@ func TestRenderEmpty(t *testing.T) {
 	}
 }
 
-func TestTopMessages(t *testing.T) {
-	w, err := npb.IS(npb.ClassS, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, _ := runTraced(t, w)
-	top := log.TopMessages(10)
-	if len(top) != 10 {
-		t.Fatalf("top = %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if top[i].Bytes > top[i-1].Bytes {
-			t.Fatalf("not sorted by size")
-		}
-	}
-	all := log.TopMessages(1 << 30)
-	if len(all) == 0 {
-		t.Fatal("no messages at all")
-	}
-}
-
 func TestEventIgnoresOutOfRangeRank(t *testing.T) {
 	log := trace.New(2)
 	log.Event(5, mpisim.EvCompute, "x", 0, 1, 0, -1)
@@ -224,84 +202,5 @@ func TestDiskEventsSummarized(t *testing.T) {
 	tl := log.Timeline(0, 0, t1, 200)
 	if !strings.Contains(tl, "D") {
 		t.Fatalf("timeline missing disk glyph: %q", tl)
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	w, err := npb.FT(npb.ClassS, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, _ := runTraced(t, w)
-	var buf bytes.Buffer
-	if err := log.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != log.Len() {
-		t.Fatalf("round-trip %d events, want %d", back.Len(), log.Len())
-	}
-	// Summaries computed from the round-tripped log match exactly.
-	a, b := log.Summarize(0), back.Summarize(0)
-	if a != b {
-		t.Fatalf("summaries diverge:\n%+v\n%+v", a, b)
-	}
-	if log.Span() != back.Span() {
-		t.Fatalf("spans diverge: %v vs %v", log.Span(), back.Span())
-	}
-}
-
-func TestReadJSONErrors(t *testing.T) {
-	cases := map[string]string{
-		"garbage":      "{",
-		"zero ranks":   `{"ranks":0,"events":[]}`,
-		"unknown kind": `{"ranks":1,"events":[{"rank":0,"kind":"x","start_ns":0,"end_ns":1}]}`,
-		"negative":     `{"ranks":1,"events":[{"rank":0,"kind":"compute","start_ns":5,"end_ns":1}]}`,
-	}
-	for name, body := range cases {
-		if _, err := trace.ReadJSON(strings.NewReader(body)); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-func TestMessageStats(t *testing.T) {
-	w, err := npb.CG(npb.ClassW, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, _ := runTraced(t, w)
-	st := log.Messages()
-	if st.Count == 0 || st.Bytes == 0 {
-		t.Fatalf("no messages: %+v", st)
-	}
-	if st.MinBytes > st.MedianBytes || st.MedianBytes > st.MaxBytes {
-		t.Fatalf("ordering broken: %+v", st)
-	}
-	if st.MeanGap <= 0 {
-		t.Fatalf("no inter-send gap: %+v", st)
-	}
-	// CG's traffic is frequent small control messages plus the transpose
-	// exchange: min ≪ max.
-	if st.MaxBytes < 100*st.MinBytes {
-		t.Fatalf("CG size spread too narrow: %d..%d", st.MinBytes, st.MaxBytes)
-	}
-}
-
-func TestSizeHistogram(t *testing.T) {
-	w, err := npb.CG(npb.ClassW, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log, _ := runTraced(t, w)
-	h := log.SizeHistogram()
-	if !strings.Contains(h, "#") {
-		t.Fatalf("histogram empty:\n%s", h)
-	}
-	if (trace.New(1)).SizeHistogram() != "(no messages)\n" {
-		t.Fatal("empty histogram wrong")
 	}
 }
