@@ -377,8 +377,9 @@ func writeFile(stdout io.Writer, path string, write func(io.Writer) error) error
 }
 
 // codeUsage and strategyUsage render the -code and -strategy value sets
-// from the registries, so a benchmark or strategy registered anywhere is
-// listed (and selectable) here. extra names the caller's pseudo-strategies.
+// from the benchmark registry and the strategy table, so every benchmark
+// and strategy is listed (and selectable) here. extra names the caller's
+// pseudo-strategies.
 func codeUsage() string { return strings.Join(npb.Codes(), " ") }
 
 func strategyUsage(extra ...string) string {

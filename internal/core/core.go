@@ -93,8 +93,8 @@ func PowerCap(cfg sched.PowerCapConfig) Strategy {
 // String names the strategy the way the paper's tables do, through the
 // strategy's registration; unregistered kinds render as "?".
 func (s Strategy) String() string {
-	r, ok := lookupKind(s.Kind)
-	if !ok {
+	r, err := s.registration()
+	if err != nil {
 		return "?"
 	}
 	return r.String(s)
@@ -205,14 +205,14 @@ func RunContext(ctx context.Context, w npb.Workload, strat Strategy, cfg Config)
 }
 
 // runOn is the single measurement path shared by Run and RunInstrumented:
-// compile the strategy through the registry, attach it, (optionally) idle
+// look the strategy up in the registry, attach it, (optionally) idle
 // through the §4.2 conditioning warmup, launch the workload, drive the
 // kernel to completion, and collect the result. Because both entry points
 // funnel here, a strategy that works uninstrumented works instrumented by
 // construction — the two paths can never drift again.
 func runOn(ctx context.Context, c *cluster.Cluster, w npb.Workload, strat Strategy, cfg Config, warmup time.Duration) (Result, error) {
 	_, asp := obs.Start(ctx, "strategy.attach")
-	plan, err := strat.plan()
+	r, err := strat.registration()
 	if err != nil {
 		asp.End()
 		return Result{}, err
@@ -222,7 +222,7 @@ func runOn(ctx context.Context, c *cluster.Cluster, w npb.Workload, strat Strate
 	if cfg.Tracer != nil {
 		world.SetTracer(cfg.Tracer)
 	}
-	finish, err := plan.Attach(k, c.Nodes(), world)
+	finish, err := r.Attach(strat, k, c.Nodes(), world)
 	asp.End()
 	if err != nil {
 		return Result{}, err

@@ -1,17 +1,14 @@
-// The strategy registry: the single place a DVS scheduling strategy is
-// known to the system. A Registration binds together everything that used
-// to be scattered across four hand-maintained switches — the attach logic
-// in Run, the (diverged) attach logic in RunInstrumented, Strategy.String,
-// and the server's JSON decoding — so adding a strategy is one
-// RegisterStrategy call instead of a seven-site edit. The seven paper
-// strategies register themselves in strategies.go; tests and downstream
-// code can register more without touching core or server source.
+// The strategy table: the single place a DVS scheduling strategy is known
+// to the system. A Registration binds together a strategy's wire name,
+// paper-table string form, attach step, wire decoder and canonical
+// example, so Run, RunInstrumented, Strategy.String and the server's JSON
+// decoding all dispatch through one entry of registry (strategies.go),
+// indexed by StrategyKind.
 package core
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/dvs"
@@ -20,40 +17,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/spec"
 )
-
-// StrategyPlan is a compiled strategy, ready to attach to an assembled
-// cluster. Attach installs the strategy (sets frequencies, spawns
-// daemons, registers completion callbacks) before the workload launches;
-// the returned finish hook — nil when the strategy has nothing to settle
-// — runs after the simulation completes and may veto the result (a daemon
-// that died mid-run measured a half-applied strategy) or annotate it
-// (DaemonMoves).
-type StrategyPlan interface {
-	// Name is the registry name of the strategy this plan was compiled
-	// from ("external", "daemon", ...).
-	Name() string
-	// Attach installs the strategy on the cluster about to run.
-	Attach(k *sim.Kernel, nodes []*node.Node, world *mpisim.World) (finish func(*Result) error, err error)
-}
-
-// AttachFunc is the signature of a plan's attach step.
-type AttachFunc func(k *sim.Kernel, nodes []*node.Node, world *mpisim.World) (finish func(*Result) error, err error)
-
-// planFunc is the ordinary StrategyPlan: a name plus an attach closure.
-type planFunc struct {
-	name   string
-	attach AttachFunc
-}
-
-func (p planFunc) Name() string { return p.name }
-func (p planFunc) Attach(k *sim.Kernel, nodes []*node.Node, world *mpisim.World) (func(*Result) error, error) {
-	return p.attach(k, nodes, world)
-}
-
-// PlanFunc wraps an attach closure as a StrategyPlan.
-func PlanFunc(name string, attach AttachFunc) StrategyPlan {
-	return planFunc{name: name, attach: attach}
-}
 
 // StrategyArgs is the neutral parameter bag a strategy decodes itself
 // from: the union of the wire fields of a dvsd StrategySpec and the CLI
@@ -68,9 +31,11 @@ type StrategyArgs struct {
 	BudgetWatts float64            // powercap: cluster budget
 	Headroom    float64            // powercap: hysteresis override
 
-	// Table is the validation context: the operating points of the
-	// cluster the decoded strategy will run on.
+	// Table and Ranks are the validation context: the operating points
+	// of the cluster the decoded strategy will run on, and the workload's
+	// rank count (one node per rank).
 	Table dvs.Table
+	Ranks int
 }
 
 // Interval converts the millisecond control-period override, falling back
@@ -99,22 +64,23 @@ func (a StrategyArgs) CheckFreq(field string, f dvs.MHz) error {
 		float64(f), strings.Join(fs, ", "))
 }
 
-// Registration is one strategy's complete identity: its Strategy-value
-// tag (Kind), wire name, paper-table string form, plan compiler, wire
-// decoder, and a canonical example configuration (used by parity tests
-// and documentation).
+// Registration is one strategy's complete identity: its wire name,
+// paper-table string form, attach step, wire decoder, and a canonical
+// example configuration (used by parity tests and documentation). Its
+// position in registry is its StrategyKind.
 type Registration struct {
-	// Kind is the tag a Strategy value carries to select this
-	// registration. Registrations own their kinds; the seven paper
-	// strategies use KindNoDVS..KindPowerCap.
-	Kind StrategyKind
 	// Name is the wire and CLI name ("nodvs", "external", ...).
 	Name string
 	// String renders a Strategy of this kind the way the paper's tables
 	// label it ("600", "auto", "cap 200W").
 	String func(s Strategy) string
-	// Plan compiles a Strategy of this kind into an attachable plan.
-	Plan func(s Strategy) (StrategyPlan, error)
+	// Attach installs a Strategy of this kind on the cluster about to run
+	// (sets frequencies, spawns daemons, registers completion callbacks)
+	// before the workload launches. The returned finish hook — nil when
+	// the strategy has nothing to settle — runs after the simulation
+	// completes and may veto the result (a daemon that died mid-run
+	// measured a half-applied strategy) or annotate it (DaemonMoves).
+	Attach func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (finish func(*Result) error, err error)
 	// Decode builds a Strategy of this kind from wire/CLI parameters,
 	// rejecting with *spec.Error on invalid fields.
 	Decode func(a StrategyArgs) (Strategy, error)
@@ -123,50 +89,17 @@ type Registration struct {
 	Example func() Strategy
 }
 
-var (
-	stratMu     sync.RWMutex
-	stratByKind = map[StrategyKind]Registration{}
-	stratByName = map[string]Registration{}
-	stratOrder  []string // registration order, for stable enumeration
-)
-
-// RegisterStrategy adds a strategy to the registry. It panics on an
-// incomplete registration or a kind/name collision — registration is an
-// init-time act and a collision is a programming error, not input.
-func RegisterStrategy(r Registration) {
-	if r.Name == "" || r.String == nil || r.Plan == nil || r.Decode == nil || r.Example == nil {
-		panic(fmt.Sprintf("core: incomplete strategy registration %+v", r))
-	}
-	stratMu.Lock()
-	defer stratMu.Unlock()
-	if prev, ok := stratByKind[r.Kind]; ok {
-		panic(fmt.Sprintf("core: strategy kind %d already registered as %q", r.Kind, prev.Name))
-	}
-	if _, ok := stratByName[r.Name]; ok {
-		panic(fmt.Sprintf("core: strategy name %q already registered", r.Name))
-	}
-	stratByKind[r.Kind] = r
-	stratByName[r.Name] = r
-	stratOrder = append(stratOrder, r.Name)
-}
-
-// Strategies returns every registration, in registration order.
+// Strategies returns every registration, in StrategyKind order.
 func Strategies() []Registration {
-	stratMu.RLock()
-	defer stratMu.RUnlock()
-	out := make([]Registration, 0, len(stratOrder))
-	for _, name := range stratOrder {
-		out = append(out, stratByName[name])
-	}
-	return out
+	return append([]Registration(nil), registry...)
 }
 
-// StrategyNames returns the registered wire names, in registration order.
+// StrategyNames returns the wire names, in StrategyKind order.
 func StrategyNames() []string {
-	stratMu.RLock()
-	defer stratMu.RUnlock()
-	out := make([]string, len(stratOrder))
-	copy(out, stratOrder)
+	out := make([]string, len(registry))
+	for i, r := range registry {
+		out[i] = r.Name
+	}
 	return out
 }
 
@@ -175,30 +108,20 @@ func StrategyNames() []string {
 // a *spec.Error naming the offending field relative to the strategy
 // object ("kind", "freq_mhz", ...).
 func DecodeStrategy(kind string, a StrategyArgs) (Strategy, error) {
-	stratMu.RLock()
-	r, ok := stratByName[kind]
-	stratMu.RUnlock()
-	if !ok {
-		return Strategy{}, spec.Errorf("kind", "unknown kind %q; one of %s",
-			kind, strings.Join(StrategyNames(), ", "))
+	for _, r := range registry {
+		if r.Name == kind {
+			return r.Decode(a)
+		}
 	}
-	return r.Decode(a)
+	return Strategy{}, spec.Errorf("kind", "unknown kind %q; one of %s",
+		kind, strings.Join(StrategyNames(), ", "))
 }
 
-// lookupKind resolves a Strategy value's registration.
-func lookupKind(k StrategyKind) (Registration, bool) {
-	stratMu.RLock()
-	defer stratMu.RUnlock()
-	r, ok := stratByKind[k]
-	return r, ok
-}
-
-// plan compiles the strategy through the registry.
-func (s Strategy) plan() (StrategyPlan, error) {
-	r, ok := lookupKind(s.Kind)
-	if !ok {
+// registration resolves a Strategy value's table entry.
+func (s Strategy) registration() (*Registration, error) {
+	if s.Kind < 0 || int(s.Kind) >= len(registry) {
 		return nil, fmt.Errorf("core: unknown strategy kind %d (registered: %s)",
 			s.Kind, strings.Join(StrategyNames(), ", "))
 	}
-	return r.Plan(s)
+	return &registry[s.Kind], nil
 }

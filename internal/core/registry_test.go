@@ -2,23 +2,20 @@ package core_test
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dvs"
-	"repro/internal/mpisim"
-	"repro/internal/node"
 	"repro/internal/npb"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/spec"
 )
 
 // TestRegistryParity is the drift guard the old twin assembly paths
-// lacked: every registered strategy must be accepted by both Run and
-// RunInstrumented (the instrumented path used to reject ondemand and
-// powercap), and the two must agree on Result.Strategy naming.
+// lacked: every registered strategy must decode from its wire name, be
+// accepted by both Run and RunInstrumented (the instrumented path used to
+// reject ondemand and powercap), and the two must agree on
+// Result.Strategy naming.
 func TestRegistryParity(t *testing.T) {
 	regs := core.Strategies()
 	if len(regs) < 7 {
@@ -35,10 +32,30 @@ func TestRegistryParity(t *testing.T) {
 			t.Fatalf("strategy %q not registered", name)
 		}
 	}
-	for _, r := range regs {
-		r := r
+	// One argument bag that every strategy's decoder accepts.
+	args := core.StrategyArgs{
+		FreqMHz:     600,
+		PerNode:     map[string]float64{"0": 800},
+		BudgetWatts: 190,
+		Table:       core.DefaultConfig().Node.Table,
+		Ranks:       8,
+	}
+	for i, r := range regs {
+		kind := core.StrategyKind(i)
 		t.Run(r.Name, func(t *testing.T) {
 			strat := r.Example()
+			// The table is indexed by kind: an entry's example and its
+			// decoder both produce strategies of that entry's kind.
+			if strat.Kind != kind {
+				t.Fatalf("registry[%d].Example() has kind %d", kind, strat.Kind)
+			}
+			dec, err := core.DecodeStrategy(r.Name, args)
+			if err != nil {
+				t.Fatalf("DecodeStrategy(%s): %v", r.Name, err)
+			}
+			if dec.Kind != kind {
+				t.Fatalf("DecodeStrategy(%s) has kind %d, want %d", r.Name, dec.Kind, kind)
+			}
 			w := ft(t, npb.ClassS)
 			plain, err := core.Run(w, strat, core.DefaultConfig())
 			if err != nil {
@@ -89,73 +106,6 @@ func TestRegistryNamesAndStringsPinned(t *testing.T) {
 		if got != want {
 			t.Fatalf("Strategy.String() = %q, want %q", got, want)
 		}
-	}
-}
-
-// The toy eighth strategy of the acceptance criteria: registered here, in
-// one file, without touching core source — and runnable through both
-// entry points and the wire decoder. It pins every node at the table
-// midpoint.
-const kindToy core.StrategyKind = 100
-
-var registerToy = sync.Once{}
-
-func toyStrategy() core.Strategy { return core.Strategy{Kind: kindToy} }
-
-func registerToyStrategy() {
-	registerToy.Do(func() {
-		core.RegisterStrategy(core.Registration{
-			Kind:   kindToy,
-			Name:   "toy-midpoint",
-			String: func(core.Strategy) string { return "toy" },
-			Plan: func(s core.Strategy) (core.StrategyPlan, error) {
-				return core.PlanFunc("toy-midpoint", func(k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*core.Result) error, error) {
-					table := nodes[0].Table()
-					mid := table.Frequencies()[len(table)/2]
-					return nil, sched.SetAll(nodes, mid)
-				}), nil
-			},
-			Decode: func(a core.StrategyArgs) (core.Strategy, error) {
-				if a.FreqMHz != 0 {
-					return core.Strategy{}, spec.Errorf("freq_mhz", "toy-midpoint takes no parameters")
-				}
-				return toyStrategy(), nil
-			},
-			Example: toyStrategy,
-		})
-	})
-}
-
-func TestToyStrategySingleRegistration(t *testing.T) {
-	registerToyStrategy()
-	w := ft(t, npb.ClassS)
-
-	plain, err := core.Run(w, toyStrategy(), core.DefaultConfig())
-	if err != nil {
-		t.Fatalf("Run(toy): %v", err)
-	}
-	if plain.Strategy != "toy" {
-		t.Fatalf("Result.Strategy = %q, want toy", plain.Strategy)
-	}
-	inst, err := core.RunInstrumented(w, toyStrategy(), core.DefaultConfig(), 0, 0)
-	if err != nil {
-		t.Fatalf("RunInstrumented(toy): %v", err)
-	}
-	if inst.Strategy != "toy" {
-		t.Fatalf("instrumented Result.Strategy = %q, want toy", inst.Strategy)
-	}
-
-	// The wire decoder picks it up too, and enumerates it on rejection.
-	cfg := core.DefaultConfig()
-	strat, err := core.DecodeStrategy("toy-midpoint", core.StrategyArgs{Table: cfg.Node.Table})
-	if err != nil {
-		t.Fatalf("DecodeStrategy(toy-midpoint): %v", err)
-	}
-	if strat.Kind != kindToy {
-		t.Fatalf("decoded kind %d, want %d", strat.Kind, kindToy)
-	}
-	if _, err := core.DecodeStrategy("toy-midpoint", core.StrategyArgs{FreqMHz: 600}); err == nil {
-		t.Fatal("toy decode accepted a parameter it rejects")
 	}
 }
 

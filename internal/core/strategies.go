@@ -1,9 +1,6 @@
-// The seven paper strategies, each a self-contained registration: its
-// Strategy tag, wire name, string form, attach logic (shared verbatim by
-// Run and RunInstrumented — they can no longer drift), and wire decoder.
-// This file replaces the four switches that used to dispatch on
-// StrategyKind across core.Run, core.RunInstrumented, Strategy.String,
-// and server.StrategySpec.build.
+// The seven paper strategies, one registry entry each: wire name, string
+// form, attach step (shared verbatim by Run and RunInstrumented) and wire
+// decoder. An entry's index is its StrategyKind.
 package core
 
 import (
@@ -19,32 +16,25 @@ import (
 	"repro/internal/spec"
 )
 
-func init() {
-	RegisterStrategy(Registration{
-		Kind: KindNoDVS,
+var registry = []Registration{
+	KindNoDVS: {
 		Name: "nodvs",
 		// The baseline is labelled by the top frequency, the way the
 		// paper's tables head their normalization column.
 		String: func(Strategy) string { return "1400" },
-		Plan: func(s Strategy) (StrategyPlan, error) {
-			return PlanFunc("nodvs", func(*sim.Kernel, []*node.Node, *mpisim.World) (func(*Result) error, error) {
-				// Nodes start at top speed by default.
-				return nil, nil
-			}), nil
+		Attach: func(Strategy, *sim.Kernel, []*node.Node, *mpisim.World) (func(*Result) error, error) {
+			// Nodes start at top speed by default.
+			return nil, nil
 		},
 		Decode:  func(StrategyArgs) (Strategy, error) { return NoDVS(), nil },
 		Example: NoDVS,
-	})
+	},
 
-	RegisterStrategy(Registration{
-		Kind:   KindExternal,
+	KindExternal: {
 		Name:   "external",
 		String: func(s Strategy) string { return fmt.Sprintf("%.0f", float64(s.Freq)) },
-		Plan: func(s Strategy) (StrategyPlan, error) {
-			f := s.Freq
-			return PlanFunc("external", func(k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
-				return nil, sched.SetAll(nodes, f)
-			}), nil
+		Attach: func(s Strategy, _ *sim.Kernel, nodes []*node.Node, _ *mpisim.World) (func(*Result) error, error) {
+			return nil, sched.SetAll(nodes, s.Freq)
 		},
 		Decode: func(a StrategyArgs) (Strategy, error) {
 			if a.FreqMHz == 0 {
@@ -56,17 +46,13 @@ func init() {
 			return External(dvs.MHz(a.FreqMHz)), nil
 		},
 		Example: func() Strategy { return External(600) },
-	})
+	},
 
-	RegisterStrategy(Registration{
-		Kind:   KindExternalPerNode,
+	KindExternalPerNode: {
 		Name:   "external-per-node",
 		String: func(Strategy) string { return "per-node" },
-		Plan: func(s Strategy) (StrategyPlan, error) {
-			freqs := s.PerNode
-			return PlanFunc("external-per-node", func(k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
-				return nil, sched.SetPerNode(nodes, freqs)
-			}), nil
+		Attach: func(s Strategy, _ *sim.Kernel, nodes []*node.Node, _ *mpisim.World) (func(*Result) error, error) {
+			return nil, sched.SetPerNode(nodes, s.PerNode)
 		},
 		Decode: func(a StrategyArgs) (Strategy, error) {
 			if len(a.PerNode) == 0 {
@@ -84,6 +70,9 @@ func init() {
 				if err != nil || id < 0 {
 					return Strategy{}, spec.Errorf("per_node", "key %q is not a node ID", k)
 				}
+				if id >= a.Ranks {
+					return Strategy{}, spec.Errorf("per_node", "key %q names no node; the workload has %d ranks", k, a.Ranks)
+				}
 				f := dvs.MHz(a.PerNode[k])
 				if err := a.CheckFreq(fmt.Sprintf("per_node[%s]", k), f); err != nil {
 					return Strategy{}, err
@@ -93,34 +82,13 @@ func init() {
 			return ExternalPerNode(freqs), nil
 		},
 		Example: func() Strategy { return ExternalPerNode(map[int]dvs.MHz{0: 800}) },
-	})
+	},
 
-	RegisterStrategy(Registration{
-		Kind:   KindDaemon,
+	KindDaemon: {
 		Name:   "daemon",
 		String: func(Strategy) string { return "auto" },
-		Plan: func(s Strategy) (StrategyPlan, error) {
-			cfg := s.Daemon
-			return PlanFunc("daemon", func(k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
-				ds, stop, err := sched.StartCluster(k, nodes, cfg)
-				if err != nil {
-					return nil, err
-				}
-				w.OnAllDone(stop)
-				return func(res *Result) error {
-					for _, d := range ds {
-						// A daemon that failed to change operating points
-						// retires itself with a recorded error instead of
-						// panicking; its run measured a half-applied
-						// strategy and must not be reported as a result.
-						if err := d.Err(); err != nil {
-							return err
-						}
-						res.DaemonMoves += d.Moves
-					}
-					return nil
-				}, nil
-			}), nil
+		Attach: func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
+			return attachGovernors(k, nodes, w, sched.StartCPUSpeed, s.Daemon, true)
 		},
 		Decode: func(a StrategyArgs) (Strategy, error) {
 			var cfg sched.CPUSpeedConfig
@@ -143,22 +111,13 @@ func init() {
 			return Daemon(cfg), nil
 		},
 		Example: func() Strategy { return Daemon(sched.CPUSpeedV121()) },
-	})
+	},
 
-	RegisterStrategy(Registration{
-		Kind:   KindPredictive,
+	KindPredictive: {
 		Name:   "predictive",
 		String: func(Strategy) string { return "predictive" },
-		Plan: func(s Strategy) (StrategyPlan, error) {
-			cfg := s.Predictive
-			return PlanFunc("predictive", func(k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
-				_, stop, err := sched.StartPredictiveCluster(k, nodes, cfg)
-				if err != nil {
-					return nil, err
-				}
-				w.OnAllDone(stop)
-				return nil, nil
-			}), nil
+		Attach: func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
+			return attachGovernors(k, nodes, w, sched.StartPredictive, s.Predictive, false)
 		},
 		Decode: func(a StrategyArgs) (Strategy, error) {
 			cfg := sched.DefaultPredictive()
@@ -176,22 +135,13 @@ func init() {
 			return Predictive(cfg), nil
 		},
 		Example: func() Strategy { return Predictive(sched.DefaultPredictive()) },
-	})
+	},
 
-	RegisterStrategy(Registration{
-		Kind:   KindOnDemand,
+	KindOnDemand: {
 		Name:   "ondemand",
 		String: func(Strategy) string { return "ondemand" },
-		Plan: func(s Strategy) (StrategyPlan, error) {
-			cfg := s.OnDemand
-			return PlanFunc("ondemand", func(k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
-				_, stop, err := sched.StartOnDemandCluster(k, nodes, cfg)
-				if err != nil {
-					return nil, err
-				}
-				w.OnAllDone(stop)
-				return nil, nil
-			}), nil
+		Attach: func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
+			return attachGovernors(k, nodes, w, sched.StartOnDemand, s.OnDemand, false)
 		},
 		Decode: func(a StrategyArgs) (Strategy, error) {
 			cfg := sched.DefaultOnDemand()
@@ -206,22 +156,18 @@ func init() {
 			return OnDemand(cfg), nil
 		},
 		Example: func() Strategy { return OnDemand(sched.DefaultOnDemand()) },
-	})
+	},
 
-	RegisterStrategy(Registration{
-		Kind:   KindPowerCap,
+	KindPowerCap: {
 		Name:   "powercap",
 		String: func(s Strategy) string { return fmt.Sprintf("cap %.0fW", s.PowerCap.BudgetWatts) },
-		Plan: func(s Strategy) (StrategyPlan, error) {
-			cfg := s.PowerCap
-			return PlanFunc("powercap", func(k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
-				pc, err := sched.StartPowerCap(k, nodes, cfg)
-				if err != nil {
-					return nil, err
-				}
-				w.OnAllDone(pc.Stop)
-				return nil, nil
-			}), nil
+		Attach: func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
+			pc, err := sched.StartPowerCap(k, nodes, s.PowerCap)
+			if err != nil {
+				return nil, err
+			}
+			w.OnAllDone(pc.Stop)
+			return func(*Result) error { return pc.Err() }, nil
 		},
 		Decode: func(a StrategyArgs) (Strategy, error) {
 			if a.BudgetWatts <= 0 {
@@ -242,5 +188,30 @@ func init() {
 			return PowerCap(cfg), nil
 		},
 		Example: func() Strategy { return PowerCap(sched.DefaultPowerCap(190)) },
-	})
+	},
+}
+
+// attachGovernors starts one governor per node and stops them all when
+// the workload finishes. Its finish hook fails the run if any governor
+// retired early: a daemon that could not change operating points measured
+// a half-applied strategy. countMoves adds the governors' moves to
+// DaemonMoves.
+func attachGovernors[C any](k *sim.Kernel, nodes []*node.Node, w *mpisim.World,
+	start func(*sim.Kernel, *node.Node, C) (*sched.Governor, error), cfg C, countMoves bool) (func(*Result) error, error) {
+	ds, stop, err := sched.StartCluster(k, nodes, start, cfg)
+	if err != nil {
+		return nil, err
+	}
+	w.OnAllDone(stop)
+	return func(res *Result) error {
+		for _, d := range ds {
+			if err := d.Err(); err != nil {
+				return err
+			}
+			if countMoves {
+				res.DaemonMoves += d.Moves
+			}
+		}
+		return nil
+	}, nil
 }

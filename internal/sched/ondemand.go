@@ -54,90 +54,38 @@ func (c OnDemandConfig) Validate() error {
 	return nil
 }
 
-// OnDemand is one node's running governor.
-type OnDemand struct {
-	node    *node.Node
-	cfg     OnDemandConfig
-	proc    *sim.Proc
-	stopped bool
-	lowRun  int
-
-	Steps, Moves int
+// ondemand is the in-kernel governor's policy.
+type ondemand struct {
+	Governor
+	cfg    OnDemandConfig
+	lowRun int
 }
 
-// StartOnDemand spawns the governor for one node.
-func StartOnDemand(k *sim.Kernel, n *node.Node, cfg OnDemandConfig) (*OnDemand, error) {
+// StartOnDemand spawns the ondemand governor for one node.
+func StartOnDemand(k *sim.Kernel, n *node.Node, cfg OnDemandConfig) (*Governor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &OnDemand{node: n, cfg: cfg}
-	d.proc = k.Spawn(fmt.Sprintf("ondemand.n%d", n.ID), d.run)
-	return d, nil
+	d := &ondemand{cfg: cfg}
+	return d.start(k, "ondemand", n, cfg.SamplingRate, d), nil
 }
 
-// Stop terminates the governor (idempotent).
-func (d *OnDemand) Stop() {
-	if d.stopped {
-		return
-	}
-	d.stopped = true
-	d.proc.Interrupt()
-}
-
-func (d *OnDemand) run(p *sim.Proc) {
-	n := d.node
-	top := len(n.Table()) - 1
-	prev := n.Util()
-	for !d.stopped {
-		if _, err := p.SleepInterruptible(d.cfg.SamplingRate); err != nil {
-			break
-		}
-		cur := n.Util()
-		u := node.Utilization(prev, cur)
-		prev = cur
-		d.Steps++
-		s := n.OperatingIndex()
-		switch {
-		case u > d.cfg.UpThreshold:
+func (d *ondemand) next(u float64) int {
+	s := d.node.OperatingIndex()
+	switch {
+	case u > d.cfg.UpThreshold:
+		d.lowRun = 0
+		s = len(d.node.Table()) - 1
+	case u < d.cfg.UpThreshold-d.cfg.DownDifferential:
+		d.lowRun++
+		if d.lowRun >= d.cfg.DownSamples {
 			d.lowRun = 0
-			s = top
-		case u < d.cfg.UpThreshold-d.cfg.DownDifferential:
-			d.lowRun++
-			if d.lowRun >= d.cfg.DownSamples {
-				d.lowRun = 0
-				if s > 0 {
-					s--
-				}
-			}
-		default:
-			d.lowRun = 0
-		}
-		if s != n.OperatingIndex() {
-			d.Moves++
-			if err := n.SetFrequencyIndex(s); err != nil {
-				panic(fmt.Sprintf("ondemand.n%d: %v", n.ID, err))
+			if s > 0 {
+				s--
 			}
 		}
+	default:
+		d.lowRun = 0
 	}
-}
-
-// StartOnDemandCluster starts one governor per node.
-func StartOnDemandCluster(k *sim.Kernel, nodes []*node.Node, cfg OnDemandConfig) ([]*OnDemand, func(), error) {
-	ds := make([]*OnDemand, 0, len(nodes))
-	for _, n := range nodes {
-		d, err := StartOnDemand(k, n, cfg)
-		if err != nil {
-			for _, prevD := range ds {
-				prevD.Stop()
-			}
-			return nil, nil, err
-		}
-		ds = append(ds, d)
-	}
-	stop := func() {
-		for _, d := range ds {
-			d.Stop()
-		}
-	}
-	return ds, stop, nil
+	return s
 }

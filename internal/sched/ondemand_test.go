@@ -85,10 +85,10 @@ func TestOnDemandDecaysSlowly(t *testing.T) {
 func TestOnDemandClusterRollback(t *testing.T) {
 	k := sim.NewKernel()
 	nodes := []*node.Node{node.MustNew(k, 0, node.DefaultConfig())}
-	if _, _, err := StartOnDemandCluster(k, nodes, OnDemandConfig{}); err == nil {
+	if _, _, err := StartCluster(k, nodes, StartOnDemand, OnDemandConfig{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	ds, stop, err := StartOnDemandCluster(k, nodes, DefaultOnDemand())
+	ds, stop, err := StartCluster(k, nodes, StartOnDemand, DefaultOnDemand())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,16 +44,16 @@ func (c PowerCapConfig) Validate() error {
 
 // PowerCap is a running cluster-level capping controller.
 type PowerCap struct {
-	cfg     PowerCapConfig
-	nodes   []*node.Node
-	proc    *sim.Proc
-	stopped bool
-	lastE   []float64
+	loop
+	cfg   PowerCapConfig
+	nodes []*node.Node
+	lastE []float64
+	watts []float64
 
-	// Steps counts control decisions; Throttles counts downshifts,
-	// Releases upshifts; OverBudget counts intervals measured above the
-	// budget (the controller's failure metric).
-	Steps, Throttles, Releases, OverBudget int
+	// Throttles counts downshifts, Releases upshifts; OverBudget counts
+	// intervals measured above the budget (the controller's failure
+	// metric).
+	Throttles, Releases, OverBudget int
 }
 
 // StartPowerCap spawns the controller over a node set.
@@ -64,79 +64,63 @@ func StartPowerCap(k *sim.Kernel, nodes []*node.Node, cfg PowerCapConfig) (*Powe
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("sched: power cap needs nodes")
 	}
-	pc := &PowerCap{cfg: cfg, nodes: nodes, lastE: make([]float64, len(nodes))}
+	pc := &PowerCap{cfg: cfg, nodes: nodes, lastE: make([]float64, len(nodes)), watts: make([]float64, len(nodes))}
 	for i, n := range nodes {
 		pc.lastE[i] = n.Energy().Total()
 	}
-	pc.proc = k.Spawn("powercap", pc.run)
+	pc.spawn(k, "powercap", cfg.Interval, pc)
 	return pc, nil
 }
 
-// Stop terminates the controller (idempotent).
-func (pc *PowerCap) Stop() {
-	if pc.stopped {
-		return
-	}
-	pc.stopped = true
-	pc.proc.Interrupt()
-}
+func (pc *PowerCap) begin() {}
 
-func (pc *PowerCap) run(p *sim.Proc) {
+func (pc *PowerCap) step() error {
+	// Meter each node's average power over the last interval.
 	sec := pc.cfg.Interval.Seconds()
-	for !pc.stopped {
-		if _, err := p.SleepInterruptible(pc.cfg.Interval); err != nil {
-			break
-		}
-		pc.Steps++
-		// Meter each node's average power over the last interval.
-		total := 0.0
-		watts := make([]float64, len(pc.nodes))
+	total := 0.0
+	watts := pc.watts
+	for i, n := range pc.nodes {
+		e := n.Energy().Total()
+		watts[i] = (e - pc.lastE[i]) / sec
+		pc.lastE[i] = e
+		total += watts[i]
+	}
+	fair := pc.cfg.BudgetWatts / float64(len(pc.nodes))
+	switch {
+	case total > pc.cfg.BudgetWatts:
+		pc.OverBudget++
+		// Throttle aggressively: every node drawing more than its fair
+		// share steps down this interval, so the controller converges in
+		// a few periods rather than one step at a time.
+		acted := false
 		for i, n := range pc.nodes {
-			e := n.Energy().Total()
-			watts[i] = (e - pc.lastE[i]) / sec
-			pc.lastE[i] = e
-			total += watts[i]
+			if watts[i] > fair && n.OperatingIndex() > 0 {
+				pc.Throttles++
+				acted = true
+				if err := setIndex(n, n.OperatingIndex()-1); err != nil {
+					return err
+				}
+			}
 		}
-		fair := pc.cfg.BudgetWatts / float64(len(pc.nodes))
-		switch {
-		case total > pc.cfg.BudgetWatts:
-			pc.OverBudget++
-			// Throttle aggressively: every node drawing more than its
-			// fair share steps down this interval, so the controller
-			// converges in a few periods rather than one step at a time.
-			acted := false
-			for i, n := range pc.nodes {
-				if watts[i] > fair && n.OperatingIndex() > 0 {
-					pc.Throttles++
-					acted = true
-					if err := n.SetFrequencyIndex(n.OperatingIndex() - 1); err != nil {
-						panic(fmt.Sprintf("powercap: %v", err))
-					}
-				}
-			}
-			if !acted {
-				// Everyone over fair share is already at the bottom;
-				// throttle the overall hungriest node with room instead.
-				if i := pc.pick(watts, true); i >= 0 {
-					pc.Throttles++
-					n := pc.nodes[i]
-					if err := n.SetFrequencyIndex(n.OperatingIndex() - 1); err != nil {
-						panic(fmt.Sprintf("powercap: %v", err))
-					}
-				}
-			}
-		case total < pc.cfg.BudgetWatts*(1-pc.cfg.Headroom):
-			// Release conservatively: one thrifty node per interval, so a
-			// momentary lull does not blow the next interval's budget.
-			if i := pc.pick(watts, false); i >= 0 {
-				pc.Releases++
+		if !acted {
+			// Everyone over fair share is already at the bottom; throttle
+			// the overall hungriest node with room instead.
+			if i := pc.pick(watts, true); i >= 0 {
+				pc.Throttles++
 				n := pc.nodes[i]
-				if err := n.SetFrequencyIndex(n.OperatingIndex() + 1); err != nil {
-					panic(fmt.Sprintf("powercap: %v", err))
-				}
+				return setIndex(n, n.OperatingIndex()-1)
 			}
+		}
+	case total < pc.cfg.BudgetWatts*(1-pc.cfg.Headroom):
+		// Release conservatively: one thrifty node per interval, so a
+		// momentary lull does not blow the next interval's budget.
+		if i := pc.pick(watts, false); i >= 0 {
+			pc.Releases++
+			n := pc.nodes[i]
+			return setIndex(n, n.OperatingIndex()+1)
 		}
 	}
+	return nil
 }
 
 // pick selects the node to adjust: for throttling, the highest-power node

@@ -69,94 +69,41 @@ func (c PredictiveConfig) Validate() error {
 	return c.Fallback.Validate()
 }
 
-// Predictive is one node's running predictive daemon.
-type Predictive struct {
-	node    *node.Node
-	cfg     PredictiveConfig
-	proc    *sim.Proc
-	stopped bool
+// predictive is the phase-aware daemon's policy.
+type predictive struct {
+	Governor
+	cfg PredictiveConfig
 
 	demand []float64 // ring buffer of MHz-equivalent demand
 	head   int
 	filled int
 
-	// Steps/Moves/Predicted count decisions, point changes, and decisions
-	// made by the predictor (vs fallback).
-	Steps, Moves, Predicted int
+	// Predicted counts decisions made by the predictor (vs fallback).
+	Predicted int
 }
 
 // StartPredictive spawns the predictive daemon for one node.
-func StartPredictive(k *sim.Kernel, n *node.Node, cfg PredictiveConfig) (*Predictive, error) {
+func StartPredictive(k *sim.Kernel, n *node.Node, cfg PredictiveConfig) (*Governor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	d := &Predictive{node: n, cfg: cfg, demand: make([]float64, cfg.History)}
-	d.proc = k.Spawn(fmt.Sprintf("predictive.n%d", n.ID), d.run)
-	return d, nil
+	d := &predictive{cfg: cfg, demand: make([]float64, cfg.History)}
+	return d.start(k, "predictive", n, cfg.Window, d), nil
 }
 
-// Stop terminates the daemon (idempotent).
-func (d *Predictive) Stop() {
-	if d.stopped {
-		return
+func (d *predictive) next(u float64) int {
+	// Record demand in MHz-equivalents at the frequency that served it.
+	d.push(u * float64(d.node.Frequency()))
+	if pred, ok := d.predict(); ok {
+		d.Predicted++
+		return d.pointFor(pred)
 	}
-	d.stopped = true
-	d.proc.Interrupt()
-}
-
-func (d *Predictive) run(p *sim.Proc) {
-	n := d.node
-	top := len(n.Table()) - 1
-	prev := n.Util()
-	// fallbackS mirrors the classic walk while the predictor warms up.
-	for !d.stopped {
-		if _, err := p.SleepInterruptible(d.cfg.Window); err != nil {
-			break
-		}
-		cur := n.Util()
-		u := node.Utilization(prev, cur)
-		prev = cur
-		// Record demand in MHz-equivalents at the frequency that served it.
-		d.push(u * float64(n.Frequency()))
-		d.Steps++
-
-		var idx int
-		if pred, ok := d.predict(); ok {
-			d.Predicted++
-			idx = d.pointFor(pred)
-		} else {
-			// Classic §3.1 walk until the predictor is confident.
-			fb := d.cfg.Fallback
-			s := n.OperatingIndex()
-			switch {
-			case u < fb.MinThreshold:
-				s = 0
-			case u > fb.MaxThreshold:
-				s = top
-			case u < fb.UsageThreshold:
-				s--
-			default:
-				s++
-			}
-			if s < 0 {
-				s = 0
-			}
-			if s > top {
-				s = top
-			}
-			idx = s
-		}
-		if idx != n.OperatingIndex() {
-			d.Moves++
-			if err := n.SetFrequencyIndex(idx); err != nil {
-				panic(fmt.Sprintf("predictive.n%d: %v", n.ID, err))
-			}
-		}
-	}
+	// Classic §3.1 walk until the predictor is confident.
+	return cpuspeedIndex(d.cfg.Fallback, d.node, u)
 }
 
 // push appends a demand sample to the ring.
-func (d *Predictive) push(v float64) {
+func (d *predictive) push(v float64) {
 	d.demand[d.head] = v
 	d.head = (d.head + 1) % len(d.demand)
 	if d.filled < len(d.demand) {
@@ -165,7 +112,7 @@ func (d *Predictive) push(v float64) {
 }
 
 // series returns the demand history oldest-first.
-func (d *Predictive) series() []float64 {
+func (d *predictive) series() []float64 {
 	out := make([]float64, 0, d.filled)
 	start := (d.head - d.filled + len(d.demand)) % len(d.demand)
 	for i := 0; i < d.filled; i++ {
@@ -176,7 +123,7 @@ func (d *Predictive) series() []float64 {
 
 // predict returns the expected next-window demand when a trustworthy
 // period exists in the history.
-func (d *Predictive) predict() (float64, bool) {
+func (d *predictive) predict() (float64, bool) {
 	s := d.series()
 	if len(s) < 16 {
 		return 0, false
@@ -191,7 +138,7 @@ func (d *Predictive) predict() (float64, bool) {
 
 // pointFor maps a demand (MHz-equivalent) to the slowest operating point
 // that serves it at the target load.
-func (d *Predictive) pointFor(demand float64) int {
+func (d *predictive) pointFor(demand float64) int {
 	table := d.node.Table()
 	for i, op := range table {
 		if float64(op.Frequency)*d.cfg.TargetLoad >= demand {
@@ -231,25 +178,4 @@ func dominantPeriod(s []float64) (lag int, corr float64) {
 		}
 	}
 	return bestLag, bestC
-}
-
-// StartPredictiveCluster starts one predictive daemon per node.
-func StartPredictiveCluster(k *sim.Kernel, nodes []*node.Node, cfg PredictiveConfig) ([]*Predictive, func(), error) {
-	ds := make([]*Predictive, 0, len(nodes))
-	for _, n := range nodes {
-		d, err := StartPredictive(k, n, cfg)
-		if err != nil {
-			for _, prev := range ds {
-				prev.Stop()
-			}
-			return nil, nil, err
-		}
-		ds = append(ds, d)
-	}
-	stop := func() {
-		for _, d := range ds {
-			d.Stop()
-		}
-	}
-	return ds, stop, nil
 }

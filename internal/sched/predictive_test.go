@@ -126,8 +126,8 @@ func TestPredictiveFallsBackEarly(t *testing.T) {
 	if err := k.Run(sim.MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if d.Predicted != 0 {
-		t.Fatalf("predicted %d decisions with <16 windows of history", d.Predicted)
+	if p := d.policy.(*predictive).Predicted; p != 0 {
+		t.Fatalf("predicted %d decisions with <16 windows of history", p)
 	}
 	if d.Steps == 0 {
 		t.Fatal("no decisions at all")
@@ -137,7 +137,8 @@ func TestPredictiveFallsBackEarly(t *testing.T) {
 func TestPointForMapping(t *testing.T) {
 	k := sim.NewKernel()
 	n := node.MustNew(k, 0, node.DefaultConfig())
-	d := &Predictive{node: n, cfg: DefaultPredictive()}
+	d := &predictive{cfg: DefaultPredictive()}
+	d.node = n
 	cases := []struct {
 		demand float64
 		want   int // operating index
@@ -167,10 +168,10 @@ func TestPredictiveStopIdempotent(t *testing.T) {
 func TestStartPredictiveClusterRollback(t *testing.T) {
 	k := sim.NewKernel()
 	nodes := []*node.Node{node.MustNew(k, 0, node.DefaultConfig())}
-	if _, _, err := StartPredictiveCluster(k, nodes, PredictiveConfig{}); err == nil {
+	if _, _, err := StartCluster(k, nodes, StartPredictive, PredictiveConfig{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
-	ds, stop, err := StartPredictiveCluster(k, nodes, DefaultPredictive())
+	ds, stop, err := StartCluster(k, nodes, StartPredictive, DefaultPredictive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestStartPredictiveClusterRollback(t *testing.T) {
 }
 
 func TestRingBuffer(t *testing.T) {
-	d := &Predictive{demand: make([]float64, 4)}
+	d := &predictive{demand: make([]float64, 4)}
 	for i := 1; i <= 6; i++ {
 		d.push(float64(i))
 	}

@@ -12,10 +12,19 @@
 //  3. INTERNAL — user-driven, internal: the application calls
 //     mpisim.Rank.SetSpeed around code regions; this package only carries
 //     the shared policy types, the calls live in the npb workload variants.
+//
+// Beside the cpuspeed daemon it runs three more: the ondemand governor,
+// the predictive daemon and a cluster-level power cap. All four are one
+// sim proc each, driven by one loop (sleep an interval, take a step,
+// repeat until Stop), and retire with Err instead of panicking when an
+// operating-point change fails. The three per-node daemons are policies
+// over one Governor, which samples the node's utilization and applies
+// the operating point its policy picks.
 package sched
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/dvs"
@@ -75,71 +84,49 @@ func CPUSpeedV121() CPUSpeedConfig {
 	}
 }
 
-// Daemon is one node's running cpuspeed instance.
-type Daemon struct {
-	node    *node.Node
-	cfg     CPUSpeedConfig
-	proc    *sim.Proc
-	stopped bool
-	err     error
-	// setSpeed applies an operating-point decision; a test hook, it
-	// defaults to the node's SetFrequencyIndex.
-	setSpeed func(idx int) error
-	// Steps counts scheduling decisions taken; Moves counts decisions
-	// that changed the operating point.
-	Steps, Moves int
+// setIndex applies an operating-point decision for every daemon; tests
+// swap it to inject a failing change.
+var setIndex = (*node.Node).SetFrequencyIndex
+
+// stepper is one daemon's control law, run by loop.
+type stepper interface {
+	// begin runs once, at the proc's first dispatch, before any sleep.
+	begin()
+	// step takes one control decision; an error retires the daemon.
+	step() error
 }
 
-// StartCPUSpeed spawns the daemon proc for one node. It runs until Stop.
-func StartCPUSpeed(k *sim.Kernel, n *node.Node, cfg CPUSpeedConfig) (*Daemon, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	d := &Daemon{node: n, cfg: cfg, setSpeed: n.SetFrequencyIndex}
-	d.proc = k.Spawn(fmt.Sprintf("cpuspeed.n%d", n.ID), d.run)
-	return d, nil
+// loop is the lifecycle every daemon shares: one sim proc that sleeps an
+// interval, takes a step, and repeats until Stop.
+type loop struct {
+	name     string
+	interval time.Duration
+	s        stepper
+	proc     *sim.Proc
+	stopped  bool
+	err      error
+	// Steps counts control decisions taken.
+	Steps int
 }
 
-// run is the §3.1 loop: poll utilization, move S, set speed, sleep.
-func (d *Daemon) run(p *sim.Proc) {
-	n := d.node
-	top := len(n.Table()) - 1
-	prev := n.Util()
-	for !d.stopped {
-		if _, err := p.SleepInterruptible(d.cfg.Interval); err != nil {
-			break // interrupted by Stop
+func (l *loop) spawn(k *sim.Kernel, name string, interval time.Duration, s stepper) {
+	l.name, l.interval, l.s = name, interval, s
+	l.proc = k.Spawn(name, l.run)
+}
+
+func (l *loop) run(p *sim.Proc) {
+	l.s.begin()
+	for !l.stopped {
+		if _, err := p.SleepInterruptible(l.interval); err != nil {
+			return // interrupted by Stop
 		}
-		cur := n.Util()
-		u := node.Utilization(prev, cur)
-		prev = cur
-		s := n.OperatingIndex()
-		switch {
-		case u < d.cfg.MinThreshold:
-			s = 0
-		case u > d.cfg.MaxThreshold:
-			s = top
-		case u < d.cfg.UsageThreshold:
-			s--
-			if s < 0 {
-				s = 0
-			}
-		default:
-			s++
-			if s > top {
-				s = top
-			}
-		}
-		d.Steps++
-		if s != n.OperatingIndex() {
-			d.Moves++
-			if err := d.setSpeed(s); err != nil {
-				// A daemon failure must not take down the whole process
-				// (in dvsd, unrelated in-flight simulations share it):
-				// record the error and retire this daemon; callers
-				// inspect Err after Stop.
-				d.err = fmt.Errorf("cpuspeed.n%d: %w", n.ID, err)
-				return
-			}
+		l.Steps++
+		if err := l.s.step(); err != nil {
+			// A daemon failure must not take down the whole process (in
+			// dvsd, unrelated in-flight simulations share it): record the
+			// error and retire; callers inspect Err after Stop.
+			l.err = fmt.Errorf("%s: %w", l.name, err)
+			return
 		}
 	}
 }
@@ -147,23 +134,96 @@ func (d *Daemon) run(p *sim.Proc) {
 // Err returns the error that retired the daemon early, if any — a failed
 // operating-point change aborts the daemon's loop instead of panicking.
 // Inspect it after Stop (or after the owning kernel finishes running).
-func (d *Daemon) Err() error { return d.err }
+func (l *loop) Err() error { return l.err }
 
 // Stop terminates the daemon (idempotent). Safe to call from any proc or
 // completion callback; the daemon proc exits at the current virtual time.
-func (d *Daemon) Stop() {
-	if d.stopped {
+func (l *loop) Stop() {
+	if l.stopped {
 		return
 	}
-	d.stopped = true
-	d.proc.Interrupt()
+	l.stopped = true
+	l.proc.Interrupt()
 }
 
-// StartCluster starts one daemon per node and returns a stop-all func.
-func StartCluster(k *sim.Kernel, nodes []*node.Node, cfg CPUSpeedConfig) ([]*Daemon, func(), error) {
-	ds := make([]*Daemon, 0, len(nodes))
+// Governor is one node's running utilization-driven daemon (cpuspeed,
+// ondemand or predictive): each interval it samples the node's /proc-style
+// counters and applies the operating point its policy picks.
+type Governor struct {
+	loop
+	node   *node.Node
+	policy policy
+	prev   node.UtilSnapshot
+	// Moves counts decisions that changed the operating point.
+	Moves int
+}
+
+// policy picks a governor's operating index from one window's utilization.
+type policy interface {
+	next(u float64) int
+}
+
+func (g *Governor) start(k *sim.Kernel, name string, n *node.Node, interval time.Duration, p policy) *Governor {
+	g.node, g.policy = n, p
+	g.spawn(k, name+".n"+strconv.Itoa(n.ID), interval, g)
+	return g
+}
+
+func (g *Governor) begin() { g.prev = g.node.Util() }
+
+func (g *Governor) step() error {
+	cur := g.node.Util()
+	u := node.Utilization(g.prev, cur)
+	g.prev = cur
+	idx := g.policy.next(u)
+	if idx == g.node.OperatingIndex() {
+		return nil
+	}
+	g.Moves++
+	return setIndex(g.node, idx)
+}
+
+// cpuspeed is the §3.1 policy.
+type cpuspeed struct {
+	Governor
+	cfg CPUSpeedConfig
+}
+
+// StartCPUSpeed spawns the cpuspeed daemon for one node. It runs until Stop.
+func StartCPUSpeed(k *sim.Kernel, n *node.Node, cfg CPUSpeedConfig) (*Governor, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	d := &cpuspeed{cfg: cfg}
+	return d.start(k, "cpuspeed", n, cfg.Interval, d), nil
+}
+
+func (d *cpuspeed) next(u float64) int { return cpuspeedIndex(d.cfg, d.node, u) }
+
+// cpuspeedIndex is the §3.1 decision: below MinThreshold jump to the
+// bottom point, above MaxThreshold to the top, otherwise step one point
+// down or up around UsageThreshold.
+func cpuspeedIndex(cfg CPUSpeedConfig, n *node.Node, u float64) int {
+	s, top := n.OperatingIndex(), len(n.Table())-1
+	switch {
+	case u < cfg.MinThreshold:
+		return 0
+	case u > cfg.MaxThreshold:
+		return top
+	case u < cfg.UsageThreshold:
+		return max(s-1, 0)
+	default:
+		return min(s+1, top)
+	}
+}
+
+// StartCluster starts one governor per node with start and returns a
+// stop-all func. If any start fails, the governors already started are
+// stopped.
+func StartCluster[C any](k *sim.Kernel, nodes []*node.Node, start func(*sim.Kernel, *node.Node, C) (*Governor, error), cfg C) ([]*Governor, func(), error) {
+	ds := make([]*Governor, 0, len(nodes))
 	for _, n := range nodes {
-		d, err := StartCPUSpeed(k, n, cfg)
+		d, err := start(k, n, cfg)
 		if err != nil {
 			for _, prev := range ds {
 				prev.Stop()

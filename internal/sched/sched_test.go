@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -183,7 +184,7 @@ func TestDaemonStopIdempotent(t *testing.T) {
 func TestStartClusterStopsAll(t *testing.T) {
 	k := sim.NewKernel()
 	nodes := []*node.Node{newNode(t, k, 0), newNode(t, k, 1), newNode(t, k, 2)}
-	ds, stop, err := StartCluster(k, nodes, CPUSpeedV121())
+	ds, stop, err := StartCluster(k, nodes, StartCPUSpeed, CPUSpeedV121())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestStartClusterStopsAll(t *testing.T) {
 func TestStartClusterInvalidConfig(t *testing.T) {
 	k := sim.NewKernel()
 	nodes := []*node.Node{newNode(t, k, 0)}
-	if _, _, err := StartCluster(k, nodes, CPUSpeedConfig{}); err == nil {
+	if _, _, err := StartCluster(k, nodes, StartCPUSpeed, CPUSpeedConfig{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -244,30 +245,61 @@ func TestDaemonNearestRounding(t *testing.T) {
 }
 
 // TestDaemonSurfacesSetSpeedError asserts that a failed operating-point
-// change retires the daemon with a recorded error instead of panicking —
+// change retires every daemon with a recorded error instead of panicking —
 // in a long-lived process like dvsd, a panic here would take down
 // unrelated in-flight simulations sharing the address space.
 func TestDaemonSurfacesSetSpeedError(t *testing.T) {
-	k := sim.NewKernel()
-	n := newNode(t, k, 0)
-	d, err := StartCPUSpeed(k, n, CPUSpeedV121())
-	if err != nil {
-		t.Fatal(err)
-	}
 	boom := errors.New("sysfs write failed")
-	d.setSpeed = func(int) error { return boom }
-	// An idle node reads utilization ≈ 0, so the daemon's first tick
-	// decides to leave the top operating point and hits the failure.
-	k.At(sim.Time(time.Minute), func() { d.Stop() })
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
+	// Each daemon runs on an idle node at the top operating point, so its
+	// first move is a step down; steps is the decision that makes it.
+	cases := []struct {
+		name  string // proc name, the error's prefix
+		start func(*sim.Kernel, *node.Node) (*loop, error)
+		steps int
+	}{
+		{"cpuspeed.n0", func(k *sim.Kernel, n *node.Node) (*loop, error) {
+			g, err := StartCPUSpeed(k, n, CPUSpeedV121())
+			return &g.loop, err
+		}, 1},
+		// ondemand decays only after DownSamples consecutive low samples.
+		{"ondemand.n0", func(k *sim.Kernel, n *node.Node) (*loop, error) {
+			g, err := StartOnDemand(k, n, DefaultOnDemand())
+			return &g.loop, err
+		}, DefaultOnDemand().DownSamples},
+		{"predictive.n0", func(k *sim.Kernel, n *node.Node) (*loop, error) {
+			g, err := StartPredictive(k, n, DefaultPredictive())
+			return &g.loop, err
+		}, 1},
+		// 14 W of idle power is over a 5 W budget: throttle at once.
+		{"powercap", func(k *sim.Kernel, n *node.Node) (*loop, error) {
+			pc, err := StartPowerCap(k, []*node.Node{n}, DefaultPowerCap(5))
+			return &pc.loop, err
+		}, 1},
 	}
-	d.Stop()
-	if got := d.Err(); !errors.Is(got, boom) {
-		t.Fatalf("Err() = %v, want wrapped %v", got, boom)
-	}
-	if d.Steps != 1 {
-		t.Fatalf("daemon kept stepping after a failed move: steps=%d", d.Steps)
+	defer func(orig func(*node.Node, int) error) { setIndex = orig }(setIndex)
+	setIndex = func(*node.Node, int) error { return boom }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			d, err := tc.start(k, newNode(t, k, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			k.At(sim.Time(time.Minute), d.Stop)
+			if err := k.Run(sim.MaxTime); err != nil {
+				t.Fatal(err)
+			}
+			got := d.Err()
+			if !errors.Is(got, boom) {
+				t.Fatalf("Err() = %v, want wrapped %v", got, boom)
+			}
+			if !strings.HasPrefix(got.Error(), tc.name+": ") {
+				t.Fatalf("Err() = %q, want prefix %q", got, tc.name+": ")
+			}
+			if d.Steps != tc.steps {
+				t.Fatalf("daemon kept stepping after a failed move: steps=%d, want %d", d.Steps, tc.steps)
+			}
+		})
 	}
 }
 

@@ -26,6 +26,9 @@ var fuzzSeeds = []string{
 	`{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"external","freq_mhz":600}}`,
 	`{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"ondemand"}}`,
 	`{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"powercap","budget_watts":200}}`,
+	`{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"predictive"}}`,
+	`{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"daemon"}}`,
+	`{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"external-per-node","per_node":{"99":600}}}`,
 	// the full parameter surface
 	`{"workload":{"code":"CG","class":"S","ranks":8,"variant":"internal","high_mhz":1400,"low_mhz":600},
 	  "strategy":{"kind":"external-per-node","per_node":{"0":600,"1":800}},

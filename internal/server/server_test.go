@@ -121,6 +121,8 @@ func TestSimulateValidation(t *testing.T) {
 		{"external off-table freq", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external","freq_mhz":700}}`, 400, sweep.CodeInvalidStrategy, "strategy.freq_mhz"},
 		{"per-node bad key", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external-per-node","per_node":{"x":600}}}`, 400, sweep.CodeInvalidStrategy, "strategy.per_node"},
 		{"per-node off-table", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external-per-node","per_node":{"0":611}}}`, 400, sweep.CodeInvalidStrategy, "strategy.per_node[0]"},
+		{"per-node key past ranks", `{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"external-per-node","per_node":{"99":600}}}`, 400, sweep.CodeInvalidStrategy, "strategy.per_node"},
+		{"per-node key at ranks", `{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"external-per-node","per_node":{"0":600,"2":600}}}`, 400, sweep.CodeInvalidStrategy, "strategy.per_node"},
 		{"daemon bad preset", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","preset":"v9"}}`, 400, sweep.CodeInvalidStrategy, "strategy.preset"},
 		{"daemon bad interval", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","interval_ms":-5}}`, 400, sweep.CodeInvalidStrategy, "strategy.interval_ms"},
 		{"powercap no budget", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"powercap"}}`, 400, sweep.CodeInvalidStrategy, "strategy.budget_watts"},
@@ -353,7 +355,7 @@ func TestSweepGridNDJSON(t *testing.T) {
 // jobDaemonDefault mirrors StrategySpec{Kind: "daemon"}.build.
 func jobDaemonDefault() core.Strategy {
 	spec := StrategySpec{Kind: "daemon"}
-	strat, err := spec.build(core.DefaultConfig().Node.Table)
+	strat, err := spec.build(core.DefaultConfig().Node.Table, 8, "strategy")
 	if err != nil {
 		panic(err)
 	}
@@ -367,14 +369,17 @@ func TestSweepShapeValidation(t *testing.T) {
 		body   string
 		status int
 		code   string
+		field  string // exact match; "" skips
 	}{
-		{"empty", `{}`, 400, sweep.CodeInvalidSweep},
-		{"both forms", `{"jobs":[` + simFTS2 + `],"workloads":[{"code":"FT"}],"strategies":[{"kind":"nodvs"}]}`, 400, sweep.CodeInvalidSweep},
-		{"grid missing strategies", `{"workloads":[{"code":"FT"}]}`, 400, sweep.CodeInvalidSweep},
-		{"config on explicit jobs", `{"jobs":[` + simFTS2 + `],"config":{"spin_wait":true}}`, 400, sweep.CodeInvalidSweep},
-		{"too many explicit", `{"jobs":[` + simFTS2 + `,` + simFTS2 + `,` + simFTS2 + `]}`, http.StatusRequestEntityTooLarge, sweep.CodeTooManyJobs},
-		{"too large grid", `{"workloads":[{"code":"FT","class":"S"}],"strategies":[{"kind":"nodvs"},{"kind":"daemon"},{"kind":"ondemand"}]}`, http.StatusRequestEntityTooLarge, sweep.CodeTooManyJobs},
-		{"bad nested job", `{"jobs":[{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external"}}]}`, 400, sweep.CodeInvalidStrategy},
+		{"empty", `{}`, 400, sweep.CodeInvalidSweep, ""},
+		{"both forms", `{"jobs":[` + simFTS2 + `],"workloads":[{"code":"FT"}],"strategies":[{"kind":"nodvs"}]}`, 400, sweep.CodeInvalidSweep, ""},
+		{"grid missing strategies", `{"workloads":[{"code":"FT"}]}`, 400, sweep.CodeInvalidSweep, ""},
+		{"config on explicit jobs", `{"jobs":[` + simFTS2 + `],"config":{"spin_wait":true}}`, 400, sweep.CodeInvalidSweep, ""},
+		{"too many explicit", `{"jobs":[` + simFTS2 + `,` + simFTS2 + `,` + simFTS2 + `]}`, http.StatusRequestEntityTooLarge, sweep.CodeTooManyJobs, ""},
+		{"too large grid", `{"workloads":[{"code":"FT","class":"S"}],"strategies":[{"kind":"nodvs"},{"kind":"daemon"},{"kind":"ondemand"}]}`, http.StatusRequestEntityTooLarge, sweep.CodeTooManyJobs, ""},
+		{"bad nested job", `{"jobs":[{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external"}}]}`, 400, sweep.CodeInvalidStrategy, "jobs[0].strategy.freq_mhz"},
+		{"job per-node key past ranks", `{"jobs":[{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"external-per-node","per_node":{"99":600}}}]}`, 400, sweep.CodeInvalidStrategy, "jobs[0].strategy.per_node"},
+		{"grid per-node key past ranks", `{"workloads":[{"code":"FT","class":"S","ranks":2}],"strategies":[{"kind":"nodvs"},{"kind":"external-per-node","per_node":{"2":600}}]}`, 400, sweep.CodeInvalidStrategy, "strategies[1].per_node"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -382,8 +387,12 @@ func TestSweepShapeValidation(t *testing.T) {
 			if rec.Code != tc.status {
 				t.Fatalf("status=%d want %d; body=%s", rec.Code, tc.status, rec.Body.String())
 			}
-			if ae := errEnvelope(t, rec); ae.Code != tc.code {
+			ae := errEnvelope(t, rec)
+			if ae.Code != tc.code {
 				t.Fatalf("code=%q want %q (%s)", ae.Code, tc.code, ae.Message)
+			}
+			if tc.field != "" && ae.Field != tc.field {
+				t.Fatalf("field=%q want %q", ae.Field, tc.field)
 			}
 		})
 	}

@@ -76,12 +76,12 @@ func (s WorkloadSpec) build() (npb.Workload, error) {
 type StrategySpec struct {
 	// Kind is a registered strategy name — core.StrategyNames(), i.e.
 	// nodvs, external, external-per-node, daemon, predictive, ondemand,
-	// powercap, plus anything downstream code registered.
+	// powercap.
 	Kind string `json:"kind"`
 	// FreqMHz is the static frequency for kind=external.
 	FreqMHz float64 `json:"freq_mhz,omitempty"`
-	// PerNode maps node ID (JSON object key, decimal string) to MHz for
-	// kind=external-per-node.
+	// PerNode maps node ID (JSON object key, decimal string, below the
+	// workload's rank count) to MHz for kind=external-per-node.
 	PerNode map[string]float64 `json:"per_node,omitempty"`
 	// Preset selects the daemon tuning for kind=daemon: "v1.1" or
 	// "v1.2.1" (default).
@@ -98,12 +98,13 @@ type StrategySpec struct {
 
 // build decodes the spec through the strategy registry: the spec's
 // parameter fields become a core.StrategyArgs bag, and the registered
-// strategy named by Kind reads the fields it cares about. Unknown kinds
-// reject listing the registered names, so a strategy added downstream is
-// admitted (and advertised) without touching this file.
-func (s StrategySpec) build(table dvs.Table) (core.Strategy, error) {
+// strategy named by Kind reads the fields it cares about. table and ranks
+// are the cluster the strategy will run on; rejections name fields under
+// root ("strategy", "strategies[2]"). Unknown kinds reject listing the
+// registered names.
+func (s StrategySpec) build(table dvs.Table, ranks int, root string) (core.Strategy, error) {
 	if s.Kind == "" {
-		return core.Strategy{}, sweep.BadField(sweep.CodeInvalidStrategy, "strategy.kind",
+		return core.Strategy{}, sweep.BadField(sweep.CodeInvalidStrategy, root+".kind",
 			"required; one of %s", strings.Join(core.StrategyNames(), ", "))
 	}
 	strat, err := core.DecodeStrategy(s.Kind, core.StrategyArgs{
@@ -115,9 +116,10 @@ func (s StrategySpec) build(table dvs.Table) (core.Strategy, error) {
 		BudgetWatts: s.BudgetWatts,
 		Headroom:    s.Headroom,
 		Table:       table,
+		Ranks:       ranks,
 	})
 	if err != nil {
-		return core.Strategy{}, specErr(err, sweep.CodeInvalidStrategy, "strategy")
+		return core.Strategy{}, specErr(err, sweep.CodeInvalidStrategy, root)
 	}
 	return strat, nil
 }
@@ -215,7 +217,7 @@ func (s JobSpec) build() (runner.Job, error) {
 	if err != nil {
 		return runner.Job{}, err
 	}
-	strat, err := s.Strategy.build(cfg.Node.Table)
+	strat, err := s.Strategy.build(cfg.Node.Table, w.Ranks, "strategy")
 	if err != nil {
 		return runner.Job{}, err
 	}
@@ -311,9 +313,9 @@ func (s SweepRequest) Plan(maxJobs int) (*sweep.Plan, error) {
 				return nil, sweep.InField(err, fmt.Sprintf("workloads[%d]", i))
 			}
 			for j, ss := range s.Strategies {
-				strat, err := ss.build(cfg.Node.Table)
+				strat, err := ss.build(cfg.Node.Table, w.Ranks, fmt.Sprintf("strategies[%d]", j))
 				if err != nil {
-					return nil, sweep.InField(err, fmt.Sprintf("strategies[%d]", j))
+					return nil, err
 				}
 				c, err := compiledCell(JobSpec{Workload: ws, Strategy: ss, Config: s.Config},
 					runner.Job{Workload: w, Strategy: strat, Config: cfg})
