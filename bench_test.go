@@ -308,6 +308,32 @@ func BenchmarkSimProcSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkSimProcHandoff measures cross-proc resumes: two procs
+// ping-pong through a pair of queues, so every op hands the baton from one
+// proc to the other and back (two handoffs, no self-resume).
+func BenchmarkSimProcHandoff(b *testing.B) {
+	k := sim.NewKernel()
+	ping, pong := k.NewQueue(), k.NewQueue()
+	// pong is spawned first so it is already waiting for ping's first
+	// signal.
+	k.Spawn("pong", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Wait(p)
+			ping.Signal()
+		}
+	})
+	k.Spawn("ping", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.Signal()
+			ping.Wait(p)
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(sim.MaxTime); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkMPIPingPong measures simulated small-message round-trips.
 func BenchmarkMPIPingPong(b *testing.B) {
 	k := sim.NewKernel()

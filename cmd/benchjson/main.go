@@ -14,10 +14,13 @@
 // where speedup is baseline ns/op divided by current ns/op (>1 = faster).
 // The baseline may be a plain report or a compared ledger such as a
 // committed BENCH_<n>.json, whose after values are then the baseline. A
-// selected benchmark missing from the baseline is an error. Adding
-// -fail-under makes the run a regression gate: after writing the report
-// it exits non-zero if any compared benchmark's speedup is below the
-// threshold.
+// selected benchmark missing from the baseline is an error. A run with
+// -baseline is also an allocation gate: after writing the report it exits
+// non-zero if any compared benchmark's allocs/op is above the baseline's.
+// On one Go version allocation counts are deterministic, so they are gated
+// exactly. Timing on shared machines is not, so -fail-under gates speed
+// only when asked: it fails the run if any compared benchmark's speedup is
+// below the threshold.
 package main
 
 import (
@@ -35,7 +38,7 @@ import (
 // defaultBench selects the substrate benchmarks: the simulator's hot paths
 // (kernel events, proc switch), the MPI layer over them, the daemon poll
 // step, and one end-to-end cluster run per NPB code.
-const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkFullRun"
+const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkFullRun"
 
 // Result is one benchmark's measured costs.
 type Result struct {
@@ -67,7 +70,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) n
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "100ms", "per-benchmark budget passed to -benchtime")
-	count := flag.Int("count", 1, "repetitions; the best (lowest ns/op) of count runs is kept")
+	count := flag.Int("count", 1, "repetitions; each metric keeps its best (lowest) value over the count runs")
 	pkg := flag.String("pkg", ".", "package to benchmark")
 	out := flag.String("out", "bench.json", "output path ('-' for stdout)")
 	baseline := flag.String("baseline", "", "prior benchjson output or compared ledger; emit before/after/speedup against it")
@@ -120,8 +123,13 @@ func main() {
 		}
 		fmt.Printf("wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 	}
-	// The gate runs after the report is written, so a failing run still
+	// The gates run after the report is written, so a failing run still
 	// leaves the numbers on disk for inspection.
+	if compared != nil {
+		if grown := allocGrowth(compared); len(grown) > 0 {
+			fatalf("allocs/op above the baseline for: %s", strings.Join(grown, ", "))
+		}
+	}
 	if *failUnder > 0 {
 		if slow := regressions(compared, *failUnder); len(slow) > 0 {
 			fatalf("speedup below %v for: %s", *failUnder, strings.Join(slow, ", "))
@@ -142,8 +150,23 @@ func regressions(rep *Report, threshold float64) []string {
 	return slow
 }
 
-// parse fills rep from go test -bench output, keeping the fastest ns/op
-// per benchmark when -count ran it more than once.
+// allocGrowth lists compared benchmarks that allocate more per op than
+// their baseline, sorted for stable output.
+func allocGrowth(rep *Report) []string {
+	var grown []string
+	for name, c := range rep.Compared {
+		if c.Before != nil && c.After.AllocsPerOp > c.Before.AllocsPerOp {
+			grown = append(grown, fmt.Sprintf("%s (%v -> %v)", name, c.Before.AllocsPerOp, c.After.AllocsPerOp))
+		}
+	}
+	sort.Strings(grown)
+	return grown
+}
+
+// parse fills rep from go test -bench output. When -count ran a benchmark
+// more than once, each metric keeps its lowest value: a stray runtime
+// allocation in one repetition does not trip the allocation gate, while a
+// real regression shows in every repetition.
 func parse(rep *Report, out string) {
 	for _, line := range strings.Split(out, "\n") {
 		switch {
@@ -159,9 +182,12 @@ func parse(rep *Report, out string) {
 			continue
 		}
 		r := Result{NsPerOp: parseF(m[2]), BytesPerOp: parseF(m[3]), AllocsPerOp: parseF(m[4])}
-		if prev, ok := rep.Benchmarks[m[1]]; !ok || r.NsPerOp < prev.NsPerOp {
-			rep.Benchmarks[m[1]] = r
+		if prev, ok := rep.Benchmarks[m[1]]; ok {
+			r.NsPerOp = min(r.NsPerOp, prev.NsPerOp)
+			r.BytesPerOp = min(r.BytesPerOp, prev.BytesPerOp)
+			r.AllocsPerOp = min(r.AllocsPerOp, prev.AllocsPerOp)
 		}
+		rep.Benchmarks[m[1]] = r
 	}
 }
 

@@ -61,3 +61,52 @@ func TestRegressionsFlagsSlowdown(t *testing.T) {
 		t.Fatalf("regressions = %v, want only BenchmarkSlow at 0.500x", slow)
 	}
 }
+
+func TestAllocGrowthFlagsMoreAllocs(t *testing.T) {
+	base := &Report{Benchmarks: map[string]Result{
+		"BenchmarkSame":  {NsPerOp: 100, AllocsPerOp: 3},
+		"BenchmarkFewer": {NsPerOp: 100, AllocsPerOp: 3},
+		"BenchmarkMore":  {NsPerOp: 100, AllocsPerOp: 0},
+	}}
+	cur := &Report{Benchmarks: map[string]Result{
+		"BenchmarkSame":  {NsPerOp: 300, AllocsPerOp: 3}, // slower only
+		"BenchmarkFewer": {NsPerOp: 100, AllocsPerOp: 2},
+		"BenchmarkMore":  {NsPerOp: 50, AllocsPerOp: 1}, // faster, but allocates
+	}}
+	rep, err := compare(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := allocGrowth(rep)
+	if len(grown) != 1 || grown[0] != "BenchmarkMore (0 -> 1)" {
+		t.Fatalf("allocGrowth = %v, want only BenchmarkMore (0 -> 1)", grown)
+	}
+}
+
+func TestAllocGrowthAgainstLedgerIsClean(t *testing.T) {
+	// A run that reproduces a ledger's after values passes the gate.
+	base, err := readReport("../../BENCH_15.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := compare(base, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown := allocGrowth(rep); len(grown) != 0 {
+		t.Fatalf("allocGrowth = %v, want none", grown)
+	}
+}
+
+func TestParseKeepsBestOfEachMetric(t *testing.T) {
+	rep := &Report{Benchmarks: map[string]Result{}}
+	parse(rep, `goos: linux
+BenchmarkX-2   	     100	      2000 ns/op	      64 B/op	       3 allocs/op
+BenchmarkX-2   	     100	      1000 ns/op	      96 B/op	       4 allocs/op
+BenchmarkX-2   	     100	      1500 ns/op	      80 B/op	       3 allocs/op
+`)
+	want := Result{NsPerOp: 1000, BytesPerOp: 64, AllocsPerOp: 3}
+	if got := rep.Benchmarks["BenchmarkX"]; got != want {
+		t.Fatalf("parse kept %+v, want %+v", got, want)
+	}
+}

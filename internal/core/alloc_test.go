@@ -41,13 +41,13 @@ func TestRunAllocsPerCode(t *testing.T) {
 // Example configuration on FT.S.8, as recorded with go1.24: a strategy
 // that starts allocating more per node or per decision fails here.
 var strategyAllocPins = map[string]float64{
-	"nodvs":             242,
-	"external":          244,
-	"external-per-node": 246,
-	"daemon":            307,
-	"predictive":        315,
-	"ondemand":          307,
-	"powercap":          258,
+	"nodvs":             223,
+	"external":          225,
+	"external-per-node": 227,
+	"daemon":            267,
+	"predictive":        275,
+	"ondemand":          267,
+	"powercap":          234,
 }
 
 // strategyAllocPinsGo is the toolchain the pins were recorded with;

@@ -98,7 +98,7 @@ func TestQueueWaitSignalAllocFree(t *testing.T) {
 }
 
 // TestSleepInterruptibleAllocFree pins the interruptible sleep path
-// (schedule → yield → park → channel resume) at zero allocations.
+// (schedule → yield → handoff → coroutine resume) at zero allocations.
 func TestSleepInterruptibleAllocFree(t *testing.T) {
 	k := NewKernel()
 	const warmup, runs = 8, 1000
@@ -153,6 +153,28 @@ func TestSelfResumeAllocFree(t *testing.T) {
 	}
 	if mallocs != 0 {
 		t.Fatalf("self-resume fast path allocated %d objects over 1000 sleeps, want 0", mallocs)
+	}
+}
+
+// TestSpawnRunExitAllocsOnlyProcs pins the proc lifecycle: once the event
+// freelist and the idle coroutine pool are warm, spawning 8 procs, running
+// them to completion and letting them exit allocates the 8 Proc objects
+// and nothing else — no coroutine, goroutine or live-set entry.
+func TestSpawnRunExitAllocsOnlyProcs(t *testing.T) {
+	const procs = 8
+	k := NewKernel()
+	body := func(p *Proc) { p.Sleep(time.Microsecond) }
+	cycle := func() {
+		for i := 0; i < procs; i++ {
+			k.Spawn("p", body)
+		}
+		if err := k.Run(MaxTime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != procs {
+		t.Fatalf("Spawn→Run→exit of %d procs allocates %.1f objects, want %d", procs, allocs, procs)
 	}
 }
 

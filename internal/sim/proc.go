@@ -23,7 +23,13 @@ var errAborted = errors.New("sim: aborted")
 type Proc struct {
 	k    *Kernel
 	name string
-	wake chan wakeKind
+	// co runs the body; nil once the body has returned.
+	co *coro
+	// kind tells the proc why it was last woken. Whoever resumes the proc
+	// sets it: the dispatch loop, or abortAll.
+	kind wakeKind
+	// prev and next link the kernel's live procs in spawn order.
+	prev, next *Proc
 
 	// pendingWake is the timer event that will resume this proc, if it is
 	// sleeping; Interrupt cancels it.
@@ -32,8 +38,6 @@ type Proc struct {
 	queue *Queue
 	// interruptible marks whether the current block may be interrupted.
 	interruptible bool
-	// done is set after the body returns.
-	done bool
 }
 
 // Spawn creates a proc named name whose body is fn and schedules it to
@@ -48,9 +52,9 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	if fn == nil {
 		panic("sim: Spawn with nil fn")
 	}
-	p := &Proc{k: k, name: name, wake: make(chan wakeKind)}
-	k.procs[p] = struct{}{}
-	go p.run(fn)
+	p := &Proc{k: k, name: name}
+	p.co = bindCoro(p, fn)
+	k.link(p)
 	ev := k.alloc()
 	ev.t, ev.proc = t, p
 	k.schedule(ev)
@@ -58,39 +62,42 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// run is the goroutine body wrapping fn with the baton protocol: after the
-// body returns (or panics) this goroutine still holds the baton, so it
-// keeps dispatching events until the baton moves to another proc or the
-// loop finishes and the baton returns to the Run caller.
+// exited is what a coroutine yields once its proc's body has returned: the
+// baton is back with the driver, which must dispatch the next event itself.
+var exited = &Proc{name: "exited"}
+
+// run executes fn as the proc's body inside its coroutine. A body panic
+// becomes k.err, so the next dispatch loop finishes at once and the Run
+// caller aborts the remaining procs; the errAborted panic of an abort
+// unwind is swallowed. Either way the proc leaves the live list, and its
+// coroutine then yields exited.
 func (p *Proc) run(fn func(p *Proc)) {
-	kind := <-p.wake // wait for the start event
 	defer func() {
-		aborting := kind == wakeAborted
 		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-				aborting = true
-			} else if p.k.err == nil {
+			if err, ok := r.(error); (!ok || !errors.Is(err, errAborted)) && p.k.err == nil {
 				p.k.err = &PanicError{Proc: p.name, Value: r, Stack: string(debug.Stack())}
 			}
 		}
-		p.done = true
-		delete(p.k.procs, p)
-		if aborting {
-			// Hand the baton back to the abort coordinator (abortAll).
-			p.k.done <- struct{}{}
-			return
-		}
-		// Normal exit or body panic: keep the simulation moving. On a
-		// body panic k.err is set, so the loop finishes immediately and
-		// the Run caller takes over to abort the remaining procs.
-		if st, _ := p.k.runLoop(nil); st == loopFinished {
-			p.k.done <- struct{}{}
-		}
+		p.k.unlink(p)
 	}()
-	if kind == wakeAborted {
+	if p.kind == wakeAborted {
 		return
 	}
 	fn(p)
+}
+
+// resume switches to p's coroutine and runs it until it gives the baton
+// up. It returns the proc to resume next, nil when dispatch cannot
+// proceed, or exited when p's body has returned; in that last case p's
+// coroutine goes back to the idle pool. Only the baton holder outside
+// any proc body — the driver or abortAll — calls it.
+func (p *Proc) resume() *Proc {
+	q, _ := p.co.next()
+	if q == exited {
+		p.co.release()
+		p.co = nil
+	}
+	return q
 }
 
 // Kernel returns the owning kernel.
@@ -100,31 +107,29 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 func (p *Proc) Now() Time { return p.k.now }
 
 // yield blocks the calling proc and returns the wake kind when it is next
-// resumed. Instead of waking an executive goroutine, the blocking proc
-// runs the dispatch loop inline: if the next runnable event resumes this
-// very proc (a Sleep in a compute loop, a daemon poll tick), yield returns
-// without a single goroutine switch; otherwise the baton moves straight to
-// the next proc's goroutine and this one parks on its wake channel.
+// resumed. Instead of waking an executive, the blocking proc runs the
+// dispatch loop inline: if the next runnable event resumes this very proc
+// (a Sleep in a compute loop, a daemon poll tick), yield returns without
+// a single switch; otherwise the proc's coroutine yields the next proc to
+// the driver, which switches to it.
 func (p *Proc) yield() wakeKind {
 	if p.k.running != p {
 		panic(fmt.Sprintf("sim: proc %q yielding while not running", p.name))
 	}
-	st, kind := p.k.runLoop(p)
-	switch st {
+	switch p.k.runLoop(p) {
 	case loopSelf:
 		// Zero-switch fast path: we popped our own wake event.
 	case loopHandedOff:
-		kind = <-p.wake
+		p.co.yield(p.k.running)
 	case loopFinished:
-		// Dispatch cannot proceed; return the baton to the Run caller
-		// and park until a future Run (or abortAll) resumes us.
-		p.k.done <- struct{}{}
-		kind = <-p.wake
+		// Dispatch cannot proceed; return the baton to the driver and
+		// park until a future Run (or abortAll) resumes us.
+		p.co.yield(nil)
 	}
-	if kind == wakeAborted {
+	if p.kind == wakeAborted {
 		panic(errAborted)
 	}
-	return kind
+	return p.kind
 }
 
 // Sleep suspends the proc for d of virtual time. It cannot be interrupted.
@@ -159,7 +164,7 @@ func (p *Proc) SleepInterruptible(d Duration) (elapsed Duration, err error) {
 // reports whether an interrupt was delivered. Interrupting a proc that is
 // running, done, or in a non-interruptible block is a no-op.
 func (p *Proc) Interrupt() bool {
-	if p.done || !p.interruptible || p.k.running == p {
+	if p.co == nil || !p.interruptible || p.k.running == p {
 		return false
 	}
 	if p.pendingWake != nil {

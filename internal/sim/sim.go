@@ -3,20 +3,21 @@
 //
 // The kernel owns a virtual clock and an event heap. Simulated activities
 // are written as ordinary Go functions ("procs") that call blocking
-// primitives such as Sleep and Queue.Wait; under the hood each proc runs in
-// its own goroutine, but the kernel guarantees that exactly one goroutine
-// (the Run caller or a single proc) executes at any instant, so
-// simulations are fully deterministic: same program, same seed, same result.
+// primitives such as Sleep and Queue.Wait; under the hood each proc body
+// runs as a coroutine (iter.Pull), and the kernel guarantees that exactly
+// one of them (or the Run caller) executes at any instant, so simulations
+// are fully deterministic: same program, same seed, same result.
 //
 // Events with equal timestamps fire in the order they were scheduled
 // (FIFO tie-break by sequence number).
 //
 // Scheduling uses direct continuation handoff (DESIGN §10): there is no
-// dedicated executive goroutine. Whichever goroutine holds the "baton"
-// runs the dispatch loop; when the next event resumes another proc the
-// baton moves with a single channel send, and when it resumes the proc
-// whose goroutine is already running the loop, the proc simply returns
-// from its own dispatch call — zero goroutine switches.
+// dedicated executive. Whoever holds the "baton" runs the dispatch loop;
+// when the next event resumes another proc, the blocking proc yields that
+// proc to the Run caller's trampoline, which switches to it — two
+// coroutine switches, with no trip through the Go scheduler. When the
+// next event resumes the proc that is running the loop, the proc simply
+// returns from its own dispatch call — zero switches.
 package sim
 
 import (
@@ -145,20 +146,18 @@ type Kernel struct {
 	limit  Time // exclusive horizon of the current Run call
 	events eventHeap
 	free   []*event // recycled events; see alloc/release
-	// done returns the baton to the Run caller when the loop finishes in
-	// a proc goroutine, and to the abort coordinator when an aborted proc
-	// finishes unwinding. Exactly one goroutine ever waits on it.
-	done    chan struct{}
-	procs   map[*Proc]struct{}
-	running *Proc
-	inRun   bool
-	err     error
+	// head and tail delimit the live procs, linked in spawn order so that
+	// abortAll unwinds them in a deterministic order.
+	head, tail *Proc
+	running    *Proc
+	inRun      bool
+	err        error
 	// cbPanic records a panic raised by an At callback while the loop was
 	// running; Run re-raises it in its caller after aborting the procs.
 	cbPanic *callbackPanic
 }
 
-// callbackPanic carries an At-callback panic from whichever goroutine ran
+// callbackPanic carries an At-callback panic from whichever coroutine ran
 // the dispatch loop back to the Run caller.
 type callbackPanic struct {
 	value any
@@ -173,9 +172,33 @@ func NewKernel() *Kernel {
 	return &Kernel{
 		events: make(eventHeap, 0, eventPrealloc),
 		free:   make([]*event, 0, eventPrealloc),
-		done:   make(chan struct{}),
-		procs:  make(map[*Proc]struct{}),
 	}
+}
+
+// link appends p to the live list.
+func (k *Kernel) link(p *Proc) {
+	p.prev = k.tail
+	if k.tail != nil {
+		k.tail.next = p
+	} else {
+		k.head = p
+	}
+	k.tail = p
+}
+
+// unlink removes p from the live list.
+func (k *Kernel) unlink(p *Proc) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		k.head = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		k.tail = p.prev
+	}
+	p.prev, p.next = nil, nil
 }
 
 // alloc returns a zeroed event, reusing a previously released one when
@@ -259,23 +282,24 @@ type loopStatus int
 
 const (
 	// loopFinished: the heap drained, the limit was reached, or an error
-	// stopped dispatch. The calling goroutine still holds the baton and
-	// must hand it to the Run caller (via k.done) unless it is the Run
-	// caller.
+	// stopped dispatch. A proc that gets it yields nil so the driver
+	// returns to Run.
 	loopFinished loopStatus = iota
-	// loopHandedOff: the baton was sent to another proc's goroutine; the
-	// caller must not touch kernel state again until it is next resumed.
+	// loopHandedOff: the next event resumes k.running, another proc. The
+	// caller must hand it the baton and not touch kernel state again
+	// until it is next resumed.
 	loopHandedOff
 	// loopSelf: the next event resumes the calling proc itself — the
 	// zero-switch fast path. Only possible when self != nil.
 	loopSelf
 )
 
-// loop dispatches events in the calling goroutine until the baton leaves
-// it or the simulation cannot proceed. self is the proc whose goroutine is
-// running the loop (nil when the Run caller runs it); an event resuming
-// self short-circuits to loopSelf instead of a channel round-trip.
-func (k *Kernel) loop(self *Proc) (loopStatus, wakeKind) {
+// loop dispatches events until the baton leaves the caller or the
+// simulation cannot proceed. self is the proc running the loop (nil for
+// the driver); an event resuming self short-circuits to loopSelf instead
+// of a coroutine round-trip. The resumed proc finds why it was woken in
+// its kind field.
+func (k *Kernel) loop(self *Proc) loopStatus {
 	k.running = nil
 	for len(k.events) > 0 && k.err == nil && k.cbPanic == nil {
 		e := k.events.pop()
@@ -287,7 +311,7 @@ func (k *Kernel) loop(self *Proc) (loopStatus, wakeKind) {
 			// Put it back for a future Run call and stop.
 			k.events.push(e)
 			k.now = k.limit
-			return loopFinished, 0
+			return loopFinished
 		}
 		k.now = e.t
 		if e.fn != nil {
@@ -296,17 +320,17 @@ func (k *Kernel) loop(self *Proc) (loopStatus, wakeKind) {
 			fn()
 			continue
 		}
-		p, kind := e.proc, e.kind
+		p := e.proc
+		p.kind = e.kind
 		k.release(e)
 		p.pendingWake = nil
 		k.running = p
 		if p == self {
-			return loopSelf, kind
+			return loopSelf
 		}
-		p.wake <- kind
-		return loopHandedOff, 0
+		return loopHandedOff
 	}
-	return loopFinished, 0
+	return loopFinished
 }
 
 // runLoop is loop behind a panic firewall. A panic escaping an At callback
@@ -314,24 +338,45 @@ func (k *Kernel) loop(self *Proc) (loopStatus, wakeKind) {
 // it would run that proc's defers and be misattributed as a proc panic. It
 // is captured here and re-raised by Run in its caller's goroutine — the
 // same place it surfaced when a dedicated executive goroutine ran the loop.
-func (k *Kernel) runLoop(self *Proc) (st loopStatus, kind wakeKind) {
+func (k *Kernel) runLoop(self *Proc) (st loopStatus) {
 	defer func() {
 		if r := recover(); r != nil {
 			if k.cbPanic == nil {
 				k.cbPanic = &callbackPanic{value: r}
 			}
-			st, kind = loopFinished, 0
+			st = loopFinished
 		}
 	}()
 	return k.loop(self)
+}
+
+// drive carries the baton for the Run caller. It runs the dispatch loop
+// and, whenever the loop hands off, trampolines from proc to proc: each
+// resumed proc runs until it blocks and yields the proc that runs next.
+// A proc that yields nil has found that dispatch cannot proceed. One that
+// yields exited has returned from its body, and drive dispatches again
+// on its behalf.
+func (k *Kernel) drive() {
+	for k.runLoop(nil) == loopHandedOff {
+		p := k.running
+		for p != nil && p != exited {
+			p = p.resume()
+		}
+		if p == nil {
+			return
+		}
+	}
 }
 
 // Run executes events until the heap is empty or until (exclusive) limit.
 // Pass MaxTime to run to completion. It returns the first proc panic as a
 // *PanicError, or a *DeadlockError if procs remain blocked with no pending
 // events. On error the kernel aborts all live procs before returning so no
-// goroutines are leaked. A panic raised by an At callback aborts the procs
-// and is then re-raised in Run's caller.
+// coroutines are leaked. A panic raised by an At callback aborts the procs
+// and is then re-raised in Run's caller. Do not call Run or Spawn from a
+// goroutine locked to its OS thread (runtime.LockOSThread): procs run on
+// coroutines shared by all kernels, and the runtime refuses to switch to
+// a coroutine across a thread-lock mismatch.
 func (k *Kernel) Run(limit Time) error {
 	if k.inRun {
 		panic("sim: Run reentered")
@@ -340,11 +385,7 @@ func (k *Kernel) Run(limit Time) error {
 	defer func() { k.inRun = false }()
 	k.limit = limit
 
-	if st, _ := k.runLoop(nil); st == loopHandedOff {
-		// A proc goroutine carries the simulation now; wait for the baton
-		// to come back when dispatch can no longer proceed.
-		<-k.done
-	}
+	k.drive()
 	if cp := k.cbPanic; cp != nil {
 		// cbPanic stays set through abortAll so unwinding procs that
 		// re-enter the loop (via defers) finish immediately.
@@ -360,9 +401,9 @@ func (k *Kernel) Run(limit Time) error {
 		// Stopped at the limit with events still pending.
 		return nil
 	}
-	if len(k.procs) > 0 {
-		names := make([]string, 0, len(k.procs))
-		for p := range k.procs {
+	if k.head != nil {
+		var names []string
+		for p := k.head; p != nil; p = p.next {
 			names = append(names, p.name)
 		}
 		sort.Strings(names)
@@ -374,18 +415,15 @@ func (k *Kernel) Run(limit Time) error {
 	return nil
 }
 
-// abortAll force-wakes every live proc with wakeAborted so their goroutines
-// unwind and exit. It runs in the Run caller's goroutine, which holds the
-// baton; each aborted proc hands it back through k.done when its unwind
-// completes. Callers must have k.err or k.cbPanic set so any dispatch loop
-// entered during unwind (e.g. by a proc defer) stops immediately.
+// abortAll force-wakes every live proc with wakeAborted, in spawn order,
+// so their bodies unwind and their coroutines return to the idle pool. It
+// runs in the Run caller, which holds the baton; each aborted proc yields
+// it back when its unwind completes. Callers must have k.err or k.cbPanic
+// set so any dispatch loop entered during unwind (e.g. by a proc defer)
+// stops immediately. A proc that blocks again in a defer stays at the
+// head of the list and is aborted again.
 func (k *Kernel) abortAll() {
-	for len(k.procs) > 0 {
-		var p *Proc
-		for q := range k.procs {
-			p = q
-			break
-		}
+	for p := k.head; p != nil; p = k.head {
 		// Cancel any pending timer so it cannot fire later.
 		if p.pendingWake != nil {
 			p.pendingWake.canceled = true
@@ -395,8 +433,8 @@ func (k *Kernel) abortAll() {
 			p.queue.remove(p)
 		}
 		k.running = p
-		p.wake <- wakeAborted
-		<-k.done
+		p.kind = wakeAborted
+		p.resume()
 		k.running = nil
 	}
 	// Drain remaining events so a subsequent Run doesn't fire callbacks of

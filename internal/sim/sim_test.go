@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -468,8 +470,8 @@ func TestPropertyMonotonicClock(t *testing.T) {
 }
 
 func TestRunLimitMidSleepResumes(t *testing.T) {
-	// A Run stopping at the limit parks sleeping procs (their goroutines
-	// wait on the wake channel); a later Run must resume them on the same
+	// A Run stopping at the limit parks sleeping procs (their coroutines
+	// stay suspended in yield); a later Run must resume them on the same
 	// timeline.
 	k := NewKernel()
 	var woke Time
@@ -496,15 +498,15 @@ func TestRunLimitMidSleepResumes(t *testing.T) {
 
 func TestCallbackPanicPropagatesAndAborts(t *testing.T) {
 	// A panic escaping an At callback must re-raise from Run with the
-	// original value no matter which goroutine ran the dispatch loop, and
-	// must not be misattributed to the proc whose goroutine was running
+	// original value no matter which coroutine ran the dispatch loop, and
+	// must not be misattributed to the proc whose coroutine was running
 	// the loop — nor run that proc's deferred functions.
 	k := NewKernel()
 	q := k.NewQueue()
 	deferRan := false
 	k.Spawn("bystander", func(p *Proc) {
 		defer func() { deferRan = true }()
-		p.Sleep(time.Second) // ensures a proc goroutine holds the baton
+		p.Sleep(time.Second) // ensures a proc coroutine holds the baton
 		q.Wait(p)
 	})
 	k.At(Time(2e9), func() { panic("cb-boom") })
@@ -517,8 +519,8 @@ func TestCallbackPanicPropagatesAndAborts(t *testing.T) {
 		_ = k.Run(MaxTime)
 		t.Fatal("Run returned instead of panicking")
 	}()
-	if len(k.procs) != 0 {
-		t.Fatalf("%d procs still live after callback panic", len(k.procs))
+	if n := liveProcs(k); n != 0 {
+		t.Fatalf("%d procs still live after callback panic", n)
 	}
 	if !deferRan {
 		t.Fatal("bystander's defer must run during the abort unwind")
@@ -622,19 +624,81 @@ func TestQueueRemoveMiddlePreservesFIFO(t *testing.T) {
 	}
 }
 
+// liveProcs counts the procs in k's live list.
+func liveProcs(k *Kernel) int {
+	n := 0
+	for p := k.head; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
+// idleCoros is the size of the process-wide idle coroutine pool.
+func idleCoros() int {
+	coroPool.Lock()
+	defer coroPool.Unlock()
+	return len(coroPool.idle)
+}
+
 func TestAbortLeavesNoGoroutines(t *testing.T) {
-	// After an error, Run must unwind all proc goroutines; re-running the
-	// kernel is a no-op rather than a hang.
-	k := NewKernel()
-	q := k.NewQueue()
-	for i := 0; i < 10; i++ {
-		k.Spawn("w", func(p *Proc) { q.Wait(p) })
+	// Every run, finished or aborted, must hand each proc's coroutine back
+	// to the idle pool or stop it. 1,000 kernels of 8 procs, half of them
+	// aborted by a proc panic, leave at most the pool's cap of parked
+	// goroutines behind, and the pool never outgrows its cap.
+	base := runtime.NumGoroutine() - idleCoros()
+	for i := 0; i < 1000; i++ {
+		k := NewKernel()
+		q := k.NewQueue()
+		for j := 0; j < 7; j++ {
+			k.Spawn("w", func(p *Proc) { q.Wait(p) })
+		}
+		abort := i%2 == 0
+		k.Spawn("last", func(p *Proc) {
+			if abort {
+				panic("x")
+			}
+			for q.Signal() {
+			}
+		})
+		if err := k.Run(MaxTime); (err != nil) != abort {
+			t.Fatalf("kernel %d: Run = %v, want an error: %v", i, err, abort)
+		}
+		if n := liveProcs(k); n != 0 {
+			t.Fatalf("kernel %d: %d procs still live after Run", i, n)
+		}
+		if n := idleCoros(); n > coroPoolCap {
+			t.Fatalf("kernel %d: %d idle coroutines, cap %d", i, n, coroPoolCap)
+		}
+		if g := runtime.NumGoroutine(); g > base+coroPoolCap {
+			t.Fatalf("kernel %d: %d goroutines, want at most %d + %d idle", i, g, base, coroPoolCap)
+		}
 	}
-	k.Spawn("boom", func(p *Proc) { panic("x") })
-	if err := k.Run(MaxTime); err == nil {
-		t.Fatal("expected error")
-	}
-	if len(k.procs) != 0 {
-		t.Fatalf("%d procs still live after abort", len(k.procs))
+}
+
+func TestAbortUnwindsInSpawnOrder(t *testing.T) {
+	// Procs blocked when another panics unwind in spawn order, the same
+	// order on every run.
+	for run := 0; run < 50; run++ {
+		k := NewKernel()
+		q := k.NewQueue()
+		var order []int
+		for i := 0; i < 8; i++ {
+			k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+				defer func() { order = append(order, i) }()
+				q.Wait(p)
+			})
+		}
+		k.Spawn("boom", func(p *Proc) { panic("x") })
+		if err := k.Run(MaxTime); err == nil {
+			t.Fatal("expected error")
+		}
+		if len(order) != 8 {
+			t.Fatalf("run %d: %d defers ran, want 8", run, len(order))
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("run %d: defers ran in order %v, want spawn order", run, order)
+			}
+		}
 	}
 }
