@@ -1,8 +1,10 @@
 // Package dvsclient is the wire client for a dvsd-compatible backend:
 // POST one /simulate body, classify the outcome. It is the single
-// client-side implementation of the cell wire contract — the fleet
-// gateway's per-backend forwarding and cmd/reproduce's -server mode both
-// sit on Do, so a change to the wire format happens in one place.
+// client-side implementation of the cell wire contract, so a change to
+// the wire format happens in one place. It does no retrying: the fleet
+// gateway's ladder, which cmd/reproduce's -server mode also places
+// through, is the one caller that retries, and the bench/ harness calls
+// Do once per request.
 package dvsclient
 
 import (
@@ -40,8 +42,7 @@ type Result struct {
 // Do POSTs one cell body to baseURL/simulate and classifies the
 // response. traceparent, when non-empty, is injected so the backend's
 // spans stitch under the caller's trace. Do does no retrying and no
-// liveness bookkeeping — callers own their ladder (the fleet charges
-// failures to ring backends; reproduce just retries).
+// liveness bookkeeping; the fleet gateway's ladder owns both.
 func Do(ctx context.Context, hc *http.Client, baseURL string, body []byte, traceparent string) Result {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/simulate", bytes.NewReader(body))
 	if err != nil {
@@ -86,109 +87,4 @@ func Do(ctx context.Context, hc *http.Client, baseURL string, body []byte, trace
 	// Deterministic rejections (invalid spec, sim_failed, deadline) recur
 	// on any attempt: relay, don't retry.
 	return Result{AE: env.Error}
-}
-
-// Placer places every cell on one remote dvsd-compatible endpoint — the
-// single-backend counterpart of the fleet ring, used by
-// `reproduce -server URL`. Transient failures retry with doubling
-// backoff; backend 429s are waited out (bounded by shedBudget) without
-// charging an attempt. Cells without a wire body fail typed — callers
-// that can run them in-process should wrap Placer with a local fallback.
-type Placer struct {
-	Client  *http.Client
-	BaseURL string
-	// MaxAttempts bounds tries per cell (first included); default 3.
-	MaxAttempts int
-	// Backoff is the base retry delay, doubled per attempt up to 2s;
-	// default 100ms.
-	Backoff time.Duration
-}
-
-// shedBudget caps the cumulative 429 wait per cell.
-const shedBudget = 30 * time.Second
-
-func (p *Placer) attempts() int {
-	if p.MaxAttempts > 0 {
-		return p.MaxAttempts
-	}
-	return 3
-}
-
-func (p *Placer) backoff(n int) time.Duration {
-	const maxDelay = 2 * time.Second
-	d := p.Backoff
-	if d <= 0 {
-		d = 100 * time.Millisecond
-	}
-	for i := 1; i < n && d < maxDelay; i++ {
-		d <<= 1
-	}
-	if d > maxDelay || d <= 0 {
-		d = maxDelay
-	}
-	return d
-}
-
-func (p *Placer) Place(ctx context.Context, _ int, c sweep.Cell) sweep.Outcome {
-	if c.Body == nil {
-		return sweep.Outcome{Err: sweep.Errf(http.StatusBadRequest, sweep.CodeBadRequest, "",
-			"cell %q is not wire-expressible; it can only run in-process", c.Job.Workload.Name())}
-	}
-	hc := p.Client
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	failed := 0
-	var shedSpent time.Duration
-	for {
-		if err := ctx.Err(); err != nil {
-			return sweep.Outcome{Err: sweep.OutcomeError(err), RawErr: err}
-		}
-		res := Do(ctx, hc, p.BaseURL, c.Body, "")
-		switch {
-		case res.Ok:
-			r := res.Resp.Result
-			return sweep.Outcome{Cached: res.Resp.Cached, Wire: &r}
-		case res.AE != nil:
-			return sweep.Outcome{Err: res.AE}
-		case res.Shed:
-			wait := res.WaitHint
-			if wait <= 0 {
-				wait = p.backoff(1)
-			}
-			if rem := shedBudget - shedSpent; wait > rem {
-				wait = rem
-			}
-			if wait <= 0 {
-				// Shed budget spent: further backpressure is charged as a
-				// failed attempt so a saturated backend eventually errors
-				// instead of stalling the sweep forever.
-				failed++
-			} else {
-				shedSpent += wait
-				sleepCtx(ctx, wait)
-				continue
-			}
-		default:
-			failed++
-		}
-		if failed >= p.attempts() {
-			return sweep.Outcome{Err: sweep.Errf(http.StatusBadGateway, sweep.CodeSimFailed, "",
-				"backend %s: no usable response after %d attempts", p.BaseURL, failed)}
-		}
-		sleepCtx(ctx, p.backoff(failed))
-	}
-}
-
-// sleepCtx waits d or until ctx is done.
-func sleepCtx(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }

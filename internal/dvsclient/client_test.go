@@ -2,15 +2,12 @@ package dvsclient
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/runner"
 	"repro/internal/sweep"
 )
 
@@ -96,104 +93,6 @@ func TestDoClassifiesTransportError(t *testing.T) {
 	}
 }
 
-func TestPlacerRejectsBodilessCell(t *testing.T) {
-	p := &Placer{BaseURL: "http://unused.invalid"}
-	out := p.Place(context.Background(), 0, sweep.Cell{Key: "k", Job: runner.Job{}})
-	if out.Err == nil || out.Err.Code != sweep.CodeBadRequest {
-		t.Fatalf("out = %+v", out)
-	}
-}
-
-func TestPlacerRetriesThenSucceeds(t *testing.T) {
-	var calls atomic.Int64
-	url := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) < 3 {
-			w.WriteHeader(http.StatusBadGateway)
-			fmt.Fprintln(w, "flaky")
-			return
-		}
-		fmt.Fprintln(w, okBody())
-	})
-	p := &Placer{BaseURL: url, Backoff: time.Millisecond}
-	out := p.Place(context.Background(), 0, sweep.Cell{Body: []byte(`{}`)})
-	if out.Err != nil || out.Wire == nil || !out.Cached {
-		t.Fatalf("out = %+v", out)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("calls = %d, want 3", calls.Load())
-	}
-}
-
-func TestPlacerExhaustsAttempts(t *testing.T) {
-	var calls atomic.Int64
-	url := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprintln(w, "down")
-	})
-	p := &Placer{BaseURL: url, MaxAttempts: 2, Backoff: time.Millisecond}
-	out := p.Place(context.Background(), 0, sweep.Cell{Body: []byte(`{}`)})
-	if out.Err == nil || out.Err.Code != sweep.CodeSimFailed {
-		t.Fatalf("out = %+v", out)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("calls = %d, want MaxAttempts", calls.Load())
-	}
-}
-
-func TestPlacerWaitsOutShed(t *testing.T) {
-	var calls atomic.Int64
-	url := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(map[string]any{
-				"error": map[string]any{"code": "queue_full", "message": "busy", "retry_after_ms": 1},
-			})
-			return
-		}
-		fmt.Fprintln(w, okBody())
-	})
-	p := &Placer{BaseURL: url, Backoff: time.Millisecond}
-	out := p.Place(context.Background(), 0, sweep.Cell{Body: []byte(`{}`)})
-	if out.Err != nil || out.Wire == nil {
-		t.Fatalf("out = %+v", out)
-	}
-	if calls.Load() != 2 {
-		t.Fatalf("calls = %d, want a wait then a success", calls.Load())
-	}
-}
-
-func TestPlacerRelaysTerminalRejection(t *testing.T) {
-	var calls atomic.Int64
-	url := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusUnprocessableEntity)
-		fmt.Fprintln(w, `{"error":{"code":"invalid_strategy","message":"unknown kind","field":"strategy.kind"}}`)
-	})
-	p := &Placer{BaseURL: url, Backoff: time.Millisecond}
-	out := p.Place(context.Background(), 0, sweep.Cell{Body: []byte(`{}`)})
-	if out.Err == nil || out.Err.Code != sweep.CodeInvalidStrategy {
-		t.Fatalf("out = %+v", out)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("calls = %d; deterministic rejections must not retry", calls.Load())
-	}
-}
-
-func TestPlacerHonorsContextCancellation(t *testing.T) {
-	url := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusBadGateway)
-		fmt.Fprintln(w, "down")
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	p := &Placer{BaseURL: url}
-	out := p.Place(ctx, 0, sweep.Cell{Body: []byte(`{}`)})
-	if out.Err == nil || out.Err.Code != sweep.CodeCanceled {
-		t.Fatalf("out = %+v", out)
-	}
-}
-
 // TestDoMidBodyCutIsTransportRetry: a backend that dies after the status
 // line — headers sent, body short of its declared length — must classify
 // as a transport retry, not as a decode failure or a success.
@@ -230,62 +129,5 @@ func TestDoContextCanceledMidBody(t *testing.T) {
 	res := Do(ctx, http.DefaultClient, url, []byte(`{}`), "")
 	if !res.Retry || !res.Transport {
 		t.Fatalf("mid-body cancellation classified as %+v, want transport retry", res)
-	}
-}
-
-// TestPlacerCanceledMidBodyDoesNotBurnRetries: when the context dies
-// mid-body, the Placer must surface canceled from its loop-top check —
-// one backend call, a typed canceled outcome, no retry storm against a
-// dead deadline.
-func TestPlacerCanceledMidBodyDoesNotBurnRetries(t *testing.T) {
-	var calls atomic.Int64
-	headersOut := make(chan struct{})
-	url := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.WriteHeader(http.StatusOK)
-			fmt.Fprint(w, `{"cached":false,"result":{"na`)
-			w.(http.Flusher).Flush()
-			close(headersOut)
-			<-r.Context().Done()
-			return
-		}
-		fmt.Fprintln(w, okBody())
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		<-headersOut
-		cancel()
-	}()
-	p := &Placer{BaseURL: url, MaxAttempts: 5, Backoff: time.Millisecond}
-	out := p.Place(ctx, 0, sweep.Cell{Body: []byte(`{}`)})
-	if out.Err == nil || out.Err.Code != sweep.CodeCanceled {
-		t.Fatalf("out = %+v, want canceled", out)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("calls = %d; a canceled context must not burn retries", got)
-	}
-}
-
-// TestPlacerDeadlineMidBodyClassifiesDeadline: same shape, but the
-// context dies by deadline — the outcome must carry deadline_exceeded,
-// not canceled and not the generic exhausted-attempts error.
-func TestPlacerDeadlineMidBodyClassifiesDeadline(t *testing.T) {
-	var calls atomic.Int64
-	url := serve(t, func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, `{"cached":false,"result":{"na`)
-		w.(http.Flusher).Flush()
-		<-r.Context().Done()
-	})
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	p := &Placer{BaseURL: url, MaxAttempts: 5, Backoff: time.Millisecond}
-	out := p.Place(ctx, 0, sweep.Cell{Body: []byte(`{}`)})
-	if out.Err == nil || out.Err.Code != sweep.CodeDeadlineExceeded {
-		t.Fatalf("out = %+v, want deadline_exceeded", out)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("calls = %d; an expired deadline must not burn retries", got)
 	}
 }

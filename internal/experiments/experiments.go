@@ -33,8 +33,10 @@ type Options struct {
 	Runner *runner.Runner
 	// Server optionally places wire-expressible sweep cells on a remote
 	// dvsd-compatible endpoint (base URL). Cells the wire form cannot
-	// carry — custom DVS tables, CG scheduling policies — and cells the
-	// server fails stay on the local engine.
+	// carry — custom DVS tables, CG scheduling policies — run on the
+	// local engine, as does the rest of a sweep once the server has
+	// failed twice in a row. A typed rejection from the server fails
+	// its cell.
 	Server string
 	// CheckpointDir, when set, journals each sweep's completed cells so
 	// an interrupted reproduction resumes instead of recomputing.

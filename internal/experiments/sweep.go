@@ -7,9 +7,9 @@ package experiments
 import (
 	"context"
 	"encoding/json"
-	"sync/atomic"
+	"net/http"
 
-	"repro/internal/dvsclient"
+	"repro/internal/fleet"
 	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/sweep"
@@ -22,15 +22,17 @@ type SweepStats struct {
 	Jobs    int // cells submitted across all sweeps
 	Cached  int // cells served from a memo cache (local or backend)
 	Resumed int // cells replayed from a checkpoint journal
-	Remote  int // cells served by the remote server (-server mode)
+	Remote  int // cells answered with a wire result (-server mode)
 }
 
 // Sweep executes jobs through the sweep pipeline and returns outcomes in
 // submission order, runner-shaped so profile plans assemble unchanged.
-// With Server set, wire-expressible cells are placed remotely (falling
-// back to the local engine on placement failure); with CheckpointDir
-// set, completed cells journal to disk and an interrupted reproduction
-// resumes where it stopped.
+// With Server set, cells are placed through the fleet gateway's ladder
+// over that one peer: wire-expressible cells go remote, and bodiless
+// cells, like every cell once the server has failed FailAfter times in a
+// row, run on the local engine. With CheckpointDir set, completed cells
+// journal to disk and an interrupted reproduction resumes where it
+// stopped.
 func (o Options) Sweep(jobs []runner.Job) []runner.Outcome {
 	eng := o.engine()
 	cells := make([]sweep.Cell, len(jobs))
@@ -48,15 +50,14 @@ func (o Options) Sweep(jobs []runner.Job) []runner.Outcome {
 	}
 	plan := sweep.NewPlan(cells)
 
-	local := sweep.Local{Runner: eng}
-	var pl sweep.Placer = local
-	var sp *serverPlacer
+	var pl sweep.Placer = sweep.Local{Runner: eng}
 	if o.Server != "" {
-		sp = &serverPlacer{
-			remote: dvsclient.Placer{BaseURL: o.Server},
-			local:  local,
+		// No Start: no probe loop. Data-path ejection demotes a dead
+		// server for the rest of this sweep.
+		g, err := fleet.New(fleet.Options{Peers: []string{o.Server}, Local: eng, Client: http.DefaultClient})
+		if err == nil {
+			pl = g
 		}
-		pl = sp
 	}
 
 	var ckpt *sweep.Checkpoint
@@ -74,12 +75,12 @@ func (o Options) Sweep(jobs []runner.Job) []runner.Outcome {
 		o.Stats.Jobs += sum.Jobs
 		o.Stats.Cached += sum.Cached
 		o.Stats.Resumed += sum.Resumed
-		if sp != nil {
-			o.Stats.Remote += int(sp.served.Load())
-		}
 	}
 	outs := make([]runner.Outcome, len(souts))
 	for i, so := range souts {
+		if o.Stats != nil && so.Err == nil && so.Wire != nil {
+			o.Stats.Remote++
+		}
 		outs[i] = toRunnerOutcome(so)
 	}
 	return outs
@@ -91,30 +92,6 @@ func (o Options) Sweep(jobs []runner.Job) []runner.Outcome {
 func (o Options) localOnly() Options {
 	o.Server = ""
 	return o
-}
-
-// serverPlacer places wire-expressible cells on one remote dvsd and
-// everything else — bodiless cells and remote placement failures — on
-// the local engine, so a flaky or half-capable server degrades a
-// reproduction rather than failing it.
-type serverPlacer struct {
-	remote dvsclient.Placer
-	local  sweep.Local
-	served atomic.Int64 // cells the remote actually answered
-}
-
-func (p *serverPlacer) Place(ctx context.Context, i int, c sweep.Cell) sweep.Outcome {
-	if c.Body == nil {
-		return p.local.Place(ctx, i, c)
-	}
-	out := p.remote.Place(ctx, i, c)
-	if out.Err != nil && ctx.Err() == nil {
-		return p.local.Place(ctx, i, c)
-	}
-	if out.Err == nil {
-		p.served.Add(1)
-	}
-	return out
 }
 
 // toRunnerOutcome converts a placement outcome back to the runner shape

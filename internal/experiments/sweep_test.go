@@ -3,6 +3,7 @@ package experiments
 import (
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -83,5 +84,49 @@ func TestSweepServerFallback(t *testing.T) {
 	}
 	if st := o.Runner.Stats(); st.Runs == 0 {
 		t.Fatal("local engine ran nothing; fallback did not happen")
+	}
+}
+
+// TestSweepDeadServerCost pins what a dead server costs a sweep: the
+// gateway ladder ejects it after FailAfter consecutive failures, so the
+// sweep asks it at most FailAfter plus one in-flight request per worker,
+// not a retry ladder per cell, and every cell still runs locally.
+func TestSweepDeadServerCost(t *testing.T) {
+	const failAfter = 2 // fleet.Options default
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.NotFound(w, r) // not the wire format: a retryable failure
+	}))
+	defer ts.Close()
+
+	cfg := core.DefaultConfig()
+	var jobs []runner.Job
+	for _, code := range []func(npb.Class, int) (npb.Workload, error){npb.FT, npb.CG} {
+		w, err := code(npb.ClassS, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []core.Strategy{core.NoDVS(), core.External(600), core.External(800), core.External(1000)} {
+			jobs = append(jobs, runner.Job{Workload: w, Strategy: s, Config: cfg})
+		}
+	}
+
+	o := Quick()
+	o.Runner = runner.New(2)
+	o.Server = ts.URL
+	o.Stats = &SweepStats{}
+	outs := o.Sweep(jobs)
+	if err := runner.FirstErr(outs); err != nil {
+		t.Fatalf("dead server failed the sweep: %v", err)
+	}
+	if o.Stats.Remote != 0 {
+		t.Fatalf("remote = %d with a dead server", o.Stats.Remote)
+	}
+	if st := o.Runner.Stats(); st.Runs != len(jobs) {
+		t.Fatalf("local engine ran %d of %d cells", st.Runs, len(jobs))
+	}
+	if got, limit := requests.Load(), int64(failAfter+o.Runner.Workers()); got > limit {
+		t.Fatalf("dead server got %d requests for %d cells, want at most %d", got, len(jobs), limit)
 	}
 }

@@ -203,7 +203,7 @@ func New(opts Options) (*Gateway, error) {
 		CheckpointFS:   opts.CheckpointFS,
 	}, server.Daemon{
 		Name:         "dvsgw",
-		Placer:       gwPlacer{g},
+		Placer:       g,
 		Parallel:     opts.Fanout,
 		SimulateSpan: "gw.simulate",
 		// The gateway is healthy even with zero live backends — the local
@@ -279,15 +279,13 @@ func (g *Gateway) Counters() Counters {
 	}
 }
 
-// gwPlacer adapts the gateway's degradation ladder (runCell) to the
-// frontend's Placer. A /simulate cell runs under its request span. A
-// sweep cell roots its own trace, so /debug/traces answers "why was THIS
-// cell slow" directly: the trace starts when the sweep's cells began
-// queueing, and records the fanout wait as its first child so queueing
-// delay is visible separately from execution.
-type gwPlacer struct{ g *Gateway }
-
-func (p gwPlacer) Place(ctx context.Context, i int, c sweep.Cell) sweep.Outcome {
+// Place resolves one cell through the degradation ladder; it makes the
+// gateway a sweep.Placer. A /simulate cell runs under its request span.
+// A sweep cell roots its own trace, so /debug/traces answers "why was
+// THIS cell slow" directly: the trace starts when the sweep's cells
+// began queueing, and records the fanout wait as its first child so
+// queueing delay is visible separately from execution.
+func (g *Gateway) Place(ctx context.Context, i int, c sweep.Cell) sweep.Outcome {
 	var root *obs.Span
 	if obs.SpanFrom(ctx) == nil {
 		queued := server.QueuedSince(ctx)
@@ -299,27 +297,14 @@ func (p gwPlacer) Place(ctx context.Context, i int, c sweep.Cell) sweep.Outcome 
 			qsp.End()
 		}
 	}
-	resp, ae := p.g.runCell(ctx, c)
-	if ae != nil {
-		root.SetAttr("error", ae.Code)
-		root.End()
-		return sweep.Outcome{Err: ae}
+	out := g.runCell(ctx, c)
+	if out.Err != nil {
+		root.SetAttr("error", out.Err.Code)
+	} else {
+		root.SetAttr("cached", strconv.FormatBool(out.Cached))
 	}
-	root.SetAttr("cached", strconv.FormatBool(resp.Cached))
 	root.End()
-	res := resp.Result
-	return sweep.Outcome{Cached: resp.Cached, Wire: &res}
-}
-
-// fwdResult is one forwarding attempt's classification.
-type fwdResult struct {
-	ok        bool                   // resp is valid
-	resp      sweep.SimulateResponse // when ok
-	ae        *sweep.APIError        // terminal: relay to the client as-is
-	retry     bool                   // failed, but another backend may succeed
-	transport bool                   // never got a usable HTTP response
-	shed      bool                   // backend 429: backpressure, wait and re-ask
-	waitHint  time.Duration          // from the shed envelope's retry_after_ms
+	return out
 }
 
 // forward POSTs one cell to one backend via the shared wire client and
@@ -330,24 +315,22 @@ type fwdResult struct {
 // injected on the wire, so the backend's own spans stitch beneath it;
 // span and latency histogram observe the same request interval, so
 // traces and /metrics agree on where the time went.
-func (g *Gateway) forward(ctx context.Context, b *backend, body []byte) fwdResult {
+func (g *Gateway) forward(ctx context.Context, b *backend, body []byte) dvsclient.Result {
 	b.requests.Add(1)
 	_, sp := obs.Start(ctx, "route")
 	sp.SetAttr("backend", b.url)
 	start := time.Now()
-	cr := dvsclient.Do(ctx, g.opts.Client, b.url, body, obs.Traceparent(sp))
-	res := fwdResult{ok: cr.Ok, resp: cr.Resp, ae: cr.AE,
-		retry: cr.Retry, transport: cr.Transport, shed: cr.Shed, waitHint: cr.WaitHint}
+	res := dvsclient.Do(ctx, g.opts.Client, b.url, body, obs.Traceparent(sp))
 	switch {
-	case res.ok:
+	case res.Ok:
 		b.markSuccess()
 		b.lat.Observe(time.Since(start))
 		sp.SetAttr("outcome", "ok")
-	case res.ae != nil:
+	case res.AE != nil:
 		// A typed rejection proves the backend is alive and talking.
 		b.markSuccess()
-		sp.SetAttr("outcome", "relay:"+res.ae.Code)
-	case res.shed:
+		sp.SetAttr("outcome", "relay:"+res.AE.Code)
+	case res.Shed:
 		b.markSuccess()
 		sp.SetAttr("outcome", "shed")
 	default:
@@ -357,7 +340,7 @@ func (g *Gateway) forward(ctx context.Context, b *backend, body []byte) fwdResul
 			b.failures.Add(1)
 			b.markFailure(g.pool.failAfter)
 		}
-		if res.transport {
+		if res.Transport {
 			sp.SetAttr("outcome", "transport")
 		} else {
 			sp.SetAttr("outcome", "retry")
@@ -406,13 +389,13 @@ func (g *Gateway) backoff(n int) time.Duration {
 // execution when no backend could serve it. Every rung records a span
 // under the cell's trace, so a slow cell explains itself at
 // /debug/traces.
-func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (sweep.SimulateResponse, *sweep.APIError) {
+func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) sweep.Outcome {
 	body := c.Body
 	failedAttempts := 0
 	var shedSpent time.Duration
 	for body != nil { // wire-inexpressible cells go straight to local fallback
 		if ctx.Err() != nil {
-			return sweep.SimulateResponse{}, sweep.OutcomeError(ctx.Err())
+			return sweep.Outcome{Err: sweep.OutcomeError(ctx.Err())}
 		}
 		if failedAttempts >= g.opts.MaxAttempts {
 			break
@@ -424,25 +407,26 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (sweep.SimulateResp
 			break
 		}
 		b := prefs[failedAttempts%len(prefs)]
-		var res fwdResult
+		var res dvsclient.Result
 		if failedAttempts == 0 && g.opts.HedgeAfter > 0 && len(prefs) > 1 {
 			res = g.forwardHedged(ctx, b, prefs[1], body)
 		} else {
 			res = g.forward(ctx, b, body)
 		}
 		switch {
-		case res.ok:
-			return res.resp, nil
-		case res.ae != nil:
-			return sweep.SimulateResponse{}, res.ae
-		case res.shed:
+		case res.Ok:
+			r := res.Resp.Result
+			return sweep.Outcome{Cached: res.Resp.Cached, Wire: &r}
+		case res.AE != nil:
+			return sweep.Outcome{Err: res.AE}
+		case res.Shed:
 			// Backpressure, not failure: the backend asked us to come
 			// back, so waiting doesn't burn a failover attempt. But the
 			// wait is bounded by ShedBudget — a request context need not
 			// carry a deadline, and even one that does should degrade to
 			// local fallback rather than time the whole cell out against
 			// a permanently saturated backend.
-			wait := res.waitHint
+			wait := res.WaitHint
 			if wait <= 0 {
 				wait = g.backoff(1)
 			}
@@ -465,7 +449,10 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (sweep.SimulateResp
 			ssp.End()
 		default:
 			failedAttempts++
-			if failedAttempts < g.opts.MaxAttempts {
+			// A retry follows only when the cell's own context is still
+			// live: a body cut short by our deadline or cancellation is
+			// not a backend failure, and the loop top returns it.
+			if failedAttempts < g.opts.MaxAttempts && ctx.Err() == nil {
 				g.met.retried.Add(1)
 				_, bsp := obs.Start(ctx, "retry.backoff")
 				bsp.SetAttr("attempt", fmt.Sprint(failedAttempts))
@@ -475,7 +462,7 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (sweep.SimulateResp
 		}
 	}
 	if ctx.Err() != nil {
-		return sweep.SimulateResponse{}, sweep.OutcomeError(ctx.Err())
+		return sweep.Outcome{Err: sweep.OutcomeError(ctx.Err())}
 	}
 	// Degradation floor: no backend could serve the cell — zero live, or
 	// the attempt budget burned down — so run it here, exactly as a
@@ -484,10 +471,7 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (sweep.SimulateResp
 	lctx, lsp := obs.Start(ctx, "local")
 	out := g.opts.Local.DoKey(lctx, c.Job, c.Key)
 	lsp.End()
-	if out.Err != nil {
-		return sweep.SimulateResponse{}, sweep.OutcomeError(out.Err)
-	}
-	return sweep.SimulateResponse{Cached: out.Cached, Result: sweep.ToResultJSON(out.Result)}, nil
+	return sweep.FromRunner(out)
 }
 
 // forwardHedged races the home backend against a delayed duplicate on
@@ -495,21 +479,21 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) (sweep.SimulateResp
 // rejection) wins and the loser's request is cancelled. Indecisive
 // results (both retryable) surface the primary's, so the caller's retry
 // ladder proceeds as if unhedged.
-func (g *Gateway) forwardHedged(ctx context.Context, primary, secondary *backend, body []byte) fwdResult {
+func (g *Gateway) forwardHedged(ctx context.Context, primary, secondary *backend, body []byte) dvsclient.Result {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan fwdResult, 2)
+	ch := make(chan dvsclient.Result, 2)
 	go func() { ch <- g.forward(hctx, primary, body) }()
 	t := time.NewTimer(g.opts.HedgeAfter)
 	defer t.Stop()
 	timerC := t.C
 	launched, received := 1, 0
-	var first fwdResult
+	var first dvsclient.Result
 	for {
 		select {
 		case res := <-ch:
 			received++
-			if res.ok || res.ae != nil {
+			if res.Ok || res.AE != nil {
 				return res
 			}
 			if received == 1 {

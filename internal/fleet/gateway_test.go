@@ -595,23 +595,19 @@ func TestShedBudgetNoDeadline(t *testing.T) {
 	})
 	cells := sweepCells(t)
 
-	type result struct {
-		resp sweep.SimulateResponse
-		ae   *sweep.APIError
-	}
-	done := make(chan result, 1)
-	go func() {
-		resp, ae := g.runCell(context.Background(), cells[0])
-		done <- result{resp, ae}
-	}()
-	var res result
+	done := make(chan sweep.Outcome, 1)
+	go func() { done <- g.runCell(context.Background(), cells[0]) }()
+	var out sweep.Outcome
 	select {
-	case res = <-done:
+	case out = <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("deadline-less cell stuck in the shed loop; ShedBudget not applied")
 	}
-	if res.ae != nil {
-		t.Fatalf("cell failed instead of degrading to local: %v", res.ae)
+	if out.Err != nil {
+		t.Fatalf("cell failed instead of degrading to local: %v", out.Err)
+	}
+	if out.Raw == nil {
+		t.Fatal("local rung dropped the full-fidelity result")
 	}
 	if g.met.local.Load() != 1 {
 		t.Fatalf("local fallback ran %d times, want 1", g.met.local.Load())
@@ -646,5 +642,135 @@ func TestGatewayRequestLatencyHistogram(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// stallMidBody answers /simulate with a 200 and the start of a body,
+// flushes it, then holds the body open until the client gives up.
+// headersOut, when non-nil, closes once the headers are on the wire.
+func stallMidBody(calls *atomic.Int64, headersOut chan struct{}) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.WriteHeader(http.StatusOK)
+		w.Write([]byte(`{"cached":false,"result":{"na`))
+		w.(http.Flusher).Flush()
+		if headersOut != nil {
+			close(headersOut)
+		}
+		<-r.Context().Done()
+	}
+}
+
+// TestCellCanceledMidBodyDoesNotRetry: a cell whose own context is
+// canceled after the backend sent its headers ends canceled, with one
+// backend request and no retry: the cut body is not a backend failure,
+// so nothing is counted, backed off or failed over.
+func TestCellCanceledMidBodyDoesNotRetry(t *testing.T) {
+	var calls atomic.Int64
+	headersOut := make(chan struct{})
+	ts := httptest.NewServer(stallMidBody(&calls, headersOut))
+	defer ts.Close()
+	g := newGateway(t, Options{Peers: []string{ts.URL}, MaxAttempts: 5})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-headersOut
+		cancel()
+	}()
+	out := g.Place(ctx, 0, sweepCells(t)[0])
+	if out.Err == nil || out.Err.Code != sweep.CodeCanceled {
+		t.Fatalf("out = %+v, want canceled", out)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("backend requests = %d; a canceled cell must not burn retries", got)
+	}
+	if got := g.met.retried.Load(); got != 0 {
+		t.Fatalf("retried = %d; no retry followed the cancellation", got)
+	}
+	if got := g.met.local.Load(); got != 0 {
+		t.Fatalf("local = %d; a canceled cell must not fall back", got)
+	}
+	// A cell placed under an already-canceled context sends nothing.
+	if out := g.Place(ctx, 1, sweepCells(t)[1]); out.Err == nil || out.Err.Code != sweep.CodeCanceled {
+		t.Fatalf("pre-canceled out = %+v, want canceled", out)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("backend requests = %d after a pre-canceled cell", got)
+	}
+}
+
+// TestCellDeadlineMidBodyClassifiesDeadline: the same stall ended by the
+// cell's deadline surfaces deadline_exceeded, not canceled and not a
+// local fallback.
+func TestCellDeadlineMidBodyClassifiesDeadline(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(stallMidBody(&calls, nil))
+	defer ts.Close()
+	g := newGateway(t, Options{Peers: []string{ts.URL}, MaxAttempts: 5})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	out := g.Place(ctx, 0, sweepCells(t)[0])
+	if out.Err == nil || out.Err.Code != sweep.CodeDeadlineExceeded {
+		t.Fatalf("out = %+v, want deadline_exceeded", out)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("backend requests = %d; an expired deadline must not burn retries", got)
+	}
+	if got := g.met.retried.Load(); got != 0 {
+		t.Fatalf("retried = %d after a deadline", got)
+	}
+}
+
+// TestCellRelaysTypedRejection: a backend's typed sim_failed envelope is
+// deterministic, so the gateway relays it after one request: no retry,
+// no failover, no local re-run.
+func TestCellRelaysTypedRejection(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		w.Write([]byte(`{"error":{"code":"sim_failed","message":"rank 1 deadlocked"}}`))
+	}))
+	defer ts.Close()
+	g := newGateway(t, Options{Peers: []string{ts.URL}})
+
+	rec := postGW(g, "/simulate", simFTS2)
+	var env struct{ Error *sweep.APIError }
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil {
+		t.Fatalf("status=%d body=%s, want a typed error", rec.Code, rec.Body.String())
+	}
+	if env.Error.Code != sweep.CodeSimFailed || env.Error.Message != "rank 1 deadlocked" {
+		t.Fatalf("relayed %+v, want the backend's sim_failed", env.Error)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("backend requests = %d; deterministic rejections must not retry", got)
+	}
+	if c := g.Counters(); c.Retried != 0 || c.Local != 0 {
+		t.Fatalf("counters = %+v; a relayed rejection neither retries nor falls back", c)
+	}
+}
+
+// TestBodilessCellRunsLocally: a cell without a wire body cannot be
+// forwarded, so the ladder runs it on the local rung straight away and
+// keeps its full-fidelity result.
+func TestBodilessCellRunsLocally(t *testing.T) {
+	var calls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		w.Write([]byte(fakeResponse("remote")))
+	}))
+	defer ts.Close()
+	g := newGateway(t, Options{Peers: []string{ts.URL}})
+
+	c := sweepCells(t)[0]
+	c.Body = nil
+	out := g.Place(context.Background(), 0, c)
+	if out.Err != nil || out.Raw == nil || out.Wire != nil {
+		t.Fatalf("out = %+v, want a local full-fidelity result", out)
+	}
+	if calls.Load() != 0 || g.met.local.Load() != 1 {
+		t.Fatalf("backend requests = %d, local = %d; want 0 and 1", calls.Load(), g.met.local.Load())
 	}
 }
