@@ -27,11 +27,12 @@ func main() {
 	classFlag := flag.String("class", "C", "problem class (S, W, A, B, C)")
 	flag.Parse()
 
-	class := npb.Class((*classFlag)[0])
-	if !class.Valid() {
-		fmt.Fprintf(os.Stderr, "unknown class %q\n", *classFlag)
-		os.Exit(1)
+	if len(*classFlag) != 1 || !npb.Class((*classFlag)[0]).Valid() {
+		fmt.Fprintf(os.Stderr, "calibrate: invalid -class %q: want a single letter among S, W, A, B, C\n\n", *classFlag)
+		flag.Usage()
+		os.Exit(2)
 	}
+	class := npb.Class((*classFlag)[0])
 	cfg := core.DefaultConfig()
 	daemon := sched.CPUSpeedV121()
 
@@ -69,19 +70,8 @@ func main() {
 		fmt.Printf("   %-6s %14s %14s %14s\n", "set", "sim D/E", "paper D/E", "err D/E")
 		for _, key := range prof.Settings {
 			cell := prof.Cells[key]
-			var pd, pe float64
-			if pub != nil {
-				if key == "auto" {
-					pd, pe = pub.Auto.Delay, pub.Auto.Energy
-				} else {
-					var mhz int
-					fmt.Sscanf(key, "%d", &mhz)
-					if pc, ok := pub.ByFreq[mhz]; ok {
-						pd, pe = pc.Delay, pc.Energy
-					}
-				}
-			}
-			if pd > 0 {
+			pc, _ := pub.At(key)
+			if pd, pe := pc.Delay, pc.Energy; pd > 0 {
 				ed, ee := cell.Delay-pd, cell.Energy-pe
 				totalErr += ed*ed + ee*ee
 				cells += 2

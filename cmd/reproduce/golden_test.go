@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -92,5 +93,42 @@ func TestGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMain runs the test binary as the reproduce command itself when
+// asAppEnv is set, so TestArtifactsGolden can drive main's flag parsing
+// and markdown writer in a child process.
+func TestMain(m *testing.M) {
+	if os.Getenv(asAppEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const asAppEnv = "REPRODUCE_TEST_AS_APP"
+
+// TestArtifactsGolden pins every table of "reproduce -class S -only all"
+// through its -md file (stdout also carries wall-time lines). The
+// testdata file predates folding the cluster assembly into core, and
+// refactors must keep every byte of it.
+func TestArtifactsGolden(t *testing.T) {
+	md := filepath.Join(t.TempDir(), "artifacts.md")
+	cmd := exec.Command(os.Args[0], "-class", "S", "-only", "all", "-workers", "2", "-md", md)
+	cmd.Env = append(os.Environ(), asAppEnv+"=1")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("reproduce: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(md)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "artifacts_S.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("artifacts differ from testdata/artifacts_S.md:\n--- got\n%s", got)
 	}
 }

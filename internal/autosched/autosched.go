@@ -79,12 +79,14 @@ type Profile struct {
 }
 
 // ProfileWorkload runs the profiling pass: one full-speed traced run.
-func ProfileWorkload(w npb.Workload, cfg core.Config) (*Profile, error) {
+// Tracing is passive, so the run's result is also the workload's NoDVS
+// baseline, returned alongside the profile.
+func ProfileWorkload(w npb.Workload, cfg core.Config) (*Profile, core.Result, error) {
 	log := trace.New(w.Ranks)
 	cfg.Tracer = log
 	res, err := core.Run(w, core.NoDVS(), cfg)
 	if err != nil {
-		return nil, fmt.Errorf("autosched: profiling pass: %w", err)
+		return nil, core.Result{}, fmt.Errorf("autosched: profiling pass: %w", err)
 	}
 	p := &Profile{
 		Workload:  w.Name(),
@@ -120,7 +122,7 @@ func ProfileWorkload(w npb.Workload, cfg core.Config) (*Profile, error) {
 		}
 		p.Phases[k] = st
 	}
-	return p, nil
+	return p, res, nil
 }
 
 // Schedule is the analyzer's output: what the middleware will do.
@@ -336,7 +338,7 @@ type Result struct {
 // Tune runs the full pipeline on a workload: profile, analyze, apply, and
 // measure the tuned application against the untouched baseline.
 func Tune(w npb.Workload, clusterCfg core.Config, cfg Config) (*Result, error) {
-	prof, err := ProfileWorkload(w, clusterCfg)
+	prof, base, err := ProfileWorkload(w, clusterCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -345,10 +347,6 @@ func Tune(w npb.Workload, clusterCfg core.Config, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	schedule, err := Analyze(prof, db, cfg)
-	if err != nil {
-		return nil, err
-	}
-	base, err := core.Run(w, core.NoDVS(), clusterCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package autosched
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -93,12 +94,35 @@ func TestTunedNeverLosesMuchED3P(t *testing.T) {
 	}
 }
 
+// TestProfileBaselineIsUntracedRun: Tune takes its baseline from the
+// traced profiling pass, which is only sound because the tracer is
+// passive — the traced result equals an untraced NoDVS run exactly.
+func TestProfileBaselineIsUntracedRun(t *testing.T) {
+	for _, code := range []string{"BT", "CG", "EP", "FT", "IS", "LU", "MG", "SP"} {
+		w, err := npb.New(code, npb.ClassS, npb.PaperRanks(code))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, traced, err := ProfileWorkload(w, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := core.Run(w, core.NoDVS(), core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(traced, plain) {
+			t.Errorf("%s: traced profiling run differs from the untraced baseline", code)
+		}
+	}
+}
+
 func TestProfileCapturesPhases(t *testing.T) {
 	w, err := npb.FT(npb.ClassW, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ProfileWorkload(w, core.DefaultConfig())
+	p, _, err := ProfileWorkload(w, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +165,7 @@ func TestMinPhaseGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := ProfileWorkload(w, core.DefaultConfig())
+	p, _, err := ProfileWorkload(w, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 // Package core is the library façade: it assembles a simulated power-aware
-// cluster (nodes, interconnect, MPI world), applies a DVS scheduling
-// strategy, runs a workload, and returns measured energy and delay.
+// cluster (nodes, interconnect, MPI world and, for RunInstrumented, the
+// PowerPack meter and power-profile collector), applies a DVS scheduling
+// strategy, runs a workload, and returns measured energy and delay. The
+// cluster is put together in one place, build, for both run paths.
 //
 // This is the API a downstream user calls:
 //
@@ -15,13 +17,13 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dvs"
 	"repro/internal/mpisim"
 	"repro/internal/netsim"
 	"repro/internal/node"
 	"repro/internal/npb"
 	"repro/internal/obs"
+	"repro/internal/powerpack"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -192,16 +194,65 @@ func Run(w npb.Workload, strat Strategy, cfg Config) (Result, error) {
 // With a span-less context the tracing path costs nothing, so Run's
 // measurements and the kernel's zero-alloc hot loop are unaffected.
 func RunContext(ctx context.Context, w npb.Workload, strat Strategy, cfg Config) (Result, error) {
-	c, err := cluster.New(cluster.Config{
-		Nodes: w.Ranks,
-		Node:  cfg.Node,
-		Net:   cfg.Net,
-		MPI:   cfg.MPI,
-	})
+	m, err := build(cfg, w.Ranks, false, 0)
 	if err != nil {
 		return Result{}, err
 	}
-	return runOn(ctx, c, w, strat, cfg, 0)
+	return runOn(ctx, &m, w, strat, 0)
+}
+
+// machine is one assembled cluster. It owns a private simulation kernel,
+// so independent machines are independent experiments; everything on
+// one machine is deterministic.
+type machine struct {
+	k     *sim.Kernel
+	nodes []*node.Node
+	net   *netsim.Network
+	world *mpisim.World
+	meter *powerpack.Meter     // nil unless instrumented
+	col   *powerpack.Collector // nil unless instrumented with a sample period
+}
+
+// build assembles a machine of n nodes from cfg, the one place the
+// simulated cluster is put together (cfg.Net.Nodes is overridden by n).
+// instrument attaches the PowerPack meter over the default ACPI
+// batteries; a positive sample period also starts a power-profile
+// collector that stops when the MPI world completes.
+func build(cfg Config, n int, instrument bool, sample time.Duration) (machine, error) {
+	if n <= 0 {
+		return machine{}, fmt.Errorf("core: need at least one node")
+	}
+	m := machine{k: sim.NewKernel(), nodes: make([]*node.Node, n)}
+	var err error
+	for i := range m.nodes {
+		if m.nodes[i], err = node.New(m.k, i, cfg.Node); err != nil {
+			return machine{}, err
+		}
+	}
+	netCfg := cfg.Net
+	netCfg.Nodes = n
+	if m.net, err = netsim.New(m.k, netCfg); err != nil {
+		return machine{}, err
+	}
+	if m.world, err = mpisim.NewWorld(m.k, m.net, m.nodes, cfg.MPI); err != nil {
+		return machine{}, err
+	}
+	if cfg.Tracer != nil {
+		m.world.SetTracer(cfg.Tracer)
+	}
+	if !instrument {
+		return m, nil
+	}
+	if m.meter, err = powerpack.NewMeter(m.k, m.nodes, powerpack.DefaultBattery()); err != nil {
+		return machine{}, err
+	}
+	if sample > 0 {
+		if m.col, err = powerpack.StartCollector(m.k, m.nodes, sample); err != nil {
+			return machine{}, err
+		}
+		m.world.OnAllDone(m.col.Stop)
+	}
+	return m, nil
 }
 
 // runOn is the single measurement path shared by Run and RunInstrumented:
@@ -210,19 +261,14 @@ func RunContext(ctx context.Context, w npb.Workload, strat Strategy, cfg Config)
 // kernel to completion, and collect the result. Because both entry points
 // funnel here, a strategy that works uninstrumented works instrumented by
 // construction — the two paths can never drift again.
-func runOn(ctx context.Context, c *cluster.Cluster, w npb.Workload, strat Strategy, cfg Config, warmup time.Duration) (Result, error) {
+func runOn(ctx context.Context, m *machine, w npb.Workload, strat Strategy, warmup time.Duration) (Result, error) {
 	_, asp := obs.Start(ctx, "strategy.attach")
 	r, err := strat.registration()
 	if err != nil {
 		asp.End()
 		return Result{}, err
 	}
-	k := c.Kernel()
-	world := c.World()
-	if cfg.Tracer != nil {
-		world.SetTracer(cfg.Tracer)
-	}
-	finish, err := r.Attach(strat, k, c.Nodes(), world)
+	finish, err := r.Attach(strat, m.k, m.nodes, m.world)
 	asp.End()
 	if err != nil {
 		return Result{}, err
@@ -233,33 +279,33 @@ func runOn(ctx context.Context, c *cluster.Cluster, w npb.Workload, strat Strate
 	// launches afterwards and elapsed time excludes the idle.
 	if warmup > 0 {
 		_, wsp := obs.Start(ctx, "warmup")
-		k.After(warmup, func() {})
-		if err := k.Run(sim.Time(0).Add(warmup + time.Nanosecond)); err != nil {
+		m.k.After(warmup, func() {})
+		if err := m.k.Run(sim.Time(0).Add(warmup + time.Nanosecond)); err != nil {
 			wsp.End()
 			return Result{}, err
 		}
 		wsp.End()
 	}
-	if m := c.Meter(); m != nil {
-		m.Begin()
+	if m.meter != nil {
+		m.meter.Begin()
 	}
 	// sim.run covers launch through kernel completion — the simulation
 	// proper, where a slow cell actually spends its time.
 	_, ssp := obs.Start(ctx, "sim.run")
 	ssp.SetAttr("workload", w.Name())
-	if err := w.Launch(world); err != nil {
+	if err := w.Launch(m.world); err != nil {
 		ssp.End()
 		return Result{}, err
 	}
-	if err := k.Run(sim.MaxTime); err != nil {
+	if err := m.k.Run(sim.MaxTime); err != nil {
 		ssp.End()
 		return Result{}, fmt.Errorf("core: %s/%s: %w", w.Name(), strat, err)
 	}
-	if !world.Done() {
+	if !m.world.Done() {
 		ssp.End()
 		return Result{}, fmt.Errorf("core: %s did not complete", w.Name())
 	}
-	ssp.SetAttr("virtual_elapsed", (time.Duration(world.Elapsed()) - warmup).String())
+	ssp.SetAttr("virtual_elapsed", (time.Duration(m.world.Elapsed()) - warmup).String())
 	ssp.End()
 
 	_, csp := obs.Start(ctx, "collect")
@@ -267,14 +313,14 @@ func runOn(ctx context.Context, c *cluster.Cluster, w npb.Workload, strat Strate
 	res := Result{
 		Name:     w.Name(),
 		Strategy: strat.String(),
-		Elapsed:  time.Duration(world.Elapsed()) - warmup,
-		Net:      c.Network().Stats(),
+		Elapsed:  time.Duration(m.world.Elapsed()) - warmup,
+		Net:      m.net.Stats(),
 	}
-	for i, n := range c.Nodes() {
+	for i, n := range m.nodes {
 		e := n.Energy()
 		res.NodeEnergy = append(res.NodeEnergy, e)
 		res.Energy += e.Total()
-		res.RankStats = append(res.RankStats, world.Rank(i).Stats())
+		res.RankStats = append(res.RankStats, m.world.Rank(i).Stats())
 		res.TimeAtOp = append(res.TimeAtOp, n.TimeAt())
 		res.Transitions += n.Transitions()
 		res.Thermal = append(res.Thermal, n.Thermal())

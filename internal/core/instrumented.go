@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/npb"
 	"repro/internal/powerpack"
 )
@@ -18,36 +17,28 @@ type InstrumentedResult struct {
 }
 
 // RunInstrumented executes the workload like Run but on a PowerPack-
-// instrumented cluster: per-node ACPI batteries, the Baytech strip, and a
+// instrumented cluster: a meter over per-node ACPI batteries and a
 // power-profile collector sampling at the given period (0 disables the
 // collector). It reproduces the paper's full measurement methodology,
 // including the §4.2 conditioning protocol (idle discharge before the
 // run). Strategy dispatch and measurement go through the same runOn path
 // as Run, so every registered strategy works instrumented.
 func RunInstrumented(w npb.Workload, strat Strategy, cfg Config, samplePeriod, warmup time.Duration) (InstrumentedResult, error) {
-	c, err := cluster.New(cluster.Config{
-		Nodes:         w.Ranks,
-		Node:          cfg.Node,
-		Net:           cfg.Net,
-		MPI:           cfg.MPI,
-		Instrument:    true,
-		Battery:       powerpack.DefaultBattery(),
-		CollectPeriod: samplePeriod,
-	})
+	m, err := build(cfg, w.Ranks, true, samplePeriod)
 	if err != nil {
 		return InstrumentedResult{}, err
 	}
-	res, err := runOn(context.Background(), c, w, strat, cfg, warmup)
+	res, err := runOn(context.Background(), &m, w, strat, warmup)
 	if err != nil {
 		return InstrumentedResult{}, err
 	}
-	meas, err := c.Measurement()
+	meas, err := m.meter.End()
 	if err != nil {
 		return InstrumentedResult{}, err
 	}
 	out := InstrumentedResult{Result: res, Measurement: meas}
-	if col := c.Collector(); col != nil {
-		out.Profile = col.Samples()
+	if m.col != nil {
+		out.Profile = m.col.Samples()
 	}
 	return out, nil
 }

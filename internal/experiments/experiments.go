@@ -236,17 +236,7 @@ func (ps *ProfileSet) Table2() *report.Table {
 		eRow := []string{"  .      E"}
 		for _, key := range keys {
 			cell := prof.Cells[key]
-			var pc paper.Cell
-			if pub != nil {
-				if key == "auto" {
-					pc = pub.Auto
-				} else {
-					var mhz int
-					fmt.Sscanf(key, "%d", &mhz)
-					pc = pub.ByFreq[mhz]
-				}
-			}
-			if pc.Delay > 0 {
+			if pc, _ := pub.At(key); pc.Delay > 0 {
 				dRow = append(dRow, report.DeltaCell(cell.Delay, pc.Delay))
 				eRow = append(eRow, report.DeltaCell(cell.Energy, pc.Energy))
 			} else {
@@ -402,17 +392,8 @@ func Figure11(o Options) (StrategyComparison, error) {
 	for _, key := range prof.Settings {
 		cell := prof.Cells[key]
 		row := ComparisonRow{Label: key, Cell: cell}
-		if pub != nil {
-			if key == "auto" {
-				row.Paper = &pub.Auto
-			} else {
-				var mhz int
-				fmt.Sscanf(key, "%d", &mhz)
-				if pc, ok := pub.ByFreq[mhz]; ok {
-					pc := pc
-					row.Paper = &pc
-				}
-			}
+		if pc, ok := pub.At(key); ok {
+			row.Paper = &pc
 		}
 		cmpr.Rows = append(cmpr.Rows, row)
 	}
@@ -476,17 +457,8 @@ func Figure14(o Options) (StrategyComparison, error) {
 	for _, key := range prof.Settings {
 		cell := prof.Cells[key]
 		row := ComparisonRow{Label: key, Cell: cell}
-		if pub != nil {
-			if key == "auto" {
-				row.Paper = &pub.Auto
-			} else {
-				var mhz int
-				fmt.Sscanf(key, "%d", &mhz)
-				if pc, ok := pub.ByFreq[mhz]; ok {
-					pc := pc
-					row.Paper = &pc
-				}
-			}
+		if pc, ok := pub.At(key); ok {
+			row.Paper = &pc
 		}
 		cmpr.Rows = append(cmpr.Rows, row)
 	}

@@ -116,9 +116,6 @@ type Options struct {
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	FailAfter     int
-	// Replicas is the virtual-node count per backend on the hash ring.
-	// Default 64.
-	Replicas int
 }
 
 func (o Options) withDefaults() Options {
@@ -156,9 +153,6 @@ func (o Options) withDefaults() Options {
 	if o.FailAfter <= 0 {
 		o.FailAfter = 2
 	}
-	if o.Replicas <= 0 {
-		o.Replicas = 64
-	}
 	return o
 }
 
@@ -191,7 +185,7 @@ func New(opts Options) (*Gateway, error) {
 	opts = opts.withDefaults()
 	g := &Gateway{
 		opts: opts,
-		pool: newPool(opts.Peers, opts.Replicas, opts.FailAfter, opts.ProbeTimeout, opts.Client),
+		pool: newPool(opts.Peers, opts.FailAfter, opts.ProbeTimeout, opts.Client),
 	}
 	g.Frontend = server.NewFrontend(server.Options{
 		MaxInflight:    opts.MaxInflight,

@@ -546,7 +546,7 @@ func TestGatewayShutdownWithoutServe(t *testing.T) {
 	_, url := startBackend(t)
 	g := newGateway(t, Options{Peers: []string{url}})
 	done := make(chan error, 1)
-	go func() { done <- g.Shutdown(t.Context()) }()
+	go func() { done <- g.Shutdown(context.Background()) }()
 	select {
 	case err := <-done:
 		if err != nil {

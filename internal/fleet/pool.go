@@ -67,10 +67,10 @@ type Pool struct {
 // live so the first request after start does not wait a probe period;
 // the initial synchronous probe round in start corrects that within one
 // probe timeout.
-func newPool(peers []string, replicas int, failAfter int, probeTimeout time.Duration, client *http.Client) *Pool {
+func newPool(peers []string, failAfter int, probeTimeout time.Duration, client *http.Client) *Pool {
 	p := &Pool{
 		backends:     make([]*backend, len(peers)),
-		ring:         newRing(peers, replicas),
+		ring:         newRing(peers),
 		client:       client,
 		probeTimeout: probeTimeout,
 		failAfter:    int32(failAfter),

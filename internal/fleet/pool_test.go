@@ -24,7 +24,7 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	p := newPool([]string{ts.URL}, 8, 2, time.Second, ts.Client())
+	p := newPool([]string{ts.URL}, 2, time.Second, ts.Client())
 	p.probeAll()
 	if p.live() != 1 {
 		t.Fatal("healthy backend not live after probe")
@@ -57,7 +57,7 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 // TestDataPathFeedback: forward failures feed the same ejection counter
 // as probes, and any success resets it.
 func TestDataPathFeedback(t *testing.T) {
-	p := newPool(testURLs(1), 8, 3, time.Second, http.DefaultClient)
+	p := newPool(testURLs(1), 3, time.Second, http.DefaultClient)
 	b := p.backends[0]
 	b.markFailure(3)
 	b.markFailure(3)
@@ -80,7 +80,7 @@ func TestDataPathFeedback(t *testing.T) {
 // backend anywhere; placement must spread across the live set rather
 // than hammering one backend.
 func TestOrderRotatesKeylessCells(t *testing.T) {
-	p := newPool(testURLs(3), 8, 2, time.Second, http.DefaultClient)
+	p := newPool(testURLs(3), 2, time.Second, http.DefaultClient)
 	first := map[string]int{}
 	for i := 0; i < 9; i++ {
 		first[p.order("")[0].url]++
@@ -114,7 +114,7 @@ func TestProbeReusesConnection(t *testing.T) {
 	ts.Start()
 	defer ts.Close()
 
-	p := newPool([]string{ts.URL}, 8, 64, time.Second, ts.Client())
+	p := newPool([]string{ts.URL}, 64, time.Second, ts.Client())
 	for i := 0; i < 5; i++ {
 		p.probe(p.backends[0])
 	}

@@ -7,6 +7,9 @@ import (
 	"strconv"
 )
 
+// replicas is the virtual-point count per backend on the hash ring.
+const replicas = 64
+
 // ring is a consistent-hash ring over backend indices. Each backend owns
 // `replicas` virtual points, hashed from its URL, so cell keys spread
 // roughly evenly and — crucially — a backend joining or leaving the live
@@ -41,7 +44,7 @@ func hashString(s string) uint64 {
 
 // newRing builds the ring for n backends named by urls, replicas virtual
 // points each (point i of backend u hashes "u#i").
-func newRing(urls []string, replicas int) *ring {
+func newRing(urls []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(urls)*replicas), n: len(urls)}
 	for b, u := range urls {
 		for i := 0; i < replicas; i++ {

@@ -17,7 +17,7 @@ func testURLs(n int) []string {
 // across calls and visits each distinct backend exactly once — the
 // failover chain never skips or repeats a backend.
 func TestRingSeqDeterministicAndComplete(t *testing.T) {
-	r := newRing(testURLs(3), 64)
+	r := newRing(testURLs(3))
 	for k := 0; k < 100; k++ {
 		key := fmt.Sprintf("cell-%d", k)
 		a, b := r.seq(key), r.seq(key)
@@ -41,7 +41,7 @@ func TestRingSeqDeterministicAndComplete(t *testing.T) {
 // pool applies it: ejecting one backend (filtering it out of the walk
 // order) must not move any key whose home was a surviving backend.
 func TestRingAffinityUnderEjection(t *testing.T) {
-	r := newRing(testURLs(3), 64)
+	r := newRing(testURLs(3))
 	const ejected = 2
 	moved := 0
 	for k := 0; k < 1000; k++ {
@@ -69,7 +69,7 @@ func TestRingAffinityUnderEjection(t *testing.T) {
 // TestRingDistribution: with 64 virtual nodes each, no backend's share of
 // 1000 keys collapses (each ≥ 10%).
 func TestRingDistribution(t *testing.T) {
-	r := newRing(testURLs(3), 64)
+	r := newRing(testURLs(3))
 	counts := make([]int, 3)
 	for k := 0; k < 1000; k++ {
 		counts[r.seq(fmt.Sprintf("cell-%d", k))[0]]++

@@ -14,6 +14,10 @@
 // instrumentation: FT wraps its all-to-all in set_cpuspeed calls
 // (Figure 10); CG sets per-rank heterogeneous speeds (Figure 13), plus the
 // two phase-based CG policies the paper reports as unprofitable.
+//
+// The suite is one static, code-sorted table (entries, in registry.go);
+// Lookup, Codes, New and Spec select benchmarks from it, and adding a
+// benchmark is adding a row.
 package npb
 
 import (
@@ -132,23 +136,6 @@ func (w Workload) Launch(world *mpisim.World) error {
 
 // Builder constructs a Workload for a class and rank count.
 type Builder func(class Class, ranks int) (Workload, error)
-
-// The paper's benchmark suite, registered with the rank count each code
-// was run with (XX.C.8, except BT/SP/BTIO which need a square count: 9,
-// and the single-node SPEC swim) and, for FT and CG, the §5.3
-// source-instrumented internal variant.
-func init() {
-	Register(Entry{Code: "EP", Build: EP, PaperRanks: 8})
-	Register(Entry{Code: "MG", Build: MG, PaperRanks: 8})
-	Register(Entry{Code: "CG", Build: CG, PaperRanks: 8, Internal: CGInternal})
-	Register(Entry{Code: "FT", Build: FT, PaperRanks: 8, Internal: FTInternal})
-	Register(Entry{Code: "IS", Build: IS, PaperRanks: 8})
-	Register(Entry{Code: "LU", Build: LU, PaperRanks: 8})
-	Register(Entry{Code: "SP", Build: SP, PaperRanks: 9})
-	Register(Entry{Code: "BT", Build: BT, PaperRanks: 9})
-	Register(Entry{Code: "BTIO", Build: BTIO, PaperRanks: 9})
-	Register(Entry{Code: "SWIM", Build: Swim, PaperRanks: 1})
-}
 
 // New builds the named benchmark (case-sensitive code, e.g. "FT").
 func New(code string, class Class, ranks int) (Workload, error) {

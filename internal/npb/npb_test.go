@@ -273,8 +273,8 @@ func TestCodesSorted(t *testing.T) {
 		t.Fatalf("codes = %v", codes)
 	}
 	for i := 1; i < len(codes); i++ {
-		if codes[i] < codes[i-1] {
-			t.Fatalf("codes not sorted: %v", codes)
+		if codes[i] <= codes[i-1] {
+			t.Fatalf("codes not strictly sorted: %v", codes)
 		}
 	}
 }

@@ -1,14 +1,12 @@
-// The workload registry: benchmark code → constructor plus the metadata
+// The workload table: benchmark code → constructor plus the metadata
 // that used to be scattered switches (the paper's rank count per code, and
 // which codes carry a §5.3 source-instrumented "internal" variant). The
 // dvsd service and every CLI binary select workloads through one shared
-// parse form, Spec — adding a benchmark is one Register call.
+// parse form, Spec — adding a benchmark is one entries row.
 package npb
 
 import (
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/dvs"
 	"repro/internal/spec"
@@ -18,7 +16,7 @@ import (
 // with the paper's two-speed internal scheduling (§5.3).
 type InternalBuilder func(class Class, ranks int, high, low dvs.MHz) (Workload, error)
 
-// Entry is one registered benchmark: its constructor plus the
+// Entry is one benchmark of the table: its constructor plus the
 // variant-aware metadata the wire and CLI decoders need.
 type Entry struct {
 	// Code is the benchmark name ("FT", "CG", ...), case-sensitive.
@@ -32,56 +30,50 @@ type Entry struct {
 	Internal InternalBuilder
 }
 
-var (
-	regMu   sync.RWMutex
-	entries = map[string]Entry{}
-)
-
-// Register adds a benchmark to the registry. It panics on an incomplete
-// entry or duplicate code — registration is an init-time act.
-func Register(e Entry) {
-	if e.Code == "" || e.Build == nil || e.PaperRanks <= 0 {
-		panic("npb: incomplete workload registration: " + e.Code)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, ok := entries[e.Code]; ok {
-		panic("npb: benchmark " + e.Code + " already registered")
-	}
-	entries[e.Code] = e
+// entries is the paper's benchmark suite, sorted by code: each code with
+// the rank count the paper ran it at (XX.C.8, except BT/SP/BTIO, which
+// need a square count: 9, and the single-node SPEC swim) and, for FT and
+// CG, the §5.3 source-instrumented internal variant.
+var entries = []Entry{
+	{Code: "BT", Build: BT, PaperRanks: 9},
+	{Code: "BTIO", Build: BTIO, PaperRanks: 9},
+	{Code: "CG", Build: CG, PaperRanks: 8, Internal: CGInternal},
+	{Code: "EP", Build: EP, PaperRanks: 8},
+	{Code: "FT", Build: FT, PaperRanks: 8, Internal: FTInternal},
+	{Code: "IS", Build: IS, PaperRanks: 8},
+	{Code: "LU", Build: LU, PaperRanks: 8},
+	{Code: "MG", Build: MG, PaperRanks: 8},
+	{Code: "SP", Build: SP, PaperRanks: 9},
+	{Code: "SWIM", Build: Swim, PaperRanks: 1},
 }
 
-// Lookup returns the registration for a benchmark code.
+// Lookup returns the table entry for a benchmark code.
 func Lookup(code string) (Entry, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := entries[code]
-	return e, ok
+	for _, e := range entries {
+		if e.Code == code {
+			return e, true
+		}
+	}
+	return Entry{}, false
 }
 
-// Codes returns the registered benchmark names, sorted.
+// Codes returns the benchmark names, sorted.
 func Codes() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(entries))
-	for c := range entries {
-		out = append(out, c)
+	out := make([]string, len(entries))
+	for i, e := range entries {
+		out[i] = e.Code
 	}
-	sort.Strings(out)
 	return out
 }
 
 // InternalCodes returns the codes with a §5.3 internal variant, sorted.
 func InternalCodes() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	var out []string
-	for c, e := range entries {
+	for _, e := range entries {
 		if e.Internal != nil {
-			out = append(out, c)
+			out = append(out, e.Code)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -107,7 +99,7 @@ type Spec struct {
 	LowMHz  float64
 }
 
-// Build compiles the spec into a runnable workload through the registry.
+// Build compiles the spec into a runnable workload through the table.
 func (s Spec) Build() (Workload, error) {
 	if s.Code == "" {
 		return Workload{}, spec.Errorf("code", "required; one of %s", strings.Join(Codes(), ", "))

@@ -9,13 +9,13 @@ import (
 	"repro/internal/spec"
 )
 
-// TestEveryCodeConstructsAtPaperRanks: the registry's PaperRanks metadata
+// TestEveryCodeConstructsAtPaperRanks: the table's PaperRanks metadata
 // must actually be a valid default — a zero-ranks Spec builds every
-// registered benchmark.
+// benchmark in the table.
 func TestEveryCodeConstructsAtPaperRanks(t *testing.T) {
 	codes := npb.Codes()
 	if len(codes) < 10 {
-		t.Fatalf("expected the full suite registered, have %v", codes)
+		t.Fatalf("expected the full suite in the table, have %v", codes)
 	}
 	for _, code := range codes {
 		w, err := npb.Spec{Code: code, Class: "S"}.Build()
@@ -102,15 +102,4 @@ func TestSpecFieldRejections(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestRegisterRejectsDuplicates: registration is an init-time act; a
-// collision is a programming error and must panic loudly.
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-	}()
-	npb.Register(npb.Entry{Code: "FT", Build: npb.FT, PaperRanks: 8})
 }

@@ -8,6 +8,8 @@
 // delay = T(f)/T(1400), energy = E(f)/E(1400).
 package paper
 
+import "strconv"
+
 // Cell is one (normalized delay, normalized energy) measurement.
 type Cell struct {
 	Delay  float64
@@ -23,6 +25,24 @@ type Profile struct {
 	// EnergyEstimated marks rows whose energy values are reconstructed
 	// from the paper's figures rather than printed in Table 2 (SP).
 	EnergyEstimated bool
+}
+
+// At returns the published cell for a profile setting key: "auto" for
+// CPUSPEED, otherwise the static frequency in MHz ("600" … "1400"). A nil
+// profile (a code the paper did not publish) has no cells.
+func (p *Profile) At(setting string) (Cell, bool) {
+	if p == nil {
+		return Cell{}, false
+	}
+	if setting == "auto" {
+		return p.Auto, true
+	}
+	mhz, err := strconv.Atoi(setting)
+	if err != nil {
+		return Cell{}, false
+	}
+	c, ok := p.ByFreq[mhz]
+	return c, ok
 }
 
 // CrescendoType is the paper's §5.2 classification of energy-delay

@@ -122,3 +122,21 @@ func TestHeadlineConstants(t *testing.T) {
 		t.Errorf("Swim top point %+v", Swim[1400])
 	}
 }
+
+func TestProfileAt(t *testing.T) {
+	ft := Find("FT")
+	if c, ok := ft.At("auto"); !ok || c != ft.Auto {
+		t.Errorf("At(auto) = %+v, %v; want %+v", c, ok, ft.Auto)
+	}
+	if c, ok := ft.At("600"); !ok || c != ft.ByFreq[600] {
+		t.Errorf("At(600) = %+v, %v; want %+v", c, ok, ft.ByFreq[600])
+	}
+	for _, key := range []string{"700", "fast", ""} {
+		if _, ok := ft.At(key); ok {
+			t.Errorf("At(%q) found a cell", key)
+		}
+	}
+	if _, ok := Find("SWIM").At("auto"); ok {
+		t.Error("a code without a Table 2 row has a cell")
+	}
+}

@@ -1,14 +1,14 @@
 // Package spec carries the neutral, transport-agnostic error type shared
-// by the wire decoders of the strategy registry (internal/core) and the
-// workload registry (internal/npb). A decode rejection names the offending
+// by the wire decoders of the strategy table (internal/core) and the
+// workload table (internal/npb). A decode rejection names the offending
 // parameter *relative to the object being decoded* ("freq_mhz", not
 // "strategy.freq_mhz"); each consumer — the dvsd service, a CLI flag
 // parser — roots the path in its own namespace.
 //
 // The package is a leaf by design: npb cannot import core (core imports
-// npb) yet both registries must speak the same rejection dialect, and the
+// npb) yet both tables must speak the same rejection dialect, and the
 // server must be able to translate either into its typed field-level 400
-// without knowing which registry produced it.
+// without knowing which table produced it.
 package spec
 
 import "fmt"
