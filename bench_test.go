@@ -341,7 +341,7 @@ func BenchmarkMPIPingPong(b *testing.B) {
 		node.MustNew(k, 0, node.DefaultConfig()),
 		node.MustNew(k, 1, node.DefaultConfig()),
 	}
-	net := netsim.MustNew(k, netsim.DefaultConfig(2))
+	net := netsim.MustNew(k, 2, netsim.DefaultConfig())
 	w, err := mpisim.NewWorld(k, net, nodes, mpisim.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -372,7 +372,7 @@ func BenchmarkMPIAlltoall(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		nodes = append(nodes, node.MustNew(k, i, node.DefaultConfig()))
 	}
-	net := netsim.MustNew(k, netsim.DefaultConfig(8))
+	net := netsim.MustNew(k, 8, netsim.DefaultConfig())
 	w, err := mpisim.NewWorld(k, net, nodes, mpisim.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)

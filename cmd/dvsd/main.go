@@ -22,80 +22,43 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
-	"time"
 
-	"repro/internal/obs"
 	"repro/internal/runner"
 	"repro/internal/server"
 )
 
 func main() {
-	addr := flag.String("addr", ":8377", "listen address")
-	workers := flag.Int("workers", 0, "sweep-engine parallelism (0 = GOMAXPROCS, 1 = serial)")
-	queue := flag.Int("queue", 8, "admission queue bound: concurrent requests admitted before shedding with 429")
-	maxJobs := flag.Int("max-jobs", 4096, "maximum grid cells per sweep request")
-	timeout := flag.Duration("timeout", 2*time.Minute, "default per-request deadline")
-	maxTimeout := flag.Duration("max-timeout", 15*time.Minute, "clamp on client-requested deadlines")
-	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight requests")
+	sh := server.NewShell("dvsd", ":8377",
+		"sweep-engine parallelism (0 = GOMAXPROCS, 1 = serial)",
+		"finished-trace ring size served at /debug/traces (0 disables tracing)")
 	cacheEntries := flag.Int("cache-entries", runner.DefaultMaxEntries, "memo-cache bound in entries (LRU eviction beyond it)")
 	errorTTL := flag.Duration("error-cache-ttl", 0, "how long failed cells are negative-cached (0 = failures are never memoized)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent memo-cache snapshot, loaded at startup and written on graceful drain (empty = in-memory only)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for sweep checkpoint journals: completed cells are journaled as they stream, and re-posting an interrupted sweep resumes instead of recomputing (empty = off)")
-	traceBuffer := flag.Int("trace-buffer", 256, "finished-trace ring size served at /debug/traces (0 disables tracing)")
-	debugAddr := flag.String("debug-addr", "", "side listener for /debug/pprof and /debug/traces, off the service port and its admission gate (empty = disabled)")
-	flag.Parse()
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "dvsd: invalid -workers %d: want >= 0 (0 = all cores)\n\n", *workers)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *queue <= 0 {
-		fmt.Fprintf(os.Stderr, "dvsd: invalid -queue %d: want > 0\n\n", *queue)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *cacheEntries < 0 {
-		// The library accepts negative as "unbounded" for in-process
-		// sweeps; a long-lived daemon must not, it is a slow memory leak.
-		fmt.Fprintf(os.Stderr, "dvsd: invalid -cache-entries %d: want >= 0 (0 = default %d)\n\n",
-			*cacheEntries, runner.DefaultMaxEntries)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *errorTTL < 0 {
-		fmt.Fprintf(os.Stderr, "dvsd: invalid -error-cache-ttl %v: want >= 0\n\n", *errorTTL)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *traceBuffer < 0 {
-		fmt.Fprintf(os.Stderr, "dvsd: invalid -trace-buffer %d: want >= 0 (0 = tracing off)\n\n", *traceBuffer)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "dvsd: -checkpoint-dir:", err)
-			os.Exit(2)
+	sh.Parse(func() error {
+		switch {
+		case *cacheEntries < 0:
+			// The library accepts negative as "unbounded" for in-process
+			// sweeps; a long-lived daemon must not, it is a slow memory leak.
+			return fmt.Errorf("invalid -cache-entries %d: want >= 0 (0 = default %d)", *cacheEntries, runner.DefaultMaxEntries)
+		case *errorTTL < 0:
+			return fmt.Errorf("invalid -error-cache-ttl %v: want >= 0", *errorTTL)
 		}
-	}
+		return nil
+	})
 
-	eng := runner.NewWithOptions(runner.Options{
-		Workers:    *workers,
+	sh.Runner = runner.NewWithOptions(runner.Options{
+		Workers:    sh.Workers(),
 		MaxEntries: *cacheEntries,
 		ErrorTTL:   *errorTTL,
 	})
 	var snapshot string
 	if *cacheDir != "" {
 		snapshot = filepath.Join(*cacheDir, "cache.ndjson")
-		n, err := eng.LoadCache(snapshot)
+		n, err := sh.Runner.LoadCache(snapshot)
 		if err != nil {
 			// A bad snapshot degrades to a cold cache; refusing to start
 			// would turn a disk problem into an outage.
@@ -106,62 +69,15 @@ func main() {
 		}
 	}
 
-	tr := obs.New("dvsd", *traceBuffer)
-	srv := server.New(server.Options{
-		Runner:         eng,
-		MaxInflight:    *queue,
-		MaxJobs:        *maxJobs,
-		DefaultTimeout: *timeout,
-		MaxTimeout:     *maxTimeout,
-		Tracer:         tr,
-		CheckpointDir:  *ckptDir,
-	})
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *debugAddr != "" {
-		go func() {
-			// Debug surface on its own listener: pprof and trace dumps
-			// must stay reachable when the service port is saturated.
-			if err := http.ListenAndServe(*debugAddr, tr.DebugMux()); err != nil {
-				fmt.Fprintln(os.Stderr, "dvsd: debug listener:", err)
-			}
-		}()
-		fmt.Printf("dvsd: debug surface on %s (/debug/pprof, /debug/traces)\n", *debugAddr)
-	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(*addr) }()
-	fmt.Printf("dvsd: serving on %s (%d workers, queue %d)\n", *addr, srv.Runner().Workers(), *queue)
-
-	select {
-	case err := <-errc:
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dvsd:", err)
-			os.Exit(1)
-		}
-		return
-	case <-ctx.Done():
-	}
-	stop() // restore default signal behaviour: a second signal kills hard
-
-	fmt.Println("dvsd: draining in-flight requests...")
-	dctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := srv.Shutdown(dctx); err != nil {
-		fmt.Fprintln(os.Stderr, "dvsd: shutdown:", err)
-		os.Exit(1)
-	}
-	<-errc // ListenAndServe returns nil after a clean Shutdown
+	sh.Run(server.New(sh.Options).Frontend, fmt.Sprintf("(%d workers, queue %d)", sh.Runner.Workers(), sh.MaxInflight))
 	if snapshot != "" {
-		if n, err := eng.SaveCache(snapshot); err != nil {
+		if n, err := sh.Runner.SaveCache(snapshot); err != nil {
 			fmt.Fprintln(os.Stderr, "dvsd: cache save:", err)
 		} else {
 			fmt.Printf("dvsd: snapshotted %d cached cells to %s\n", n, snapshot)
 		}
 	}
-	st := srv.Runner().Stats()
+	st := sh.Runner.Stats()
 	fmt.Printf("dvsd: drained; %d simulations run, %d cache hits, %d panics contained\n",
 		st.Runs, st.Hits, st.Panics)
 }

@@ -105,7 +105,7 @@ func (s Strategy) String() string {
 // Config assembles the cluster model parameters.
 type Config struct {
 	Node   node.Config
-	Net    netsim.Config // Nodes field is overridden by the workload size
+	Net    netsim.Config // one port per node of the workload
 	MPI    mpisim.Config
 	Tracer mpisim.Tracer // optional MPE-style event sink
 }
@@ -114,7 +114,7 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Node: node.DefaultConfig(),
-		Net:  netsim.DefaultConfig(16),
+		Net:  netsim.DefaultConfig(),
 		MPI:  mpisim.DefaultConfig(),
 	}
 }
@@ -214,7 +214,7 @@ type machine struct {
 }
 
 // build assembles a machine of n nodes from cfg, the one place the
-// simulated cluster is put together (cfg.Net.Nodes is overridden by n).
+// simulated cluster is put together.
 // instrument attaches the PowerPack meter over the default ACPI
 // batteries; a positive sample period also starts a power-profile
 // collector that stops when the MPI world completes.
@@ -229,9 +229,7 @@ func build(cfg Config, n int, instrument bool, sample time.Duration) (machine, e
 			return machine{}, err
 		}
 	}
-	netCfg := cfg.Net
-	netCfg.Nodes = n
-	if m.net, err = netsim.New(m.k, netCfg); err != nil {
+	if m.net, err = netsim.New(m.k, n, cfg.Net); err != nil {
 		return machine{}, err
 	}
 	if m.world, err = mpisim.NewWorld(m.k, m.net, m.nodes, cfg.MPI); err != nil {

@@ -60,7 +60,7 @@ func TestBuildAssembly(t *testing.T) {
 	if m.world.Size() != 5 {
 		t.Fatal("world size wrong")
 	}
-	if m.net.Config().Nodes != 5 {
+	if m.net.Nodes() != 5 {
 		t.Fatal("network ports wrong")
 	}
 }

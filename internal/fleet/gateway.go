@@ -32,6 +32,7 @@ package fleet
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"math/rand"
@@ -118,17 +119,9 @@ type Options struct {
 	FailAfter     int
 }
 
+// withDefaults fills each zero ladder knob with its default; New also
+// builds Local and Client when they are nil.
 func (o Options) withDefaults() Options {
-	if o.Local == nil {
-		o.Local = runner.New(0)
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        128,
-			MaxIdleConnsPerHost: 32,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	if o.Fanout <= 0 {
 		o.Fanout = 16
 	}
@@ -154,6 +147,39 @@ func (o Options) withDefaults() Options {
 		o.FailAfter = 2
 	}
 	return o
+}
+
+// Flags registers the ladder's flags on fs, bound onto o and defaulting
+// to withDefaults' values, and returns the check that rejects
+// out-of-range values after parsing.
+func (o *Options) Flags(fs *flag.FlagSet) (check func() error) {
+	d := Options{}.withDefaults()
+	fs.IntVar(&o.Fanout, "fanout", d.Fanout, "concurrently in-flight cells per sweep")
+	fs.IntVar(&o.MaxAttempts, "retries", d.MaxAttempts, "forwarding attempts per cell before local fallback (first try included)")
+	fs.DurationVar(&o.Backoff, "backoff", d.Backoff, "base retry delay (doubles per attempt, plus jitter)")
+	fs.DurationVar(&o.HedgeAfter, "hedge-after", 0, "duplicate a cell to the next backend if the home one hasn't answered within this delay (0 = no hedging)")
+	fs.DurationVar(&o.ShedBudget, "shed-budget", d.ShedBudget, "cumulative 429-backpressure wait per cell before sheds burn failover attempts (degrades a saturated fleet to local execution)")
+	fs.DurationVar(&o.ProbeInterval, "probe-interval", d.ProbeInterval, "backend health-check period")
+	fs.DurationVar(&o.ProbeTimeout, "probe-timeout", d.ProbeTimeout, "per-probe deadline")
+	fs.IntVar(&o.FailAfter, "fail-after", d.FailAfter, "consecutive failures (probe or data path) that eject a backend")
+	return func() error {
+		for _, c := range []struct {
+			name string
+			ok   bool
+		}{
+			{"fanout", o.Fanout > 0}, {"retries", o.MaxAttempts > 0}, {"fail-after", o.FailAfter > 0},
+			{"backoff", o.Backoff > 0}, {"probe-interval", o.ProbeInterval > 0},
+			{"probe-timeout", o.ProbeTimeout > 0}, {"shed-budget", o.ShedBudget > 0},
+		} {
+			if !c.ok {
+				return fmt.Errorf("invalid -%s %s: want > 0", c.name, fs.Lookup(c.name).Value)
+			}
+		}
+		if o.HedgeAfter < 0 {
+			return fmt.Errorf("invalid -hedge-after %v: want >= 0 (0 = no hedging)", o.HedgeAfter)
+		}
+		return nil
+	}
 }
 
 // Gateway is the fleet front end: the same HTTP frontend as a single
@@ -183,6 +209,16 @@ func New(opts Options) (*Gateway, error) {
 		return nil, fmt.Errorf("fleet: no peers")
 	}
 	opts = opts.withDefaults()
+	if opts.Local == nil {
+		opts.Local = runner.New(0)
+	}
+	if opts.Client == nil {
+		opts.Client = &http.Client{Transport: &http.Transport{
+			MaxIdleConns:        128,
+			MaxIdleConnsPerHost: 32,
+			IdleConnTimeout:     90 * time.Second,
+		}}
+	}
 	g := &Gateway{
 		opts: opts,
 		pool: newPool(opts.Peers, opts.FailAfter, opts.ProbeTimeout, opts.Client),

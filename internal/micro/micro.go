@@ -72,7 +72,7 @@ func run(kind Kind, nodeCfg node.Config, opIdx int) (float64, float64, error) {
 	cfg := nodeCfg
 	cfg.StartIndex = opIdx
 	nodes := []*node.Node{node.MustNew(k, 0, cfg), node.MustNew(k, 1, cfg)}
-	net, err := netsim.New(k, netsim.DefaultConfig(2))
+	net, err := netsim.New(k, 2, netsim.DefaultConfig())
 	if err != nil {
 		return 0, 0, err
 	}

@@ -185,7 +185,7 @@ func worldQ(k *sim.Kernel, n int) *World {
 	for i := range nodes {
 		nodes[i] = node.MustNew(k, i, node.DefaultConfig())
 	}
-	net := netsim.MustNew(k, netsim.DefaultConfig(n))
+	net := netsim.MustNew(k, n, netsim.DefaultConfig())
 	w, err := NewWorld(k, net, nodes, DefaultConfig())
 	if err != nil {
 		panic(err)
@@ -202,7 +202,7 @@ func TestCheckOrderingCleanRun(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.CheckOrdering = true
-	w, err := NewWorld(k, netsim.MustNew(k, netsim.DefaultConfig(8)), nodes, cfg)
+	w, err := NewWorld(k, netsim.MustNew(k, 8, netsim.DefaultConfig()), nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestCheckOrderingSequencesStamped(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.CheckOrdering = true
-	w, err := NewWorld(k, netsim.MustNew(k, netsim.DefaultConfig(2)), nodes, cfg)
+	w, err := NewWorld(k, netsim.MustNew(k, 2, netsim.DefaultConfig()), nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestCheckOrderingTagsApartByTwoToThe20(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.CheckOrdering = true
-	w, err := NewWorld(k, netsim.MustNew(k, netsim.DefaultConfig(2)), nodes, cfg)
+	w, err := NewWorld(k, netsim.MustNew(k, 2, netsim.DefaultConfig()), nodes, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

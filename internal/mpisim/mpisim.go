@@ -168,8 +168,8 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, nodes []*node.Node, cfg Config
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("mpisim: empty world")
 	}
-	if net.Config().Nodes < len(nodes) {
-		return nil, fmt.Errorf("mpisim: network has %d ports for %d ranks", net.Config().Nodes, len(nodes))
+	if net.Nodes() < len(nodes) {
+		return nil, fmt.Errorf("mpisim: network has %d ports for %d ranks", net.Nodes(), len(nodes))
 	}
 	if cfg.SendOverheadMcyc < 0 || cfg.RecvOverheadMcyc < 0 || cfg.OverheadPerKBMcyc < 0 ||
 		cfg.EagerLimit < 0 || cfg.SetSpeedCostMcyc < 0 {

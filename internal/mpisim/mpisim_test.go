@@ -14,7 +14,7 @@ import (
 func world(t testing.TB, n int) (*sim.Kernel, *World) {
 	t.Helper()
 	k := sim.NewKernel()
-	net := netsim.MustNew(k, netsim.DefaultConfig(n))
+	net := netsim.MustNew(k, n, netsim.DefaultConfig())
 	nodes := make([]*node.Node, n)
 	for i := range nodes {
 		nodes[i] = node.MustNew(k, i, node.DefaultConfig())
@@ -41,7 +41,7 @@ func launch(t testing.TB, k *sim.Kernel, w *World, body func(r *Rank)) {
 
 func TestNewWorldValidation(t *testing.T) {
 	k := sim.NewKernel()
-	net := netsim.MustNew(k, netsim.DefaultConfig(2))
+	net := netsim.MustNew(k, 2, netsim.DefaultConfig())
 	if _, err := NewWorld(k, net, nil, DefaultConfig()); err == nil {
 		t.Error("empty world accepted")
 	}
@@ -572,7 +572,7 @@ func TestCommWaitIsSlackForDVS(t *testing.T) {
 
 func TestZeroRankWorldRejected(t *testing.T) {
 	k := sim.NewKernel()
-	net := netsim.MustNew(k, netsim.DefaultConfig(1))
+	net := netsim.MustNew(k, 1, netsim.DefaultConfig())
 	if _, err := NewWorld(k, net, nil, DefaultConfig()); err == nil {
 		t.Fatal("accepted")
 	}
@@ -583,7 +583,7 @@ func TestSpinWaitFullVisibility(t *testing.T) {
 	// accounting (daemon blindness) and burns full dynamic power.
 	run := func(spin bool) (util, joules float64) {
 		k := sim.NewKernel()
-		net := netsim.MustNew(k, netsim.DefaultConfig(2))
+		net := netsim.MustNew(k, 2, netsim.DefaultConfig())
 		nodes := []*node.Node{
 			node.MustNew(k, 0, node.DefaultConfig()),
 			node.MustNew(k, 1, node.DefaultConfig()),

@@ -22,9 +22,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Config parameterizes the interconnect.
+// Config parameterizes the interconnect; New takes the port count.
 type Config struct {
-	Nodes        int
 	BandwidthBps float64       // per-port, each direction (100 Mb/s)
 	Latency      time.Duration // fixed per-message switch+stack latency
 	// CongestionWindow is the number of messages that may be queued on a
@@ -47,11 +46,10 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the NEMO interconnect: 16 ports of 100 Mb/s with
-// ~60 µs end-to-end small-message latency (MPICH 1.2.5 over TCP).
-func DefaultConfig(nodes int) Config {
+// DefaultConfig returns the NEMO interconnect: 100 Mb/s ports with ~60 µs
+// end-to-end small-message latency (MPICH 1.2.5 over TCP).
+func DefaultConfig() Config {
 	return Config{
-		Nodes:            nodes,
 		BandwidthBps:     100e6,
 		Latency:          60 * time.Microsecond,
 		CongestionWindow: 6,
@@ -86,10 +84,10 @@ type Network struct {
 	stats        Stats
 }
 
-// New builds a network on kernel k.
-func New(k *sim.Kernel, cfg Config) (*Network, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("netsim: need at least one node, got %d", cfg.Nodes)
+// New builds a network of one port per node on kernel k.
+func New(k *sim.Kernel, nodes int, cfg Config) (*Network, error) {
+	if nodes <= 0 {
+		return nil, fmt.Errorf("netsim: need at least one node, got %d", nodes)
 	}
 	if cfg.BandwidthBps <= 0 {
 		return nil, fmt.Errorf("netsim: bandwidth must be positive")
@@ -109,12 +107,12 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 	n := &Network{
 		k:       k,
 		cfg:     cfg,
-		txFree:  make([]sim.Time, cfg.Nodes),
-		rxFree:  make([]sim.Time, cfg.Nodes),
-		rxQueue: make([][]inflight, cfg.Nodes),
+		txFree:  make([]sim.Time, nodes),
+		rxFree:  make([]sim.Time, nodes),
+		rxQueue: make([][]inflight, nodes),
 	}
 	if cfg.Topology == TwoTier {
-		leaves := (cfg.Nodes + cfg.TwoTier.LeafPorts - 1) / cfg.TwoTier.LeafPorts
+		leaves := (nodes + cfg.TwoTier.LeafPorts - 1) / cfg.TwoTier.LeafPorts
 		n.leafUpFree = make([]sim.Time, leaves)
 		n.leafDownFree = make([]sim.Time, leaves)
 	}
@@ -125,16 +123,16 @@ func New(k *sim.Kernel, cfg Config) (*Network, error) {
 }
 
 // MustNew is New but panics on error.
-func MustNew(k *sim.Kernel, cfg Config) *Network {
-	n, err := New(k, cfg)
+func MustNew(k *sim.Kernel, nodes int, cfg Config) *Network {
+	n, err := New(k, nodes, cfg)
 	if err != nil {
 		panic(err)
 	}
 	return n
 }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
+// Nodes returns the number of ports.
+func (n *Network) Nodes() int { return len(n.txFree) }
 
 // Stats returns a copy of the traffic counters.
 func (n *Network) Stats() Stats { return n.stats }
@@ -150,8 +148,8 @@ func (n *Network) serial(bytes int) time.Duration {
 // at dst (arrive). Loopback (src == dst) is a memcpy: half the wire time,
 // no switch latency, no contention.
 func (n *Network) Transfer(src, dst, bytes int) (txDone, arrive sim.Time, err error) {
-	if src < 0 || src >= n.cfg.Nodes || dst < 0 || dst >= n.cfg.Nodes {
-		return 0, 0, fmt.Errorf("netsim: transfer %d→%d outside %d-node network", src, dst, n.cfg.Nodes)
+	if src < 0 || src >= n.Nodes() || dst < 0 || dst >= n.Nodes() {
+		return 0, 0, fmt.Errorf("netsim: transfer %d→%d outside %d-node network", src, dst, n.Nodes())
 	}
 	if bytes < 0 {
 		return 0, 0, fmt.Errorf("netsim: negative message size %d", bytes)

@@ -11,7 +11,7 @@ import (
 func newNet(t *testing.T, nodes int) (*sim.Kernel, *Network) {
 	t.Helper()
 	k := sim.NewKernel()
-	n, err := New(k, DefaultConfig(nodes))
+	n, err := New(k, nodes, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,16 +20,19 @@ func newNet(t *testing.T, nodes int) (*sim.Kernel, *Network) {
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	k := sim.NewKernel()
-	bad := []Config{
-		{Nodes: 0, BandwidthBps: 1},
-		{Nodes: 2, BandwidthBps: 0},
-		{Nodes: 2, BandwidthBps: 1, Latency: -1},
-		{Nodes: 2, BandwidthBps: 1, BackoffPerMsg: -1},
-		{Nodes: 2, BandwidthBps: 1, CongestionWindow: -1},
+	bad := []struct {
+		nodes int
+		cfg   Config
+	}{
+		{0, Config{BandwidthBps: 1}},
+		{2, Config{BandwidthBps: 0}},
+		{2, Config{BandwidthBps: 1, Latency: -1}},
+		{2, Config{BandwidthBps: 1, BackoffPerMsg: -1}},
+		{2, Config{BandwidthBps: 1, CongestionWindow: -1}},
 	}
-	for i, cfg := range bad {
-		if _, err := New(k, cfg); err == nil {
-			t.Errorf("config %d accepted: %+v", i, cfg)
+	for i, c := range bad {
+		if _, err := New(k, c.nodes, c.cfg); err == nil {
+			t.Errorf("config %d accepted: %d nodes, %+v", i, c.nodes, c.cfg)
 		}
 	}
 }
@@ -128,8 +131,8 @@ func TestBandwidthPipelinesAcrossMessages(t *testing.T) {
 
 func TestCongestionBackoffCharged(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultConfig(16)
-	n := MustNew(k, cfg)
+	cfg := DefaultConfig()
+	n := MustNew(k, 16, cfg)
 	// 15 simultaneous senders to node 0 overflow the window (6).
 	for src := 1; src < 16; src++ {
 		if _, _, err := n.Transfer(src, 0, 125000); err != nil {
@@ -147,7 +150,7 @@ func TestCongestionBackoffCharged(t *testing.T) {
 
 func TestNoBackoffUnderWindow(t *testing.T) {
 	k := sim.NewKernel()
-	n := MustNew(k, DefaultConfig(16))
+	n := MustNew(k, 16, DefaultConfig())
 	for src := 1; src <= 4; src++ {
 		n.Transfer(src, 0, 1000)
 	}
@@ -158,7 +161,7 @@ func TestNoBackoffUnderWindow(t *testing.T) {
 
 func TestBacklogPruning(t *testing.T) {
 	k := sim.NewKernel()
-	n := MustNew(k, DefaultConfig(4))
+	n := MustNew(k, 4, DefaultConfig())
 	n.Transfer(1, 0, 125000)
 	n.Transfer(2, 0, 125000)
 	if b := len(n.pruneRxQueue(0, k.Now())); b != 2 {
@@ -203,7 +206,7 @@ func TestStatsAccumulate(t *testing.T) {
 func TestPropertyTransferOrdering(t *testing.T) {
 	f := func(sizes []uint16, srcs []uint8) bool {
 		k := sim.NewKernel()
-		n := MustNew(k, DefaultConfig(8))
+		n := MustNew(k, 8, DefaultConfig())
 		lastArrive := make(map[int]sim.Time)
 		for i, sz := range sizes {
 			src := 0
@@ -234,10 +237,10 @@ func TestPropertyTransferOrdering(t *testing.T) {
 func TestPropertySizeMonotone(t *testing.T) {
 	f := func(sz uint16) bool {
 		k1 := sim.NewKernel()
-		n1 := MustNew(k1, DefaultConfig(2))
+		n1 := MustNew(k1, 2, DefaultConfig())
 		_, a1, _ := n1.Transfer(0, 1, int(sz))
 		k2 := sim.NewKernel()
-		n2 := MustNew(k2, DefaultConfig(2))
+		n2 := MustNew(k2, 2, DefaultConfig())
 		_, a2, _ := n2.Transfer(0, 1, int(sz)*2)
 		return a2 >= a1
 	}
@@ -248,34 +251,34 @@ func TestPropertySizeMonotone(t *testing.T) {
 
 func TestTwoTierValidation(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultConfig(16)
+	cfg := DefaultConfig()
 	cfg.Topology = TwoTier
-	if _, err := New(k, cfg); err == nil {
+	if _, err := New(k, 16, cfg); err == nil {
 		t.Fatal("zero leaf ports accepted")
 	}
 	cfg.TwoTier = DefaultTwoTier()
 	cfg.TwoTier.UplinkBandwidthBps = 0
-	if _, err := New(k, cfg); err == nil {
+	if _, err := New(k, 16, cfg); err == nil {
 		t.Fatal("zero uplink accepted")
 	}
 	cfg.TwoTier = DefaultTwoTier()
 	cfg.TwoTier.SpineLatency = -1
-	if _, err := New(k, cfg); err == nil {
+	if _, err := New(k, 16, cfg); err == nil {
 		t.Fatal("negative spine latency accepted")
 	}
-	cfg2 := DefaultConfig(4)
+	cfg2 := DefaultConfig()
 	cfg2.Topology = Topology(9)
-	if _, err := New(k, cfg2); err == nil {
+	if _, err := New(k, 4, cfg2); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
 }
 
 func TestTwoTierIntraLeafUnaffected(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultConfig(16)
+	cfg := DefaultConfig()
 	cfg.Topology = TwoTier
 	cfg.TwoTier = DefaultTwoTier()
-	n := MustNew(k, cfg)
+	n := MustNew(k, 16, cfg)
 	// Nodes 0 and 1 share leaf 0: same timing as a single switch.
 	_, arrive, err := n.Transfer(0, 1, 125000)
 	if err != nil {
@@ -288,10 +291,10 @@ func TestTwoTierIntraLeafUnaffected(t *testing.T) {
 
 func TestTwoTierInterLeafSlower(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultConfig(16)
+	cfg := DefaultConfig()
 	cfg.Topology = TwoTier
 	cfg.TwoTier = DefaultTwoTier()
-	n := MustNew(k, cfg)
+	n := MustNew(k, 16, cfg)
 	// Node 0 (leaf 0) to node 8 (leaf 1): pays the spine hop.
 	_, cross, err := n.Transfer(0, 8, 125000)
 	if err != nil {
@@ -308,11 +311,11 @@ func TestTwoTierUplinkContention(t *testing.T) {
 	// the last arrival lands later than with private paths.
 	run := func(topo Topology) sim.Time {
 		k := sim.NewKernel()
-		cfg := DefaultConfig(16)
+		cfg := DefaultConfig()
 		cfg.Topology = topo
 		cfg.TwoTier = DefaultTwoTier()
 		cfg.TwoTier.UplinkBandwidthBps = 100e6 // heavily oversubscribed
-		n := MustNew(k, cfg)
+		n := MustNew(k, 16, cfg)
 		var last sim.Time
 		for src := 0; src < 8; src++ {
 			_, a, err := n.Transfer(src, 8+src, 125000)
@@ -339,18 +342,18 @@ func TestTwoTierUplinkContention(t *testing.T) {
 
 func TestLossValidation(t *testing.T) {
 	k := sim.NewKernel()
-	cfg := DefaultConfig(2)
+	cfg := DefaultConfig()
 	cfg.LossRate = -0.1
-	if _, err := New(k, cfg); err == nil {
+	if _, err := New(k, 2, cfg); err == nil {
 		t.Fatal("negative loss accepted")
 	}
 	cfg.LossRate = 1.0
-	if _, err := New(k, cfg); err == nil {
+	if _, err := New(k, 2, cfg); err == nil {
 		t.Fatal("loss rate 1 accepted")
 	}
 	cfg.LossRate = 0.5
 	cfg.RetransmitTimeout = 0
-	if _, err := New(k, cfg); err == nil {
+	if _, err := New(k, 2, cfg); err == nil {
 		t.Fatal("loss without timeout accepted")
 	}
 }
@@ -358,11 +361,11 @@ func TestLossValidation(t *testing.T) {
 func TestLossInjectionAddsDelayDeterministically(t *testing.T) {
 	run := func(rate float64, seed int64) (sim.Time, int) {
 		k := sim.NewKernel()
-		cfg := DefaultConfig(2)
+		cfg := DefaultConfig()
 		cfg.LossRate = rate
 		cfg.RetransmitTimeout = 200 * time.Millisecond
 		cfg.Seed = seed
-		n := MustNew(k, cfg)
+		n := MustNew(k, 2, cfg)
 		var last sim.Time
 		for i := 0; i < 200; i++ {
 			_, a, err := n.Transfer(0, 1, 12500)

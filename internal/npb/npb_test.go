@@ -138,7 +138,7 @@ func TestLaunchRankMismatch(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = node.MustNew(k, i, node.DefaultConfig())
 	}
-	world, err := mpisim.NewWorld(k, netsim.MustNew(k, netsim.DefaultConfig(4)), nodes, mpisim.DefaultConfig())
+	world, err := mpisim.NewWorld(k, netsim.MustNew(k, 4, netsim.DefaultConfig()), nodes, mpisim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,18 +105,3 @@ func (m *Meter) End() (Measurement, error) {
 	m.began = false
 	return out, nil
 }
-
-// DischargeProtocol performs the pre-measurement conditioning of §4.2:
-// after a full charge, the cluster idles on battery for the given warmup
-// (the paper used ~5 minutes) so readings stabilize. It schedules the idle
-// period on the kernel and invokes done at its end.
-func DischargeProtocol(k *sim.Kernel, batteries []*Battery, warmup time.Duration, done func()) {
-	k.After(warmup, func() {
-		for _, b := range batteries {
-			b.ForceRefresh()
-		}
-		if done != nil {
-			done()
-		}
-	})
-}

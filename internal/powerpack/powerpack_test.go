@@ -289,28 +289,6 @@ func TestCollectorValidation(t *testing.T) {
 	}
 }
 
-func TestDischargeProtocol(t *testing.T) {
-	k := sim.NewKernel()
-	n := newNode(t, k)
-	b, err := NewBattery(n, DefaultBattery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired := false
-	DischargeProtocol(k, []*Battery{b}, 5*time.Minute, func() {
-		fired = true
-		if k.Now() != sim.Time(5*time.Minute) {
-			t.Errorf("protocol completed at %v", k.Now())
-		}
-	})
-	if err := k.Run(sim.MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("protocol callback not invoked")
-	}
-}
-
 // Property: battery readings are monotone non-increasing under load.
 func TestPropertyBatteryMonotone(t *testing.T) {
 	f := func(chunks []uint8) bool {

@@ -9,8 +9,8 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -66,7 +66,6 @@ type Frontend struct {
 	requests, latency       *obs.Family
 	cells, resumed, ckptErr *obs.Counter
 
-	mu sync.Mutex
 	hs *http.Server
 }
 
@@ -91,6 +90,7 @@ func NewFrontend(opts Options, d Daemon) *Frontend {
 	f.mux.HandleFunc("/healthz", f.handleHealthz)
 	f.mux.HandleFunc("/metrics", f.handleMetrics)
 	f.mux.Handle("/debug/traces", opts.Tracer.DebugHandler())
+	f.hs = &http.Server{Handler: f.mux, ReadHeaderTimeout: 10 * time.Second}
 	return f
 }
 
@@ -106,14 +106,41 @@ func (f *Frontend) Resumed() int64 { return f.resumed.Load() }
 // CheckpointErrors counts checkpoint journals that failed to open.
 func (f *Frontend) CheckpointErrors() int64 { return f.ckptErr.Load() }
 
-// ListenAndServe serves on addr until Shutdown; a clean shutdown
+// Run serves on addr until ctx is done, then drains: it stops accepting
+// connections and waits up to drain for in-flight requests, streaming
+// sweeps included, to finish. A non-empty debugAddr serves pprof and
+// /debug/traces on a side listener, off the service port and its
+// admission gate, for as long as Run does; a failure there is reported
+// on stderr and does not stop the service. A failed listen or serve is
+// returned as is, an overrun drain as "shutdown: …"; a clean drain
 // returns nil.
-func (f *Frontend) ListenAndServe(addr string) error {
+func (f *Frontend) Run(ctx context.Context, addr, debugAddr string, drain time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return f.Serve(ln)
+	if debugAddr != "" {
+		dbg := &http.Server{Addr: debugAddr, Handler: f.opts.Tracer.DebugMux(), ReadHeaderTimeout: 10 * time.Second}
+		go func() {
+			if err := dbg.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+				fmt.Fprintf(os.Stderr, "%s: debug listener: %v\n", f.d.Name, err)
+			}
+		}()
+		defer dbg.Close()
+	}
+	served := make(chan error, 1)
+	go func() { served <- f.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := f.Shutdown(dctx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	return <-served
 }
 
 // Serve runs the daemon's Start hook and serves on ln until Shutdown; a
@@ -122,31 +149,21 @@ func (f *Frontend) Serve(ln net.Listener) error {
 	if f.d.Start != nil {
 		f.d.Start()
 	}
-	hs := &http.Server{Handler: f.mux, ReadHeaderTimeout: 10 * time.Second}
-	f.mu.Lock()
-	f.hs = hs
-	f.mu.Unlock()
-	err := hs.Serve(ln)
-	if errors.Is(err, http.ErrServerClosed) {
-		return nil
+	if err := f.hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+		return err
 	}
-	return err
+	return nil
 }
 
 // Shutdown runs the daemon's Stop hook, stops accepting connections and
 // drains in-flight requests (including streaming sweeps) until they
-// finish or ctx expires.
+// finish or ctx expires. A Serve that starts after Shutdown returns nil
+// at once.
 func (f *Frontend) Shutdown(ctx context.Context) error {
 	if f.d.Stop != nil {
 		f.d.Stop()
 	}
-	f.mu.Lock()
-	hs := f.hs
-	f.mu.Unlock()
-	if hs == nil {
-		return nil
-	}
-	return hs.Shutdown(ctx)
+	return f.hs.Shutdown(ctx)
 }
 
 // statusWriter captures the response status for metrics and forwards
@@ -190,10 +207,10 @@ func (f *Frontend) decodeBody(w http.ResponseWriter, r *http.Request, v any) *sw
 	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			return sweep.Errf(http.StatusRequestEntityTooLarge, sweep.CodeBodyTooLarge, "",
+			return sweep.Errf(sweep.CodeBodyTooLarge, "",
 				"request body exceeds %d bytes", tooLarge.Limit)
 		}
-		return sweep.BadField(sweep.CodeBadRequest, "", "invalid JSON body: %v", err)
+		return sweep.Errf(sweep.CodeBadRequest, "", "invalid JSON body: %v", err)
 	}
 	return nil
 }
@@ -212,7 +229,7 @@ func (f *Frontend) timeoutFor(ms float64) time.Duration {
 
 // methodNotAllowed renders the typed 405 naming the verb to use.
 func methodNotAllowed(w http.ResponseWriter, method string) {
-	sweep.WriteError(w, sweep.Errf(http.StatusMethodNotAllowed, sweep.CodeMethodNotAllowed, "",
+	sweep.WriteError(w, sweep.Errf(sweep.CodeMethodNotAllowed, "",
 		"use %s", method))
 }
 
@@ -309,7 +326,7 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 		OnRecord:   enc.Record, // Execute serializes observer calls
 		Checkpoint: ckpt,
 	})
-	enc.Trailer(plan.Len())
+	enc.Trailer(sum)
 	f.cells.Add(int64(plan.Len()))
 	f.resumed.Add(int64(sum.Resumed))
 }

@@ -19,6 +19,8 @@
 // a bounded admission gate that sheds with 429 + Retry-After (queue.go),
 // per-request deadlines propagated into placement as context
 // cancellation, and graceful shutdown that drains in-flight requests.
+// Both commands share one process shell (shell.go): the service flags,
+// their validation, and the serve→drain lifecycle of Frontend.Run.
 package server
 
 import (

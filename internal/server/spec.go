@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
@@ -31,9 +30,9 @@ func specErr(err error, code, root string) *sweep.APIError {
 		if se.Field != "" {
 			field = root + "." + se.Field
 		}
-		return sweep.BadField(code, field, "%s", se.Msg)
+		return sweep.Errf(code, field, "%s", se.Msg)
 	}
-	return sweep.BadField(code, root, "%v", err)
+	return sweep.Errf(code, root, "%v", err)
 }
 
 // WorkloadSpec names a benchmark instance.
@@ -104,7 +103,7 @@ type StrategySpec struct {
 // registered names.
 func (s StrategySpec) build(table dvs.Table, ranks int, root string) (core.Strategy, error) {
 	if s.Kind == "" {
-		return core.Strategy{}, sweep.BadField(sweep.CodeInvalidStrategy, root+".kind",
+		return core.Strategy{}, sweep.Errf(sweep.CodeInvalidStrategy, root+".kind",
 			"required; one of %s", strings.Join(core.StrategyNames(), ", "))
 	}
 	strat, err := core.DecodeStrategy(s.Kind, core.StrategyArgs{
@@ -156,28 +155,28 @@ func (s *ConfigSpec) build() (core.Config, error) {
 	}
 	if s.WaitBusyFrac != nil {
 		if *s.WaitBusyFrac < 0 || *s.WaitBusyFrac > 1 {
-			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.wait_busy_frac",
+			return core.Config{}, sweep.Errf(sweep.CodeInvalidConfig, "config.wait_busy_frac",
 				"must be in [0,1], got %g", *s.WaitBusyFrac)
 		}
 		cfg.Node.WaitBusyFrac = *s.WaitBusyFrac
 	}
 	if s.NetLatencyUS != nil {
 		if *s.NetLatencyUS < 0 {
-			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.net_latency_us",
+			return core.Config{}, sweep.Errf(sweep.CodeInvalidConfig, "config.net_latency_us",
 				"must be non-negative, got %g", *s.NetLatencyUS)
 		}
 		cfg.Net.Latency = time.Duration(*s.NetLatencyUS * float64(time.Microsecond))
 	}
 	if s.NetBandwidthBps != nil {
 		if *s.NetBandwidthBps <= 0 {
-			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.net_bandwidth_bps",
+			return core.Config{}, sweep.Errf(sweep.CodeInvalidConfig, "config.net_bandwidth_bps",
 				"must be positive, got %g", *s.NetBandwidthBps)
 		}
 		cfg.Net.BandwidthBps = *s.NetBandwidthBps
 	}
 	if s.NetLossRate != nil {
 		if *s.NetLossRate < 0 || *s.NetLossRate >= 1 {
-			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.net_loss_rate",
+			return core.Config{}, sweep.Errf(sweep.CodeInvalidConfig, "config.net_loss_rate",
 				"must be in [0,1), got %g", *s.NetLossRate)
 		}
 		cfg.Net.LossRate = *s.NetLossRate
@@ -193,7 +192,7 @@ func (s *ConfigSpec) build() (core.Config, error) {
 	}
 	if s.TransitionLatencyUS != nil {
 		if *s.TransitionLatencyUS < 0 {
-			return core.Config{}, sweep.BadField(sweep.CodeInvalidConfig, "config.transition_latency_us",
+			return core.Config{}, sweep.Errf(sweep.CodeInvalidConfig, "config.transition_latency_us",
 				"must be non-negative, got %g", *s.TransitionLatencyUS)
 		}
 		cfg.Node.Transition.Latency = time.Duration(*s.TransitionLatencyUS * float64(time.Microsecond))
@@ -239,7 +238,7 @@ func (s JobSpec) Cell() (sweep.Cell, error) {
 func compiledCell(s JobSpec, job runner.Job) (sweep.Cell, error) {
 	body, err := json.Marshal(s)
 	if err != nil { // specs are built from decoded JSON; cannot recur
-		return sweep.Cell{}, sweep.Errf(http.StatusInternalServerError, sweep.CodeSimFailed, "",
+		return sweep.Cell{}, sweep.Errf(sweep.CodeSimFailed, "",
 			"encode cell: %v", err)
 	}
 	key, _ := job.Key()
@@ -275,15 +274,15 @@ func (s SweepRequest) Plan(maxJobs int) (*sweep.Plan, error) {
 	grid := len(s.Workloads) > 0 || len(s.Strategies) > 0
 	switch {
 	case explicit && grid:
-		return nil, sweep.BadField(sweep.CodeInvalidSweep, "jobs",
+		return nil, sweep.Errf(sweep.CodeInvalidSweep, "jobs",
 			"give either jobs or workloads×strategies, not both")
 	case explicit:
 		if s.Config != nil {
-			return nil, sweep.BadField(sweep.CodeInvalidSweep, "config",
+			return nil, sweep.Errf(sweep.CodeInvalidSweep, "config",
 				"top-level config applies only to the grid form; set it per job")
 		}
 		if len(s.Jobs) > maxJobs {
-			return nil, sweep.TooManyJobs("jobs",
+			return nil, sweep.Errf(sweep.CodeTooManyJobs, "jobs",
 				"%d jobs exceeds the per-request bound of %d", len(s.Jobs), maxJobs)
 		}
 		cells := make([]sweep.Cell, len(s.Jobs))
@@ -298,7 +297,7 @@ func (s SweepRequest) Plan(maxJobs int) (*sweep.Plan, error) {
 	case len(s.Workloads) > 0 && len(s.Strategies) > 0:
 		n := len(s.Workloads) * len(s.Strategies)
 		if n > maxJobs {
-			return nil, sweep.TooManyJobs("workloads",
+			return nil, sweep.Errf(sweep.CodeTooManyJobs, "workloads",
 				"%d×%d grid = %d jobs exceeds the per-request bound of %d",
 				len(s.Workloads), len(s.Strategies), n, maxJobs)
 		}
@@ -327,6 +326,6 @@ func (s SweepRequest) Plan(maxJobs int) (*sweep.Plan, error) {
 		}
 		return sweep.NewPlan(cells), nil
 	}
-	return nil, sweep.BadField(sweep.CodeInvalidSweep, "jobs",
+	return nil, sweep.Errf(sweep.CodeInvalidSweep, "jobs",
 		"empty sweep: give jobs, or workloads and strategies")
 }

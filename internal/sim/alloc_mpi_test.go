@@ -36,7 +36,7 @@ func steadyStateAllocs(t *testing.T, ranks, warmup, rounds int, op func(r *mpisi
 	for i := range nodes {
 		nodes[i] = node.MustNew(k, i, node.DefaultConfig())
 	}
-	net := netsim.MustNew(k, netsim.DefaultConfig(ranks))
+	net := netsim.MustNew(k, ranks, netsim.DefaultConfig())
 	w, err := mpisim.NewWorld(k, net, nodes, mpisim.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

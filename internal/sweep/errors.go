@@ -30,9 +30,6 @@ const (
 	CodeMethodNotAllowed = "method_not_allowed" // wrong HTTP verb
 )
 
-// statusTooLarge is the HTTP status for an over-bound sweep.
-const statusTooLarge = 413 // http.StatusRequestEntityTooLarge
-
 // StatusClientClosed is nginx's 499: the client went away. Nothing
 // standard fits; the status is visible only in metrics since the client
 // is no longer reading.
@@ -40,9 +37,8 @@ const StatusClientClosed = 499
 
 // APIError is a typed, client-dispatchable request failure. It implements
 // error so spec builders can return it through ordinary error plumbing;
-// the handlers unwrap it to pick the HTTP status.
+// its code alone decides the HTTP status (HTTPStatus).
 type APIError struct {
-	status  int    // HTTP status; not serialized
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	// Field names the offending request field in JSON-pointer-ish dotted
@@ -61,18 +57,8 @@ func (e *APIError) Error() string {
 }
 
 // Errf builds a typed error with a formatted message.
-func Errf(status int, code, field, format string, args ...any) *APIError {
-	return &APIError{status: status, Code: code, Message: fmt.Sprintf(format, args...), Field: field}
-}
-
-// BadField is the common 400 constructor used by the spec builders.
-func BadField(code, field, format string, args ...any) *APIError {
-	return Errf(http.StatusBadRequest, code, field, format, args...)
-}
-
-// TooManyJobs builds the 413 over-bound sweep rejection.
-func TooManyJobs(field, format string, args ...any) *APIError {
-	return Errf(statusTooLarge, CodeTooManyJobs, field, format, args...)
+func Errf(code, field, format string, args ...any) *APIError {
+	return &APIError{Code: code, Message: fmt.Sprintf(format, args...), Field: field}
 }
 
 // InField re-roots a spec builder's error under a parent field path, so
@@ -91,20 +77,17 @@ func InField(err error, parent string) *APIError {
 		}
 		return &e
 	}
-	return BadField(CodeBadRequest, parent, "%v", err)
+	return Errf(CodeBadRequest, parent, "%v", err)
 }
 
-// HTTPStatus returns the status WriteError renders the error with. The
-// in-process constructors carry an explicit status; an APIError decoded
-// back off the wire (the fleet gateway relaying a backend rejection) has
-// lost it — not serialized — so the code maps back to its status.
+// HTTPStatus returns the status WriteError renders the error with: the
+// one mapping from code to status, so an APIError decoded back off the
+// wire (the fleet gateway relaying a backend rejection) renders exactly
+// as the backend did.
 func (e *APIError) HTTPStatus() int {
-	if e.status != 0 {
-		return e.status
-	}
 	switch e.Code {
 	case CodeTooManyJobs, CodeBodyTooLarge:
-		return statusTooLarge
+		return http.StatusRequestEntityTooLarge
 	case CodeQueueFull:
 		return http.StatusTooManyRequests
 	case CodeDeadlineExceeded:
@@ -124,7 +107,7 @@ func (e *APIError) HTTPStatus() int {
 
 // QueueFull builds the 429 shed response.
 func QueueFull(retryAfter time.Duration) *APIError {
-	e := Errf(http.StatusTooManyRequests, CodeQueueFull, "",
+	e := Errf(CodeQueueFull, "",
 		"admission queue is full; retry after %s", retryAfter)
 	e.RetryAfterMS = retryAfter.Milliseconds()
 	return e

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"net/http"
 	"runtime"
 	"sync"
 )
@@ -124,7 +123,7 @@ func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outco
 func place(ctx context.Context, pl Placer, i int, c Cell) (o Outcome) {
 	defer func() {
 		if v := recover(); v != nil {
-			o = Outcome{Err: Errf(http.StatusInternalServerError, CodeSimFailed, "",
+			o = Outcome{Err: Errf(CodeSimFailed, "",
 				"placer panicked: %v", v)}
 		}
 	}()

@@ -49,8 +49,8 @@ func FuzzDecodeStream(f *testing.F) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
 	enc.Record(SweepRecord{Index: 0, Result: &ResultJSON{Name: "ft.S.2", Strategy: "daemon(cpuspeed-v1.2.1)", ElapsedSec: 3.25, EnergyJ: 410.5}})
-	enc.Record(SweepRecord{Index: 1, Error: Errf(500, CodeSimFailed, "", "injected")})
-	enc.Trailer(2)
+	enc.Record(SweepRecord{Index: 1, Error: Errf(CodeSimFailed, "", "injected")})
+	enc.Trailer(Summary{Jobs: 2, Errors: 1})
 	f.Add(buf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -108,7 +108,7 @@ func TestDecodeStreamTornTail(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		enc.Record(SweepRecord{Index: i, Result: &ResultJSON{Name: "ft.S.2", Strategy: "nodvs"}})
 	}
-	enc.Trailer(3)
+	enc.Trailer(Summary{Jobs: 3})
 	full := buf.Bytes()
 
 	// Cut a few bytes into the third record's line.

@@ -16,8 +16,6 @@ import (
 type Encoder struct {
 	enc     *json.Encoder
 	flusher http.Flusher
-	cached  int
-	errors  int
 }
 
 // NewEncoder wraps w. When w is an http.ResponseWriter that supports
@@ -31,23 +29,16 @@ func NewEncoder(w io.Writer) *Encoder {
 	return e
 }
 
-// Record writes one cell line and folds it into the trailer counts.
-func (e *Encoder) Record(rec SweepRecord) {
-	switch {
-	case rec.Error != nil:
-		e.errors++
-	case rec.Cached:
-		e.cached++
-	}
-	_ = e.enc.Encode(rec)
-	if e.flusher != nil {
-		e.flusher.Flush()
-	}
+// Record writes one cell line.
+func (e *Encoder) Record(rec SweepRecord) { e.line(rec) }
+
+// Trailer writes the done line from the executed sweep's summary.
+func (e *Encoder) Trailer(s Summary) {
+	e.line(SweepTrailer{Done: true, Jobs: s.Jobs, CachedCells: s.Cached, Errors: s.Errors})
 }
 
-// Trailer writes the done line from the counts accumulated by Record.
-func (e *Encoder) Trailer(jobs int) {
-	_ = e.enc.Encode(SweepTrailer{Done: true, Jobs: jobs, CachedCells: e.cached, Errors: e.errors})
+func (e *Encoder) line(v any) {
+	_ = e.enc.Encode(v)
 	if e.flusher != nil {
 		e.flusher.Flush()
 	}

@@ -45,9 +45,9 @@ func testOutcome(i int) Outcome {
 	return Outcome{Cached: i%3 == 0, Wire: testResult(i)}
 }
 
-// encodeSorted renders records index-sorted through the production
-// encoder, the byte-level form clients diff.
-func encodeSorted(t *testing.T, recs []SweepRecord, jobs int) []byte {
+// encodeSorted renders records index-sorted, then the summary's trailer,
+// through the production encoder: the byte-level form clients diff.
+func encodeSorted(t *testing.T, recs []SweepRecord, sum Summary) []byte {
 	t.Helper()
 	SortRecords(recs)
 	var buf bytes.Buffer
@@ -55,7 +55,7 @@ func encodeSorted(t *testing.T, recs []SweepRecord, jobs int) []byte {
 	for _, r := range recs {
 		enc.Record(r)
 	}
-	enc.Trailer(jobs)
+	enc.Trailer(sum)
 	return buf.Bytes()
 }
 
@@ -137,7 +137,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	// Reference: one uninterrupted run.
 	var refRecs []SweepRecord
 	var mu sync.Mutex
-	refOuts, _ := Execute(context.Background(), mkPlan(), placerFunc(func(_ context.Context, i int, _ Cell) Outcome {
+	refOuts, refSum := Execute(context.Background(), mkPlan(), placerFunc(func(_ context.Context, i int, _ Cell) Outcome {
 		return testOutcome(i)
 	}), ExecOptions{Parallel: 4, OnRecord: func(r SweepRecord) {
 		mu.Lock()
@@ -149,7 +149,7 @@ func TestResumeByteIdentical(t *testing.T) {
 			t.Fatalf("reference cell %d failed: %v", i, o.Err)
 		}
 	}
-	refBytes := encodeSorted(t, refRecs, n)
+	refBytes := encodeSorted(t, refRecs, refSum)
 
 	// First run: cells with index >= 5 fail, as if the process died
 	// mid-sweep. Completed keyed cells journal; the failed ones keep the
@@ -161,7 +161,7 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 	_, sum1 := Execute(context.Background(), p1, placerFunc(func(_ context.Context, i int, _ Cell) Outcome {
 		if i >= 5 {
-			return Outcome{Err: Errf(500, CodeSimFailed, "", "interrupted")}
+			return Outcome{Err: Errf(CodeSimFailed, "", "interrupted")}
 		}
 		return testOutcome(i)
 	}), ExecOptions{Parallel: 4, Checkpoint: ck1})
@@ -224,7 +224,7 @@ func TestResumeByteIdentical(t *testing.T) {
 		}
 	}
 
-	if got := encodeSorted(t, resRecs, n); !bytes.Equal(got, refBytes) {
+	if got := encodeSorted(t, resRecs, sum2); !bytes.Equal(got, refBytes) {
 		t.Fatalf("resumed stream differs from uninterrupted run:\nresumed:\n%s\nreference:\n%s", got, refBytes)
 	}
 
@@ -312,8 +312,8 @@ func TestDecodeStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
 	enc.Record(SweepRecord{Index: 1, Cached: true, Result: testResult(1)})
-	enc.Record(SweepRecord{Index: 0, Error: Errf(500, CodeSimFailed, "", "nope")})
-	enc.Trailer(2)
+	enc.Record(SweepRecord{Index: 0, Error: Errf(CodeSimFailed, "", "nope")})
+	enc.Trailer(Summary{Jobs: 2, Cached: 1, Errors: 1})
 
 	recs, trailer, err := DecodeStream(&buf)
 	if err != nil {
@@ -343,7 +343,7 @@ func TestDecodeStreamTruncated(t *testing.T) {
 func TestDecodeStreamRejectsDataAfterTrailer(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
-	enc.Trailer(0)
+	enc.Trailer(Summary{})
 	enc.Record(SweepRecord{Index: 0, Result: testResult(0)})
 	if _, _, err := DecodeStream(&buf); err == nil ||
 		!strings.Contains(err.Error(), "after done trailer") {

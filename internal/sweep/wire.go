@@ -8,7 +8,6 @@ package sweep
 import (
 	"context"
 	"errors"
-	"net/http"
 	"time"
 
 	"repro/internal/core"
@@ -101,11 +100,11 @@ type SweepTrailer struct {
 func OutcomeError(err error) *APIError {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
-		return Errf(http.StatusGatewayTimeout, CodeDeadlineExceeded, "",
+		return Errf(CodeDeadlineExceeded, "",
 			"request deadline expired before the simulation ran")
 	case errors.Is(err, context.Canceled):
-		return Errf(StatusClientClosed, CodeCanceled, "", "request canceled")
+		return Errf(CodeCanceled, "", "request canceled")
 	default:
-		return Errf(http.StatusInternalServerError, CodeSimFailed, "", "%v", err)
+		return Errf(CodeSimFailed, "", "%v", err)
 	}
 }
