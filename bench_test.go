@@ -410,6 +410,32 @@ func BenchmarkNodeEnergyAccounting(b *testing.B) {
 	_ = n.Energy()
 }
 
+// BenchmarkThermalIntegrator measures the die-temperature integrator. One
+// op is what a rank's node sees over a stretch of a run: 64 alternations of
+// 1 ms busy and 1 ms idle (message-bound phases) and then one 30 s compute
+// span, three thermal time constants long (an EP-style compute phase).
+func BenchmarkThermalIntegrator(b *testing.B) {
+	k := sim.NewKernel()
+	n := node.MustNew(k, 0, node.DefaultConfig())
+	mhz := float64(n.Frequency())
+	k.Spawn("load", func(p *sim.Proc) {
+		for i := 0; i < b.N; i++ {
+			for j := 0; j < 64; j++ {
+				n.Compute(p, mhz/1000)
+				p.Sleep(time.Millisecond)
+			}
+			n.Compute(p, mhz*30)
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(sim.MaxTime); err != nil {
+		b.Fatal(err)
+	}
+	if th := n.Thermal(); th.LifetimeFactor <= 0 {
+		b.Fatalf("implausible thermal %+v", th)
+	}
+}
+
 // BenchmarkDaemonDecision measures one cpuspeed poll+decide step.
 func BenchmarkDaemonDecision(b *testing.B) {
 	k := sim.NewKernel()
@@ -452,6 +478,14 @@ func BenchmarkFullRun(b *testing.B) {
 		}
 		b.Run(code, func(b *testing.B) {
 			cfg := core.DefaultConfig()
+			// One untimed run first: the benchmark harness collects
+			// garbage before timing, which empties the sync.Pools a run
+			// refills. At 100ms a code runs only a few times, so that
+			// refill would add to allocs/op an amount that depends on b.N.
+			if _, err := core.Run(w, core.External(dvs.MHz(600)), cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Run(w, core.External(dvs.MHz(600)), cfg); err != nil {
 					b.Fatal(err)

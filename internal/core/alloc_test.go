@@ -42,13 +42,13 @@ func TestRunAllocsPerCode(t *testing.T) {
 // Example configuration on FT.S.8, as recorded with go1.24: a strategy
 // that starts allocating more per node or per decision fails here.
 var strategyAllocPins = map[string]float64{
-	"nodvs":             223,
-	"external":          225,
-	"external-per-node": 227,
-	"daemon":            267,
-	"predictive":        275,
-	"ondemand":          267,
-	"powercap":          234,
+	"nodvs":             215,
+	"external":          217,
+	"external-per-node": 219,
+	"daemon":            259,
+	"predictive":        267,
+	"ondemand":          259,
+	"powercap":          226,
 }
 
 // strategyAllocPinsGo is the toolchain the pins were recorded with;

@@ -95,7 +95,7 @@ type Node struct {
 	timeAtOp  []time.Duration // residency per operating point
 	nTrans    int             // DVS transitions performed
 	computing *sim.Proc       // proc currently in Compute, if any
-	thermal   *thermalState   // die-temperature integrator
+	thermal   thermalState    // die-temperature integrator
 }
 
 // New creates a node bound to kernel k.
@@ -165,7 +165,6 @@ func (n *Node) advance() {
 		n.lastT = now
 		return
 	}
-	sec := dt.Seconds()
 	op := n.OperatingPoint()
 	// A DVS transition overlapping this span draws power at the higher of
 	// the two points and retires no work; split the span if needed.
@@ -174,31 +173,31 @@ func (n *Node) advance() {
 		if end > now {
 			end = now
 		}
-		tsec := end.Sub(n.lastT).Seconds()
-		n.accumulate(n.transOp, n.activity, tsec)
-		n.busy += time.Duration(float64(end.Sub(n.lastT)) * n.busyFrac)
-		n.timeAtOp[n.opIdx] += end.Sub(n.lastT)
-		sec -= tsec
-		if sec <= 0 {
+		tdt := end.Sub(n.lastT)
+		n.accumulate(n.transOp, n.activity, tdt)
+		n.busy += time.Duration(float64(tdt) * n.busyFrac)
+		n.timeAtOp[n.opIdx] += tdt
+		if end == now {
 			n.lastT = now
 			return
 		}
 		n.timeAtOp[n.opIdx] += now.Sub(end)
 		n.busy += time.Duration(float64(now.Sub(end)) * n.busyFrac)
-		n.accumulate(op, n.activity, sec)
+		n.accumulate(op, n.activity, now.Sub(end))
 		n.lastT = now
 		return
 	}
-	n.accumulate(op, n.activity, sec)
+	n.accumulate(op, n.activity, dt)
 	n.busy += time.Duration(float64(dt) * n.busyFrac)
 	n.timeAtOp[n.opIdx] += dt
 	n.lastT = now
 }
 
-func (n *Node) accumulate(op dvs.OperatingPoint, a dvs.Activity, sec float64) {
+func (n *Node) accumulate(op dvs.OperatingPoint, a dvs.Activity, dt time.Duration) {
 	m := n.cfg.Power
 	cpuW := m.CPUWatts(op, a)
-	n.thermal.advance(cpuW, time.Duration(sec*1e9))
+	n.thermal.advance(&n.cfg.Thermal, cpuW, dt)
+	sec := dt.Seconds()
 	n.energy.CPU += cpuW * sec
 	n.energy.Memory += m.MemWatts * a.Mem * sec
 	n.energy.NIC += m.NICWatts * a.NIC * sec

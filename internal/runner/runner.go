@@ -63,7 +63,7 @@ func (j Job) Key() (string, bool) { return j.key(keyFormat) }
 // Bump it whenever an unchanged job's core.Result bytes change, so a
 // restarted daemon, a resumed sweep or a mixed-version fleet never
 // serves a result the current model would not produce.
-const modelVersion = "1"
+const modelVersion = "2"
 
 // keyFormat is what Key hashes: the model version, then the job's value.
 // %#v, not %+v: it never invokes String() methods (core.Strategy's
