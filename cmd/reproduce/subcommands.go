@@ -96,8 +96,8 @@ func grid(fs *flag.FlagSet) func(io.Writer) error {
 		// and optionally the daemon; base[i] is job i's baseline row.
 		var jobs []runner.Job
 		var base []int
-		add := func(spec npb.Spec, kind string, a core.StrategyArgs, b int) error {
-			j, err := cliJob(spec, kind, a, cfg)
+		add := func(spec npb.Spec, strat core.StrategySpec, b int) error {
+			j, err := cliJob(spec, strat, cfg)
 			if err != nil {
 				return err
 			}
@@ -112,19 +112,19 @@ func grid(fs *flag.FlagSet) func(io.Writer) error {
 						return err
 					}
 					spec, b := npb.Spec{Code: code, Class: cl, Ranks: n}, len(jobs)
-					if err := add(spec, "none", core.StrategyArgs{}, b); err != nil {
+					if err := add(spec, core.StrategySpec{Kind: "none"}, b); err != nil {
 						return err
 					}
 					for _, f := range fMHz {
 						if f == cfg.Node.Table.Top().Frequency {
 							continue
 						}
-						if err := add(spec, "external", core.StrategyArgs{FreqMHz: float64(f)}, b); err != nil {
+						if err := add(spec, core.StrategySpec{Kind: "external", FreqMHz: float64(f)}, b); err != nil {
 							return err
 						}
 					}
 					if *auto {
-						if err := add(spec, "daemon", core.StrategyArgs{}, b); err != nil {
+						if err := add(spec, core.StrategySpec{Kind: "daemon"}, b); err != nil {
 							return err
 						}
 					}
@@ -180,12 +180,12 @@ func run(fs *flag.FlagSet) func(io.Writer) error {
 	return func(stdout io.Writer) error {
 		cfg := core.DefaultConfig()
 		spec := npb.Spec{Code: *code, Class: *classFlag, Ranks: *ranks, HighMHz: *high, LowMHz: *low}
-		kind := *strategy
-		if kind == "internal" {
-			spec.Variant, kind = "internal", "none"
+		strat := core.StrategySpec{Kind: *strategy, FreqMHz: *freq, Preset: *version, BudgetWatts: *budget}
+		if strat.Kind == "internal" {
+			spec.Variant, strat.Kind = "internal", "none"
 		}
 
-		if kind == "auto-tune" {
+		if strat.Kind == "auto-tune" {
 			w, err := spec.Build()
 			if err != nil {
 				return err
@@ -203,7 +203,7 @@ func run(fs *flag.FlagSet) func(io.Writer) error {
 			return nil
 		}
 
-		j, err := cliJob(spec, kind, core.StrategyArgs{FreqMHz: *freq, Preset: *version, BudgetWatts: *budget}, cfg)
+		j, err := cliJob(spec, strat, cfg)
 		if err != nil {
 			return err
 		}
@@ -214,7 +214,7 @@ func run(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		jobs := []runner.Job{j}
 		if *baseline {
-			b, err := cliJob(npb.Spec{Code: *code, Class: *classFlag, Ranks: *ranks}, "none", core.StrategyArgs{}, cfg)
+			b, err := cliJob(npb.Spec{Code: *code, Class: *classFlag, Ranks: *ranks}, core.StrategySpec{Kind: "none"}, cfg)
 			if err != nil {
 				return err
 			}
@@ -275,7 +275,7 @@ func power(fs *flag.FlagSet) func(io.Writer) error {
 		if err != nil {
 			return err
 		}
-		strat, err := cliStrategy(*strategy, core.StrategyArgs{FreqMHz: *freq, BudgetWatts: *budget}, cfg.Node.Table)
+		strat, err := cliStrategy(core.StrategySpec{Kind: *strategy, FreqMHz: *freq, BudgetWatts: *budget}, cfg.Node.Table, w.Ranks)
 		if err != nil {
 			return err
 		}
@@ -326,12 +326,12 @@ func power(fs *flag.FlagSet) func(io.Writer) error {
 // cliJob compiles one cell — workload flags and a -strategy value — into
 // a runner job through the workload and strategy registries, so unknown
 // codes and off-table frequencies reject with the messages dvsd gives.
-func cliJob(spec npb.Spec, kind string, a core.StrategyArgs, cfg core.Config) (runner.Job, error) {
+func cliJob(spec npb.Spec, strat core.StrategySpec, cfg core.Config) (runner.Job, error) {
 	w, err := spec.Build()
 	if err != nil {
 		return runner.Job{}, err
 	}
-	s, err := cliStrategy(kind, a, cfg.Node.Table)
+	s, err := cliStrategy(strat, cfg.Node.Table, w.Ranks)
 	if err != nil {
 		return runner.Job{}, err
 	}
@@ -339,17 +339,17 @@ func cliJob(spec npb.Spec, kind string, a core.StrategyArgs, cfg core.Config) (r
 }
 
 // cliStrategy decodes a -strategy value against the cluster's operating
-// points, keeping the command line's historical spellings: "none" for
-// nodvs, and daemon presets without their "v" ("1.2.1" ≡ "v1.2.1").
-func cliStrategy(kind string, a core.StrategyArgs, table dvs.Table) (core.Strategy, error) {
-	if kind == "" || kind == "none" {
-		kind = "nodvs"
+// points and rank count, keeping the command line's historical spellings:
+// "none" for nodvs, and daemon presets without their "v" ("1.2.1" ≡
+// "v1.2.1").
+func cliStrategy(s core.StrategySpec, table dvs.Table, ranks int) (core.Strategy, error) {
+	if s.Kind == "" || s.Kind == "none" {
+		s.Kind = "nodvs"
 	}
-	if a.Preset != "" && !strings.HasPrefix(a.Preset, "v") {
-		a.Preset = "v" + a.Preset
+	if s.Preset != "" && !strings.HasPrefix(s.Preset, "v") {
+		s.Preset = "v" + s.Preset
 	}
-	a.Table = table
-	return core.DecodeStrategy(kind, a)
+	return core.DecodeStrategy(s, table, ranks)
 }
 
 // runSweep simulates jobs as one sweep on a GOMAXPROCS engine, so a grid

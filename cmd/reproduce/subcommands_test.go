@@ -46,7 +46,7 @@ func TestSubcommandFlags(t *testing.T) {
 func TestStrategyAliasesAndPresets(t *testing.T) {
 	tab := core.DefaultConfig().Node.Table
 	for _, name := range []string{"", "none", "nodvs"} {
-		s, err := cliStrategy(name, core.StrategyArgs{}, tab)
+		s, err := cliStrategy(core.StrategySpec{Kind: name}, tab, 8)
 		if err != nil {
 			t.Fatalf("cliStrategy(%q): %v", name, err)
 		}
@@ -57,27 +57,24 @@ func TestStrategyAliasesAndPresets(t *testing.T) {
 	// The historical -daemon-version values ("1.1") and the registry's
 	// preset names ("v1.1") both resolve.
 	for _, preset := range []string{"1.1", "v1.1", "1.2.1", "v1.2.1"} {
-		if _, err := cliStrategy("daemon", core.StrategyArgs{Preset: preset}, tab); err != nil {
+		if _, err := cliStrategy(core.StrategySpec{Kind: "daemon", Preset: preset}, tab, 8); err != nil {
 			t.Fatalf("daemon preset %q rejected: %v", preset, err)
 		}
 	}
-	for _, c := range []struct {
-		kind string
-		args core.StrategyArgs
-	}{
-		{"daemon", core.StrategyArgs{Preset: "9.9"}},
-		{"external", core.StrategyArgs{FreqMHz: 700}},
-		{"warp", core.StrategyArgs{}},
+	for _, s := range []core.StrategySpec{
+		{Kind: "daemon", Preset: "9.9"},
+		{Kind: "external", FreqMHz: 700},
+		{Kind: "warp"},
 	} {
-		if _, err := cliStrategy(c.kind, c.args, tab); err == nil {
-			t.Fatalf("cliStrategy(%q, %+v) accepted", c.kind, c.args)
+		if _, err := cliStrategy(s, tab, 8); err == nil {
+			t.Fatalf("cliStrategy(%+v) accepted", s)
 		}
 	}
 }
 
 func TestWorkloadThroughRegistry(t *testing.T) {
 	cfg := core.DefaultConfig()
-	j, err := cliJob(npb.Spec{Code: "FT", Class: "S"}, "none", core.StrategyArgs{}, cfg)
+	j, err := cliJob(npb.Spec{Code: "FT", Class: "S"}, core.StrategySpec{Kind: "none"}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +85,7 @@ func TestWorkloadThroughRegistry(t *testing.T) {
 		{Code: "ZZ", Class: "S"},
 		{Code: "EP", Class: "S", Variant: "internal"},
 	} {
-		if _, err := cliJob(spec, "none", core.StrategyArgs{}, cfg); err == nil {
+		if _, err := cliJob(spec, core.StrategySpec{Kind: "none"}, cfg); err == nil {
 			t.Fatalf("cliJob(%+v) accepted", spec)
 		}
 	}

@@ -1,9 +1,9 @@
 // The strategy table: the single place a DVS scheduling strategy is known
 // to the system. A Registration binds together a strategy's wire name,
-// paper-table string form, attach step, wire decoder and canonical
-// example, so Run, RunInstrumented, Strategy.String and the server's JSON
-// decoding all dispatch through one entry of registry (strategies.go),
-// indexed by StrategyKind.
+// paper-table string form, attach step, wire decoder and encoder, and
+// canonical example, so Run, RunInstrumented, Strategy.String and the
+// server's JSON decoding and encoding all dispatch through one entry of
+// registry (strategies.go), indexed by StrategyKind.
 package core
 
 import (
@@ -18,46 +18,64 @@ import (
 	"repro/internal/spec"
 )
 
-// StrategyArgs is the neutral parameter bag a strategy decodes itself
-// from: the union of the wire fields of a dvsd StrategySpec and the CLI
-// flags of the command-line tools. A Decode hook reads the fields it
-// cares about and rejects with a *spec.Error naming the offending field.
-type StrategyArgs struct {
-	FreqMHz     float64            // external: static MHz
-	PerNode     map[string]float64 // external-per-node: node ID (decimal string) → MHz
-	Preset      string             // daemon: "v1.1" or "v1.2.1" (default)
-	IntervalMS  float64            // control-period override for daemon/predictive/ondemand/powercap
-	TargetLoad  float64            // predictive: headroom target override
-	BudgetWatts float64            // powercap: cluster budget
-	Headroom    float64            // powercap: hysteresis override
-
-	// Table and Ranks are the validation context: the operating points
-	// of the cluster the decoded strategy will run on, and the workload's
-	// rank count (one node per rank).
-	Table dvs.Table
-	Ranks int
+// StrategySpec is the wire form of a strategy: the JSON body of a dvsd
+// strategy object and the parse form the command-line tools fill from
+// their flags. The parameter fields are the union of what the registered
+// strategies consume; each row's Decode reads the fields it cares about
+// and its Encode writes them back.
+type StrategySpec struct {
+	// Kind is a registered strategy name — StrategyNames(), i.e. nodvs,
+	// external, external-per-node, daemon, predictive, ondemand, powercap.
+	Kind string `json:"kind"`
+	// FreqMHz is the static frequency for kind=external.
+	FreqMHz float64 `json:"freq_mhz,omitempty"`
+	// PerNode maps node ID (JSON object key, decimal string, below the
+	// workload's rank count) to MHz for kind=external-per-node.
+	PerNode map[string]float64 `json:"per_node,omitempty"`
+	// Preset selects the daemon tuning for kind=daemon: "v1.1" or
+	// "v1.2.1" (default).
+	Preset string `json:"preset,omitempty"`
+	// IntervalMS overrides the control period for
+	// daemon/predictive/ondemand/powercap; at least MinInterval.
+	IntervalMS float64 `json:"interval_ms,omitempty"`
+	// TargetLoad overrides the predictive daemon's headroom target.
+	TargetLoad float64 `json:"target_load,omitempty"`
+	// BudgetWatts is the cluster power cap for kind=powercap.
+	BudgetWatts float64 `json:"budget_watts,omitempty"`
+	// Headroom overrides powercap hysteresis.
+	Headroom float64 `json:"headroom,omitempty"`
 }
+
+// MinInterval is the shortest governor control period a spec may ask
+// for. A cell's wall time grows as 1/interval and core.Run has no
+// cancellation point, so the floor is what bounds a hostile period; the
+// governors' defaults are 80 ms–2 s.
+const MinInterval = time.Millisecond
 
 // Interval converts the millisecond control-period override, falling back
 // to def when unset.
-func (a StrategyArgs) Interval(def time.Duration) (time.Duration, error) {
-	if a.IntervalMS == 0 {
+func (s StrategySpec) Interval(def time.Duration) (time.Duration, error) {
+	if s.IntervalMS == 0 {
 		return def, nil
 	}
-	if a.IntervalMS < 0 {
-		return 0, spec.Errorf("interval_ms", "must be positive, got %g", a.IntervalMS)
+	iv := time.Duration(s.IntervalMS * float64(time.Millisecond))
+	if iv < MinInterval {
+		return 0, spec.Errorf("interval_ms", "must be at least %g ms, got %g", ms(MinInterval), s.IntervalMS)
 	}
-	return time.Duration(a.IntervalMS * float64(time.Millisecond)), nil
+	return iv, nil
 }
 
-// CheckFreq validates that f is an operating point of the args' table,
-// blaming field on rejection.
-func (a StrategyArgs) CheckFreq(field string, f dvs.MHz) error {
-	if a.Table.IndexOf(f) >= 0 {
+// ms renders a duration as the wire form's fractional milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+// checkFreq validates that f is an operating point of table, blaming
+// field on rejection.
+func checkFreq(table dvs.Table, field string, f dvs.MHz) error {
+	if table.IndexOf(f) >= 0 {
 		return nil
 	}
-	fs := make([]string, len(a.Table))
-	for i, mhz := range a.Table.Frequencies() {
+	fs := make([]string, len(table))
+	for i, mhz := range table.Frequencies() {
 		fs[i] = fmt.Sprintf("%.0f", float64(mhz))
 	}
 	return spec.Errorf(field, "%.0f MHz is not an operating point; have %s",
@@ -65,9 +83,9 @@ func (a StrategyArgs) CheckFreq(field string, f dvs.MHz) error {
 }
 
 // Registration is one strategy's complete identity: its wire name,
-// paper-table string form, attach step, wire decoder, and a canonical
-// example configuration (used by parity tests and documentation). Its
-// position in registry is its StrategyKind.
+// paper-table string form, attach step, wire decoder and encoder, and a
+// canonical example configuration (used by registry-wide tests and
+// documentation). Its position in registry is its StrategyKind.
 type Registration struct {
 	// Name is the wire and CLI name ("nodvs", "external", ...).
 	Name string
@@ -81,9 +99,16 @@ type Registration struct {
 	// completes and may veto the result (a daemon that died mid-run
 	// measured a half-applied strategy) or annotate it (DaemonMoves).
 	Attach func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (finish func(*Result) error, err error)
-	// Decode builds a Strategy of this kind from wire/CLI parameters,
-	// rejecting with *spec.Error on invalid fields.
-	Decode func(a StrategyArgs) (Strategy, error)
+	// Decode builds a Strategy of this kind from its wire form, rejecting
+	// with *spec.Error on invalid fields. table and ranks are the
+	// validation context: the operating points of the cluster the strategy
+	// will run on, and the workload's rank count (one node per rank).
+	Decode func(s StrategySpec, table dvs.Table, ranks int) (Strategy, error)
+	// Encode is Decode's inverse: the wire forms that may rebuild s, most
+	// likely first. Kind is left empty; EncodeStrategy fills it in. A
+	// candidate is a proposal, not a promise — a caller that needs the
+	// exact strategy back rebuilds the candidate and compares.
+	Encode func(s Strategy) []StrategySpec
 	// Example returns a canonical runnable configuration of this
 	// strategy, used by registry-wide parity tests.
 	Example func() Strategy
@@ -103,18 +128,36 @@ func StrategyNames() []string {
 	return out
 }
 
-// DecodeStrategy builds a Strategy from its wire name and parameter bag
-// through the registry. Unknown names and invalid parameters reject with
-// a *spec.Error naming the offending field relative to the strategy
-// object ("kind", "freq_mhz", ...).
-func DecodeStrategy(kind string, a StrategyArgs) (Strategy, error) {
+// DecodeStrategy builds a Strategy from its wire form through the
+// registry, validating it against the cluster's operating points and the
+// workload's rank count. A missing or unknown kind and invalid parameters
+// reject with a *spec.Error naming the offending field relative to the
+// strategy object ("kind", "freq_mhz", ...).
+func DecodeStrategy(s StrategySpec, table dvs.Table, ranks int) (Strategy, error) {
+	if s.Kind == "" {
+		return Strategy{}, spec.Errorf("kind", "required; one of %s", strings.Join(StrategyNames(), ", "))
+	}
 	for _, r := range registry {
-		if r.Name == kind {
-			return r.Decode(a)
+		if r.Name == s.Kind {
+			return r.Decode(s, table, ranks)
 		}
 	}
 	return Strategy{}, spec.Errorf("kind", "unknown kind %q; one of %s",
-		kind, strings.Join(StrategyNames(), ", "))
+		s.Kind, strings.Join(StrategyNames(), ", "))
+}
+
+// EncodeStrategy returns the candidate wire forms of s from its
+// registration (nil for an unregistered kind).
+func EncodeStrategy(s Strategy) []StrategySpec {
+	r, err := s.registration()
+	if err != nil {
+		return nil
+	}
+	out := r.Encode(s)
+	for i := range out {
+		out[i].Kind = r.Name
+	}
+	return out
 }
 
 // registration resolves a Strategy value's table entry.

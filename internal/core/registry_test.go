@@ -32,14 +32,13 @@ func TestRegistryParity(t *testing.T) {
 			t.Fatalf("strategy %q not registered", name)
 		}
 	}
-	// One argument bag that every strategy's decoder accepts.
-	args := core.StrategyArgs{
+	// One parameter set that every strategy's decoder accepts.
+	args := core.StrategySpec{
 		FreqMHz:     600,
 		PerNode:     map[string]float64{"0": 800},
 		BudgetWatts: 190,
-		Table:       core.DefaultConfig().Node.Table,
-		Ranks:       8,
 	}
+	table := core.DefaultConfig().Node.Table
 	for i, r := range regs {
 		kind := core.StrategyKind(i)
 		t.Run(r.Name, func(t *testing.T) {
@@ -49,7 +48,8 @@ func TestRegistryParity(t *testing.T) {
 			if strat.Kind != kind {
 				t.Fatalf("registry[%d].Example() has kind %d", kind, strat.Kind)
 			}
-			dec, err := core.DecodeStrategy(r.Name, args)
+			args.Kind = r.Name
+			dec, err := core.DecodeStrategy(args, table, 8)
 			if err != nil {
 				t.Fatalf("DecodeStrategy(%s): %v", r.Name, err)
 			}
@@ -112,7 +112,7 @@ func TestRegistryNamesAndStringsPinned(t *testing.T) {
 // TestDecodeStrategyUnknownKind asserts the rejection enumerates the
 // registered names dynamically.
 func TestDecodeStrategyUnknownKind(t *testing.T) {
-	_, err := core.DecodeStrategy("warp", core.StrategyArgs{})
+	_, err := core.DecodeStrategy(core.StrategySpec{Kind: "warp"}, core.DefaultConfig().Node.Table, 8)
 	if err == nil {
 		t.Fatal("unknown kind accepted")
 	}

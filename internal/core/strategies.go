@@ -1,6 +1,6 @@
 // The seven paper strategies, one registry entry each: wire name, string
 // form, attach step (shared verbatim by Run and RunInstrumented) and wire
-// decoder. An entry's index is its StrategyKind.
+// decoder and encoder. An entry's index is its StrategyKind.
 package core
 
 import (
@@ -26,7 +26,8 @@ var registry = []Registration{
 			// Nodes start at top speed by default.
 			return nil, nil
 		},
-		Decode:  func(StrategyArgs) (Strategy, error) { return NoDVS(), nil },
+		Decode:  func(StrategySpec, dvs.Table, int) (Strategy, error) { return NoDVS(), nil },
+		Encode:  func(Strategy) []StrategySpec { return []StrategySpec{{}} },
 		Example: NoDVS,
 	},
 
@@ -36,15 +37,16 @@ var registry = []Registration{
 		Attach: func(s Strategy, _ *sim.Kernel, nodes []*node.Node, _ *mpisim.World) (func(*Result) error, error) {
 			return nil, sched.SetAll(nodes, s.Freq)
 		},
-		Decode: func(a StrategyArgs) (Strategy, error) {
+		Decode: func(a StrategySpec, table dvs.Table, _ int) (Strategy, error) {
 			if a.FreqMHz == 0 {
 				return Strategy{}, spec.Errorf("freq_mhz", "required for kind=external")
 			}
-			if err := a.CheckFreq("freq_mhz", dvs.MHz(a.FreqMHz)); err != nil {
+			if err := checkFreq(table, "freq_mhz", dvs.MHz(a.FreqMHz)); err != nil {
 				return Strategy{}, err
 			}
 			return External(dvs.MHz(a.FreqMHz)), nil
 		},
+		Encode:  func(s Strategy) []StrategySpec { return []StrategySpec{{FreqMHz: float64(s.Freq)}} },
 		Example: func() Strategy { return External(600) },
 	},
 
@@ -54,7 +56,7 @@ var registry = []Registration{
 		Attach: func(s Strategy, _ *sim.Kernel, nodes []*node.Node, _ *mpisim.World) (func(*Result) error, error) {
 			return nil, sched.SetPerNode(nodes, s.PerNode)
 		},
-		Decode: func(a StrategyArgs) (Strategy, error) {
+		Decode: func(a StrategySpec, table dvs.Table, ranks int) (Strategy, error) {
 			if len(a.PerNode) == 0 {
 				return Strategy{}, spec.Errorf("per_node", "required for kind=external-per-node")
 			}
@@ -70,16 +72,23 @@ var registry = []Registration{
 				if err != nil || id < 0 {
 					return Strategy{}, spec.Errorf("per_node", "key %q is not a node ID", k)
 				}
-				if id >= a.Ranks {
-					return Strategy{}, spec.Errorf("per_node", "key %q names no node; the workload has %d ranks", k, a.Ranks)
+				if id >= ranks {
+					return Strategy{}, spec.Errorf("per_node", "key %q names no node; the workload has %d ranks", k, ranks)
 				}
 				f := dvs.MHz(a.PerNode[k])
-				if err := a.CheckFreq(fmt.Sprintf("per_node[%s]", k), f); err != nil {
+				if err := checkFreq(table, fmt.Sprintf("per_node[%s]", k), f); err != nil {
 					return Strategy{}, err
 				}
 				freqs[id] = f
 			}
 			return ExternalPerNode(freqs), nil
+		},
+		Encode: func(s Strategy) []StrategySpec {
+			pn := make(map[string]float64, len(s.PerNode))
+			for id, f := range s.PerNode {
+				pn[strconv.Itoa(id)] = float64(f)
+			}
+			return []StrategySpec{{PerNode: pn}}
 		},
 		Example: func() Strategy { return ExternalPerNode(map[int]dvs.MHz{0: 800}) },
 	},
@@ -90,7 +99,7 @@ var registry = []Registration{
 		Attach: func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
 			return attachGovernors(k, nodes, w, sched.StartCPUSpeed, s.Daemon, true)
 		},
-		Decode: func(a StrategyArgs) (Strategy, error) {
+		Decode: func(a StrategySpec, _ dvs.Table, _ int) (Strategy, error) {
 			var cfg sched.CPUSpeedConfig
 			switch a.Preset {
 			case "", "v1.2.1":
@@ -110,6 +119,12 @@ var registry = []Registration{
 			}
 			return Daemon(cfg), nil
 		},
+		// The tuning itself has no wire form, so offer both presets at the
+		// strategy's period; a hand-tuned config rebuilds to neither.
+		Encode: func(s Strategy) []StrategySpec {
+			iv := ms(s.Daemon.Interval)
+			return []StrategySpec{{Preset: "v1.2.1", IntervalMS: iv}, {Preset: "v1.1", IntervalMS: iv}}
+		},
 		Example: func() Strategy { return Daemon(sched.CPUSpeedV121()) },
 	},
 
@@ -119,7 +134,7 @@ var registry = []Registration{
 		Attach: func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
 			return attachGovernors(k, nodes, w, sched.StartPredictive, s.Predictive, false)
 		},
-		Decode: func(a StrategyArgs) (Strategy, error) {
+		Decode: func(a StrategySpec, _ dvs.Table, _ int) (Strategy, error) {
 			cfg := sched.DefaultPredictive()
 			if a.TargetLoad != 0 {
 				cfg.TargetLoad = a.TargetLoad
@@ -134,6 +149,9 @@ var registry = []Registration{
 			}
 			return Predictive(cfg), nil
 		},
+		Encode: func(s Strategy) []StrategySpec {
+			return []StrategySpec{{IntervalMS: ms(s.Predictive.Window), TargetLoad: s.Predictive.TargetLoad}}
+		},
 		Example: func() Strategy { return Predictive(sched.DefaultPredictive()) },
 	},
 
@@ -143,7 +161,7 @@ var registry = []Registration{
 		Attach: func(s Strategy, k *sim.Kernel, nodes []*node.Node, w *mpisim.World) (func(*Result) error, error) {
 			return attachGovernors(k, nodes, w, sched.StartOnDemand, s.OnDemand, false)
 		},
-		Decode: func(a StrategyArgs) (Strategy, error) {
+		Decode: func(a StrategySpec, _ dvs.Table, _ int) (Strategy, error) {
 			cfg := sched.DefaultOnDemand()
 			iv, err := a.Interval(cfg.SamplingRate)
 			if err != nil {
@@ -155,6 +173,7 @@ var registry = []Registration{
 			}
 			return OnDemand(cfg), nil
 		},
+		Encode:  func(s Strategy) []StrategySpec { return []StrategySpec{{IntervalMS: ms(s.OnDemand.SamplingRate)}} },
 		Example: func() Strategy { return OnDemand(sched.DefaultOnDemand()) },
 	},
 
@@ -169,7 +188,7 @@ var registry = []Registration{
 			w.OnAllDone(pc.Stop)
 			return func(*Result) error { return pc.Err() }, nil
 		},
-		Decode: func(a StrategyArgs) (Strategy, error) {
+		Decode: func(a StrategySpec, _ dvs.Table, _ int) (Strategy, error) {
 			if a.BudgetWatts <= 0 {
 				return Strategy{}, spec.Errorf("budget_watts", "required and positive for kind=powercap, got %g", a.BudgetWatts)
 			}
@@ -186,6 +205,10 @@ var registry = []Registration{
 				return Strategy{}, spec.Errorf("", "%v", err)
 			}
 			return PowerCap(cfg), nil
+		},
+		Encode: func(s Strategy) []StrategySpec {
+			return []StrategySpec{{BudgetWatts: s.PowerCap.BudgetWatts,
+				Headroom: s.PowerCap.Headroom, IntervalMS: ms(s.PowerCap.Interval)}}
 		},
 		Example: func() Strategy { return PowerCap(sched.DefaultPowerCap(190)) },
 	},

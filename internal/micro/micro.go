@@ -10,11 +10,11 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dvs"
 	"repro/internal/mpisim"
-	"repro/internal/netsim"
 	"repro/internal/node"
-	"repro/internal/sim"
+	"repro/internal/npb"
 )
 
 // Kind identifies a microbenchmark category.
@@ -65,22 +65,14 @@ type Database struct {
 	Points map[Kind]map[dvs.MHz]Point
 }
 
-// run executes one microbenchmark at a fixed op-point index and returns
-// (seconds, joules).
+// run executes one microbenchmark as a 2-rank workload on the one cluster
+// assembly path, every node starting at op-point index opIdx, and returns
+// (seconds, joules): node 0's energy, plus node 1's for the ping-pong.
 func run(kind Kind, nodeCfg node.Config, opIdx int) (float64, float64, error) {
-	k := sim.NewKernel()
-	cfg := nodeCfg
-	cfg.StartIndex = opIdx
-	nodes := []*node.Node{node.MustNew(k, 0, cfg), node.MustNew(k, 1, cfg)}
-	net, err := netsim.New(k, 2, netsim.DefaultConfig())
-	if err != nil {
-		return 0, 0, err
-	}
-	w, err := mpisim.NewWorld(k, net, nodes, mpisim.DefaultConfig())
-	if err != nil {
-		return 0, 0, err
-	}
-	err = w.Launch("micro."+kind.String(), func(r *mpisim.Rank) {
+	cfg := core.DefaultConfig()
+	cfg.Node = nodeCfg
+	cfg.Node.StartIndex = opIdx
+	w := npb.Workload{Code: "micro", Class: npb.ClassC, Ranks: 2, Variant: kind.String(), Body: func(r *mpisim.Rank) {
 		switch kind {
 		case CPUBound:
 			if r.ID() == 0 {
@@ -106,18 +98,16 @@ func run(kind Kind, nodeCfg node.Config, opIdx int) (float64, float64, error) {
 				r.DiskIO(time.Second)
 			}
 		}
-	})
+	}}
+	res, err := core.Run(w, core.NoDVS(), cfg)
 	if err != nil {
 		return 0, 0, err
 	}
-	if err := k.Run(sim.MaxTime); err != nil {
-		return 0, 0, err
-	}
-	e := nodes[0].Energy().Total()
+	e := res.NodeEnergy[0].Total()
 	if kind == CommBound {
-		e += nodes[1].Energy().Total()
+		e += res.NodeEnergy[1].Total()
 	}
-	return time.Duration(w.Elapsed()).Seconds(), e, nil
+	return res.Elapsed.Seconds(), e, nil
 }
 
 // Build measures every kind at every operating point of the node config's

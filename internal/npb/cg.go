@@ -71,7 +71,7 @@ func CGWithPolicy(class Class, ranks int, policy CGPolicy, high, low dvs.MHz) (W
 	pair := bytesScaled(680_000*8/ranks, s)
 	params := ""
 	if policy != CGPlain {
-		params = fmt.Sprintf("%.0f/%.0f", float64(high), float64(low))
+		params = speedParams(high, low)
 	}
 	return Workload{Code: "CG", Class: class, Ranks: ranks, Variant: policy.variant(), Params: params, Body: func(r *mpisim.Rank) {
 		n := r.Size()

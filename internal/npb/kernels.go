@@ -1,7 +1,6 @@
 package npb
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/dvs"
@@ -74,7 +73,7 @@ func ftWorkload(class Class, ranks int, high, low dvs.MHz, variant string) (Work
 	internal := variant != ""
 	params := ""
 	if internal {
-		params = fmt.Sprintf("%.0f/%.0f", float64(high), float64(low))
+		params = speedParams(high, low)
 	}
 	return Workload{Code: "FT", Class: class, Ranks: ranks, Variant: variant, Params: params, Body: func(r *mpisim.Rank) {
 		for it := 0; it < iters; it++ {

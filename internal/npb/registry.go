@@ -6,6 +6,7 @@
 package npb
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/dvs"
@@ -77,27 +78,34 @@ func InternalCodes() []string {
 	return out
 }
 
-// Spec is the shared parse form of a workload selection: the JSON wire
-// fields of the dvsd service and the flag set of the CLI binaries both
-// compile to it. Zero values select the paper's defaults. Build rejects
+// Spec is the shared parse form of a workload selection and the dvsd
+// service's JSON wire form: the CLI binaries fill it from their flags,
+// dvsd decodes it from a request body, and SpecFor writes it back from a
+// workload. Zero values select the paper's defaults. Build rejects
 // invalid fields with a *spec.Error naming the offending parameter
 // relative to the workload object ("code", "class", ...).
 type Spec struct {
 	// Code is the benchmark name (required; see Codes).
-	Code string
+	Code string `json:"code"`
 	// Class is the NPB problem class letter (S, W, A, B, C); "" = C, the
 	// paper's size.
-	Class string
-	// Ranks is the MPI world size; 0 = the paper's count for the code.
-	Ranks int
+	Class string `json:"class,omitempty"`
+	// Ranks is the MPI world size, at most MaxRanks; 0 = the paper's
+	// count for the code.
+	Ranks int `json:"ranks,omitempty"`
 	// Variant selects an instrumented build: "" for plain, "internal" for
 	// the §5.3 source-instrumented variants.
-	Variant string
+	Variant string `json:"variant,omitempty"`
 	// HighMHz/LowMHz are the internal variant's two speeds; 0 = the
 	// paper's Figure 10 settings (1400/600).
-	HighMHz float64
-	LowMHz  float64
+	HighMHz float64 `json:"high_mhz,omitempty"`
+	LowMHz  float64 `json:"low_mhz,omitempty"`
 }
+
+// MaxRanks bounds Spec.Ranks. The paper ran 16 nodes; all-to-all traffic
+// grows as ranks², and a world of a billion ranks exhausts memory before
+// the first event, which no deadline or panic handler can stop.
+const MaxRanks = 256
 
 // Build compiles the spec into a runnable workload through the table.
 func (s Spec) Build() (Workload, error) {
@@ -121,8 +129,8 @@ func (s Spec) Build() (Workload, error) {
 	if ranks == 0 {
 		ranks = e.PaperRanks
 	}
-	if ranks < 0 {
-		return Workload{}, spec.Errorf("ranks", "must be positive, got %d", ranks)
+	if ranks < 0 || ranks > MaxRanks {
+		return Workload{}, spec.Errorf("ranks", "must be in [1,%d], got %d", MaxRanks, ranks)
 	}
 	high, low := dvs.MHz(s.HighMHz), dvs.MHz(s.LowMHz)
 	if high == 0 {
@@ -152,4 +160,28 @@ func (s Spec) Build() (Workload, error) {
 		return Workload{}, spec.Errorf("", "%v", err)
 	}
 	return w, nil
+}
+
+// SpecFor is the inverse of Spec.Build: the spec that rebuilds w, and
+// whether one exists. Plain benchmarks and the "internal" variants have
+// one; policy variants (internal-comm, ...) and middleware do not.
+func SpecFor(w Workload) (Spec, bool) {
+	s := Spec{Code: w.Code, Class: string(w.Class), Ranks: w.Ranks, Variant: w.Variant}
+	switch {
+	case w.Policy != nil:
+		return Spec{}, false
+	case w.Variant == "":
+		return s, true
+	case w.Variant == "internal":
+		if _, err := fmt.Sscanf(w.Params, "%f/%f", &s.HighMHz, &s.LowMHz); err == nil {
+			return s, true
+		}
+	}
+	return Spec{}, false
+}
+
+// speedParams renders a two-speed variant's high/low MHz as its Params,
+// the form SpecFor reads back.
+func speedParams(high, low dvs.MHz) string {
+	return fmt.Sprintf("%.0f/%.0f", float64(high), float64(low))
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mpisim"
 	"repro/internal/npb"
 	"repro/internal/spec"
 )
@@ -85,6 +86,8 @@ func TestSpecFieldRejections(t *testing.T) {
 		{"bad class", npb.Spec{Code: "FT", Class: "Q"}, "class"},
 		{"long class", npb.Spec{Code: "FT", Class: "CC"}, "class"},
 		{"negative ranks", npb.Spec{Code: "FT", Ranks: -1}, "ranks"},
+		{"ranks past bound", npb.Spec{Code: "EP", Class: "S", Ranks: npb.MaxRanks + 1}, "ranks"},
+		{"billion ranks", npb.Spec{Code: "EP", Class: "S", Ranks: 1 << 30}, "ranks"},
 		{"bad variant", npb.Spec{Code: "FT", Variant: "turbo"}, "variant"},
 	}
 	for _, tc := range cases {
@@ -101,5 +104,68 @@ func TestSpecFieldRejections(t *testing.T) {
 				t.Fatalf("field %q, want %q", se.Field, tc.field)
 			}
 		})
+	}
+}
+
+// TestSpecForRoundTrip: SpecFor is Build's inverse over the whole table —
+// every plain benchmark and every internal variant (at non-default
+// speeds, so Params carries information) rebuilds from its spec to the
+// same value identity.
+func TestSpecForRoundTrip(t *testing.T) {
+	// The rank bound is inclusive: MaxRanks itself builds.
+	specs := []npb.Spec{{Code: "FT", Class: "S", Ranks: npb.MaxRanks}}
+	for _, code := range npb.Codes() {
+		specs = append(specs, npb.Spec{Code: code, Class: "S"}, npb.Spec{Code: code, Class: "W", Ranks: 4})
+	}
+	for _, code := range npb.InternalCodes() {
+		specs = append(specs,
+			npb.Spec{Code: code, Class: "S", Variant: "internal"},
+			npb.Spec{Code: code, Class: "S", Ranks: 4, Variant: "internal", HighMHz: 1200, LowMHz: 800})
+	}
+	for _, s := range specs {
+		w, err := s.Build()
+		if err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+		want, ok := w.ID()
+		if !ok {
+			t.Fatalf("%s has no value identity", w.Name())
+		}
+		back, ok := npb.SpecFor(w)
+		if !ok {
+			t.Fatalf("%s reported inexpressible", want)
+		}
+		rebuilt, err := back.Build()
+		if err != nil {
+			t.Fatalf("%s: spec %+v does not rebuild: %v", want, back, err)
+		}
+		if got, _ := rebuilt.ID(); got != want {
+			t.Fatalf("round trip of %s gave %s", want, got)
+		}
+	}
+}
+
+// idlePolicy is middleware that does nothing.
+type idlePolicy struct{}
+
+func (idlePolicy) AtStart(*mpisim.Rank)                       {}
+func (idlePolicy) BeforeCollective(*mpisim.Rank, string, int) {}
+func (idlePolicy) AfterCollective(*mpisim.Rank, string, int)  {}
+
+// TestSpecForInexpressible: policy variants, middleware (even under an
+// empty label) and an internal variant without its speeds have no spec.
+func TestSpecForInexpressible(t *testing.T) {
+	comm, err := npb.CGWithPolicy(npb.ClassS, 2, npb.CGCommSlow, 1400, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := npb.FT(npb.ClassS, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []npb.Workload{comm, ft.WithPolicy("", idlePolicy{}), {Code: "FT", Class: npb.ClassS, Ranks: 2, Variant: "internal"}} {
+		if s, ok := npb.SpecFor(w); ok {
+			t.Fatalf("%s reported expressible as %+v", w.Name(), s)
+		}
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/npb"
 	"repro/internal/runner"
 	"repro/internal/sweep"
@@ -39,19 +41,37 @@ var fuzzSeeds = []string{
 	`{"workload":{"code":"FT"},"strategy":{"kind":"powercap","budget_watts":-3}}`,
 	`{"jobs":[{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external","freq_mhz":700}}]}`,
 	`{"workloads":[{"code":"FT"}],"strategies":[{"kind":"nodvs"}],"config":{"wait_busy_frac":2}}`,
+	// hostile bounds: a billion-rank world, a nanosecond governor period
+	`{"workload":{"code":"EP","class":"S","ranks":1073741824},"strategy":{"kind":"nodvs"}}`,
+	`{"workload":{"code":"EP","class":"S"},"strategy":{"kind":"daemon","interval_ms":0.000001}}`,
 	`{}`, `null`, `[]`, `{"`,
 }
 
 // FuzzDecodeSpec drives arbitrary bytes through both wire decoders — the
 // /simulate body and the /sweep body — asserting the decode surface never
-// panics and that every rejection it produces is the service's typed
-// error carrying a field path (the registry rejections must survive the
-// translation into sweep.APIError with their paths intact).
+// panics, that every rejection it produces is the service's typed error
+// carrying a field path (the registry rejections must survive the
+// translation into sweep.APIError with their paths intact), and that
+// every accepted cell is inside the hostile-input bounds: at most
+// npb.MaxRanks ranks and no governor period under core.MinInterval.
 func FuzzDecodeSpec(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkJob := func(j runner.Job) {
+			if j.Workload.Ranks > npb.MaxRanks {
+				t.Fatalf("accepted a %d-rank cell; the bound is %d", j.Workload.Ranks, npb.MaxRanks)
+			}
+			// Only the decoded kind's period is set; the others are zero.
+			s := j.Strategy
+			for _, p := range []time.Duration{s.Daemon.Interval, s.Predictive.Window,
+				s.OnDemand.SamplingRate, s.PowerCap.Interval} {
+				if p != 0 && p < core.MinInterval {
+					t.Fatalf("accepted a %v governor period; the floor is %v", p, core.MinInterval)
+				}
+			}
+		}
 		checkErr := func(err error) {
 			if err == nil {
 				return
@@ -70,13 +90,21 @@ func FuzzDecodeSpec(f *testing.F) {
 
 		var sim SimulateRequest
 		if dec := json.NewDecoder(bytes.NewReader(data)); dec.Decode(&sim) == nil {
-			_, err := sim.JobSpec.build()
+			j, err := sim.JobSpec.build()
 			checkErr(err)
+			if err == nil {
+				checkJob(j)
+			}
 		}
 		var swr SweepRequest
 		if dec := json.NewDecoder(bytes.NewReader(data)); dec.Decode(&swr) == nil {
-			_, err := swr.Plan(64)
+			plan, err := swr.Plan(64)
 			checkErr(err)
+			if err == nil {
+				for _, c := range plan.Cells() {
+					checkJob(c.Job)
+				}
+			}
 		}
 	})
 }

@@ -125,6 +125,7 @@ func TestSimulateValidation(t *testing.T) {
 		{"per-node key at ranks", `{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"external-per-node","per_node":{"0":600,"2":600}}}`, 400, sweep.CodeInvalidStrategy, "strategy.per_node"},
 		{"daemon bad preset", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","preset":"v9"}}`, 400, sweep.CodeInvalidStrategy, "strategy.preset"},
 		{"daemon bad interval", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","interval_ms":-5}}`, 400, sweep.CodeInvalidStrategy, "strategy.interval_ms"},
+		{"interval below floor", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"daemon","interval_ms":0.0001}}`, 400, sweep.CodeInvalidStrategy, "strategy.interval_ms"},
 		{"powercap no budget", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"powercap"}}`, 400, sweep.CodeInvalidStrategy, "strategy.budget_watts"},
 		{"config bad wait frac", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"wait_busy_frac":2}}`, 400, sweep.CodeInvalidConfig, "config.wait_busy_frac"},
 		{"config bad loss rate", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"net_loss_rate":1.5}}`, 400, sweep.CodeInvalidConfig, "config.net_loss_rate"},
@@ -352,10 +353,9 @@ func TestSweepGridNDJSON(t *testing.T) {
 	}
 }
 
-// jobDaemonDefault mirrors StrategySpec{Kind: "daemon"}.build.
+// jobDaemonDefault decodes StrategySpec{Kind: "daemon"} the way a request does.
 func jobDaemonDefault() core.Strategy {
-	spec := StrategySpec{Kind: "daemon"}
-	strat, err := spec.build(core.DefaultConfig().Node.Table, 8, "strategy")
+	strat, err := core.DecodeStrategy(StrategySpec{Kind: "daemon"}, core.DefaultConfig().Node.Table, 8)
 	if err != nil {
 		panic(err)
 	}
@@ -379,6 +379,7 @@ func TestSweepShapeValidation(t *testing.T) {
 		{"too large grid", `{"workloads":[{"code":"FT","class":"S"}],"strategies":[{"kind":"nodvs"},{"kind":"daemon"},{"kind":"ondemand"}]}`, http.StatusRequestEntityTooLarge, sweep.CodeTooManyJobs, ""},
 		{"bad nested job", `{"jobs":[{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"external"}}]}`, 400, sweep.CodeInvalidStrategy, "jobs[0].strategy.freq_mhz"},
 		{"job per-node key past ranks", `{"jobs":[{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"external-per-node","per_node":{"99":600}}}]}`, 400, sweep.CodeInvalidStrategy, "jobs[0].strategy.per_node"},
+		{"grid bad workload", `{"workloads":[{"code":"FT","class":"S"},{"code":"ZZ"}],"strategies":[{"kind":"nodvs"}]}`, 400, sweep.CodeInvalidWorkload, "workloads[1].code"},
 		{"grid per-node key past ranks", `{"workloads":[{"code":"FT","class":"S","ranks":2}],"strategies":[{"kind":"nodvs"},{"kind":"external-per-node","per_node":{"2":600}}]}`, 400, sweep.CodeInvalidStrategy, "strategies[1].per_node"},
 	}
 	for _, tc := range cases {

@@ -1,18 +1,18 @@
-// Request specs: the JSON wire forms of (workload, strategy, config) and
-// their compilation into sweep cells and plans. Validation is strict and typed —
-// every rejection names a code and the offending field — because the
-// service is the trust boundary: past this file, inputs are assumed good.
+// Request specs: the JSON request bodies (the workload and strategy
+// tables' wire forms, npb.Spec and core.StrategySpec, plus the config
+// override) and their compilation into sweep cells and plans. Validation
+// is strict and typed — every rejection names a code and the offending
+// field — because the service is the trust boundary: past this file,
+// inputs are assumed good.
 package server
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dvs"
 	"repro/internal/npb"
 	"repro/internal/runner"
 	"repro/internal/spec"
@@ -35,93 +35,13 @@ func specErr(err error, code, root string) *sweep.APIError {
 	return sweep.Errf(code, root, "%v", err)
 }
 
-// WorkloadSpec names a benchmark instance.
-type WorkloadSpec struct {
-	// Code is the benchmark name (FT, CG, ... — see npb.Codes).
-	Code string `json:"code"`
-	// Class is the NPB problem class letter (S, W, A, B, C); default C,
-	// the paper's size.
-	Class string `json:"class,omitempty"`
-	// Ranks is the MPI world size; default is the paper's rank count for
-	// the code (npb.PaperRanks).
-	Ranks int `json:"ranks,omitempty"`
-	// Variant selects an instrumented build: "" for plain, "internal"
-	// for the §5.3 source-instrumented FT/CG variants.
-	Variant string `json:"variant,omitempty"`
-	// HighMHz/LowMHz are the internal variant's two speeds (default
-	// 1400/600, the paper's Figure 10 settings).
-	HighMHz float64 `json:"high_mhz,omitempty"`
-	LowMHz  float64 `json:"low_mhz,omitempty"`
-}
+// WorkloadSpec names a benchmark instance; the workload table's parse
+// form is the wire form.
+type WorkloadSpec = npb.Spec
 
-func (s WorkloadSpec) build() (npb.Workload, error) {
-	w, err := npb.Spec{
-		Code:    s.Code,
-		Class:   s.Class,
-		Ranks:   s.Ranks,
-		Variant: s.Variant,
-		HighMHz: s.HighMHz,
-		LowMHz:  s.LowMHz,
-	}.Build()
-	if err != nil {
-		return npb.Workload{}, specErr(err, sweep.CodeInvalidWorkload, "workload")
-	}
-	return w, nil
-}
-
-// StrategySpec selects and parameterizes a DVS scheduling strategy. The
-// parameter fields are the union of what the registered strategies
-// consume; each strategy's Decode hook reads the fields it cares about.
-type StrategySpec struct {
-	// Kind is a registered strategy name — core.StrategyNames(), i.e.
-	// nodvs, external, external-per-node, daemon, predictive, ondemand,
-	// powercap.
-	Kind string `json:"kind"`
-	// FreqMHz is the static frequency for kind=external.
-	FreqMHz float64 `json:"freq_mhz,omitempty"`
-	// PerNode maps node ID (JSON object key, decimal string, below the
-	// workload's rank count) to MHz for kind=external-per-node.
-	PerNode map[string]float64 `json:"per_node,omitempty"`
-	// Preset selects the daemon tuning for kind=daemon: "v1.1" or
-	// "v1.2.1" (default).
-	Preset string `json:"preset,omitempty"`
-	// IntervalMS overrides the control period for daemon/ondemand/powercap.
-	IntervalMS float64 `json:"interval_ms,omitempty"`
-	// TargetLoad overrides the predictive daemon's headroom target.
-	TargetLoad float64 `json:"target_load,omitempty"`
-	// BudgetWatts is the cluster power cap for kind=powercap.
-	BudgetWatts float64 `json:"budget_watts,omitempty"`
-	// Headroom overrides powercap hysteresis.
-	Headroom float64 `json:"headroom,omitempty"`
-}
-
-// build decodes the spec through the strategy registry: the spec's
-// parameter fields become a core.StrategyArgs bag, and the registered
-// strategy named by Kind reads the fields it cares about. table and ranks
-// are the cluster the strategy will run on; rejections name fields under
-// root ("strategy", "strategies[2]"). Unknown kinds reject listing the
-// registered names.
-func (s StrategySpec) build(table dvs.Table, ranks int, root string) (core.Strategy, error) {
-	if s.Kind == "" {
-		return core.Strategy{}, sweep.Errf(sweep.CodeInvalidStrategy, root+".kind",
-			"required; one of %s", strings.Join(core.StrategyNames(), ", "))
-	}
-	strat, err := core.DecodeStrategy(s.Kind, core.StrategyArgs{
-		FreqMHz:     s.FreqMHz,
-		PerNode:     s.PerNode,
-		Preset:      s.Preset,
-		IntervalMS:  s.IntervalMS,
-		TargetLoad:  s.TargetLoad,
-		BudgetWatts: s.BudgetWatts,
-		Headroom:    s.Headroom,
-		Table:       table,
-		Ranks:       ranks,
-	})
-	if err != nil {
-		return core.Strategy{}, specErr(err, sweep.CodeInvalidStrategy, root)
-	}
-	return strat, nil
-}
+// StrategySpec selects and parameterizes a DVS scheduling strategy; the
+// strategy table's parse form is the wire form.
+type StrategySpec = core.StrategySpec
 
 // ConfigSpec optionally overrides the calibrated NEMO cluster model.
 // Absent fields keep core.DefaultConfig values; pointers distinguish
@@ -212,13 +132,13 @@ func (s JobSpec) build() (runner.Job, error) {
 	if err != nil {
 		return runner.Job{}, err
 	}
-	w, err := s.Workload.build()
+	w, err := s.Workload.Build()
 	if err != nil {
-		return runner.Job{}, err
+		return runner.Job{}, specErr(err, sweep.CodeInvalidWorkload, "workload")
 	}
-	strat, err := s.Strategy.build(cfg.Node.Table, w.Ranks, "strategy")
+	strat, err := core.DecodeStrategy(s.Strategy, cfg.Node.Table, w.Ranks)
 	if err != nil {
-		return runner.Job{}, err
+		return runner.Job{}, specErr(err, sweep.CodeInvalidStrategy, "strategy")
 	}
 	return runner.Job{Workload: w, Strategy: strat, Config: cfg}, nil
 }
@@ -307,14 +227,14 @@ func (s SweepRequest) Plan(maxJobs int) (*sweep.Plan, error) {
 		}
 		cells := make([]sweep.Cell, 0, n)
 		for i, ws := range s.Workloads {
-			w, err := ws.build()
+			w, err := ws.Build()
 			if err != nil {
-				return nil, sweep.InField(err, fmt.Sprintf("workloads[%d]", i))
+				return nil, specErr(err, sweep.CodeInvalidWorkload, fmt.Sprintf("workloads[%d]", i))
 			}
 			for j, ss := range s.Strategies {
-				strat, err := ss.build(cfg.Node.Table, w.Ranks, fmt.Sprintf("strategies[%d]", j))
+				strat, err := core.DecodeStrategy(ss, cfg.Node.Table, w.Ranks)
 				if err != nil {
-					return nil, err
+					return nil, specErr(err, sweep.CodeInvalidStrategy, fmt.Sprintf("strategies[%d]", j))
 				}
 				c, err := compiledCell(JobSpec{Workload: ws, Strategy: ss, Config: s.Config},
 					runner.Job{Workload: w, Strategy: strat, Config: cfg})

@@ -2,17 +2,16 @@
 // that rebuilds it. The sweep pipeline needs this when an embedder (the
 // reproduce CLI, the experiments engine) wants to place locally-authored
 // jobs on a remote dvsd: only jobs whose full closure survives the wire
-// round trip may leave the process. Correctness is enforced by
-// construction — a candidate spec is accepted only if rebuilding it
-// yields the same content key as the original job — so anything the wire
-// form cannot express (custom DVS tables, CG scheduling policies,
-// tracers, hand-tuned daemon configs) is reported inexpressible and the
-// caller keeps it local.
+// round trip may leave the process. The workload and strategy tables
+// propose the wire forms (npb.SpecFor, core.EncodeStrategy); correctness
+// is enforced by construction — a candidate spec is accepted only if
+// rebuilding it yields the same content key as the original job — so
+// anything the wire form cannot express (custom DVS tables, CG scheduling
+// policies, tracers, hand-tuned daemon configs) is reported inexpressible
+// and the caller keeps it local.
 package server
 
 import (
-	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -29,12 +28,12 @@ func JobSpecFor(j runner.Job) (JobSpec, bool) {
 	if !ok {
 		return JobSpec{}, false // uncacheable ⇒ closure not value-identified
 	}
-	ws, ok := workloadSpecFor(j.Workload)
+	ws, ok := npb.SpecFor(j.Workload)
 	if !ok {
 		return JobSpec{}, false
 	}
 	cs := configSpecFor(j.Config)
-	for _, ss := range strategySpecsFor(j.Strategy) {
+	for _, ss := range core.EncodeStrategy(j.Strategy) {
 		spec := JobSpec{Workload: ws, Strategy: ss, Config: cs}
 		rebuilt, err := spec.build()
 		if err != nil {
@@ -45,59 +44,6 @@ func JobSpecFor(j runner.Job) (JobSpec, bool) {
 		}
 	}
 	return JobSpec{}, false
-}
-
-func workloadSpecFor(w npb.Workload) (WorkloadSpec, bool) {
-	switch w.Variant {
-	case "":
-		return WorkloadSpec{Code: w.Code, Class: string(w.Class), Ranks: w.Ranks}, true
-	case "internal":
-		// The internal variants encode their two speeds in Params as
-		// "high/low" (npb's "%.0f/%.0f" rendering).
-		var high, low float64
-		if _, err := fmt.Sscanf(w.Params, "%f/%f", &high, &low); err != nil {
-			return WorkloadSpec{}, false
-		}
-		return WorkloadSpec{Code: w.Code, Class: string(w.Class), Ranks: w.Ranks,
-			Variant: "internal", HighMHz: high, LowMHz: low}, true
-	}
-	// Policy variants (internal-comm, internal-wait, ...) have no wire form.
-	return WorkloadSpec{}, false
-}
-
-// strategySpecsFor proposes candidate wire forms for a strategy. The
-// candidates only need to cover the shapes the decoders can produce;
-// JobSpecFor's rebuild-and-compare step rejects any near miss, so a
-// hand-tuned config that matches no candidate simply stays local.
-func strategySpecsFor(s core.Strategy) []StrategySpec {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	switch s.Kind {
-	case core.KindNoDVS:
-		return []StrategySpec{{Kind: "nodvs"}}
-	case core.KindExternal:
-		return []StrategySpec{{Kind: "external", FreqMHz: float64(s.Freq)}}
-	case core.KindExternalPerNode:
-		pn := make(map[string]float64, len(s.PerNode))
-		for id, f := range s.PerNode {
-			pn[strconv.Itoa(id)] = float64(f)
-		}
-		return []StrategySpec{{Kind: "external-per-node", PerNode: pn}}
-	case core.KindDaemon:
-		iv := ms(s.Daemon.Interval)
-		return []StrategySpec{
-			{Kind: "daemon", Preset: "v1.2.1", IntervalMS: iv},
-			{Kind: "daemon", Preset: "v1.1", IntervalMS: iv},
-		}
-	case core.KindPredictive:
-		return []StrategySpec{{Kind: "predictive",
-			IntervalMS: ms(s.Predictive.Window), TargetLoad: s.Predictive.TargetLoad}}
-	case core.KindOnDemand:
-		return []StrategySpec{{Kind: "ondemand", IntervalMS: ms(s.OnDemand.SamplingRate)}}
-	case core.KindPowerCap:
-		return []StrategySpec{{Kind: "powercap", BudgetWatts: s.PowerCap.BudgetWatts,
-			Headroom: s.PowerCap.Headroom, IntervalMS: ms(s.PowerCap.Interval)}}
-	}
-	return nil
 }
 
 // configSpecFor diffs a config against the calibrated default, emitting

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/npb"
 	"repro/internal/runner"
 	"repro/internal/sched"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -136,5 +138,81 @@ func TestJobSpecForInexpressible(t *testing.T) {
 				t.Fatalf("job reported expressible as %+v; it must stay local", spec)
 			}
 		})
+	}
+}
+
+// TestRegistryRoundTrip walks the whole strategy table: each row's
+// example encodes to a wire form that decodes back to the same content
+// key, and JobSpecFor reports the job expressible. A new row that
+// forgets its Encode fails here instead of silently staying local.
+func TestRegistryRoundTrip(t *testing.T) {
+	cfg := core.DefaultConfig()
+	w, err := npb.FT(npb.ClassS, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range core.Strategies() {
+		t.Run(r.Name, func(t *testing.T) {
+			j := runner.Job{Workload: w, Strategy: r.Example(), Config: cfg}
+			want, ok := j.Key()
+			if !ok {
+				t.Fatal("example job has no content key")
+			}
+			specs := core.EncodeStrategy(j.Strategy)
+			if len(specs) == 0 {
+				t.Fatal("no wire form")
+			}
+			matched := false
+			for _, ss := range specs {
+				if ss.Kind != r.Name {
+					t.Fatalf("wire form %+v names kind %q", ss, ss.Kind)
+				}
+				s, err := core.DecodeStrategy(ss, cfg.Node.Table, w.Ranks)
+				if err != nil {
+					t.Fatalf("wire form %+v does not decode: %v", ss, err)
+				}
+				got, _ := runner.Job{Workload: w, Strategy: s, Config: cfg}.Key()
+				matched = matched || got == want
+			}
+			if !matched {
+				t.Fatalf("no wire form in %+v decodes back to key %q", specs, want)
+			}
+			if _, ok := JobSpecFor(j); !ok {
+				t.Fatal("JobSpecFor reports the example inexpressible")
+			}
+		})
+	}
+}
+
+// TestHostileBoundsAtDecode: a billion-rank world and a nanosecond
+// governor period are rejected when the spec compiles, before any
+// simulation is built, in both the /simulate and the /sweep grid forms.
+func TestHostileBoundsAtDecode(t *testing.T) {
+	cases := []struct {
+		body, code, field, gridField string
+	}{
+		{`{"workload":{"code":"EP","class":"S","ranks":1073741824},"strategy":{"kind":"nodvs"}}`,
+			sweep.CodeInvalidWorkload, "workload.ranks", "workloads[0].ranks"},
+		{`{"workload":{"code":"EP","class":"S"},"strategy":{"kind":"daemon","interval_ms":0.000001}}`,
+			sweep.CodeInvalidStrategy, "strategy.interval_ms", "strategies[0].interval_ms"},
+		{`{"workload":{"code":"EP","class":"S"},"strategy":{"kind":"powercap","budget_watts":200,"interval_ms":0.5}}`,
+			sweep.CodeInvalidStrategy, "strategy.interval_ms", "strategies[0].interval_ms"},
+	}
+	for _, tc := range cases {
+		var js JobSpec
+		if err := json.Unmarshal([]byte(tc.body), &js); err != nil {
+			t.Fatal(err)
+		}
+		_, err := js.Cell()
+		ae, ok := err.(*sweep.APIError)
+		if !ok || ae.Code != tc.code || ae.Field != tc.field {
+			t.Fatalf("%s: Cell() error %v, want %s at %s", tc.body, err, tc.code, tc.field)
+		}
+		grid := SweepRequest{Workloads: []WorkloadSpec{js.Workload}, Strategies: []StrategySpec{js.Strategy}}
+		_, err = grid.Plan(4)
+		ae, ok = err.(*sweep.APIError)
+		if !ok || ae.Code != tc.code || ae.Field != tc.gridField {
+			t.Fatalf("%s: grid Plan error %v, want %s at %s", tc.body, err, tc.code, tc.gridField)
+		}
 	}
 }
