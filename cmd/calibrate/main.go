@@ -1,7 +1,9 @@
 // Command calibrate runs every NPB workload across the full operating-point
 // grid and reports simulated vs paper (Table 2) normalized delay/energy,
 // plus the measured phase mix at the top frequency. It is the tool used to
-// fit the workload parameter tables in internal/npb.
+// fit the workload parameter tables in internal/npb, and it measures each
+// profile through the same sweep path (experiments.Options.Profiles) that
+// cmd/reproduce renders Table 2 from.
 //
 // Usage:
 //
@@ -16,10 +18,9 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/npb"
 	"repro/internal/paper"
-	"repro/internal/sched"
 )
 
 func main() {
@@ -32,24 +33,25 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	class := npb.Class((*classFlag)[0])
-	cfg := core.DefaultConfig()
-	daemon := sched.CPUSpeedV121()
+	// A nil Runner gives each sweep a fresh GOMAXPROCS engine.
+	o := experiments.Default()
+	o.Class = npb.Class((*classFlag)[0])
 
 	var totalErr, cells float64
 	for _, code := range strings.Split(*codesFlag, ",") {
 		code = strings.TrimSpace(code)
-		w, err := npb.New(code, class, npb.PaperRanks(code))
+		w, err := npb.New(code, o.Class, npb.PaperRanks(code))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", code, err)
 			os.Exit(1)
 		}
 		start := time.Now()
-		prof, err := core.BuildProfile(w, cfg, daemon)
+		profs, _, err := o.Profiles([]npb.Workload{w})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", code, err)
 			os.Exit(1)
 		}
+		prof := profs[0]
 		pub := paper.Find(code)
 
 		fmt.Printf("== %s (profiled in %.1fs wall) ==\n", prof.Workload, time.Since(start).Seconds())

@@ -41,8 +41,9 @@ func main() {
 	sh.Parse(func() error {
 		switch {
 		case *cacheEntries < 0:
-			// The library accepts negative as "unbounded" for in-process
-			// sweeps; a long-lived daemon must not, it is a slow memory leak.
+			// The library reads any bound <= 0 as the default; on the
+			// command line only 0 spells that, so a negative value is a
+			// mistake to report, not to reinterpret.
 			return fmt.Errorf("invalid -cache-entries %d: want >= 0 (0 = default %d)", *cacheEntries, runner.DefaultMaxEntries)
 		case *errorTTL < 0:
 			return fmt.Errorf("invalid -error-cache-ttl %v: want >= 0", *errorTTL)

@@ -131,16 +131,17 @@ func grid(fs *flag.FlagSet) func(io.Writer) error {
 				}
 			}
 		}
-		outs, err := runSweep(jobs)
+		// One sweep on a GOMAXPROCS engine: the grid fans out across
+		// cores and repeated cells hit the memo cache.
+		results, err := experiments.Options{}.Sweep(jobs)
 		if err != nil {
 			return err
 		}
 
 		t := report.NewTable("NEMO sweep", "workload", "setting", "time s", "energy J", "avg W",
 			"norm delay", "norm energy")
-		for i, o := range outs {
-			r := o.Result
-			n := core.Normalize(r, outs[base[i]].Result)
+		for i, r := range results {
+			n := core.Normalize(r, results[base[i]])
 			t.AddRow(r.Name, r.Strategy,
 				fmt.Sprintf("%.2f", r.Elapsed.Seconds()),
 				fmt.Sprintf("%.0f", r.Energy),
@@ -220,12 +221,12 @@ func run(fs *flag.FlagSet) func(io.Writer) error {
 			}
 			jobs = append(jobs, b)
 		}
-		outs, err := runSweep(jobs)
+		results, err := experiments.Options{}.Sweep(jobs)
 		if err != nil {
 			return err
 		}
 
-		res := outs[0].Result
+		res := results[0]
 		fmt.Fprintf(stdout, "%s under %s: time-to-solution %.2fs, cluster energy %.0f J (avg %.1f W, %d DVS transitions)\n",
 			res.Name, res.Strategy, res.Elapsed.Seconds(), res.Energy, res.AvgPower(), res.Transitions)
 		t := report.NewTable("per-node detail", "node", "energy J", "CPU J", "mem J", "NIC J", "base J", "compute s", "comm s")
@@ -238,7 +239,7 @@ func run(fs *flag.FlagSet) func(io.Writer) error {
 		}
 		fmt.Fprintln(stdout, t.String())
 		if *baseline {
-			nr := core.Normalize(res, outs[1].Result)
+			nr := core.Normalize(res, results[1])
 			fmt.Fprintf(stdout, "normalized to 1400 MHz: delay %.3f (%s), energy %.3f (%s saving)\n",
 				nr.Delay, report.Pct(nr.Delay-1), nr.Energy, report.Pct(1-nr.Energy))
 		}
@@ -350,13 +351,6 @@ func cliStrategy(s core.StrategySpec, table dvs.Table, ranks int) (core.Strategy
 		s.Preset = "v" + s.Preset
 	}
 	return core.DecodeStrategy(s, table, ranks)
-}
-
-// runSweep simulates jobs as one sweep on a GOMAXPROCS engine, so a grid
-// fans out across cores and repeated cells hit the memo cache.
-func runSweep(jobs []runner.Job) ([]runner.Outcome, error) {
-	outs := experiments.Options{Runner: runner.New(0)}.Sweep(jobs)
-	return outs, runner.FirstErr(outs)
 }
 
 // writeFile writes one output file, checking the close, and reports it.

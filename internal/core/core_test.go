@@ -151,40 +151,6 @@ func TestResidencySumsToElapsed(t *testing.T) {
 	}
 }
 
-func TestBuildProfileShape(t *testing.T) {
-	cfg := core.DefaultConfig()
-	prof, err := core.BuildProfile(ft(t, npb.ClassS), cfg, sched.CPUSpeedV121())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantSettings := []string{"600", "800", "1000", "1200", "1400", "auto"}
-	if len(prof.Settings) != len(wantSettings) {
-		t.Fatalf("settings = %v", prof.Settings)
-	}
-	for i, s := range wantSettings {
-		if prof.Settings[i] != s {
-			t.Fatalf("settings = %v", prof.Settings)
-		}
-	}
-	top := prof.Cells["1400"]
-	if top.Delay != 1 || top.Energy != 1 {
-		t.Fatalf("top cell not (1,1): %+v", top)
-	}
-	// Monotonicity along the crescendo: delay falls, energy rises with f.
-	var cres []core.Normalized
-	for _, f := range wantSettings[:len(wantSettings)-1] {
-		cres = append(cres, prof.Cells[f])
-	}
-	for i := 1; i < len(cres); i++ {
-		if cres[i].Delay > cres[i-1].Delay+1e-9 {
-			t.Errorf("delay not non-increasing with frequency: %+v", cres)
-		}
-		if cres[i].Energy < cres[i-1].Energy-1e-9 {
-			t.Errorf("energy not non-decreasing with frequency: %+v", cres)
-		}
-	}
-}
-
 func TestStrategyStrings(t *testing.T) {
 	cases := map[string]core.Strategy{
 		"1400":     core.NoDVS(),

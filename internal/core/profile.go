@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/npb"
-	"repro/internal/sched"
-)
+import "repro/internal/metrics"
 
 // Profile is a benchmark's full energy-performance profile: one run per
 // static operating point plus the CPUSPEED daemon — one row of the paper's
@@ -18,45 +13,19 @@ type Profile struct {
 	Cells    map[string]Normalized // normalized to the top frequency
 }
 
-// BuildProfile measures workload w at every operating point of the node
-// table and under the daemon config, normalizing to the top point.
-func BuildProfile(w npb.Workload, cfg Config, daemon sched.CPUSpeedConfig) (Profile, error) {
-	p := Profile{
-		Workload: w.Name(),
-		Results:  map[string]Result{},
-		Cells:    map[string]Normalized{},
+// Static returns the profile's static operating points — every column
+// but the trailing daemon one — in ascending frequency, each labelled
+// with its column key: the candidates the crescendo classification and
+// the ED2P/ED3P selection choose among.
+func (p Profile) Static() []metrics.Candidate {
+	if len(p.Settings) == 0 {
+		return nil
 	}
-	table := cfg.Node.Table
-	if len(table) == 0 {
-		return p, fmt.Errorf("core: empty operating-point table")
+	keys := p.Settings[:len(p.Settings)-1]
+	out := make([]metrics.Candidate, len(keys))
+	for i, key := range keys {
+		c := p.Cells[key]
+		out[i] = metrics.Candidate{Label: key, Delay: c.Delay, Energy: c.Energy}
 	}
-	top := table.Top().Frequency
-
-	base, err := Run(w, NoDVS(), cfg)
-	if err != nil {
-		return p, err
-	}
-	for _, f := range table.Frequencies() {
-		key := fmt.Sprintf("%.0f", float64(f))
-		var r Result
-		if f == top {
-			r = base
-		} else {
-			r, err = Run(w, External(f), cfg)
-			if err != nil {
-				return p, fmt.Errorf("core: profile %s at %v: %w", w.Name(), f, err)
-			}
-		}
-		p.Settings = append(p.Settings, key)
-		p.Results[key] = r
-		p.Cells[key] = Normalize(r, base)
-	}
-	auto, err := Run(w, Daemon(daemon), cfg)
-	if err != nil {
-		return p, fmt.Errorf("core: profile %s auto: %w", w.Name(), err)
-	}
-	p.Settings = append(p.Settings, "auto")
-	p.Results["auto"] = auto
-	p.Cells["auto"] = Normalize(auto, base)
-	return p, nil
+	return out
 }

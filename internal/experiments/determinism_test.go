@@ -1,47 +1,124 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/npb"
 	"repro/internal/runner"
+	"repro/internal/sched"
 )
+
+// serialProfile is the serial reference the sweep-assembled profiles are
+// pinned to: workload w measured with plain core.Run calls, one after
+// another, at every operating point of the node table and under the
+// daemon config, normalized to the top point.
+func serialProfile(w npb.Workload, cfg core.Config, daemon sched.CPUSpeedConfig) (core.Profile, error) {
+	p := core.Profile{
+		Workload: w.Name(),
+		Results:  map[string]core.Result{},
+		Cells:    map[string]core.Normalized{},
+	}
+	top := cfg.Node.Table.Top().Frequency
+	base, err := core.Run(w, core.NoDVS(), cfg)
+	if err != nil {
+		return p, err
+	}
+	add := func(key string, r core.Result) {
+		p.Settings = append(p.Settings, key)
+		p.Results[key] = r
+		p.Cells[key] = core.Normalize(r, base)
+	}
+	for _, f := range cfg.Node.Table.Frequencies() {
+		r := base
+		if f != top {
+			if r, err = core.Run(w, core.External(f), cfg); err != nil {
+				return p, err
+			}
+		}
+		add(fmt.Sprintf("%.0f", float64(f)), r)
+	}
+	auto, err := core.Run(w, core.Daemon(daemon), cfg)
+	if err != nil {
+		return p, err
+	}
+	add("auto", auto)
+	return p, nil
+}
 
 // TestBuildProfileMatchesCore pins profile assembly over the sweep path —
 // runner.PlanProfile's jobs through Options.Sweep, then Assemble — to the
-// serial reference implementation in core.
+// serial reference of plain core.Run calls.
 func TestBuildProfileMatchesCore(t *testing.T) {
 	o := Default()
 	w, err := npb.FT(npb.ClassS, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.BuildProfile(w, o.Config, o.Daemon)
+	want, err := serialProfile(w, o.Config, o.Daemon)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
 		o.Runner = runner.New(workers)
-		plan, err := runner.PlanProfile(w, o.Config, o.Daemon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := plan.Assemble(o.Sweep(plan.Jobs()))
+		profs, _, err := o.Profiles([]npb.Workload{w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: profile differs from core.BuildProfile", workers)
+		if !reflect.DeepEqual(profs[0], want) {
+			t.Fatalf("workers=%d: profile differs from the serial reference", workers)
+		}
+	}
+}
+
+// TestProfileShape pins the sweep-assembled profile's columns: static
+// frequencies ascending then "auto", a top cell of exactly (1,1), Static
+// handing out every column but "auto" in order, and the crescendo —
+// delay falls and energy rises with frequency.
+func TestProfileShape(t *testing.T) {
+	o := Default()
+	w, err := npb.FT(npb.ClassS, npb.PaperRanks("FT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs, _, err := o.Profiles([]npb.Workload{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := profs[0]
+	wantSettings := []string{"600", "800", "1000", "1200", "1400", "auto"}
+	if !reflect.DeepEqual(prof.Settings, wantSettings) {
+		t.Fatalf("settings = %v, want %v", prof.Settings, wantSettings)
+	}
+	if top := prof.Cells["1400"]; top.Delay != 1 || top.Energy != 1 {
+		t.Fatalf("top cell not (1,1): %+v", top)
+	}
+	cres := prof.Static()
+	if len(cres) != len(wantSettings)-1 {
+		t.Fatalf("Static() has %d columns, want %d", len(cres), len(wantSettings)-1)
+	}
+	for i, c := range cres {
+		if c.Label != wantSettings[i] || c.Delay != prof.Cells[c.Label].Delay || c.Energy != prof.Cells[c.Label].Energy {
+			t.Fatalf("Static()[%d] = %+v, want column %s of the profile", i, c, wantSettings[i])
+		}
+		if i == 0 {
+			continue
+		}
+		if c.Delay > cres[i-1].Delay+1e-9 {
+			t.Errorf("delay not non-increasing with frequency: %+v", cres)
+		}
+		if c.Energy < cres[i-1].Energy-1e-9 {
+			t.Errorf("energy not non-decreasing with frequency: %+v", cres)
 		}
 	}
 }
 
 // TestBuildProfilesFlattensAcrossWorkloads: BuildProfiles runs every
 // code's grid as one flat sweep and hands each code the slice of
-// outcomes its plan submitted — each profile equals that code's serial
-// core.BuildProfile, and no cell runs twice.
+// results its plan submitted — each profile equals that code's serial
+// reference, and no cell runs twice.
 func TestBuildProfilesFlattensAcrossWorkloads(t *testing.T) {
 	o := Default()
 	o.Class = npb.ClassS
@@ -55,12 +132,12 @@ func TestBuildProfilesFlattensAcrossWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.BuildProfile(w, o.Config, o.Daemon)
+		want, err := serialProfile(w, o.Config, o.Daemon)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := ps.Profiles[code]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s profile differs from core.BuildProfile", code)
+			t.Fatalf("%s profile differs from the serial reference", code)
 		}
 	}
 	// 8 codes x (5 static + auto) distinct cells.

@@ -149,22 +149,12 @@ func Figure2(o Options) (CrescendoResult, error) {
 }
 
 func crescendoOf(w npb.Workload, o Options) (CrescendoResult, error) {
-	plan, err := runner.PlanProfile(w, o.Config, o.Daemon)
+	profs, _, err := o.Profiles([]npb.Workload{w})
 	if err != nil {
 		return CrescendoResult{}, err
 	}
-	prof, err := plan.Assemble(o.Sweep(plan.Jobs()))
-	if err != nil {
-		return CrescendoResult{}, err
-	}
-	res := CrescendoResult{Workload: w.Name()}
-	for _, f := range o.Config.Node.Table.Frequencies() {
-		key := fmt.Sprintf("%.0f", float64(f))
-		c := prof.Cells[key]
-		res.Cells = append(res.Cells, metrics.Candidate{Label: key, Delay: c.Delay, Energy: c.Energy})
-	}
-	res.Type = metrics.Crescendo(res.Cells).Classify()
-	return res, nil
+	cells := profs[0].Static()
+	return CrescendoResult{Workload: w.Name(), Cells: cells, Type: metrics.Crescendo(cells).Classify()}, nil
 }
 
 // Render formats a crescendo series.
@@ -182,7 +172,6 @@ func (c CrescendoResult) Render() *report.Table {
 // ProfileSet holds every code's measured profile — the data behind
 // Table 2 and Figures 5–8.
 type ProfileSet struct {
-	Options  Options
 	Profiles map[string]core.Profile // code → profile
 }
 
@@ -198,29 +187,44 @@ func BuildProfiles(o Options) (*ProfileSet, error) {
 		}
 		ws = append(ws, w)
 	}
+	profs, _, err := o.Profiles(ws)
+	if err != nil {
+		return nil, err
+	}
+	ps := &ProfileSet{Profiles: map[string]core.Profile{}}
+	for i, code := range NPBCodes {
+		ps.Profiles[code] = profs[i]
+	}
+	return ps, nil
+}
+
+// Profiles measures the full profile grid of every workload in ws, plus
+// any extra one-off jobs, as one flat sweep. It returns the assembled
+// profiles, aligned with ws, and the extra jobs' results in order.
+func (o Options) Profiles(ws []npb.Workload, extra ...runner.Job) ([]core.Profile, []core.Result, error) {
 	plans := make([]*runner.ProfilePlan, len(ws))
 	var jobs []runner.Job
 	for i, w := range ws {
 		plan, err := runner.PlanProfile(w, o.Config, o.Daemon)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
+			return nil, nil, fmt.Errorf("experiments: %w", err)
 		}
 		plans[i] = plan
 		jobs = append(jobs, plan.Jobs()...)
 	}
-	outs := o.Sweep(jobs)
-	ps := &ProfileSet{Options: o, Profiles: map[string]core.Profile{}}
-	off := 0
-	for i, code := range NPBCodes {
-		n := len(plans[i].Jobs())
-		prof, err := plans[i].Assemble(outs[off : off+n])
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		ps.Profiles[code] = prof
-		off += n
+	res, err := o.Sweep(append(jobs, extra...))
+	if err != nil {
+		return nil, nil, err
 	}
-	return ps, nil
+	profs := make([]core.Profile, len(ws))
+	for i, plan := range plans {
+		n := len(plan.Jobs())
+		if profs[i], err = plan.Assemble(res[:n]); err != nil {
+			return nil, nil, fmt.Errorf("experiments: %w", err)
+		}
+		res = res[n:]
+	}
+	return profs, res, nil
 }
 
 // Table2 renders the full energy-performance profile grid with paper
@@ -285,14 +289,7 @@ type Selection struct {
 func (ps *ProfileSet) SelectExternal(m metrics.Metric) ([]Selection, error) {
 	var out []Selection
 	for _, code := range NPBCodes {
-		prof := ps.Profiles[code]
-		var cands []metrics.Candidate
-		for _, f := range ps.Options.Config.Node.Table.Frequencies() {
-			key := fmt.Sprintf("%.0f", float64(f))
-			c := prof.Cells[key]
-			cands = append(cands, metrics.Candidate{Label: key, Delay: c.Delay, Energy: c.Energy})
-		}
-		choice, err := metrics.Select(m, cands)
+		choice, err := metrics.Select(m, ps.Profiles[code].Static())
 		if err != nil {
 			return nil, err
 		}
@@ -321,12 +318,9 @@ func (ps *ProfileSet) Figure8() ([]CrescendoResult, *report.Table) {
 		"code", "600", "800", "1000", "1200", "1400", "type (sim)", "type (paper)")
 	for _, code := range NPBCodes {
 		prof := ps.Profiles[code]
-		var cells []metrics.Candidate
+		cells := prof.Static()
 		row := []string{code}
-		for _, f := range ps.Options.Config.Node.Table.Frequencies() {
-			key := fmt.Sprintf("%.0f", float64(f))
-			c := prof.Cells[key]
-			cells = append(cells, metrics.Candidate{Label: key, Delay: c.Delay, Energy: c.Energy})
+		for _, c := range cells {
 			row = append(row, fmt.Sprintf("%s/%s", report.Norm(c.Delay), report.Norm(c.Energy)))
 		}
 		ty := metrics.Crescendo(cells).Classify()
@@ -365,20 +359,12 @@ func Figure11(o Options) (StrategyComparison, error) {
 		return StrategyComparison{}, err
 	}
 	// One sweep: the FT profile grid plus the internal-scheduling run.
-	plan, err := runner.PlanProfile(ftw, o.Config, o.Daemon)
+	profs, extra, err := o.Profiles([]npb.Workload{ftw},
+		runner.Job{Workload: internal, Strategy: core.NoDVS(), Config: o.Config})
 	if err != nil {
 		return StrategyComparison{}, err
 	}
-	jobs := append(plan.Jobs(), runner.Job{Workload: internal, Strategy: core.NoDVS(), Config: o.Config})
-	outs := o.Sweep(jobs)
-	prof, err := plan.Assemble(outs[:len(outs)-1])
-	if err != nil {
-		return StrategyComparison{}, err
-	}
-	if err := outs[len(outs)-1].Err; err != nil {
-		return StrategyComparison{}, err
-	}
-	ri := outs[len(outs)-1].Result
+	prof, ri := profs[0], extra[0]
 	base := prof.Results["1400"]
 	cmpr := StrategyComparison{Workload: "FT"}
 
@@ -420,12 +406,7 @@ func Figure14(o Options) (StrategyComparison, error) {
 		{"phase: slow-wait 1400/600", npb.CGWaitSlow, 1400, 600, ""},
 	}
 	// One sweep: the CG profile grid plus all four internal variants.
-	plan, err := runner.PlanProfile(cgw, o.Config, o.Daemon)
-	if err != nil {
-		return StrategyComparison{}, err
-	}
-	jobs := plan.Jobs()
-	nProf := len(jobs)
+	var jobs []runner.Job
 	for _, v := range variants {
 		w, err := npb.CGWithPolicy(o.Class, npb.PaperRanks("CG"), v.policy, v.high, v.low)
 		if err != nil {
@@ -433,20 +414,16 @@ func Figure14(o Options) (StrategyComparison, error) {
 		}
 		jobs = append(jobs, runner.Job{Workload: w, Strategy: core.NoDVS(), Config: o.Config})
 	}
-	outs := o.Sweep(jobs)
-	prof, err := plan.Assemble(outs[:nProf])
+	profs, extra, err := o.Profiles([]npb.Workload{cgw}, jobs...)
 	if err != nil {
 		return StrategyComparison{}, err
 	}
+	prof := profs[0]
 	base := prof.Results["1400"]
 	cmpr := StrategyComparison{Workload: "CG"}
 
 	for i, v := range variants {
-		out := outs[nProf+i]
-		if out.Err != nil {
-			return StrategyComparison{}, out.Err
-		}
-		row := ComparisonRow{Label: v.label, Cell: core.Normalize(out.Result, base)}
+		row := ComparisonRow{Label: v.label, Cell: core.Normalize(extra[i], base)}
 		if pc, ok := paper.InternalCG[v.pub]; ok {
 			pc := pc
 			row.Paper = &pc
@@ -497,16 +474,15 @@ func AblationCPUSpeed(o Options, code string) (v11, v121 core.Normalized, err er
 	if err != nil {
 		return
 	}
-	outs := o.Sweep([]runner.Job{
+	res, err := o.Sweep([]runner.Job{
 		{Workload: w, Strategy: core.NoDVS(), Config: o.Config},
 		{Workload: w, Strategy: core.Daemon(sched.CPUSpeedV11()), Config: o.Config},
 		{Workload: w, Strategy: core.Daemon(sched.CPUSpeedV121()), Config: o.Config},
 	})
-	if err = runner.FirstErr(outs); err != nil {
+	if err != nil {
 		return
 	}
-	base := outs[0].Result
-	return core.Normalize(outs[1].Result, base), core.Normalize(outs[2].Result, base), nil
+	return core.Normalize(res[1], res[0]), core.Normalize(res[2], res[0]), nil
 }
 
 // AblationTransitionCost sweeps the DVS hardware transition latency for
@@ -527,16 +503,15 @@ func AblationTransitionCost(o Options, latencies []time.Duration) (*report.Table
 		cfg.Node.Transition.Latency = lat
 		jobs = append(jobs, runner.Job{Workload: internal, Strategy: core.NoDVS(), Config: cfg})
 	}
-	outs := o.Sweep(jobs)
-	if err := runner.FirstErr(outs); err != nil {
+	res, err := o.Sweep(jobs)
+	if err != nil {
 		return nil, nil, err
 	}
-	base := outs[0].Result
 	t := report.NewTable("Ablation: DVS transition latency vs internal-FT efficiency",
 		"latency", "norm delay", "norm energy")
 	var cells []core.Normalized
 	for i, lat := range latencies {
-		n := core.Normalize(outs[i+1].Result, base)
+		n := core.Normalize(res[i+1], res[0])
 		cells = append(cells, n)
 		t.AddRow(lat.String(), report.Norm(n.Delay), report.Norm(n.Energy))
 	}

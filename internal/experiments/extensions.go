@@ -72,15 +72,15 @@ func X2PredictiveDaemon(o Options, codes []string) (*report.Table, map[string][3
 			runner.Job{Workload: w, Strategy: core.OnDemand(sched.DefaultOnDemand()), Config: o.Config},
 			runner.Job{Workload: w, Strategy: core.Predictive(sched.DefaultPredictive()), Config: o.Config})
 	}
-	outs := o.Sweep(jobs)
-	if err := runner.FirstErr(outs); err != nil {
+	res, err := o.Sweep(jobs)
+	if err != nil {
 		return nil, nil, err
 	}
 	for i, code := range codes {
-		base := outs[4*i].Result
-		na := core.Normalize(outs[4*i+1].Result, base)
-		no := core.Normalize(outs[4*i+2].Result, base)
-		np := core.Normalize(outs[4*i+3].Result, base)
+		base := res[4*i]
+		na := core.Normalize(res[4*i+1], base)
+		no := core.Normalize(res[4*i+2], base)
+		np := core.Normalize(res[4*i+3], base)
 		out[code] = [3]core.Normalized{na, np, no}
 		cell := func(n core.Normalized) (string, string) {
 			return fmt.Sprintf("%s/%s", report.Norm(n.Delay), report.Norm(n.Energy)),
@@ -194,12 +194,12 @@ func X6Reliability(o Options) (*report.Table, map[string]core.Result, error) {
 	}
 	// Local-only: the thermal series this figure reads never crosses the
 	// wire, so remote placement would silently zero the table.
-	outs := o.localOnly().Sweep(jobs)
-	if err := runner.FirstErr(outs); err != nil {
+	results, err := o.localOnly().Sweep(jobs)
+	if err != nil {
 		return nil, nil, err
 	}
 	for i, r := range runs {
-		res := outs[i].Result
+		res := results[i]
 		out[r.label] = res
 		maxC := 0.0
 		for _, th := range res.Thermal {
@@ -226,11 +226,11 @@ func X7PowerCap(o Options, fractions []float64) (*report.Table, map[float64]core
 	if err != nil {
 		return nil, nil, err
 	}
-	bouts := o.Sweep([]runner.Job{{Workload: w, Strategy: core.NoDVS(), Config: o.Config}})
-	if err := runner.FirstErr(bouts); err != nil {
+	bres, err := o.Sweep([]runner.Job{{Workload: w, Strategy: core.NoDVS(), Config: o.Config}})
+	if err != nil {
 		return nil, nil, err
 	}
-	base := bouts[0].Result
+	base := bres[0]
 	basePower := base.AvgPower()
 	t := report.NewTable("X7: FT under a cluster power cap (paper rate $0.10/kWh)",
 		"cap", "budget W", "avg W", "norm delay", "norm energy", "$/run", "$/1000 runs")
@@ -253,13 +253,13 @@ func X7PowerCap(o Options, fractions []float64) (*report.Table, map[float64]core
 		budget := basePower * frac
 		jobs[i] = runner.Job{Workload: w, Strategy: core.PowerCap(sched.DefaultPowerCap(budget)), Config: o.Config}
 	}
-	outs := o.Sweep(jobs)
-	if err := runner.FirstErr(outs); err != nil {
+	res, err := o.Sweep(jobs)
+	if err != nil {
 		return nil, nil, err
 	}
 	for i, frac := range fractions {
-		out[frac] = outs[i].Result
-		addRow(fmt.Sprintf("%.0f%%", frac*100), frac, outs[i].Result)
+		out[frac] = res[i]
+		addRow(fmt.Sprintf("%.0f%%", frac*100), frac, res[i])
 	}
 	t.AddNote("budget is the cap as a fraction of the uncapped run's average power")
 	return t, out, nil
@@ -286,12 +286,12 @@ func X5Scaling(o Options, sizes []int) (*report.Table, map[int]core.Normalized, 
 			runner.Job{Workload: plain, Strategy: core.NoDVS(), Config: o.Config},
 			runner.Job{Workload: internal, Strategy: core.NoDVS(), Config: o.Config})
 	}
-	outs := o.Sweep(jobs)
-	if err := runner.FirstErr(outs); err != nil {
+	res, err := o.Sweep(jobs)
+	if err != nil {
 		return nil, nil, err
 	}
 	for i, n := range sizes {
-		nr := core.Normalize(outs[2*i+1].Result, outs[2*i].Result)
+		nr := core.Normalize(res[2*i+1], res[2*i])
 		out[n] = nr
 		t.AddRow(fmt.Sprintf("%d", n), report.Norm(nr.Delay), report.Norm(nr.Energy),
 			report.Pct(1-nr.Energy))

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/runner"
 	"repro/internal/server"
@@ -25,15 +26,16 @@ type SweepStats struct {
 	Remote  int // cells answered with a wire result (-server mode)
 }
 
-// Sweep executes jobs through the sweep pipeline and returns outcomes in
-// submission order, runner-shaped so profile plans assemble unchanged.
-// With Server set, cells are placed through the fleet gateway's ladder
-// over that one peer: wire-expressible cells go remote, and bodiless
-// cells, like every cell once the server has failed FailAfter times in a
-// row, run on the local engine. With CheckpointDir set, completed cells
-// journal to disk and an interrupted reproduction resumes where it
-// stopped.
-func (o Options) Sweep(jobs []runner.Job) []runner.Outcome {
+// Sweep executes jobs through the sweep pipeline and returns their
+// results in submission order, or the error of the first failed cell in
+// submission order. With Server set, cells are placed through the fleet
+// gateway's ladder over that one peer: wire-expressible cells go remote
+// (their results carry only the summary wire fields — enough for every
+// normalized figure), and bodiless cells, like every cell once the server
+// has failed FailAfter times in a row, run on the local engine. With
+// CheckpointDir set, completed cells journal to disk and an interrupted
+// reproduction resumes where it stopped.
+func (o Options) Sweep(jobs []runner.Job) ([]core.Result, error) {
 	eng := o.engine()
 	cells := make([]sweep.Cell, len(jobs))
 	for i, j := range jobs {
@@ -76,14 +78,31 @@ func (o Options) Sweep(jobs []runner.Job) []runner.Outcome {
 		o.Stats.Cached += sum.Cached
 		o.Stats.Resumed += sum.Resumed
 	}
-	outs := make([]runner.Outcome, len(souts))
+	res := make([]core.Result, len(souts))
+	var first error
 	for i, so := range souts {
-		if o.Stats != nil && so.Err == nil && so.Wire != nil {
-			o.Stats.Remote++
+		switch {
+		case so.Err != nil:
+			// RawErr keeps an in-process failure's own error value
+			// (a *runner.PanicError, a context error).
+			if first == nil {
+				if first = so.RawErr; first == nil {
+					first = so.Err
+				}
+			}
+		case so.Raw != nil:
+			res[i] = *so.Raw
+		case so.Wire != nil:
+			if o.Stats != nil {
+				o.Stats.Remote++
+			}
+			res[i] = so.Wire.ToResult()
 		}
-		outs[i] = toRunnerOutcome(so)
 	}
-	return outs
+	if first != nil {
+		return nil, first
+	}
+	return res, nil
 }
 
 // localOnly returns a copy of the options with remote placement off, for
@@ -92,23 +111,4 @@ func (o Options) Sweep(jobs []runner.Job) []runner.Outcome {
 func (o Options) localOnly() Options {
 	o.Server = ""
 	return o
-}
-
-// toRunnerOutcome converts a placement outcome back to the runner shape
-// the profile plans and figures consume. Remote cells carry only the
-// summary wire fields (name, strategy, elapsed, energy, transitions,
-// daemon moves) — enough for every normalized figure.
-func toRunnerOutcome(o sweep.Outcome) runner.Outcome {
-	switch {
-	case o.Err != nil:
-		if o.RawErr != nil {
-			return runner.Outcome{Err: o.RawErr}
-		}
-		return runner.Outcome{Err: o.Err}
-	case o.Raw != nil:
-		return runner.Outcome{Result: *o.Raw, Cached: o.Cached}
-	case o.Wire != nil:
-		return runner.Outcome{Result: o.Wire.ToResult(), Cached: o.Cached}
-	}
-	return runner.Outcome{}
 }

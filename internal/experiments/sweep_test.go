@@ -1,15 +1,21 @@
 package experiments
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/mpisim"
 	"repro/internal/npb"
 	"repro/internal/runner"
 	"repro/internal/server"
+	"repro/internal/sweep"
 )
 
 func smallJobs(t *testing.T) []runner.Job {
@@ -37,8 +43,8 @@ func TestSweepRemotePlacement(t *testing.T) {
 	o.Server = ts.URL
 	o.Stats = &SweepStats{}
 	jobs := smallJobs(t)
-	outs := o.Sweep(jobs)
-	if err := runner.FirstErr(outs); err != nil {
+	remote, err := o.Sweep(jobs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if o.Stats.Remote != len(jobs) {
@@ -50,16 +56,14 @@ func TestSweepRemotePlacement(t *testing.T) {
 
 	lo := Quick()
 	lo.Runner = runner.New(2)
-	louts := lo.Sweep(jobs)
-	if err := runner.FirstErr(louts); err != nil {
+	local, err := lo.Sweep(jobs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range jobs {
-		if outs[i].Result.Elapsed != louts[i].Result.Elapsed ||
-			outs[i].Result.Energy != louts[i].Result.Energy {
+		if remote[i].Elapsed != local[i].Elapsed || remote[i].Energy != local[i].Energy {
 			t.Fatalf("cell %d: remote (%v, %g J) != local (%v, %g J)", i,
-				outs[i].Result.Elapsed, outs[i].Result.Energy,
-				louts[i].Result.Elapsed, louts[i].Result.Energy)
+				remote[i].Elapsed, remote[i].Energy, local[i].Elapsed, local[i].Energy)
 		}
 	}
 }
@@ -75,8 +79,7 @@ func TestSweepServerFallback(t *testing.T) {
 	o.Runner = runner.New(2)
 	o.Server = ts.URL
 	o.Stats = &SweepStats{}
-	outs := o.Sweep(smallJobs(t))
-	if err := runner.FirstErr(outs); err != nil {
+	if _, err := o.Sweep(smallJobs(t)); err != nil {
 		t.Fatalf("dead server failed the sweep: %v", err)
 	}
 	if o.Stats.Remote != 0 {
@@ -116,8 +119,7 @@ func TestSweepDeadServerCost(t *testing.T) {
 	o.Runner = runner.New(2)
 	o.Server = ts.URL
 	o.Stats = &SweepStats{}
-	outs := o.Sweep(jobs)
-	if err := runner.FirstErr(outs); err != nil {
+	if _, err := o.Sweep(jobs); err != nil {
 		t.Fatalf("dead server failed the sweep: %v", err)
 	}
 	if o.Stats.Remote != 0 {
@@ -128,5 +130,51 @@ func TestSweepDeadServerCost(t *testing.T) {
 	}
 	if got, limit := requests.Load(), int64(failAfter+o.Runner.Workers()); got > limit {
 		t.Fatalf("dead server got %d requests for %d cells, want at most %d", got, len(jobs), limit)
+	}
+}
+
+// TestSweepFirstErrInSubmissionOrder: a sweep with several failing cells
+// reports the first failure in submission order, not in completion
+// order — here cell 3 fails first in wall time (cell 1 waits for it) and
+// the sweep still names cell 1. The in-process failure keeps its own
+// error value (sweep.Outcome.RawErr), and the stats still count every
+// cell.
+func TestSweepFirstErrInSubmissionOrder(t *testing.T) {
+	jobs := smallJobs(t)
+	failed := make(chan struct{})
+	var once sync.Once
+	failing := func(name string, wait bool) runner.Job {
+		w := jobs[0].Workload
+		w.Variant, w.Params = name, "" // non-content-addressable: a keyless cell
+		w.Body = func(*mpisim.Rank) {
+			if wait {
+				select {
+				case <-failed:
+				case <-time.After(10 * time.Second):
+				}
+			} else {
+				once.Do(func() { close(failed) })
+			}
+			panic(name)
+		}
+		return runner.Job{Workload: w, Strategy: core.NoDVS(), Config: jobs[0].Config}
+	}
+	sweepJobs := []runner.Job{jobs[0], failing("cell-1", true), jobs[1], failing("cell-3", false)}
+
+	o := Quick()
+	o.Runner = runner.New(4)
+	o.Stats = &SweepStats{}
+	res, err := o.Sweep(sweepJobs)
+	if res != nil {
+		t.Fatalf("failed sweep returned %d results, want none", len(res))
+	}
+	if err == nil || !strings.Contains(err.Error(), "cell-1") {
+		t.Fatalf("err = %v, want cell 1's failure (the first in submission order)", err)
+	}
+	if apiErr := (*sweep.APIError)(nil); errors.As(err, &apiErr) {
+		t.Fatalf("err = %#v, want the in-process error itself, not its wire form", err)
+	}
+	if o.Stats.Jobs != len(sweepJobs) {
+		t.Fatalf("stats counted %d cells, want %d", o.Stats.Jobs, len(sweepJobs))
 	}
 }

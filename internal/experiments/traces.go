@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/npb"
 	"repro/internal/report"
+	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -19,15 +20,18 @@ type TraceResult struct {
 	Elapsed   sim.Time
 }
 
-// traceOf runs w with tracing at the baseline frequency.
+// traceOf runs w with tracing at the baseline frequency. The traced job
+// is keyless (a tracer makes a run uncacheable) and local-only (the trace
+// never crosses the wire), so it always simulates afresh in-process.
 func traceOf(w npb.Workload, o Options) (TraceResult, error) {
 	log := trace.New(w.Ranks)
 	cfg := o.Config
 	cfg.Tracer = log
-	r, err := core.Run(w, core.NoDVS(), cfg)
+	res, err := o.localOnly().Sweep([]runner.Job{{Workload: w, Strategy: core.NoDVS(), Config: cfg}})
 	if err != nil {
 		return TraceResult{}, err
 	}
+	r := res[0]
 	return TraceResult{
 		Workload:  w.Name(),
 		Log:       log,

@@ -158,39 +158,28 @@ func (n *Node) Transitions() int { return n.nTrans }
 
 // advance integrates power and utilization up to the current virtual time
 // under the state that has held since lastT. Call before every state change.
+// A DVS transition overlapping this span draws power at the higher of the
+// two points and retires no work: the span is charged at transOp up to
+// the transition's end, and the rest at the current point.
 func (n *Node) advance() {
 	now := n.k.Now()
-	dt := now.Sub(n.lastT)
-	if dt <= 0 {
-		n.lastT = now
-		return
-	}
-	op := n.OperatingPoint()
-	// A DVS transition overlapping this span draws power at the higher of
-	// the two points and retires no work; split the span if needed.
 	if n.lastT < n.transUntil {
-		end := n.transUntil
-		if end > now {
-			end = now
-		}
-		tdt := end.Sub(n.lastT)
-		n.accumulate(n.transOp, n.activity, tdt)
-		n.busy += time.Duration(float64(tdt) * n.busyFrac)
-		n.timeAtOp[n.opIdx] += tdt
-		if end == now {
-			n.lastT = now
-			return
-		}
-		n.timeAtOp[n.opIdx] += now.Sub(end)
-		n.busy += time.Duration(float64(now.Sub(end)) * n.busyFrac)
-		n.accumulate(op, n.activity, now.Sub(end))
-		n.lastT = now
+		n.charge(n.transOp, min(n.transUntil, now))
+	}
+	n.charge(n.OperatingPoint(), now)
+}
+
+// charge accounts the span [lastT, until) at operating point op — energy,
+// busy time, residency at the current point — and moves lastT to until.
+func (n *Node) charge(op dvs.OperatingPoint, until sim.Time) {
+	dt := until.Sub(n.lastT)
+	if dt <= 0 {
 		return
 	}
 	n.accumulate(op, n.activity, dt)
 	n.busy += time.Duration(float64(dt) * n.busyFrac)
 	n.timeAtOp[n.opIdx] += dt
-	n.lastT = now
+	n.lastT = until
 }
 
 func (n *Node) accumulate(op dvs.OperatingPoint, a dvs.Activity, dt time.Duration) {

@@ -1,15 +1,17 @@
 package runner
 
 import (
-	"encoding/json"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/mpisim"
+	"repro/internal/node"
 )
 
 // DefaultMaxEntries is the memo-cache bound when Options.MaxEntries is
-// zero. At the observed few-KB-per-result payload this caps resident
-// cache memory in the tens of megabytes — far beyond any single paper
+// not positive. At about 2 KB per eight-node result this caps resident
+// cache memory near ten megabytes — far beyond any single paper
 // artifact's working set, small enough to hold steady under multi-tenant
 // service traffic.
 const DefaultMaxEntries = 4096
@@ -117,9 +119,6 @@ func (r *Runner) remove(e *entry) {
 // may transiently exceed the bound while many cells simulate at once and
 // settles back as they complete. Runner.mu held.
 func (r *Runner) evictOverBound() {
-	if r.maxEntries < 0 {
-		return
-	}
 	for len(r.cache) > r.maxEntries {
 		victim := r.lru.backCompleted()
 		if victim == nil {
@@ -161,13 +160,17 @@ func (r *Runner) finalize(e *entry, res core.Result, err error) {
 	close(e.done)
 }
 
-// resultSize approximates a result's resident bytes by its JSON encoding
-// — the same shape the persistence layer writes, so the bytes gauge also
-// predicts snapshot size.
+// resultSize approximates a result's resident bytes from its in-memory
+// shape: the struct itself, its strings, and each slice's elements. It
+// encodes nothing, so pricing a finished cell costs no allocation.
 func resultSize(res core.Result) int64 {
-	b, err := json.Marshal(res)
-	if err != nil {
-		return 0
+	n := int(unsafe.Sizeof(res)) + len(res.Name) + len(res.Strategy) +
+		len(res.NodeEnergy)*int(unsafe.Sizeof(node.Energy{})) +
+		len(res.RankStats)*int(unsafe.Sizeof(mpisim.Stats{})) +
+		len(res.TimeAtOp)*int(unsafe.Sizeof([]time.Duration(nil))) +
+		len(res.Thermal)*int(unsafe.Sizeof(node.ThermalStats{}))
+	for _, row := range res.TimeAtOp {
+		n += len(row) * int(unsafe.Sizeof(time.Duration(0)))
 	}
-	return int64(len(b))
+	return int64(n)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/npb"
 )
 
 // gridJobs returns one job per static operating point of the default
@@ -34,7 +35,7 @@ func TestEvictionBound(t *testing.T) {
 	const bound = 3
 	r := NewWithOptions(Options{Workers: 1, MaxEntries: bound})
 	outs := doEach(r, jobs)
-	if err := FirstErr(outs); err != nil {
+	if err := firstErr(outs); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -94,7 +95,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
 	warm := New(2)
 	want := doEach(warm, jobs)
-	if err := FirstErr(want); err != nil {
+	if err := firstErr(want); err != nil {
 		t.Fatal(err)
 	}
 	n, err := warm.SaveCache(path)
@@ -141,7 +142,7 @@ func TestLoadRespectsBound(t *testing.T) {
 	jobs := gridJobs(t)
 	path := filepath.Join(t.TempDir(), "cache.ndjson")
 	warm := New(1)
-	if err := FirstErr(doEach(warm, jobs)); err != nil {
+	if err := firstErr(doEach(warm, jobs)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.SaveCache(path); err != nil {
@@ -175,7 +176,7 @@ func TestLoadSkipsGarbageAndMissingFile(t *testing.T) {
 	jobs := gridJobs(t)[:2]
 	path := filepath.Join(dir, "cache.ndjson")
 	warm := New(1)
-	if err := FirstErr(doEach(warm, jobs)); err != nil {
+	if err := firstErr(doEach(warm, jobs)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.SaveCache(path); err != nil {
@@ -271,5 +272,34 @@ func TestConcurrentEvictionCoalescingStress(t *testing.T) {
 		// In-flight entries may transiently exceed the bound; resident
 		// steady-state must settle near it.
 		t.Fatalf("entries=%d far above bound", st.Entries)
+	}
+}
+
+// TestResultSizeAllocs pins the cache-bytes pricing at zero allocations:
+// an entry is sized from the result's in-memory shape, never encoded.
+// The price grows with the cluster, since per-node and per-rank slices
+// dominate it.
+func TestResultSizeAllocs(t *testing.T) {
+	price := func(ranks int) (int64, float64) {
+		w, err := npb.FT(npb.ClassS, ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Run(w, core.External(800), quickCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		allocs := testing.AllocsPerRun(100, func() { n = resultSize(res) })
+		return n, allocs
+	}
+	small, allocs := price(2)
+	if allocs != 0 {
+		t.Fatalf("resultSize allocates %.0f objects per call, want 0", allocs)
+	}
+	large, _ := price(8)
+	t.Logf("FT.S.2 prices at %d B, FT.S.8 at %d B", small, large)
+	if small <= 0 || large <= small {
+		t.Fatalf("sizes FT.S.2=%d B, FT.S.8=%d B: want positive and growing with the cluster", small, large)
 	}
 }

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/npb"
@@ -10,9 +11,9 @@ import (
 
 // ProfilePlan expands one workload's full energy-performance profile —
 // every static operating point plus the daemon — into sweep jobs, and
-// knows how to assemble the outcomes back into a core.Profile. Plans
+// knows how to assemble the results back into a core.Profile. Plans
 // compose: concatenate several plans' Jobs (plus any extra one-off jobs)
-// into a single sweep, then hand each plan its slice of the outcomes.
+// into a single sweep, then hand each plan its slice of the results.
 type ProfilePlan struct {
 	workload npb.Workload
 	settings []string // column order: frequencies ascending, then "auto"
@@ -51,31 +52,24 @@ func PlanProfile(w npb.Workload, cfg core.Config, daemon sched.CPUSpeedConfig) (
 // Jobs returns the plan's sweep jobs in settings order.
 func (p *ProfilePlan) Jobs() []Job { return p.jobs }
 
-// Assemble turns the plan's outcomes (the sweep results for exactly
+// Assemble turns the plan's results (the sweep results for exactly
 // Jobs(), in order) into a core.Profile, normalizing every cell to the
 // top-point baseline.
-func (p *ProfilePlan) Assemble(outs []Outcome) (core.Profile, error) {
+func (p *ProfilePlan) Assemble(res []core.Result) (core.Profile, error) {
 	prof := core.Profile{
 		Workload: p.workload.Name(),
+		Settings: slices.Clone(p.settings),
 		Results:  map[string]core.Result{},
 		Cells:    map[string]core.Normalized{},
 	}
-	if len(outs) != len(p.jobs) {
-		return prof, fmt.Errorf("runner: profile %s: %d outcomes for %d jobs",
-			prof.Workload, len(outs), len(p.jobs))
+	if len(res) != len(p.jobs) {
+		return prof, fmt.Errorf("runner: profile %s: %d results for %d jobs",
+			prof.Workload, len(res), len(p.jobs))
 	}
-	for i, out := range outs {
-		if out.Err != nil {
-			return prof, fmt.Errorf("runner: profile %s at %s: %w",
-				prof.Workload, p.settings[i], out.Err)
-		}
-	}
-	base := outs[p.baseIdx].Result
+	base := res[p.baseIdx]
 	for i, key := range p.settings {
-		r := outs[i].Result
-		prof.Settings = append(prof.Settings, key)
-		prof.Results[key] = r
-		prof.Cells[key] = core.Normalize(r, base)
+		prof.Results[key] = res[i]
+		prof.Cells[key] = core.Normalize(res[i], base)
 	}
 	return prof, nil
 }

@@ -105,8 +105,8 @@ type Stats struct {
 	// Evictions counts completed entries dropped by the LRU bound.
 	Evictions int
 	// Entries is the resident cache size (completed + in-flight), and
-	// Bytes its approximate resident payload (keys + JSON-encoded
-	// results). Both are gauges, not counters.
+	// Bytes its approximate resident payload (keys + in-memory result
+	// sizes). Both are gauges, not counters.
 	Entries int
 	Bytes   int64
 }
@@ -129,9 +129,7 @@ type Options struct {
 	// sweep.ExecOptions.Parallel callers pass); <= 0 selects GOMAXPROCS,
 	// 1 is the serial reference configuration.
 	Workers int
-	// MaxEntries bounds the memo cache. 0 selects DefaultMaxEntries;
-	// negative disables the bound (the pre-service, in-process sweep
-	// behaviour).
+	// MaxEntries bounds the memo cache; <= 0 selects DefaultMaxEntries.
 	MaxEntries int
 	// ErrorTTL is the failure policy. Zero (the default) never memoizes
 	// an error outcome: the entry is dropped the moment it completes, so
@@ -147,7 +145,7 @@ type Options struct {
 // memo cache.
 type Runner struct {
 	workers    int
-	maxEntries int // resolved: > 0, or < 0 for unbounded
+	maxEntries int // resolved: > 0
 	errTTL     time.Duration
 	now        func() time.Time // test hook for ErrorTTL expiry
 
@@ -172,7 +170,7 @@ func NewWithOptions(opts Options) *Runner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	max := opts.MaxEntries
-	if max == 0 {
+	if max <= 0 {
 		max = DefaultMaxEntries
 	}
 	r := &Runner{
@@ -287,14 +285,4 @@ func (r *Runner) run(ctx context.Context, j Job, key string) Outcome {
 	res, err := r.exec(ctx, j)
 	r.finalize(e, res, err)
 	return Outcome{Result: res, Err: err}
-}
-
-// FirstErr returns the first error among outcomes, in submission order.
-func FirstErr(outs []Outcome) error {
-	for i := range outs {
-		if outs[i].Err != nil {
-			return outs[i].Err
-		}
-	}
-	return nil
 }

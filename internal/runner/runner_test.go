@@ -23,6 +23,16 @@ func doEach(r *Runner, jobs []Job) []Outcome {
 	return outs
 }
 
+// firstErr returns the first error among outcomes, in submission order.
+func firstErr(outs []Outcome) error {
+	for _, o := range outs {
+		if o.Err != nil {
+			return o.Err
+		}
+	}
+	return nil
+}
+
 // doConcurrently calls Do for every job from its own goroutine, as sweep
 // workers and concurrent service requests do, so identical jobs coalesce.
 // Outcomes come back in submission order.
@@ -132,15 +142,5 @@ func TestRunContextCancelledWaiterLeavesCacheIntact(t *testing.T) {
 	}
 	if st := r.Stats(); st.Runs != 1 || st.Hits != 1 {
 		t.Fatalf("runs=%d hits=%d, want 1/1 (cancelled waiter counts as neither)", st.Runs, st.Hits)
-	}
-}
-
-func TestFirstErr(t *testing.T) {
-	a, b := errors.New("a"), errors.New("b")
-	if got := FirstErr([]Outcome{{}, {Err: a}, {}, {Err: b}}); got != a {
-		t.Fatalf("FirstErr = %v, want the first error in submission order", got)
-	}
-	if got := FirstErr([]Outcome{{}, {}}); got != nil {
-		t.Fatalf("FirstErr = %v, want nil when every outcome succeeded", got)
 	}
 }

@@ -98,14 +98,15 @@ func (s Summary) CommComputeRatio() float64 {
 	return s.Comm.Seconds() / den
 }
 
-// collIntervals returns rank r's collective intervals ordered by start.
-// Collectives on one rank never overlap (the rank is sequential), and the
-// MPI layer records them after their nested point-to-point events, so the
-// intervals must be gathered in a first pass.
-func (l *Log) collIntervals(r int) [][2]sim.Time {
+// intervals returns rank r's intervals of one enclosing event kind —
+// collectives, or blocking receives — ordered by start. Such events on
+// one rank never overlap each other (the rank is sequential), and the MPI
+// layer records them after their nested events, so the intervals must be
+// gathered in a first pass.
+func (l *Log) intervals(r int, kind mpisim.EventKind) [][2]sim.Time {
 	var out [][2]sim.Time
 	for _, e := range l.RankEvents(r) {
-		if e.Kind == mpisim.EvCollective {
+		if e.Kind == kind {
 			out = append(out, [2]sim.Time{e.Start, e.End})
 		}
 	}
@@ -123,15 +124,16 @@ func insideAny(ivs [][2]sim.Time, idx *int, start, end sim.Time) bool {
 	return *idx < len(ivs) && ivs[*idx][0] <= start && end <= ivs[*idx][1]
 }
 
-// Summarize aggregates rank r. Nested events (pt2pt inside a collective)
-// are not double-counted: only top-level collective/comm events and
-// compute/memory events contribute.
+// Summarize aggregates rank r. Nested events are not double-counted:
+// point-to-point events inside a collective, and the wait a blocking Recv
+// records inside itself, are covered by their enclosing event; only
+// top-level collective/comm events and compute/memory events contribute.
 func (l *Log) Summarize(r int) Summary {
 	s := Summary{Rank: r}
 	var first, last sim.Time
 	first = -1
-	colls := l.collIntervals(r)
-	idx := 0
+	colls, recvs := l.intervals(r, mpisim.EvCollective), l.intervals(r, mpisim.EvRecv)
+	ci, ri := 0, 0
 	for _, e := range l.RankEvents(r) {
 		if first < 0 || e.Start < first {
 			first = e.Start
@@ -152,8 +154,11 @@ func (l *Log) Summarize(r int) Summary {
 			s.Bytes += int64(e.Bytes)
 			s.Messages++
 		case mpisim.EvSend, mpisim.EvRecv, mpisim.EvWait:
-			if insideAny(colls, &idx, e.Start, e.End) {
+			if insideAny(colls, &ci, e.Start, e.End) {
 				continue // inside a collective, already counted
+			}
+			if e.Kind == mpisim.EvWait && insideAny(recvs, &ri, e.Start, e.End) {
+				continue // a blocking Recv's own wait, counted with the Recv
 			}
 			s.Comm += e.Duration()
 			if e.Kind != mpisim.EvWait {
@@ -228,7 +233,7 @@ func (l *Log) Timeline(r int, t0, t1 sim.Time, width int) string {
 	}
 	span := float64(t1.Sub(t0))
 	buckets := make([]map[mpisim.EventKind]float64, width)
-	colls := l.collIntervals(r)
+	colls := l.intervals(r, mpisim.EvCollective)
 	idx := 0
 	for _, e := range l.RankEvents(r) {
 		if e.End <= t0 || e.Start >= t1 {

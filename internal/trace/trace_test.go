@@ -204,3 +204,54 @@ func TestDiskEventsSummarized(t *testing.T) {
 		t.Fatalf("timeline missing disk glyph: %q", tl)
 	}
 }
+
+// TestSummaryMatchesRankStats: on programs without collectives, a rank's
+// trace summary accounts exactly the time its MPI statistics do — compute,
+// memory and disk phase for phase, and communication equal to
+// CommTime(). A blocking Recv records its wait inside itself, which must
+// count once.
+func TestSummaryMatchesRankStats(t *testing.T) {
+	const mib = 1 << 20
+	programs := map[string]func(r *mpisim.Rank){
+		"send-recv": func(r *mpisim.Rank) {
+			if r.ID() == 0 {
+				r.Compute(20)
+				r.Send(1, 0, mib)
+			} else {
+				r.MemoryStall(3 * time.Millisecond)
+				r.Recv(0, 0)
+			}
+		},
+		"isend-irecv-wait": func(r *mpisim.Rank) {
+			peer := 1 - r.ID()
+			rreq := r.Irecv(peer, 1)
+			r.Compute(float64(10 + 30*r.ID()))
+			sreq := r.Isend(peer, 1, mib)
+			r.DiskIO(2 * time.Millisecond)
+			r.Wait(sreq)
+			r.Wait(rreq)
+		},
+		"sendrecv": func(r *mpisim.Rank) {
+			peer := 1 - r.ID()
+			r.Compute(float64(5 + 40*r.ID()))
+			r.SendRecv(peer, mib, peer, mib, 2)
+			r.SendRecv(peer, 64, peer, 64, 3)
+		},
+	}
+	for name, body := range programs {
+		t.Run(name, func(t *testing.T) {
+			w := npb.Workload{Code: "P2P", Class: npb.ClassS, Ranks: 2, Variant: name, Body: body}
+			log, res := runTraced(t, w)
+			for r, st := range res.RankStats {
+				s := log.Summarize(r)
+				if s.Compute != st.Compute || s.Memory != st.Memory || s.Disk != st.Disk {
+					t.Errorf("rank %d: trace compute/memory/disk %v/%v/%v, stats %v/%v/%v",
+						r, s.Compute, s.Memory, s.Disk, st.Compute, st.Memory, st.Disk)
+				}
+				if s.Comm != st.CommTime() {
+					t.Errorf("rank %d: trace comm %v, stats CommTime() %v", r, s.Comm, st.CommTime())
+				}
+			}
+		})
+	}
+}
