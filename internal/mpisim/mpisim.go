@@ -16,6 +16,14 @@
 // receiver pays a matching overhead; a blocked receiver idles its CPU at
 // communication-wait activity, which is exactly the slack the paper's DVS
 // schedulers harvest.
+//
+// SendRecv blocks its rank's proc once. Its middle steps run in the sim
+// kernel's dispatch loop, at the rank's wakes, with the rank parked
+// behind a sim.Guard: the send overhead, Transfer and delivery, the
+// send's completion and the Wait on it, the Wait on the receive, the
+// ordering check and the receive overhead. They are Isend's and Wait's
+// own code, so SendRecv measures exactly what Irecv, Isend, Wait and
+// Wait measure (DESIGN §10.1).
 package mpisim
 
 import (
@@ -158,7 +166,7 @@ type World struct {
 	// FinishedAt records each rank's completion time of the launched
 	// program; Elapsed() is their max.
 	finishedAt []sim.Time
-	// deliveries recycles in-flight message deliveries (see isend).
+	// deliveries recycles in-flight message deliveries (see transmit).
 	deliveries []*delivery
 }
 

@@ -29,18 +29,24 @@ type Rank struct {
 	// wake.
 	q       *sim.Queue
 	waiting *Request
+	// send and recv are the requests of the SendRecv in flight, nil
+	// otherwise (see exchange).
+	send, recv *Request
 	// free recycles the requests Wait has released; reqs is the request
 	// slice Alltoallv reuses.
 	free []*Request
 	reqs []*Request
-	// sendSeq/recvSeq implement the CheckOrdering verifier: the next
-	// sequence number per destination / the last matched per (src, tag).
-	sendSeq map[int]uint64
-	recvSeq map[srcTag]uint64
+	// seqs holds the CheckOrdering verifier's sequence numbers: the last
+	// sent per destination and the last matched per (source, tag).
+	seqs map[seqKey]uint64
 }
 
-// srcTag keys the CheckOrdering verifier's per-(source, tag) sequence.
-type srcTag struct{ src, tag int }
+// seqKey keys the CheckOrdering verifier's sequences: a destination for
+// sends (sent set, tag 0), a (source, tag) pair for matched receives.
+type seqKey struct {
+	peer, tag int
+	sent      bool
+}
 
 // message is a delivered payload descriptor.
 type message struct {
@@ -51,7 +57,7 @@ type message struct {
 }
 
 // delivery is one message in flight to dst. The world recycles
-// deliveries, and fn (bound once, at first allocation) is what isend
+// deliveries, and fn (bound once, at first allocation) is what transmit
 // schedules at the arrival instant, so a delivery costs no allocation.
 type delivery struct {
 	dst *Rank
@@ -84,14 +90,21 @@ func (d *delivery) fire() {
 // Isend or Irecv, and waiting on it again panics.
 type Request struct {
 	owner *Rank // nil once freed
-	done  bool
 	bytes int
 	seq   uint64 // matched message's sequence (CheckOrdering)
-	// recv matching state (recv requests only)
-	isRecv   bool
+	// src and tag are a receive's matching state. A send keeps its
+	// destination and tag in them until it is posted.
 	src, tag int
+	// since is when the request's current phase began: a send's start
+	// while its overhead runs, then the start of the Wait on it. A
+	// SendRecv's spent send request then marks its receive overhead's.
+	since sim.Time
 	// complete is the Isend completion callback, bound once per Request.
 	complete func()
+	done     bool
+	isRecv   bool
+	// step is where a SendRecv in flight stands, on its receive request.
+	step uint8
 }
 
 // newRequest returns a cleared request owned by r, reusing a freed one
@@ -193,9 +206,9 @@ func (r *Rank) transferSpan(until sim.Time) {
 		return
 	}
 	start := r.Now()
-	r.node.Span(dvs.ActCommTransfer, 1.0, func() {
-		r.proc.Sleep(until.Sub(start))
-	})
+	r.node.BeginSpan(dvs.ActCommTransfer, 1.0)
+	r.proc.Sleep(until.Sub(start))
+	r.node.EndSpan()
 	r.stats.Transfer += r.Now().Sub(start)
 }
 
@@ -217,30 +230,22 @@ func (r *Rank) waitActivity() dvs.Activity {
 	return a
 }
 
-// waitSpan parks the rank on its wait queue at communication-wait
-// activity.
-func (r *Rank) waitSpan() {
-	start := r.Now()
-	r.node.Span(r.waitActivity(), r.waitVisibility(), func() {
-		r.q.Wait(r.proc)
-	})
-	r.stats.Wait += r.Now().Sub(start)
-}
-
 // Send transmits bytes to dst with the given tag (tag must be ≥ 0 for
 // application messages). It blocks until the message is on the wire
 // (eager) or delivered (rendezvous, above the eager limit).
 func (r *Rank) Send(dst, tag, bytes int) {
+	r.checkSend(dst, bytes)
 	start := r.Now()
-	txDone, completeAt := r.isend(dst, tag, bytes)
+	r.node.ComputeWith(r.proc, r.sendOverhead(bytes), dvs.ActCommTransfer)
+	txDone, completeAt := r.transmit(dst, tag, bytes, start)
 	// Uplink serialization: the CPU streams the data out.
 	r.transferSpan(txDone)
 	if completeAt > r.Now() {
 		// Rendezvous tail: waiting for the receiver to drain.
 		startW := r.Now()
-		r.node.Span(r.waitActivity(), r.waitVisibility(), func() {
-			r.proc.Sleep(completeAt.Sub(startW))
-		})
+		r.node.BeginSpan(r.waitActivity(), r.waitVisibility())
+		r.proc.Sleep(completeAt.Sub(startW))
+		r.node.EndSpan()
 		r.stats.Wait += r.Now().Sub(startW)
 	}
 	r.world.emit(r.id, EvSend, "send", start, r.Now(), bytes, dst)
@@ -250,35 +255,60 @@ func (r *Rank) Send(dst, tag, bytes int) {
 // frees. The CPU overhead is charged immediately; the wire transfer
 // proceeds in the background.
 func (r *Rank) Isend(dst, tag, bytes int) *Request {
-	start := r.Now()
-	_, completeAt := r.isend(dst, tag, bytes)
-	req := r.newRequest()
-	req.bytes = bytes
-	if completeAt <= r.Now() {
-		req.done = true
-	} else {
-		r.world.k.At(completeAt, req.complete)
-	}
-	r.world.emit(r.id, EvSend, "isend", start, r.Now(), bytes, dst)
+	req := r.sendRequest(dst, tag, bytes)
+	r.node.ComputeWith(r.proc, r.sendOverhead(bytes), dvs.ActCommTransfer)
+	r.post(req)
 	return req
 }
 
-// isend charges the send overhead and puts the message on the wire,
-// scheduling its delivery. It returns when the uplink finishes
-// transmitting and when the send completes: txDone for eager messages,
-// the arrival instant under rendezvous.
-func (r *Rank) isend(dst, tag, bytes int) (txDone, completeAt sim.Time) {
+// checkSend panics on an invalid destination or size. It runs in the
+// proc before a send starts, so the network accepts every send that
+// reaches transmit.
+func (r *Rank) checkSend(dst, bytes int) {
 	if dst < 0 || dst >= r.Size() {
 		panic(fmt.Sprintf("rank %d: send to invalid rank %d", r.id, dst))
 	}
 	if bytes < 0 {
 		panic(fmt.Sprintf("rank %d: negative message size", r.id))
 	}
+}
+
+// sendOverhead returns the CPU cost of sending bytes, in megacycles.
+func (r *Rank) sendOverhead(bytes int) float64 {
+	return r.overheadMcyc(r.world.cfg.SendOverheadMcyc, bytes)
+}
+
+// sendRequest checks a send and returns its request, stamped with the
+// send's start and holding its destination and tag until post.
+func (r *Rank) sendRequest(dst, tag, bytes int) *Request {
+	r.checkSend(dst, bytes)
+	req := r.newRequest()
+	req.bytes, req.src, req.tag = bytes, dst, tag
+	req.since = r.Now()
+	return req
+}
+
+// post puts a send request's message on the wire once its overhead is
+// paid and schedules the send's completion.
+func (r *Rank) post(req *Request) {
+	dst := req.src
+	_, completeAt := r.transmit(dst, req.tag, req.bytes, req.since)
+	req.src, req.tag = 0, 0
+	if completeAt <= r.Now() {
+		req.done = true
+	} else {
+		r.world.k.At(completeAt, req.complete)
+	}
+	r.world.emit(r.id, EvSend, "isend", req.since, r.Now(), req.bytes, dst)
+}
+
+// transmit accounts a send whose overhead ran from start to now and puts
+// the message on the wire, scheduling its delivery. It returns when the
+// uplink finishes transmitting and when the send completes: txDone for
+// eager messages, the arrival instant under rendezvous.
+func (r *Rank) transmit(dst, tag, bytes int, start sim.Time) (txDone, completeAt sim.Time) {
 	w := r.world
-	// Software overhead: packetization and copies, at comm activity.
-	startOv := r.Now()
-	r.node.ComputeWith(r.proc, r.overheadMcyc(w.cfg.SendOverheadMcyc, bytes), dvs.ActCommTransfer)
-	r.stats.Transfer += r.Now().Sub(startOv)
+	r.stats.Transfer += r.Now().Sub(start)
 	r.stats.Messages++
 	r.stats.Bytes += int64(bytes)
 
@@ -289,11 +319,12 @@ func (r *Rank) isend(dst, tag, bytes int) (txDone, completeAt sim.Time) {
 	// Deliver at the destination at the arrival instant.
 	msg := message{src: r.id, tag: tag, bytes: bytes}
 	if w.cfg.CheckOrdering {
-		if r.sendSeq == nil {
-			r.sendSeq = map[int]uint64{}
+		if r.seqs == nil {
+			r.seqs = map[seqKey]uint64{}
 		}
-		r.sendSeq[dst]++
-		msg.seq = r.sendSeq[dst]
+		key := seqKey{peer: dst, sent: true}
+		r.seqs[key]++
+		msg.seq = r.seqs[key]
 	}
 	d := w.newDelivery()
 	d.dst, d.msg = w.ranks[dst], msg
@@ -358,44 +389,99 @@ func (r *Rank) Wait(req *Request) int {
 	if req.owner != r {
 		panic(fmt.Sprintf("rank %d: waiting on foreign or freed request", r.id))
 	}
-	start := r.Now()
+	if r.waitArm(req) {
+		r.proc.Park(nil)
+		r.waitWoken(req)
+	}
+	return r.waitTail(req)
+}
+
+// waitArm starts a Wait on req: it marks the wait's start and, unless req
+// has completed, opens a span at communication-wait activity and arms the
+// rank's queue wake, reporting true.
+func (r *Rank) waitArm(req *Request) bool {
+	req.since = r.Now()
+	if req.done {
+		return false
+	}
+	r.waiting = req
+	r.node.BeginSpan(r.waitActivity(), r.waitVisibility())
+	r.q.Arm(r.proc)
+	return true
+}
+
+// waitWoken closes the wait span once req's completion has woken the
+// rank, charging the blocked time to Wait.
+func (r *Rank) waitWoken(req *Request) {
+	r.node.EndSpan()
+	r.stats.Wait += r.Now().Sub(req.since)
+	r.waiting = nil
+}
+
+// waitTail finishes a Wait on a completed request: a receive is checked
+// and pays its overhead, then the wait is traced and req freed.
+func (r *Rank) waitTail(req *Request) int {
 	if !req.done {
-		r.waiting = req
-		r.waitSpan()
-		r.waiting = nil
-		if !req.done {
-			panic(fmt.Sprintf("rank %d: woke with incomplete request", r.id))
-		}
+		panic(fmt.Sprintf("rank %d: woke with incomplete request", r.id))
 	}
 	if req.isRecv {
-		if r.world.cfg.CheckOrdering && req.seq > 0 {
-			// MPI non-overtaking: same-pair messages must match in send
-			// order. (Different tags may be *received* out of order by
-			// the application, but a matched message must never have a
-			// lower sequence than one already matched from that source
-			// with the same tag — we verify per (src, tag).)
-			if r.recvSeq == nil {
-				r.recvSeq = map[srcTag]uint64{}
-			}
-			key := srcTag{req.src, req.tag}
-			if last := r.recvSeq[key]; req.seq < last {
-				panic(fmt.Sprintf("rank %d: ordering violation from %d tag %d: seq %d after %d",
-					r.id, req.src, req.tag, req.seq, last))
-			}
-			r.recvSeq[key] = req.seq
+		if msg := r.misordered(req); msg != "" {
+			panic(msg)
 		}
-		// Receive-side software overhead.
-		ovStart := r.Now()
-		r.node.ComputeWith(r.proc, r.overheadMcyc(r.world.cfg.RecvOverheadMcyc, req.bytes), dvs.ActCommTransfer)
-		r.stats.Transfer += r.Now().Sub(ovStart)
-		r.stats.Messages++
-		r.stats.Bytes += int64(req.bytes)
+		start := r.Now()
+		r.node.ComputeWith(r.proc, r.recvOverhead(req), dvs.ActCommTransfer)
+		r.received(req, start)
 	}
-	r.world.emit(r.id, EvWait, "wait", start, r.Now(), req.bytes, req.src)
-	// Free the request; its fields stay readable until it is reused.
+	r.traceWait(req)
+	r.release(req)
+	return req.bytes
+}
+
+// misordered returns the CheckOrdering violation that matching req would
+// be, or "" if there is none. MPI non-overtaking: same-pair messages must
+// match in send order. (Different tags may be *received* out of order by
+// the application, but a matched message must never have a lower
+// sequence than one already matched from that source with the same tag —
+// we verify per (src, tag).)
+func (r *Rank) misordered(req *Request) string {
+	if !r.world.cfg.CheckOrdering || req.seq == 0 {
+		return ""
+	}
+	if last := r.seqs[seqKey{peer: req.src, tag: req.tag}]; req.seq < last {
+		return fmt.Sprintf("rank %d: ordering violation from %d tag %d: seq %d after %d",
+			r.id, req.src, req.tag, req.seq, last)
+	}
+	return ""
+}
+
+// recvOverhead records a checked receive's match for the ordering
+// verifier and returns the CPU cost of the receive, in megacycles.
+func (r *Rank) recvOverhead(req *Request) float64 {
+	if r.world.cfg.CheckOrdering && req.seq > 0 {
+		if r.seqs == nil {
+			r.seqs = map[seqKey]uint64{}
+		}
+		r.seqs[seqKey{peer: req.src, tag: req.tag}] = req.seq
+	}
+	return r.overheadMcyc(r.world.cfg.RecvOverheadMcyc, req.bytes)
+}
+
+// received accounts a receive whose overhead ran from start to now.
+func (r *Rank) received(req *Request, start sim.Time) {
+	r.stats.Transfer += r.Now().Sub(start)
+	r.stats.Messages++
+	r.stats.Bytes += int64(req.bytes)
+}
+
+// traceWait emits the trace event of a finished Wait on req.
+func (r *Rank) traceWait(req *Request) {
+	r.world.emit(r.id, EvWait, "wait", req.since, r.Now(), req.bytes, req.src)
+}
+
+// release frees req; its fields stay readable until it is reused.
+func (r *Rank) release(req *Request) {
 	req.owner = nil
 	r.free = append(r.free, req)
-	return req.bytes
 }
 
 // WaitAll waits for (and frees) every request.
@@ -414,11 +500,104 @@ func (r *Rank) Recv(src, tag int) int {
 }
 
 // SendRecv exchanges messages with a partner (send to dst, receive from
-// src), overlapping the two directions like MPI_Sendrecv.
+// src), overlapping the two directions like MPI_Sendrecv. It is Irecv,
+// Isend, Wait on the send and Wait on the receive, but the rank's proc
+// blocks at most once: the steps between run at the rank's wakes in the
+// dispatch loop (see exchange).
 func (r *Rank) SendRecv(dst, sendBytes, src, recvBytes, tag int) {
 	_ = recvBytes // size is announced by the incoming message itself
-	rreq := r.Irecv(src, tag)
-	sreq := r.Isend(dst, tag, sendBytes)
-	r.Wait(sreq)
-	r.Wait(rreq)
+	r.recv = r.Irecv(src, tag)
+	r.send = r.sendRequest(dst, tag, sendBytes)
+	r.node.StartCompute(r.proc, r.sendOverhead(sendBytes), dvs.ActCommTransfer)
+	r.recv.step = stepSendOverhead
+	if r.exchange() {
+		r.proc.Park((*exchange)(r))
+	}
+	if req := r.recv; req != nil {
+		// The exchange stopped at a receive whose checks fail: finish its
+		// Wait in the proc, where they panic as in Wait.
+		r.release(r.send)
+		r.send, r.recv = nil, nil
+		r.waitTail(req)
+	}
+}
+
+// exchange is a Rank seen as the sim.Guard of its SendRecv in flight.
+type exchange Rank
+
+// Wake runs the exchange at one of the rank's wakes and resumes the
+// rank's proc once the exchange no longer waits.
+func (x *exchange) Wake(*sim.Proc) bool { return !(*Rank)(x).exchange() }
+
+// The steps of a SendRecv in flight, kept in its receive request.
+const (
+	stepSendOverhead uint8 = iota + 1 // the send's CPU overhead runs
+	stepSendWait                      // Wait on the send, until it completes
+	stepRecvWait                      // Wait on the receive, until its message arrives
+	stepRecvOverhead                  // the receive's CPU overhead runs
+)
+
+// exchange runs the rank's SendRecv from its current step until a step
+// must wait for a wake, which it arms, reporting true. It runs in the
+// proc before the proc parks, then in the dispatch loop at each of the
+// rank's wakes, and does at each point what Isend and the two Waits
+// would do there in the proc, through their code: the same events at
+// the same (time, seq) positions, the same spans, the same trace. It
+// reports false once the exchange is over (r.send and r.recv are nil),
+// or when the receive's checks fail (r.recv is left set), so that the
+// proc finishes the Wait and panics in its own body.
+func (r *Rank) exchange() bool {
+	sreq, rreq := r.send, r.recv
+	switch rreq.step {
+	case stepSendOverhead:
+		if r.node.StepCompute(r.proc) {
+			return true
+		}
+		r.post(sreq)
+		if r.waitArm(sreq) {
+			rreq.step = stepSendWait
+			return true
+		}
+	case stepSendWait:
+		r.waitWoken(sreq)
+	case stepRecvWait:
+		r.waitWoken(rreq)
+		return r.startRecv()
+	case stepRecvOverhead:
+		return r.stepRecv()
+	}
+	r.traceWait(sreq)
+	if r.waitArm(rreq) {
+		rreq.step = stepRecvWait
+		return true
+	}
+	return r.startRecv()
+}
+
+// startRecv checks the completed receive of the exchange and starts its
+// overhead, marking the start in the spent send request's since.
+func (r *Rank) startRecv() bool {
+	rreq := r.recv
+	if !rreq.done || r.misordered(rreq) != "" || r.node.Computing() {
+		return false
+	}
+	r.node.StartCompute(r.proc, r.recvOverhead(rreq), dvs.ActCommTransfer)
+	r.send.since = r.Now()
+	rreq.step = stepRecvOverhead
+	return r.stepRecv()
+}
+
+// stepRecv runs the exchange's receive overhead and, once it is paid,
+// finishes the receive's Wait and the exchange.
+func (r *Rank) stepRecv() bool {
+	if r.node.StepCompute(r.proc) {
+		return true
+	}
+	sreq, rreq := r.send, r.recv
+	r.received(rreq, sreq.since)
+	r.traceWait(rreq)
+	r.release(sreq)
+	r.release(rreq)
+	r.send, r.recv = nil, nil
+	return false
 }

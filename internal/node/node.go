@@ -9,7 +9,8 @@
 //     frequency and re-stretches across DVS transitions mid-phase;
 //   - MemoryStall(d): frequency-insensitive stall time (DRAM latency does
 //     not improve when the core slows down — the source of "CPU slack");
-//   - Timed activity spans used by the MPI layer for transfers and waits.
+//   - Activity spans (BeginSpan/EndSpan) used by the MPI layer for
+//     transfers and waits.
 //
 // Energy is integrated exactly over virtual time from the dvs.PowerModel,
 // itemized per component. Busy/idle accounting mimics /proc/stat: the
@@ -96,6 +97,12 @@ type Node struct {
 	nTrans    int             // DVS transitions performed
 	computing *sim.Proc       // proc currently in Compute, if any
 	thermal   thermalState    // die-temperature integrator
+
+	// remaining is the cycles the compute phase in flight has left, and
+	// epochHz the rate of its armed compute sleep, 0 while none is armed
+	// (see StepCompute).
+	remaining float64
+	epochHz   float64
 }
 
 // New creates a node bound to kernel k.
@@ -284,8 +291,20 @@ func (n *Node) Compute(p *sim.Proc, megacycles float64) {
 
 // ComputeWith is Compute with an explicit activity profile; the MPI layer
 // uses it to charge per-message software overhead at communication
-// activity levels.
+// activity levels. It drives the compute phase from inside p: start it,
+// then park through each sleep StepCompute arms.
 func (n *Node) ComputeWith(p *sim.Proc, megacycles float64, act dvs.Activity) {
+	n.StartCompute(p, megacycles, act)
+	for n.StepCompute(p) {
+		p.Park(nil)
+	}
+}
+
+// StartCompute begins a compute phase of megacycles at activity act on
+// behalf of p, without blocking; StepCompute then runs it, from p itself
+// (ComputeWith) or from a sim.Guard at p's wakes. It panics if the node
+// is already computing or megacycles is negative.
+func (n *Node) StartCompute(p *sim.Proc, megacycles float64, act dvs.Activity) {
 	if n.computing != nil {
 		panic(fmt.Sprintf("node %d: concurrent Compute", n.ID))
 	}
@@ -293,29 +312,46 @@ func (n *Node) ComputeWith(p *sim.Proc, megacycles float64, act dvs.Activity) {
 		panic("node: negative cycles")
 	}
 	n.computing = p
-	defer func() { n.computing = nil }()
+	n.remaining = megacycles * 1e6 // cycles
+	n.epochHz = 0
 	n.setState(act, 1.0)
-	remaining := megacycles * 1e6 // cycles
-	for remaining > 1e-6 {
-		// Stall out any in-progress transition first: busy, no retirement.
+}
+
+// Computing reports whether a compute phase is in flight.
+func (n *Node) Computing() bool { return n.computing != nil }
+
+// StepCompute advances the compute phase p started, at one of p's wakes
+// (or, first, right after StartCompute). It retires the cycles of the
+// compute sleep that just ended and arms p's next wake, reporting true:
+// a stall through an in-progress DVS transition (busy, no retirement),
+// or an interruptible sleep for the remaining cycles at the current
+// frequency, which a DVS transition interrupts to re-derive. Once a
+// compute sleep runs its full length, it ends the phase and reports false.
+func (n *Node) StepCompute(p *sim.Proc) bool {
+	if n.epochHz != 0 {
+		n.remaining -= p.Slept().Seconds() * n.epochHz
+		n.epochHz = 0
+		if !p.Interrupted() {
+			n.remaining = 0
+		}
+	}
+	if n.remaining > 1e-6 {
 		if now := n.k.Now(); now < n.transUntil {
-			p.Sleep(n.transUntil.Sub(now))
-			continue
+			p.ArmSleep(n.transUntil.Sub(now))
+			return true
 		}
 		hz := float64(n.Frequency()) * 1e6
-		d := time.Duration(remaining / hz * 1e9)
+		d := time.Duration(n.remaining / hz * 1e9)
 		if d <= 0 {
 			d = time.Nanosecond
 		}
-		epochHz := hz
-		elapsed, err := p.SleepInterruptible(d)
-		remaining -= elapsed.Seconds() * epochHz
-		if err == nil {
-			break
-		}
-		// Interrupted by a DVS transition: loop with the new frequency.
+		n.epochHz = hz
+		p.ArmSleepInterruptible(d)
+		return true
 	}
+	n.computing = nil
 	n.setState(dvs.ActIdle, 0)
+	return false
 }
 
 // MemoryStall spends d of frequency-insensitive stall time (memory-bound
@@ -335,15 +371,14 @@ func (n *Node) DiskStall(p *sim.Proc, d time.Duration) {
 	n.setState(dvs.ActIdle, 0)
 }
 
-// Span runs fn with the node accounted at activity a and busy fraction
-// busyFrac for its duration. The MPI layer uses this for transfer and wait
-// periods whose length is decided elsewhere (by the network or by message
-// arrival).
-func (n *Node) Span(a dvs.Activity, busyFrac float64, fn func()) {
-	n.setState(a, busyFrac)
-	fn()
-	n.setState(dvs.ActIdle, 0)
-}
+// BeginSpan accounts the node at activity a and busy fraction busyFrac
+// until EndSpan returns it to idle. The MPI layer uses spans for transfer
+// and wait periods whose length is decided elsewhere (by the network or
+// by message arrival).
+func (n *Node) BeginSpan(a dvs.Activity, busyFrac float64) { n.setState(a, busyFrac) }
+
+// EndSpan closes the span BeginSpan opened: the node returns to idle.
+func (n *Node) EndSpan() { n.setState(dvs.ActIdle, 0) }
 
 // WaitBusyFrac exposes the configured utilization visibility of MPI waits.
 func (n *Node) WaitBusyFrac() float64 { return n.cfg.WaitBusyFrac }

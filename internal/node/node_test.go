@@ -230,7 +230,9 @@ func TestUtilizationWaitVisibility(t *testing.T) {
 	k, n := newNode(t)
 	var end UtilSnapshot
 	k.Spawn("w", func(p *sim.Proc) {
-		n.Span(dvs.ActCommWait, n.WaitBusyFrac(), func() { p.Sleep(time.Second) })
+		n.BeginSpan(dvs.ActCommWait, n.WaitBusyFrac())
+		p.Sleep(time.Second)
+		n.EndSpan()
 		end = n.Util()
 	})
 	run(t, k)

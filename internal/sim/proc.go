@@ -16,18 +16,16 @@ var errAborted = errors.New("sim: aborted")
 
 // Proc is a simulated process. A Proc's body function runs cooperatively:
 // it executes only between the kernel's event dispatches, and yields
-// whenever it calls a blocking primitive (Sleep, Queue.Wait, ...).
+// whenever it calls a blocking primitive (Sleep, Queue.Wait, Park, ...).
 //
 // A Proc must only be used from its own body function, except for
-// Interrupt, which other procs (or kernel At callbacks) may call.
+// Interrupt, which other procs (or kernel At callbacks) may call, and the
+// arming methods and accessors a Guard calls on the proc it runs for.
 type Proc struct {
 	k    *Kernel
 	name string
 	// co runs the body; nil once the body has returned.
 	co *coro
-	// kind tells the proc why it was last woken. Whoever resumes the proc
-	// sets it: the dispatch loop, or abortAll.
-	kind wakeKind
 	// prev and next link the kernel's live procs in spawn order.
 	prev, next *Proc
 
@@ -36,8 +34,29 @@ type Proc struct {
 	pendingWake *event
 	// queue is the wait queue this proc is blocked on, if any.
 	queue *Queue
-	// interruptible marks whether the current block may be interrupted.
+	// guard runs this proc's wakes while it is parked with one.
+	guard Guard
+	// armedAt is when the proc last armed a wake; Slept measures from it.
+	armedAt Time
+	// kind tells the proc why it was last woken. Whoever resumes the proc
+	// sets it: the dispatch loop, or abortAll.
+	kind wakeKind
+	// interruptible marks whether the armed wake may be interrupted.
 	interruptible bool
+}
+
+// Guard runs a parked proc's wakes inside the dispatch loop. A proc that
+// parks with a guard is not switched to when a wake it armed fires: the
+// loop calls the guard's Wake at that wake's (time, seq) position
+// instead, so whatever the guard does happens exactly where the proc
+// would have done it. Wake either arms the proc's next wake (ArmSleep,
+// ArmSleepInterruptible, Queue.Arm) and returns false, keeping the proc
+// parked, or returns true to resume it, and Park returns. Wake must not
+// block, and it must not panic: a panic in the loop surfaces in Run's
+// caller rather than as the proc's PanicError, so a check that may fail
+// belongs in the proc, before it parks or after Park returns.
+type Guard interface {
+	Wake(p *Proc) bool
 }
 
 // Spawn creates a proc named name whose body is fn and schedules it to
@@ -132,12 +151,45 @@ func (p *Proc) yield() wakeKind {
 	return p.kind
 }
 
-// Sleep suspends the proc for d of virtual time. It cannot be interrupted.
-func (p *Proc) Sleep(d Duration) {
+// arm schedules p's next wake at d from now.
+func (p *Proc) arm(d Duration, interruptible bool) {
 	ev := p.k.alloc()
 	ev.t, ev.proc = p.k.now.Add(d), p
 	p.k.schedule(ev)
 	p.pendingWake = ev
+	p.armedAt = p.k.now
+	p.interruptible = interruptible
+}
+
+// ArmSleep arms p's next wake d of virtual time from now without
+// blocking; the wake cannot be interrupted. Sleep is ArmSleep then Park.
+func (p *Proc) ArmSleep(d Duration) { p.arm(d, false) }
+
+// ArmSleepInterruptible is ArmSleep for a wake that Interrupt may bring
+// forward; Interrupted tells the woken proc (or its guard) which came.
+func (p *Proc) ArmSleepInterruptible(d Duration) { p.arm(d, true) }
+
+// Park blocks the proc until a wake it armed resumes it. With a nil guard
+// the first such wake resumes it. With a guard, each wake runs g.Wake in
+// the dispatch loop instead, and the proc resumes when Wake returns true.
+// A proc parked with no armed wake can only be woken by abortAll, and
+// Run names it in its DeadlockError.
+func (p *Proc) Park(g Guard) {
+	p.guard = g
+	p.yield()
+}
+
+// Interrupted reports whether p's latest wake came from Interrupt rather
+// than from the timer it armed.
+func (p *Proc) Interrupted() bool { return p.kind == wakeInterrupted }
+
+// Slept returns the virtual time since p last armed a wake: once that
+// wake has come, the time it actually slept.
+func (p *Proc) Slept() Duration { return p.k.now.Sub(p.armedAt) }
+
+// Sleep suspends the proc for d of virtual time. It cannot be interrupted.
+func (p *Proc) Sleep(d Duration) {
+	p.ArmSleep(d)
 	p.yield()
 }
 
@@ -145,24 +197,16 @@ func (p *Proc) Sleep(d Duration) {
 // time actually slept and ErrInterrupted if another proc cut the sleep
 // short via Interrupt; otherwise err is nil and elapsed == d.
 func (p *Proc) SleepInterruptible(d Duration) (elapsed Duration, err error) {
-	start := p.k.now
-	ev := p.k.alloc()
-	ev.t, ev.proc = p.k.now.Add(d), p
-	p.k.schedule(ev)
-	p.pendingWake = ev
-	p.interruptible = true
-	kind := p.yield()
-	p.interruptible = false
-	elapsed = p.k.now.Sub(start)
-	if kind == wakeInterrupted {
-		return elapsed, ErrInterrupted
+	p.ArmSleepInterruptible(d)
+	if p.yield() == wakeInterrupted {
+		return p.Slept(), ErrInterrupted
 	}
-	return elapsed, nil
+	return p.Slept(), nil
 }
 
-// Interrupt wakes p immediately if it is blocked in SleepInterruptible. It
-// reports whether an interrupt was delivered. Interrupting a proc that is
-// running, done, or in a non-interruptible block is a no-op.
+// Interrupt wakes p immediately if it is blocked in an interruptible
+// sleep. It reports whether an interrupt was delivered. Interrupting a
+// proc that is running, done, or in a non-interruptible block is a no-op.
 func (p *Proc) Interrupt() bool {
 	if p.co == nil || !p.interruptible || p.k.running == p {
 		return false

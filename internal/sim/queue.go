@@ -50,10 +50,16 @@ func (q *Queue) grow() {
 // Wait blocks the calling proc until a Signal releases it. It cannot be
 // interrupted.
 func (q *Queue) Wait(p *Proc) {
+	q.Arm(p)
+	p.yield()
+}
+
+// Arm arms p's next wake for a Signal on q, without blocking: Wait is Arm
+// then Park.
+func (q *Queue) Arm(p *Proc) {
 	q.enqueue(p)
 	p.queue = q
-	p.yield()
-	p.queue = nil
+	p.armedAt = q.k.now
 }
 
 // Signal releases the longest-waiting proc, scheduling it to resume at the

@@ -17,7 +17,10 @@
 // proc to the Run caller's trampoline, which switches to it — two
 // coroutine switches, with no trip through the Go scheduler. When the
 // next event resumes the proc that is running the loop, the proc simply
-// returns from its own dispatch call — zero switches.
+// returns from its own dispatch call — zero switches. A proc parked with a
+// Guard costs no switch at all until its guard lets it go: the loop runs
+// the guard at each of the proc's wakes instead of resuming the proc
+// (DESIGN §10, "Guarded wakes").
 package sim
 
 import (
@@ -59,7 +62,7 @@ func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 
 // wakeKind tells a blocked proc why it was woken.
-type wakeKind int
+type wakeKind uint8
 
 const (
 	wakeNormal      wakeKind = iota // timer fired or Signal delivered
@@ -155,7 +158,25 @@ type Kernel struct {
 	// cbPanic records a panic raised by an At callback while the loop was
 	// running; Run re-raises it in its caller after aborting the procs.
 	cbPanic *callbackPanic
+	stats   Stats
 }
+
+// Stats counts a kernel's dispatch work since it was made.
+type Stats struct {
+	// Events counts the events dispatched: callbacks run and proc wakes
+	// delivered, canceled timers excluded.
+	Events int
+	// Handoffs counts the wakes that moved the baton to another proc's
+	// coroutine: the switches a wake costs when its proc is not the one
+	// running the loop.
+	Handoffs int
+	// Absorbed counts the wakes a Guard ran in the loop, leaving its
+	// proc parked.
+	Absorbed int
+}
+
+// Stats returns the kernel's dispatch counters.
+func (k *Kernel) Stats() Stats { return k.stats }
 
 // callbackPanic carries an At-callback panic from whichever coroutine ran
 // the dispatch loop back to the Run caller.
@@ -298,7 +319,10 @@ const (
 // simulation cannot proceed. self is the proc running the loop (nil for
 // the driver); an event resuming self short-circuits to loopSelf instead
 // of a coroutine round-trip. The resumed proc finds why it was woken in
-// its kind field.
+// its kind field. A wake of a proc parked with a guard runs the guard
+// here, at the wake's (time, seq) position, with the proc as k.running
+// as if it had been resumed; the proc is resumed only once the guard
+// returns true.
 func (k *Kernel) loop(self *Proc) loopStatus {
 	k.running = nil
 	for len(k.events) > 0 && k.err == nil && k.cbPanic == nil {
@@ -314,6 +338,7 @@ func (k *Kernel) loop(self *Proc) loopStatus {
 			return loopFinished
 		}
 		k.now = e.t
+		k.stats.Events++
 		if e.fn != nil {
 			fn := e.fn
 			k.release(e)
@@ -324,10 +349,21 @@ func (k *Kernel) loop(self *Proc) loopStatus {
 		p.kind = e.kind
 		k.release(e)
 		p.pendingWake = nil
+		p.queue = nil
+		p.interruptible = false
 		k.running = p
+		if g := p.guard; g != nil {
+			if !g.Wake(p) {
+				k.running = nil
+				k.stats.Absorbed++
+				continue
+			}
+			p.guard = nil
+		}
 		if p == self {
 			return loopSelf
 		}
+		k.stats.Handoffs++
 		return loopHandedOff
 	}
 	return loopFinished
@@ -424,7 +460,9 @@ func (k *Kernel) Run(limit Time) error {
 // head of the list and is aborted again.
 func (k *Kernel) abortAll() {
 	for p := k.head; p != nil; p = k.head {
-		// Cancel any pending timer so it cannot fire later.
+		// Cancel any pending timer so it cannot fire later, and drop the
+		// guard so the unwind happens in the proc.
+		p.guard = nil
 		if p.pendingWake != nil {
 			p.pendingWake.canceled = true
 			p.pendingWake = nil
