@@ -309,28 +309,32 @@ func BenchmarkSimProcSwitch(b *testing.B) {
 }
 
 // BenchmarkSimProcHandoff measures cross-proc resumes: two procs
-// ping-pong through a pair of queues, so every op hands the baton from one
-// proc to the other and back (two handoffs, no self-resume).
+// ping-pong by parking with nothing armed and waking each other, so every
+// op hands the baton from one proc to the other and back (two handoffs,
+// no self-resume).
 func BenchmarkSimProcHandoff(b *testing.B) {
 	k := sim.NewKernel()
-	ping, pong := k.NewQueue(), k.NewQueue()
-	// pong is spawned first so it is already waiting for ping's first
-	// signal.
-	k.Spawn("pong", func(p *sim.Proc) {
+	var ping *sim.Proc
+	// pong is spawned first so it is already parked for ping's first
+	// wake.
+	pong := k.Spawn("pong", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			pong.Wait(p)
-			ping.Signal()
+			p.Park(nil)
+			ping.Wake()
 		}
 	})
-	k.Spawn("ping", func(p *sim.Proc) {
+	ping = k.Spawn("ping", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			pong.Signal()
-			ping.Wait(p)
+			pong.Wake()
+			p.Park(nil)
 		}
 	})
 	b.ResetTimer()
 	if err := k.Run(sim.MaxTime); err != nil {
 		b.Fatal(err)
+	}
+	if st := k.Stats(); st.Handoffs < 2*b.N {
+		b.Fatalf("%d handoffs for %d ops, want 2 per op", st.Handoffs, b.N)
 	}
 }
 

@@ -42,13 +42,13 @@ func TestRunAllocsPerCode(t *testing.T) {
 // Example configuration on FT.S.8, as recorded with go1.24: a strategy
 // that starts allocating more per node or per decision fails here.
 var strategyAllocPins = map[string]float64{
-	"nodvs":             215,
-	"external":          217,
-	"external-per-node": 219,
-	"daemon":            259,
-	"predictive":        267,
-	"ondemand":          259,
-	"powercap":          226,
+	"nodvs":             199,
+	"external":          201,
+	"external-per-node": 203,
+	"daemon":            243,
+	"predictive":        251,
+	"ondemand":          243,
+	"powercap":          210,
 }
 
 // strategyAllocPinsGo is the toolchain the pins were recorded with;

@@ -17,13 +17,13 @@
 // communication-wait activity, which is exactly the slack the paper's DVS
 // schedulers harvest.
 //
-// SendRecv blocks its rank's proc once. Its middle steps run in the sim
-// kernel's dispatch loop, at the rank's wakes, with the rank parked
-// behind a sim.Guard: the send overhead, Transfer and delivery, the
-// send's completion and the Wait on it, the Wait on the receive, the
-// ordering check and the receive overhead. They are Isend's and Wait's
-// own code, so SendRecv measures exactly what Irecv, Isend, Wait and
-// Wait measure (DESIGN §10.1).
+// Isend, Wait and SendRecv each block their rank's proc at most once.
+// One driver runs their operations: the steps after the proc parks run
+// in the sim kernel's dispatch loop, at the rank's wakes, with the rank
+// parked behind a sim.Guard (the send overhead, Transfer and delivery,
+// the send's completion and the Wait on it, the Wait on the receive, the
+// ordering check and the receive overhead). So SendRecv measures exactly
+// what Irecv, Isend, Wait and Wait measure (DESIGN §10.1).
 package mpisim
 
 import (
@@ -185,7 +185,7 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, nodes []*node.Node, cfg Config
 	}
 	w := &World{k: k, net: net, nodes: nodes, cfg: cfg, finishedAt: make([]sim.Time, len(nodes))}
 	for i, nd := range nodes {
-		w.ranks = append(w.ranks, &Rank{world: w, id: i, node: nd, q: k.NewQueue()})
+		w.ranks = append(w.ranks, &Rank{world: w, id: i, node: nd})
 	}
 	return w, nil
 }

@@ -19,8 +19,8 @@ import (
 )
 
 // msgPathAllocBudget is the steady-state allocation count per operation
-// across all ranks. The message path costs nothing: each rank reuses one
-// wait queue and recycles its requests, the world recycles deliveries,
+// across all ranks. The message path costs nothing: each rank recycles
+// its requests and wakes its proc in place, the world recycles deliveries,
 // every kernel event comes from the freelist, and every proc switch is a
 // direct continuation handoff. The budget leaves room only for a stray
 // runtime allocation in the whole-process Mallocs count.

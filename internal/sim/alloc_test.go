@@ -35,53 +35,53 @@ func TestScheduleHotPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestSignalHotPathAllocFree covers the proc wake path Queue.Signal uses:
-// recycled events keep it allocation-free too.
+// TestSignalHotPathAllocFree runs the wake path a callback's Wake takes,
+// 2,000 times over: a parked proc woken from an At callback.
 func TestSignalHotPathAllocFree(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue()
 	const rounds = 2000
-	k.Spawn("waiter", func(p *Proc) {
+	waiter := k.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
-			q.Wait(p)
+			p.Park(nil)
 		}
 	})
 	at := Time(0)
 	for i := 0; i < rounds; i++ {
 		at = at.Add(time.Microsecond)
-		k.At(at, func() { q.Signal() })
+		k.At(at, func() { waiter.Wake() })
 	}
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQueueWaitSignalAllocFree pins the queue wake path: once the waiter
-// ring and the event freelist are warm, a full Wait→Signal→resume cycle
-// performs zero heap allocations. The ring (head-index, power-of-two)
-// replaced a shifting slice; this assertion keeps both the ring and the
-// direct-handoff resume path allocation-free.
-func TestQueueWaitSignalAllocFree(t *testing.T) {
+// TestWakeAllocFree pins the parked-proc wake path: once the event
+// freelist is warm, a full Park(nil)→Wake→resume cycle from an At
+// callback performs zero heap allocations.
+func TestWakeAllocFree(t *testing.T) {
 	k := NewKernel()
-	q := k.NewQueue()
 	const warmup, runs = 8, 1000
 	// AllocsPerRun invokes f runs+1 times (one warm-up call); the waiter
-	// must consume exactly every signal and then exit so the final Run
-	// can drain cleanly. A miscount fails loudly as a deadlock.
+	// must take exactly every wake and then exit so the final Run can
+	// drain cleanly. A miscount fails loudly as a deadlock.
 	const rounds = warmup + runs + 1
-	k.Spawn("waiter", func(p *Proc) {
+	waiter := k.Spawn("waiter", func(p *Proc) {
 		for i := 0; i < rounds; i++ {
-			q.Wait(p)
+			p.Park(nil)
 		}
 	})
 	// A far-future sentinel keeps the deadlock detector quiet while the
 	// waiter is parked between bounded Run calls.
 	k.At(MaxTime-1, func() {})
-	sig := func() { q.Signal() }
+	wake := func() {
+		if !waiter.Wake() {
+			t.Error("Wake found the waiter not parked")
+		}
+	}
 	at := Time(0)
 	step := func() {
 		at = at.Add(time.Microsecond)
-		k.At(at, sig)
+		k.At(at, wake)
 		if err := k.Run(at + 1); err != nil {
 			t.Fatal(err)
 		}
@@ -90,7 +90,7 @@ func TestQueueWaitSignalAllocFree(t *testing.T) {
 		step()
 	}
 	if allocs := testing.AllocsPerRun(runs, step); allocs != 0 {
-		t.Fatalf("Wait/Signal cycle allocates %.1f objects, want 0", allocs)
+		t.Fatalf("Park/Wake cycle allocates %.1f objects, want 0", allocs)
 	}
 	if err := k.Run(MaxTime); err != nil {
 		t.Fatalf("drain: %v", err)

@@ -3,7 +3,7 @@
 //
 // The kernel owns a virtual clock and an event heap. Simulated activities
 // are written as ordinary Go functions ("procs") that call blocking
-// primitives such as Sleep and Queue.Wait; under the hood each proc body
+// primitives such as Sleep and Park; under the hood each proc body
 // runs as a coroutine (iter.Pull), and the kernel guarantees that exactly
 // one of them (or the Run caller) executes at any instant, so simulations
 // are fully deterministic: same program, same seed, same result.
@@ -65,14 +65,14 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }
 type wakeKind uint8
 
 const (
-	wakeNormal      wakeKind = iota // timer fired or Signal delivered
+	wakeNormal      wakeKind = iota // timer fired, proc started, or Wake delivered
 	wakeInterrupted                 // another proc called Interrupt
 	wakeAborted                     // kernel is shutting down after an error
 )
 
 // event is a single entry in the kernel's event heap. Exactly one of proc
 // or fn is set: proc events resume a blocked proc, fn events run a callback
-// inside the kernel loop (used for Signal delivery and At callbacks).
+// inside the kernel loop (At callbacks).
 // Events are pooled per kernel (see Kernel.alloc/release): the simulator's
 // hottest path is schedule→pop, and recycling events through a freelist
 // keeps it allocation-free in steady state.
@@ -259,7 +259,7 @@ func (k *Kernel) schedule(e *event) *event {
 }
 
 // At schedules fn to run inside the kernel loop at time t. fn must not
-// block; it may spawn procs, signal queues, and schedule further events.
+// block; it may spawn procs, wake parked ones, and schedule further events.
 func (k *Kernel) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: At with nil fn")
@@ -276,8 +276,8 @@ func (k *Kernel) After(d Duration, fn func()) { k.At(k.now.Add(d), fn) }
 func (k *Kernel) Err() error { return k.err }
 
 // DeadlockError is returned by Run when the event heap drains while procs
-// are still blocked on queues: they are waiting for signals that can never
-// arrive.
+// are still parked with nothing armed: they are waiting for a Wake that
+// can never come.
 type DeadlockError struct {
 	Time    Time
 	Blocked []string // names of blocked procs
@@ -349,7 +349,6 @@ func (k *Kernel) loop(self *Proc) loopStatus {
 		p.kind = e.kind
 		k.release(e)
 		p.pendingWake = nil
-		p.queue = nil
 		p.interruptible = false
 		k.running = p
 		if g := p.guard; g != nil {
@@ -466,9 +465,6 @@ func (k *Kernel) abortAll() {
 		if p.pendingWake != nil {
 			p.pendingWake.canceled = true
 			p.pendingWake = nil
-		}
-		if p.queue != nil {
-			p.queue.remove(p)
 		}
 		k.running = p
 		p.kind = wakeAborted
