@@ -26,6 +26,22 @@ import (
 	"repro/internal/sim"
 )
 
+// compute runs a compute phase of megacycles on n from p's own body,
+// parking p through each sleep StepCompute arms.
+func compute(n *node.Node, p *sim.Proc, megacycles float64) {
+	n.StartCompute(p, megacycles, dvs.ActCompute)
+	for n.StepCompute(p) {
+		p.Park(nil)
+	}
+}
+
+// stall holds n at activity a and busy fraction busyFrac for d.
+func stall(n *node.Node, p *sim.Proc, a dvs.Activity, busyFrac float64, d time.Duration) {
+	n.BeginSpan(a, busyFrac)
+	p.Sleep(d)
+	n.EndSpan()
+}
+
 // ------------------------------------------------------- paper artifacts
 
 func BenchmarkTable1OperatingPoints(b *testing.B) {
@@ -404,7 +420,7 @@ func BenchmarkNodeEnergyAccounting(b *testing.B) {
 			if err := n.SetFrequencyIndex(i % 5); err != nil {
 				panic(err)
 			}
-			n.MemoryStall(p, 10*time.Microsecond)
+			stall(n, p, dvs.ActMemory, 1, 10*time.Microsecond)
 		}
 	})
 	b.ResetTimer()
@@ -425,10 +441,10 @@ func BenchmarkThermalIntegrator(b *testing.B) {
 	k.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < 64; j++ {
-				n.Compute(p, mhz/1000)
+				compute(n, p, mhz/1000)
 				p.Sleep(time.Millisecond)
 			}
-			n.Compute(p, mhz*30)
+			compute(n, p, mhz*30)
 		}
 	})
 	b.ResetTimer()
@@ -452,7 +468,7 @@ func BenchmarkDaemonDecision(b *testing.B) {
 	}
 	k.Spawn("load", func(p *sim.Proc) {
 		for i := 0; i < b.N; i++ {
-			n.MemoryStall(p, time.Millisecond)
+			stall(n, p, dvs.ActMemory, 1, time.Millisecond)
 		}
 		d.Stop()
 	})

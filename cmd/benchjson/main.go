@@ -10,6 +10,17 @@
 //	go run ./cmd/benchjson -baseline old.json -out BENCH_7.json
 //	go run ./cmd/benchjson -baseline old.json -fail-under 0.8 -out -   # CI gate
 //
+// A ledger's before column comes from the parent commit, measured in the
+// same session on the same host: ns/op from two sessions on a shared
+// machine differ by more than most changes do. Run benchjson in a second
+// checkout of the parent into a scratch file, then pass that file as the
+// baseline:
+//
+//	git worktree add /tmp/parent HEAD~1
+//	(cd /tmp/parent && go run ./cmd/benchjson -count 5 -out /tmp/parent.json)
+//	go run ./cmd/benchjson -count 5 -baseline /tmp/parent.json -out BENCH_<n>.json
+//	git worktree remove /tmp/parent
+//
 // With -baseline, each benchmark is emitted as {before, after, speedup}
 // where speedup is baseline ns/op divided by current ns/op (>1 = faster).
 // The baseline may be a plain report or a compared ledger such as a

@@ -21,9 +21,15 @@ func (r *Rank) emitColl(name string, bytes int, body func()) {
 	if pol := r.world.policy; pol != nil {
 		pol.BeforeCollective(r, name, bytes)
 	}
-	start := r.Now()
-	body()
-	r.world.emit(r.id, EvCollective, name, start, r.Now(), bytes, -1)
+	if r.world.tracer == nil {
+		body()
+	} else {
+		// The trace event reads the clock, so a traced collective drains
+		// the rank's operations at both ends.
+		start := r.Now()
+		body()
+		r.world.emit(r.id, EvCollective, name, start, r.Now(), bytes, -1)
+	}
 	if pol := r.world.policy; pol != nil {
 		pol.AfterCollective(r, name, bytes)
 	}
@@ -78,7 +84,7 @@ func (r *Rank) reduceNoEmit(root, bytes int) {
 			break
 		}
 		if rel+dist < n {
-			r.Recv((rel+dist+root)%n, r.collTag(dist))
+			r.recv((rel+dist+root)%n, r.collTag(dist))
 		}
 	}
 	r.nextColl()
@@ -89,7 +95,7 @@ func (r *Rank) bcastNoEmit(root, bytes int) {
 	rel := (r.id - root + n) % n
 	if rel != 0 {
 		parentRel := rel &^ (1 << (bitLen(rel) - 1))
-		r.Recv((parentRel+root)%n, r.collTag(0))
+		r.recv((parentRel+root)%n, r.collTag(0))
 	}
 	for dist := nextPow2(rel + 1); rel+dist < n; dist *= 2 {
 		r.Send((rel+dist+root)%n, r.collTag(0), bytes)

@@ -48,8 +48,11 @@ func (r *Rank) Split(splitKey, color int) *Comm {
 	}
 	st.colors[r.id] = color
 	st.present[r.id] = true
-	// All ranks must reach the split before membership is known.
+	// All ranks must reach the split before membership is known: once the
+	// barrier's operations have finished, every rank has recorded its
+	// color.
 	r.Barrier()
+	r.drain()
 	if color < 0 {
 		return nil
 	}
@@ -128,10 +131,10 @@ func (c *Comm) Allreduce(r *Rank, bytes int) {
 			// Send to partner, wait for the result.
 			partner := c.members[me-p2]
 			r.Send(partner, tag(32), bytes)
-			r.Recv(partner, tag(33))
+			r.recv(partner, tag(33))
 		default:
 			if me < extra {
-				r.Recv(c.members[me+p2], tag(32))
+				r.recv(c.members[me+p2], tag(32))
 			}
 			for round, dist := 0, 1; dist < p2; round, dist = round+1, dist*2 {
 				partner := c.members[me^dist]

@@ -243,6 +243,7 @@ func TestCheckOrderingSequencesStamped(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				req := r.Irecv(0, 0)
 				r.Wait(req)
+				r.Now() // the request's state is simulated state: drain first
 				if req.seq != uint64(i+1) {
 					t.Errorf("message %d carried seq %d", i, req.seq)
 				}

@@ -8,20 +8,32 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dvs"
+	"repro/internal/node"
 	"repro/internal/sim"
 )
 
+// compute runs a compute phase of megacycles on n from p's own body,
+// parking p through each sleep StepCompute arms.
+func compute(n *node.Node, p *sim.Proc, megacycles float64) {
+	n.StartCompute(p, megacycles, dvs.ActCompute)
+	for n.StepCompute(p) {
+		p.Park(nil)
+	}
+}
+
 func TestSendRecvOneHandoffPerCall(t *testing.T) {
-	// Two ranks trading messages in a fixed loop: each SendRecv parks its
-	// rank once, and the send overhead, the send's completion, the arrival
-	// and the receive overhead run in the dispatch loop. So each call
-	// wakes its rank once, and that wake is at most one handoff. Here
-	// only every other one is: the rank that starts a round last is the
-	// one running the loop, and its partner's message, sent earlier,
-	// reaches it first, so it finishes first and resumes itself. Only
-	// its partner's wake switches, once per round, plus the two handoffs
-	// that start the ranks.
-	const calls = 200
+	// Two ranks trading messages in a fixed loop. Each rank's body issues
+	// its calls ringDepth at a time: it parks when its ring is full and
+	// at the final drain, calls/ringDepth = 16 times, and its proc resumes
+	// only once the ring is empty. Every resume is a handoff: at each
+	// instant rank 0's operations were scheduled first, so its ring
+	// empties first while rank 1 runs the loop, and rank 1's then empties
+	// while rank 0, refilled, runs it. So there are 2·16 handoffs, plus
+	// the two that start the ranks. Each call wakes each rank four times
+	// (send overhead, send completion, arrival, receive overhead), and
+	// every one of those 8·calls wakes but the 32 resumes is absorbed.
+	const calls = 256
 	k, w := world(t, 2)
 	launch(t, k, w, func(r *Rank) {
 		other := 1 - r.ID()
@@ -29,24 +41,20 @@ func TestSendRecvOneHandoffPerCall(t *testing.T) {
 			r.SendRecv(other, 1024, other, 1024, 5)
 		}
 	})
+	resumes := 2 * calls / ringDepth
 	st := k.Stats()
-	if want := calls + 2; st.Handoffs != want {
-		t.Fatalf("%d handoffs for %d SendRecv calls on 2 ranks, want %d", st.Handoffs, calls, want)
-	}
-	if st.Absorbed < 2*calls*3 {
-		t.Fatalf("only %d wakes absorbed by the exchange guard", st.Absorbed)
+	if st.Handoffs != resumes+2 || st.Absorbed != 8*calls-resumes {
+		t.Fatalf("stats %+v for %d SendRecv calls on 2 ranks, want %d handoffs and %d absorbed wakes",
+			st, calls, resumes+2, 8*calls-resumes)
 	}
 }
 
 func TestFourCallHandoffs(t *testing.T) {
 	// The loop of TestSendRecvOneHandoffPerCall, written as the four
-	// calls SendRecv stands for. Isend and each Wait block the rank at
-	// most once. So a rank's proc resumes three times a round: when
-	// Isend's overhead is paid, when its send completes, and when the
-	// receive overhead is paid. The receive's arrival wakes only the
-	// driver, which starts that overhead in the dispatch loop. Of the six
-	// resumes a round, all but one switch coroutines, plus the two
-	// handoffs that start the ranks.
+	// calls SendRecv stands for: four operations a round, so each rank
+	// parks 4·calls/ringDepth = 50 times, and each resume is a handoff,
+	// as there. The rounds take the same 8·calls wakes, all absorbed but
+	// the 100 resumes.
 	const calls = 200
 	k, w := world(t, 2)
 	launch(t, k, w, func(r *Rank) {
@@ -58,9 +66,10 @@ func TestFourCallHandoffs(t *testing.T) {
 			r.Wait(rreq)
 		}
 	})
+	resumes := 2 * 4 * calls / ringDepth
 	st := k.Stats()
-	if st.Handoffs != 5*calls+2 || st.Absorbed != 2*calls {
-		t.Fatalf("stats %+v for %d rounds, want %d handoffs and %d absorbed wakes", st, calls, 5*calls+2, 2*calls)
+	if st.Handoffs != resumes+2 || st.Absorbed != 8*calls-resumes {
+		t.Fatalf("stats %+v for %d rounds, want %d handoffs and %d absorbed wakes", st, calls, resumes+2, 8*calls-resumes)
 	}
 }
 
@@ -88,55 +97,160 @@ func exchangeProgram(sendRecv func(r *Rank, dst, sendBytes, src, tag int)) func(
 	}
 }
 
-// exchangeRun runs exchangeProgram on a fresh 4-rank world while a
-// governor proc changes node frequencies at random instants (so DVS
-// interrupts land inside message overheads), and returns everything the
-// run measured.
-func exchangeRun(t *testing.T, sendRecv func(r *Rank, dst, sendBytes, src, tag int)) string {
+// measuredRun runs body on a fresh n-rank world while a governor proc
+// changes a random node's frequency every 1–200 µs (so DVS interrupts
+// land inside every kind of operation), and returns what the run
+// measured: the trace, if traced, and the elapsed time with each rank's
+// stats, energy, residency and transitions.
+func measuredRun(t *testing.T, n int, traced bool, body func(r *Rank)) (trace, measured string) {
 	t.Helper()
-	k, w := world(t, 4)
-	var trace []string
-	w.SetTracer(tracerFunc(func(rank int, kind EventKind, name string, start, end sim.Time, bytes, peer int) {
-		trace = append(trace, fmt.Sprint(rank, kind, name, start, end, bytes, peer))
-	}))
+	k, w := world(t, n)
+	var events []string
+	if traced {
+		w.SetTracer(tracerFunc(func(rank int, kind EventKind, name string, start, end sim.Time, bytes, peer int) {
+			events = append(events, fmt.Sprint(rank, kind, name, start, end, bytes, peer))
+		}))
+	}
 	rng := rand.New(rand.NewSource(1))
 	k.Spawn("governor", func(p *sim.Proc) {
 		for !w.Done() {
 			p.Sleep(time.Duration(1+rng.Intn(200)) * time.Microsecond)
-			if err := w.Node(rng.Intn(4)).SetFrequencyIndex(rng.Intn(5)); err != nil {
+			if err := w.Node(rng.Intn(n)).SetFrequencyIndex(rng.Intn(5)); err != nil {
 				t.Error(err)
 			}
 		}
 	})
-	launch(t, k, w, exchangeProgram(sendRecv))
-	out := fmt.Sprint(w.Elapsed(), "\n", strings.Join(trace, "\n"))
+	launch(t, k, w, body)
+	measured = fmt.Sprint(w.Elapsed())
 	for i := 0; i < w.Size(); i++ {
-		out += fmt.Sprintf("\n%+v %+v %v %d", w.Rank(i).Stats(), w.Node(i).Energy(), w.Node(i).TimeAt(), w.Node(i).Transitions())
+		measured += fmt.Sprintf("\n%+v %+v %v %d", w.Rank(i).Stats(), w.Node(i).Energy(), w.Node(i).TimeAt(), w.Node(i).Transitions())
 	}
-	return out
+	return strings.Join(events, "\n"), measured
+}
+
+// sameLines fails t at the first line where got and want differ.
+func sameLines(t *testing.T, what, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := range g {
+		if i >= len(w) || g[i] != w[i] {
+			t.Fatalf("%s diverge at line %d:\n got %s\nwant %s", what, i, g[i], w[min(i, len(w)-1)])
+		}
+	}
+	t.Fatalf("%s: %d lines, want %d", what, len(g), len(w))
 }
 
 func TestSendRecvMatchesItsFourCalls(t *testing.T) {
-	// SendRecv runs its steps in the dispatch loop, but it must measure
-	// exactly what Irecv, Isend, Wait and Wait measure in the proc: the
-	// same trace, stats, energy splits and residency, bit for bit.
-	guarded := exchangeRun(t, func(r *Rank, dst, sendBytes, src, tag int) {
+	// SendRecv runs as one operation, but it must measure exactly what
+	// Irecv, Isend, Wait and Wait measure: the same trace, stats, energy
+	// splits and residency, bit for bit.
+	trace, measured := measuredRun(t, 4, true, exchangeProgram(func(r *Rank, dst, sendBytes, src, tag int) {
 		r.SendRecv(dst, sendBytes, src, sendBytes, tag)
-	})
-	inProc := exchangeRun(t, func(r *Rank, dst, sendBytes, src, tag int) {
+	}))
+	fourTrace, fourMeasured := measuredRun(t, 4, true, exchangeProgram(func(r *Rank, dst, sendBytes, src, tag int) {
 		rreq := r.Irecv(src, tag)
 		sreq := r.Isend(dst, tag, sendBytes)
 		r.Wait(sreq)
 		r.Wait(rreq)
-	})
-	if guarded != inProc {
-		g, p := strings.Split(guarded, "\n"), strings.Split(inProc, "\n")
-		for i := range g {
-			if i >= len(p) || g[i] != p[i] {
-				t.Fatalf("SendRecv diverges from Irecv+Isend+Wait+Wait at line %d:\n got %s\nwant %s", i, g[i], p[min(i, len(p)-1)])
+	}))
+	sameLines(t, "SendRecv and Irecv+Isend+Wait+Wait traces", trace, fourTrace)
+	sameLines(t, "SendRecv and Irecv+Isend+Wait+Wait measurements", measured, fourMeasured)
+}
+
+// randomProgram is a random matched program of the given number of
+// steps: computes, memory and disk stalls, SetSpeed calls, SendRecv,
+// Isend/Irecv/Wait, blocking Send/Recv (also from AnySource) and the
+// collectives, on a Split communicator too, with message sizes on both
+// sides of the eager limit. Every rank draws the same random numbers, so
+// the steps match; sizes and durations differ by rank. after runs after
+// each operation.
+func randomProgram(seed int64, steps int, after func(r *Rank)) func(r *Rank) {
+	return func(r *Rank) {
+		rng := rand.New(rand.NewSource(seed))
+		n, id := r.Size(), r.ID()
+		next, prev := (id+1)%n, (id+n-1)%n
+		size := func() int { return rng.Intn(64) << uint((rng.Intn(16)+id)%16) } // up to 2 MiB
+		row := r.Split(1, id%2)
+		after(r)
+		for i := 0; i < steps; i++ {
+			b, d := size(), time.Duration(rng.Intn(2000)*(1+id))*time.Microsecond
+			switch rng.Intn(13) {
+			case 0:
+				r.Compute(float64(b%40) / 4)
+			case 1:
+				r.MemoryStall(d)
+			case 2:
+				r.DiskIO(d)
+			case 3:
+				r.SetSpeed(dvs.MHz(600 + 200*((b+id)%5)))
+			case 4:
+				r.SendRecv(next, b, prev, 0, i)
+			case 5:
+				rreq := r.Irecv(prev, i)
+				after(r)
+				sreq := r.Isend(next, i, b)
+				after(r)
+				if b%2 == 0 {
+					rreq, sreq = sreq, rreq
+				}
+				r.Wait(sreq)
+				after(r)
+				r.Wait(rreq)
+			case 6:
+				if id%2 == 0 && id+1 < n {
+					r.Send(id+1, i, b)
+				} else if id%2 == 1 {
+					r.Recv(id-1, i)
+				}
+			case 7:
+				if id != 0 {
+					r.Send(0, i, b)
+					break
+				}
+				for j := 1; j < n; j++ {
+					r.Recv(AnySource, i)
+					after(r)
+				}
+			case 8:
+				r.Barrier()
+			case 9:
+				r.Allreduce(b)
+			case 10:
+				r.Alltoall(b)
+			case 11:
+				bytesTo := make([]int, n)
+				for dst := range bytesTo {
+					bytesTo[dst] = b >> uint(dst)
+				}
+				r.Alltoallv(bytesTo)
+			case 12:
+				row.Allreduce(r, b)
 			}
+			after(r)
 		}
-		t.Fatalf("SendRecv recorded %d lines, the four calls %d", len(g), len(p))
+	}
+}
+
+func TestLookaheadMatchesDrainedPrograms(t *testing.T) {
+	// A body that calls Now after every operation drains the rank's ring
+	// each time, so it issues each operation only once the one before
+	// has finished, as a body that blocked in every call would. Running
+	// ahead must not change what any operation measures: the plain and
+	// the drained program agree on trace, stats, energy, residency and
+	// transitions, byte for byte, and so does the plain program without
+	// a tracer, whose collectives do not drain.
+	for seed := int64(1); seed <= 6; seed++ {
+		n := 3 + int(seed)%3
+		trace, measured := measuredRun(t, n, true, randomProgram(seed, 60, func(*Rank) {}))
+		drainedTrace, drainedMeasured := measuredRun(t, n, true, randomProgram(seed, 60, func(r *Rank) { r.Now() }))
+		_, untraced := measuredRun(t, n, false, randomProgram(seed, 60, func(*Rank) {}))
+		what := fmt.Sprintf("seed %d on %d ranks: plain and drained", seed, n)
+		sameLines(t, what+" traces", trace, drainedTrace)
+		sameLines(t, what+" measurements", measured, drainedMeasured)
+		sameLines(t, what+" measurements untraced", untraced, measured)
 	}
 }
 
@@ -230,7 +344,7 @@ func TestSendRecvConcurrentComputePanicsInRank(t *testing.T) {
 		t.Run(form.name, func(t *testing.T) {
 			k, w := world(t, 2)
 			k.SpawnAt(sim.Time(500*time.Millisecond), "intruder", func(p *sim.Proc) {
-				w.Node(1).Compute(p, 1400)
+				compute(w.Node(1), p, 1400)
 			})
 			pe := rankPanic(t, w, k, func(r *Rank) {
 				if r.ID() == 0 {

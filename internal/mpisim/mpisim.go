@@ -17,13 +17,14 @@
 // communication-wait activity, which is exactly the slack the paper's DVS
 // schedulers harvest.
 //
-// Isend, Wait and SendRecv each block their rank's proc at most once.
-// One driver runs their operations: the steps after the proc parks run
-// in the sim kernel's dispatch loop, at the rank's wakes, with the rank
-// parked behind a sim.Guard (the send overhead, Transfer and delivery,
-// the send's completion and the Wait on it, the Wait on the receive, the
-// ordering check and the receive overhead). So SendRecv measures exactly
-// what Irecv, Isend, Wait and Wait measure (DESIGN §10.1).
+// A rank's body runs ahead of simulated time: its operations go into a
+// small ring per rank, and one driver runs them in order, in the sim
+// kernel's dispatch loop at the rank's wakes, with the rank's proc parked
+// behind a sim.Guard. The body parks only when its ring is full or when
+// it reads simulated state (Now, Stats, Node, Proc, Recv's size, Split),
+// which drains the ring first. Every operation starts at the (time, seq)
+// slot where a body that blocked in each call would have issued it, so
+// results are the same, bit for bit (DESIGN §10.1).
 package mpisim
 
 import (
@@ -185,7 +186,7 @@ func NewWorld(k *sim.Kernel, net *netsim.Network, nodes []*node.Node, cfg Config
 	}
 	w := &World{k: k, net: net, nodes: nodes, cfg: cfg, finishedAt: make([]sim.Time, len(nodes))}
 	for i, nd := range nodes {
-		w.ranks = append(w.ranks, &Rank{world: w, id: i, node: nd})
+		w.ranks = append(w.ranks, &Rank{world: w, id: i, node: nd, ring: ringPool.Get().(*ring)})
 	}
 	return w, nil
 }
@@ -221,6 +222,10 @@ func (w *World) Launch(name string, body func(r *Rank)) error {
 				w.policy.AtStart(r)
 			}
 			body(r)
+			r.drain()
+			*r.ring = ring{} // a pooled ring keeps nothing of this world alive
+			ringPool.Put(r.ring)
+			r.ring = nil
 			w.finishedAt[r.id] = p.Now()
 			w.finished++
 			if w.finished == len(w.ranks) {

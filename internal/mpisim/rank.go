@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/dvs"
@@ -10,7 +11,16 @@ import (
 )
 
 // Rank is one MPI process, bound to a node and a sim proc. All methods
-// must be called from the rank's own body function.
+// must be called from the rank's own body function, or once it has
+// returned.
+//
+// The body runs ahead of simulated time. Its operations (Compute,
+// MemoryStall, DiskIO, SetSpeed, the point-to-point calls and the
+// collectives' messages) go into the rank's ring and run in order at the
+// simulated instants the body would have reached them, mostly in the sim
+// kernel's dispatch loop (see Rank.issue). Calls that read simulated
+// state (Now, Stats, Node, Proc, Recv's size, Split's membership) first
+// wait for every issued operation to finish.
 type Rank struct {
 	world *World
 	id    int
@@ -23,11 +33,9 @@ type Rank struct {
 	collSeq int // per-rank collective sequence number for internal tags
 	// commColl tracks per-communicator collective sequences (comm.go).
 	commColl map[int]int
-	// ops are the requests of the blocking call in flight, from the one
-	// whose operation runs now, nil-padded (see do). recvAt is when the
-	// receive overhead in flight began.
-	ops    [3]*Request
-	recvAt sim.Time
+	// ring holds the operations the body has issued and the driver has
+	// not finished; nil once the body has returned.
+	ring *ring
 	// free recycles the requests Wait has released; reqs is the request
 	// slice Alltoallv reuses.
 	free []*Request
@@ -83,9 +91,9 @@ func (d *delivery) fire() {
 
 // Request is a nonblocking-operation handle. Wait frees it, as MPI_Wait
 // sets the handle to MPI_REQUEST_NULL: the rank recycles it for a later
-// Isend or Irecv, and waiting on it again panics.
+// Isend or Irecv once the Wait has run, and waiting on it again panics.
 type Request struct {
-	owner *Rank // nil once freed
+	owner *Rank // nil once a Wait on it is issued
 	bytes int
 	seq   uint64 // matched message's sequence (CheckOrdering)
 	// src and tag are a receive's matching state, and a send's
@@ -112,18 +120,16 @@ func (r *Rank) newRequest() *Request {
 		return req
 	}
 	req := &Request{owner: r}
-	req.complete = req.completeSend
+	// An Isend completes once its data has left (or, under rendezvous,
+	// arrived), inside a kernel At callback.
+	req.complete = func() {
+		req.done = true
+		r.wake(req)
+	}
 	return req
 }
 
-// completeSend marks an Isend complete once its data has left (or, under
-// rendezvous, arrived). Runs inside a kernel At callback.
-func (req *Request) completeSend() {
-	req.done = true
-	req.owner.wake(req)
-}
-
-// wake releases the rank's proc if it is parked in Wait on req. Only the
+// wake wakes the rank if the Wait in flight waits for req. Only the
 // awaited request's completion wakes it, so the parked proc always has
 // exactly one reason to wake.
 func (r *Rank) wake(req *Request) {
@@ -138,75 +144,79 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return len(r.world.ranks) }
 
-// Node returns the node this rank runs on.
-func (r *Rank) Node() *node.Node { return r.node }
+// Node returns the node this rank runs on, once the rank's operations
+// have finished.
+func (r *Rank) Node() *node.Node {
+	r.drain()
+	return r.node
+}
 
-// Proc returns the rank's sim proc.
-func (r *Rank) Proc() *sim.Proc { return r.proc }
+// Proc returns the rank's sim proc, once the rank's operations have
+// finished.
+func (r *Rank) Proc() *sim.Proc {
+	r.drain()
+	return r.proc
+}
 
-// Now returns the current virtual time.
-func (r *Rank) Now() sim.Time { return r.proc.Now() }
+// Now returns the current virtual time, once the rank's operations have
+// finished.
+func (r *Rank) Now() sim.Time {
+	r.drain()
+	return r.now()
+}
 
-// Stats returns the rank's accumulated time breakdown.
-func (r *Rank) Stats() Stats { return r.stats }
+// now is the current virtual time, for the driver.
+func (r *Rank) now() sim.Time { return r.world.k.Now() }
+
+// Stats returns the rank's accumulated time breakdown, once the rank's
+// operations have finished.
+func (r *Rank) Stats() Stats {
+	r.drain()
+	return r.stats
+}
 
 // SetSpeed is the PowerPack application-level DVS API (paper §3.3,
 // Figure 10/13: call set_cpuspeed around code regions). The caller pays
 // the software cost of the cpufreq write at the *current* frequency, then
 // the hardware transition stall is charged to subsequent work.
 func (r *Rank) SetSpeed(f dvs.MHz) {
-	if cost := r.world.cfg.SetSpeedCostMcyc; cost > 0 && r.proc != nil {
-		r.node.ComputeWith(r.proc, cost, dvs.ActCompute)
+	idx := r.node.Table().Nearest(f)
+	if r.proc == nil {
+		// Before launch there is no proc to pay the cost; an index from
+		// the node's own table is in range.
+		_ = r.node.SetFrequencyIndex(idx)
+		return
 	}
-	if err := r.node.SetFrequency(f); err != nil {
-		panic(fmt.Sprintf("rank %d: SetSpeed: %v", r.id, err))
-	}
+	r.issue(op{kind: opSetSpeed, arg: int64(idx)})
 }
 
-// Compute runs megacycles of CPU-bound work.
+// Compute runs megacycles of CPU-bound work, which stretches and shrinks
+// with DVS transitions mid-phase.
 func (r *Rank) Compute(megacycles float64) {
-	start := r.Now()
-	r.node.Compute(r.proc, megacycles)
-	end := r.Now()
-	r.stats.Compute += end.Sub(start)
-	r.world.emit(r.id, EvCompute, "compute", start, end, 0, -1)
+	if megacycles < 0 {
+		panic("node: negative cycles")
+	}
+	r.issue(op{kind: opCompute, arg: int64(math.Float64bits(megacycles))})
 }
 
 // MemoryStall runs d of frequency-insensitive memory-bound work.
-func (r *Rank) MemoryStall(d time.Duration) {
-	start := r.Now()
-	r.node.MemoryStall(r.proc, d)
-	end := r.Now()
-	r.stats.Memory += end.Sub(start)
-	r.world.emit(r.id, EvMemory, "memory", start, end, 0, -1)
-}
+func (r *Rank) MemoryStall(d time.Duration) { r.stall(opMemory, d) }
 
 // DiskIO blocks the rank on d of disk I/O (iowait: the CPU idles, the
 // disk works, and utilization accounting shows idle time).
-func (r *Rank) DiskIO(d time.Duration) {
-	start := r.Now()
-	r.node.DiskStall(r.proc, d)
-	end := r.Now()
-	r.stats.Disk += end.Sub(start)
-	r.world.emit(r.id, EvDisk, "disk", start, end, 0, -1)
+func (r *Rank) DiskIO(d time.Duration) { r.stall(opDisk, d) }
+
+// stall issues a memory or disk stall of d.
+func (r *Rank) stall(kind opKind, d time.Duration) {
+	if d < 0 {
+		panic("sim: negative duration")
+	}
+	r.issue(op{kind: kind, arg: int64(d)})
 }
 
 // overheadMcyc returns the CPU cost of handling a message of the given size.
 func (r *Rank) overheadMcyc(base float64, bytes int) float64 {
 	return base + r.world.cfg.OverheadPerKBMcyc*float64(bytes)/1024
-}
-
-// transferSpan accounts a communication-active interval ending at a
-// precomputed absolute time.
-func (r *Rank) transferSpan(until sim.Time) {
-	if until <= r.Now() {
-		return
-	}
-	start := r.Now()
-	r.node.BeginSpan(dvs.ActCommTransfer, 1.0)
-	r.proc.Sleep(until.Sub(start))
-	r.node.EndSpan()
-	r.stats.Transfer += r.Now().Sub(start)
 }
 
 // waitVisibility returns how busy a blocked MPI call appears to
@@ -232,33 +242,21 @@ func (r *Rank) waitActivity() dvs.Activity {
 // (eager) or delivered (rendezvous, above the eager limit).
 func (r *Rank) Send(dst, tag, bytes int) {
 	r.checkSend(dst, bytes)
-	start := r.Now()
-	r.node.ComputeWith(r.proc, r.sendOverhead(bytes), dvs.ActCommTransfer)
-	txDone, completeAt := r.transmit(dst, tag, bytes, start)
-	// Uplink serialization: the CPU streams the data out.
-	r.transferSpan(txDone)
-	if completeAt > r.Now() {
-		// Rendezvous tail: waiting for the receiver to drain.
-		startW := r.Now()
-		r.node.BeginSpan(r.waitActivity(), r.waitVisibility())
-		r.proc.Sleep(completeAt.Sub(startW))
-		r.node.EndSpan()
-		r.stats.Wait += r.Now().Sub(startW)
-	}
-	r.world.emit(r.id, EvSend, "send", start, r.Now(), bytes, dst)
+	r.issue(op{kind: opSend, arg: int64(bytes), dst: int32(dst), tag: tag})
 }
 
 // Isend starts a nonblocking send and returns its request, which Wait
 // frees. The CPU overhead is charged immediately; the wire transfer
 // proceeds in the background.
 func (r *Rank) Isend(dst, tag, bytes int) *Request {
+	r.checkSend(dst, bytes)
 	req := r.sendRequest(dst, tag, bytes)
-	r.do(req)
+	r.issue(op{kind: opIsend, req: req})
 	return req
 }
 
 // checkSend panics on an invalid destination or size. It runs in the
-// proc before a send starts, so the network accepts every send that
+// proc when the send is issued, so the network accepts every send that
 // reaches transmit.
 func (r *Rank) checkSend(dst, bytes int) {
 	if dst < 0 || dst >= r.Size() {
@@ -274,10 +272,8 @@ func (r *Rank) sendOverhead(bytes int) float64 {
 	return r.overheadMcyc(r.world.cfg.SendOverheadMcyc, bytes)
 }
 
-// sendRequest checks a send and returns its request, its Isend still to
-// run.
+// sendRequest returns a checked send's request, its Isend still to run.
 func (r *Rank) sendRequest(dst, tag, bytes int) *Request {
-	r.checkSend(dst, bytes)
 	req := r.newRequest()
 	req.bytes, req.src, req.tag = bytes, dst, tag
 	req.step = stepSend
@@ -290,12 +286,12 @@ func (r *Rank) sendRequest(dst, tag, bytes int) *Request {
 func (r *Rank) post(req *Request) {
 	_, completeAt := r.transmit(req.src, req.tag, req.bytes, req.since)
 	req.step = stepWait
-	if completeAt <= r.Now() {
+	if completeAt <= r.now() {
 		req.done = true
 	} else {
 		r.world.k.At(completeAt, req.complete)
 	}
-	r.world.emit(r.id, EvSend, "isend", req.since, r.Now(), req.bytes, req.src)
+	r.world.emit(r.id, EvSend, "isend", req.since, r.now(), req.bytes, req.src)
 }
 
 // transmit accounts a send whose overhead ran from start to now and puts
@@ -304,7 +300,7 @@ func (r *Rank) post(req *Request) {
 // eager messages, the arrival instant under rendezvous.
 func (r *Rank) transmit(dst, tag, bytes int, start sim.Time) (txDone, completeAt sim.Time) {
 	w := r.world
-	r.stats.Transfer += r.Now().Sub(start)
+	r.stats.Transfer += r.now().Sub(start)
 	r.stats.Messages++
 	r.stats.Bytes += int64(bytes)
 
@@ -361,32 +357,48 @@ func (req *Request) matches(m message) bool {
 // Irecv posts a nonblocking receive for a message from src (or AnySource)
 // with the given tag, returning a request that Wait frees.
 func (r *Rank) Irecv(src, tag int) *Request {
+	r.checkRecv(src)
+	req := r.recvRequest(src, tag)
+	r.issue(op{kind: opIrecv, req: req})
+	return req
+}
+
+// checkRecv panics on an invalid source, when the receive is issued.
+func (r *Rank) checkRecv(src int) {
 	if src != AnySource && (src < 0 || src >= r.Size()) {
 		panic(fmt.Sprintf("rank %d: recv from invalid rank %d", r.id, src))
 	}
+}
+
+// recvRequest returns a checked receive's request, not yet posted.
+func (r *Rank) recvRequest(src, tag int) *Request {
 	req := r.newRequest()
 	req.isRecv, req.src, req.tag = true, src, tag
-	// Match already-delivered messages first (arrival order).
+	return req
+}
+
+// postRecv matches a receive request against the delivered messages, in
+// arrival order, or else posts it.
+func (r *Rank) postRecv(req *Request) {
 	for i, m := range r.mailbox {
 		if req.matches(m) {
 			r.mailbox = append(r.mailbox[:i], r.mailbox[i+1:]...)
 			req.completeRecv(m)
-			return req
+			return
 		}
 	}
 	r.posted = append(r.posted, req)
-	return req
 }
 
-// Wait blocks until req completes, frees it (as MPI_Wait does: waiting on
-// it again panics) and returns the message size (for receives). The
+// Wait blocks until req completes. It frees req at once, as MPI_Wait
+// sets the handle to MPI_REQUEST_NULL, so waiting on it again panics. The
 // blocked time is CPU slack at communication-wait activity.
-func (r *Rank) Wait(req *Request) int {
+func (r *Rank) Wait(req *Request) {
 	if req.owner != r {
 		panic(fmt.Sprintf("rank %d: waiting on foreign or freed request", r.id))
 	}
-	r.do(req)
-	return req.bytes
+	req.owner = nil
+	r.issue(op{kind: opWait, req: req})
 }
 
 // misordered returns the CheckOrdering violation that matching req would
@@ -427,138 +439,26 @@ func (r *Rank) WaitAll(reqs ...*Request) {
 
 // Recv blocks until a matching message is received; it returns the size.
 func (r *Rank) Recv(src, tag int) int {
-	start := r.Now()
-	n := r.Wait(r.Irecv(src, tag))
-	r.world.emit(r.id, EvRecv, "recv", start, r.Now(), n, src)
-	return n
+	r.checkRecv(src)
+	req := r.recvRequest(src, tag)
+	r.issue(op{kind: opRecv, req: req, src: int32(src), tag: tag})
+	r.drain()
+	return req.bytes
+}
+
+// recv is Recv without its size, for the collectives: it does not drain.
+func (r *Rank) recv(src, tag int) {
+	r.checkRecv(src)
+	r.issue(op{kind: opRecv, src: int32(src), tag: tag})
 }
 
 // SendRecv exchanges messages with a partner (send to dst, receive from
 // src), overlapping the two directions like MPI_Sendrecv. It is Irecv,
-// Isend, Wait on the send and Wait on the receive, run as one blocking
-// call, so the rank's proc blocks at most once.
+// Isend, Wait on the send and Wait on the receive, run as one operation
+// whose requests are made when it starts.
 func (r *Rank) SendRecv(dst, sendBytes, src, recvBytes, tag int) {
 	_ = recvBytes // size is announced by the incoming message itself
-	rreq := r.Irecv(src, tag)
-	sreq := r.sendRequest(dst, tag, sendBytes)
-	r.do(sreq, sreq, rreq)
+	r.checkRecv(src)
+	r.checkSend(dst, sendBytes)
+	r.issue(op{kind: opSendRecv, arg: int64(sendBytes), dst: int32(dst), src: int32(src), tag: tag})
 }
-
-// The steps of a request's operation. A request starts at stepWait, its
-// Wait next, except that a send request starts at stepSend, its Isend
-// next; post then puts it at stepWait.
-const (
-	stepWait         uint8 = iota // a Wait is next
-	stepSend                      // an Isend is next
-	stepSendOverhead              // the send's CPU overhead runs
-	stepWaiting                   // the Wait waits for the request to complete
-	stepWaited                    // the Wait is over: check and finish it
-	stepRecvOverhead              // the receive's CPU overhead runs
-)
-
-// do runs a blocking call: the next operation of each listed request, in
-// order, which is an Isend on a fresh send request and a Wait otherwise.
-// SendRecv is do(sreq, sreq, rreq). The rank's proc runs the operations
-// until one must wait for a wake, then parks once, with the rank as its
-// sim.Guard: the rest run in the dispatch loop at the rank's wakes, where
-// the proc would have run them. So a call measures the same whether its
-// operations are grouped with others or not (DESIGN §10.1). An Isend
-// must come first, so that its StartCompute checks run in the proc.
-func (r *Rank) do(reqs ...*Request) {
-	copy(r.ops[:], reqs)
-	if r.run() {
-		r.proc.Park((*driver)(r))
-	}
-	req := r.ops[0]
-	if req == nil {
-		return
-	}
-	// The driver stopped at a Wait whose checks fail: repeat them here,
-	// where they panic in the rank's own body.
-	r.ops = [3]*Request{}
-	if !req.done {
-		panic(fmt.Sprintf("rank %d: woke with incomplete request", r.id))
-	}
-	if msg := r.misordered(req); msg != "" {
-		panic(msg)
-	}
-	// What is left is the node computing for another proc, which
-	// StartCompute reports in its own words.
-	r.node.StartCompute(r.proc, r.recvOverhead(req), dvs.ActCommTransfer)
-}
-
-// driver is a Rank seen as the sim.Guard of its blocking call in flight.
-type driver Rank
-
-// Wake runs the call at one of the rank's wakes and resumes the rank's
-// proc once the call no longer waits.
-func (d *driver) Wake(*sim.Proc) bool { return !(*Rank)(d).run() }
-
-// run drives the call in flight from its current step until a step must
-// wait for a wake, which it arms, reporting true. It reports false once
-// the call is over (r.ops is all nil), or when a Wait's request fails its
-// checks (r.ops[0] is that request), so that the proc repeats them.
-func (r *Rank) run() bool {
-	for r.ops[0] != nil {
-		req := r.ops[0]
-		switch req.step {
-		case stepSend:
-			req.since = r.Now()
-			r.node.StartCompute(r.proc, r.sendOverhead(req.bytes), dvs.ActCommTransfer)
-			req.step = stepSendOverhead
-		case stepSendOverhead:
-			if r.node.StepCompute(r.proc) {
-				return true
-			}
-			r.post(req)
-			r.next()
-		case stepWait:
-			req.since = r.Now()
-			req.step = stepWaited
-			if !req.done {
-				// Idle at communication-wait activity until req's
-				// completion wakes the rank.
-				r.node.BeginSpan(r.waitActivity(), r.waitVisibility())
-				req.step = stepWaiting
-				return true
-			}
-		case stepWaiting:
-			r.node.EndSpan()
-			r.stats.Wait += r.Now().Sub(req.since)
-			req.step = stepWaited
-		case stepWaited:
-			if !req.done || req.isRecv && (r.misordered(req) != "" || r.node.Computing()) {
-				return false
-			}
-			if req.isRecv {
-				r.node.StartCompute(r.proc, r.recvOverhead(req), dvs.ActCommTransfer)
-				r.recvAt = r.Now()
-				req.step = stepRecvOverhead
-			} else {
-				r.finishWait(req)
-			}
-		case stepRecvOverhead:
-			if r.node.StepCompute(r.proc) {
-				return true
-			}
-			r.stats.Transfer += r.Now().Sub(r.recvAt)
-			r.stats.Messages++
-			r.stats.Bytes += int64(req.bytes)
-			r.finishWait(req)
-		}
-	}
-	return false
-}
-
-// finishWait traces the finished Wait on req, frees req (its fields stay
-// readable until it is reused) and moves the call on to its next
-// operation.
-func (r *Rank) finishWait(req *Request) {
-	r.world.emit(r.id, EvWait, "wait", req.since, r.Now(), req.bytes, req.src)
-	req.owner = nil
-	r.free = append(r.free, req)
-	r.next()
-}
-
-// next moves the call in flight on to its next operation.
-func (r *Rank) next() { r.ops = [3]*Request{r.ops[1], r.ops[2]} }

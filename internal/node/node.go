@@ -3,14 +3,15 @@
 // power/energy/utilization accounting the rest of the system observes.
 //
 // A node executes work on behalf of the proc bound to it (one MPI rank per
-// node, as on the paper's NEMO cluster). Work comes in three kinds:
+// node, as on the paper's NEMO cluster). Work comes in two kinds:
 //
-//   - Compute(cycles): duration scales inversely with the current CPU
+//   - Compute phases (StartCompute, then StepCompute at each of the
+//     proc's wakes): duration scales inversely with the current CPU
 //     frequency and re-stretches across DVS transitions mid-phase;
-//   - MemoryStall(d): frequency-insensitive stall time (DRAM latency does
-//     not improve when the core slows down — the source of "CPU slack");
-//   - Activity spans (BeginSpan/EndSpan) used by the MPI layer for
-//     transfers and waits.
+//   - Activity spans (BeginSpan/EndSpan), whose length the caller
+//     decides: memory stalls (frequency-insensitive: DRAM latency does
+//     not improve when the core slows down — the source of "CPU slack"),
+//     disk waits, and the MPI layer's transfers and waits.
 //
 // Energy is integrated exactly over virtual time from the dvs.PowerModel,
 // itemized per component. Busy/idle accounting mimics /proc/stat: the
@@ -95,7 +96,7 @@ type Node struct {
 	busy      time.Duration
 	timeAtOp  []time.Duration // residency per operating point
 	nTrans    int             // DVS transitions performed
-	computing *sim.Proc       // proc currently in Compute, if any
+	computing *sim.Proc       // proc whose compute phase is in flight, if any
 	thermal   thermalState    // die-temperature integrator
 
 	// remaining is the cycles the compute phase in flight has left, and
@@ -280,30 +281,12 @@ func (n *Node) SetFrequency(f dvs.MHz) error {
 	return n.SetFrequencyIndex(n.cfg.Table.Nearest(f))
 }
 
-// Compute executes the given number of CPU cycles (at the reference meaning
-// of "cycle": work that retires at 1 cycle per Hz). Duration stretches and
-// shrinks with DVS transitions that occur mid-phase, and the phase absorbs
-// any transition stalls. cycles is expressed in units of 1e6 cycles
-// (megacycles) to keep workload tables readable.
-func (n *Node) Compute(p *sim.Proc, megacycles float64) {
-	n.ComputeWith(p, megacycles, dvs.ActCompute)
-}
-
-// ComputeWith is Compute with an explicit activity profile; the MPI layer
-// uses it to charge per-message software overhead at communication
-// activity levels. It drives the compute phase from inside p: start it,
-// then park through each sleep StepCompute arms.
-func (n *Node) ComputeWith(p *sim.Proc, megacycles float64, act dvs.Activity) {
-	n.StartCompute(p, megacycles, act)
-	for n.StepCompute(p) {
-		p.Park(nil)
-	}
-}
-
 // StartCompute begins a compute phase of megacycles at activity act on
-// behalf of p, without blocking; StepCompute then runs it, from p itself
-// (ComputeWith) or from a sim.Guard at p's wakes. It panics if the node
-// is already computing or megacycles is negative.
+// behalf of p, without blocking; StepCompute then runs it at p's wakes,
+// from p itself or from a sim.Guard. Work is counted in reference cycles,
+// which retire at 1 cycle per Hz: the phase stretches and shrinks with
+// DVS transitions that occur mid-phase and absorbs their stalls. It
+// panics if the node is already computing or megacycles is negative.
 func (n *Node) StartCompute(p *sim.Proc, megacycles float64, act dvs.Activity) {
 	if n.computing != nil {
 		panic(fmt.Sprintf("node %d: concurrent Compute", n.ID))
@@ -354,27 +337,12 @@ func (n *Node) StepCompute(p *sim.Proc) bool {
 	return false
 }
 
-// MemoryStall spends d of frequency-insensitive stall time (memory-bound
-// execution). The CPU is accounted busy.
-func (n *Node) MemoryStall(p *sim.Proc, d time.Duration) {
-	n.setState(dvs.ActMemory, 1.0)
-	p.Sleep(d)
-	n.setState(dvs.ActIdle, 0)
-}
-
-// DiskStall spends d blocked on disk I/O: frequency-insensitive, the disk
-// active, the CPU asleep in iowait — which /proc-style accounting shows as
-// idle, so daemons see I/O phases as downshift opportunities.
-func (n *Node) DiskStall(p *sim.Proc, d time.Duration) {
-	n.setState(dvs.ActDiskIO, 0)
-	p.Sleep(d)
-	n.setState(dvs.ActIdle, 0)
-}
-
 // BeginSpan accounts the node at activity a and busy fraction busyFrac
-// until EndSpan returns it to idle. The MPI layer uses spans for transfer
-// and wait periods whose length is decided elsewhere (by the network or
-// by message arrival).
+// until EndSpan returns it to idle. The MPI layer uses spans for memory
+// stalls (dvs.ActMemory, busy), disk waits (dvs.ActDiskIO, idle: iowait
+// shows as idle, so daemons see I/O phases as downshift opportunities),
+// and transfer and wait periods whose length is decided elsewhere (by the
+// network or by message arrival).
 func (n *Node) BeginSpan(a dvs.Activity, busyFrac float64) { n.setState(a, busyFrac) }
 
 // EndSpan closes the span BeginSpan opened: the node returns to idle.

@@ -10,6 +10,22 @@ import (
 	"repro/internal/sim"
 )
 
+// compute runs a compute phase of megacycles on n from p's own body,
+// parking p through each sleep StepCompute arms.
+func compute(n *Node, p *sim.Proc, megacycles float64) {
+	n.StartCompute(p, megacycles, dvs.ActCompute)
+	for n.StepCompute(p) {
+		p.Park(nil)
+	}
+}
+
+// stall holds n at activity a and busy fraction busyFrac for d.
+func stall(n *Node, p *sim.Proc, a dvs.Activity, busyFrac float64, d time.Duration) {
+	n.BeginSpan(a, busyFrac)
+	p.Sleep(d)
+	n.EndSpan()
+}
+
 func newNode(t *testing.T) (*sim.Kernel, *Node) {
 	t.Helper()
 	k := sim.NewKernel()
@@ -71,7 +87,7 @@ func TestComputeDurationScalesWithFrequency(t *testing.T) {
 		var took time.Duration
 		k.Spawn("w", func(p *sim.Proc) {
 			start := p.Now()
-			n.Compute(p, 1400)
+			compute(n, p, 1400)
 			took = p.Now().Sub(start)
 		})
 		run(t, k)
@@ -91,7 +107,7 @@ func TestMemoryStallFrequencyInsensitive(t *testing.T) {
 		var took time.Duration
 		k.Spawn("w", func(p *sim.Proc) {
 			start := p.Now()
-			n.MemoryStall(p, 500*time.Millisecond)
+			stall(n, p, dvs.ActMemory, 1, 500*time.Millisecond)
 			took = p.Now().Sub(start)
 		})
 		run(t, k)
@@ -109,7 +125,7 @@ func TestMidPhaseTransitionStretchesCompute(t *testing.T) {
 	var took time.Duration
 	k.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
-		n.Compute(p, 1400)
+		compute(n, p, 1400)
 		took = p.Now().Sub(start)
 	})
 	k.At(sim.Time(500*time.Millisecond), func() {
@@ -135,7 +151,7 @@ func TestUpshiftMidPhaseShrinksCompute(t *testing.T) {
 	var took time.Duration
 	k.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
-		n.Compute(p, 1200) // at 600 MHz: 2 s
+		compute(n, p, 1200) // at 600 MHz: 2 s
 		took = p.Now().Sub(start)
 	})
 	k.At(sim.Time(time.Second), func() {
@@ -159,7 +175,7 @@ func TestEnergyIdleVersusBusy(t *testing.T) {
 	k, n := newNode(t)
 	k.Spawn("w", func(p *sim.Proc) {
 		p.Sleep(time.Second) // idle second
-		n.Compute(p, 1400)   // busy second
+		compute(n, p, 1400)  // busy second
 	})
 	run(t, k)
 	e := n.Energy()
@@ -178,7 +194,7 @@ func TestEnergyLowerAtLowFrequencyForMemoryWork(t *testing.T) {
 		if err := n.SetFrequency(f); err != nil {
 			t.Fatal(err)
 		}
-		k.Spawn("w", func(p *sim.Proc) { n.MemoryStall(p, 10*time.Second) })
+		k.Spawn("w", func(p *sim.Proc) { stall(n, p, dvs.ActMemory, 1, 10*time.Second) })
 		run(t, k)
 		return n.Energy().Total()
 	}
@@ -195,7 +211,7 @@ func TestEnergyComputePhaseTradeoff(t *testing.T) {
 		if err := n.SetFrequency(f); err != nil {
 			t.Fatal(err)
 		}
-		k.Spawn("w", func(p *sim.Proc) { n.Compute(p, 14000) })
+		k.Spawn("w", func(p *sim.Proc) { compute(n, p, 14000) })
 		run(t, k)
 		return n.Energy().Total()
 	}
@@ -212,7 +228,7 @@ func TestUtilizationAccounting(t *testing.T) {
 	k, n := newNode(t)
 	var mid, end UtilSnapshot
 	k.Spawn("w", func(p *sim.Proc) {
-		n.Compute(p, 1400) // 1 s busy
+		compute(n, p, 1400) // 1 s busy
 		mid = n.Util()
 		p.Sleep(time.Second) // 1 s idle
 		end = n.Util()
@@ -316,7 +332,7 @@ func TestTransitionStallCharged(t *testing.T) {
 	var took time.Duration
 	k.Spawn("w", func(p *sim.Proc) {
 		start := p.Now()
-		n.Compute(p, 140) // 100 ms at 1400
+		compute(n, p, 140) // 100 ms at 1400
 		took = p.Now().Sub(start)
 	})
 	for i := 1; i <= 5; i++ {
@@ -344,8 +360,8 @@ func TestTransitionStallCharged(t *testing.T) {
 
 func TestConcurrentComputePanics(t *testing.T) {
 	k, n := newNode(t)
-	k.Spawn("a", func(p *sim.Proc) { n.Compute(p, 1400) })
-	k.Spawn("b", func(p *sim.Proc) { n.Compute(p, 1400) })
+	k.Spawn("a", func(p *sim.Proc) { compute(n, p, 1400) })
+	k.Spawn("b", func(p *sim.Proc) { compute(n, p, 1400) })
 	if err := k.Run(sim.MaxTime); err == nil {
 		t.Fatal("concurrent Compute not rejected")
 	}
@@ -362,7 +378,7 @@ func TestPropertyEnergyAdditive(t *testing.T) {
 			for _, r := range splitsRaw {
 				d := time.Duration(r) * time.Microsecond
 				total += d
-				n.MemoryStall(p, d)
+				stall(n, p, dvs.ActMemory, 1, d)
 			}
 		})
 		if err := k.Run(sim.MaxTime); err != nil {
@@ -394,7 +410,7 @@ func TestPropertyComputeDelayMonotone(t *testing.T) {
 		var took time.Duration
 		k.Spawn("w", func(p *sim.Proc) {
 			start := p.Now()
-			n.Compute(p, 700)
+			compute(n, p, 700)
 			took = p.Now().Sub(start)
 		})
 		if err := k.Run(sim.MaxTime); err != nil {
@@ -447,7 +463,7 @@ func TestDiskStallFrequencyInsensitiveAndIdle(t *testing.T) {
 		var took time.Duration
 		k.Spawn("w", func(p *sim.Proc) {
 			start := p.Now()
-			n.DiskStall(p, 2*time.Second)
+			stall(n, p, dvs.ActDiskIO, 0, 2*time.Second)
 			took = p.Now().Sub(start)
 		})
 		run(t, k)

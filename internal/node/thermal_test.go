@@ -46,7 +46,7 @@ func TestTemperatureStartsAtAmbient(t *testing.T) {
 func TestTemperatureApproachesSteadyState(t *testing.T) {
 	k, n := newNode(t)
 	k.Spawn("w", func(p *sim.Proc) {
-		n.Compute(p, 1400*120) // 2 min busy ≫ τ=10 s
+		compute(n, p, 1400*120) // 2 min busy ≫ τ=10 s
 	})
 	run(t, k)
 	cfg := n.Config()
@@ -67,7 +67,7 @@ func TestTemperatureCoolsWhenIdle(t *testing.T) {
 	k, n := newNode(t)
 	var hot, cooled float64
 	k.Spawn("w", func(p *sim.Proc) {
-		n.Compute(p, 1400*60)
+		compute(n, p, 1400*60)
 		hot = n.Thermal().CurrentC
 		p.Sleep(time.Minute)
 		cooled = n.Thermal().CurrentC
@@ -85,7 +85,7 @@ func TestLowFrequencyRunsCooler(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Spawn("w", func(p *sim.Proc) {
-			n.Compute(p, float64(f)*120) // 2 min busy at f
+			compute(n, p, float64(f)*120) // 2 min busy at f
 		})
 		run(t, k)
 		return n.Thermal().CurrentC
@@ -106,7 +106,7 @@ func TestArrheniusLifetimeDoubling(t *testing.T) {
 			t.Fatal(err)
 		}
 		k.Spawn("w", func(p *sim.Proc) {
-			n.Compute(p, float64(f)*600) // 10 min busy: thermal steady state
+			compute(n, p, float64(f)*600) // 10 min busy: thermal steady state
 		})
 		run(t, k)
 		st := n.Thermal()
@@ -291,9 +291,9 @@ func TestThermalSplitAndReadInvariant(t *testing.T) {
 func TestThermalSpanIsElapsedTime(t *testing.T) {
 	k, n := newNode(t)
 	k.Spawn("w", func(p *sim.Proc) {
-		n.Compute(p, 1400*3)
+		compute(n, p, 1400*3)
 		p.Sleep(777_777_777)
-		n.Compute(p, 999.999_999)
+		compute(n, p, 999.999_999)
 	})
 	k.Spawn("dvs", func(p *sim.Proc) {
 		for i := 0; i < 40; i++ {

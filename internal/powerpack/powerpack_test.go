@@ -11,6 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
+// compute runs a compute phase of megacycles on n from p's own body,
+// parking p through each sleep StepCompute arms.
+func compute(n *node.Node, p *sim.Proc, megacycles float64) {
+	n.StartCompute(p, megacycles, dvs.ActCompute)
+	for n.StepCompute(p) {
+		p.Park(nil)
+	}
+}
+
 func newNode(t *testing.T, k *sim.Kernel) *node.Node {
 	t.Helper()
 	n, err := node.New(k, 0, node.DefaultConfig())
@@ -55,7 +64,7 @@ func TestBatteryDrainsWithLoad(t *testing.T) {
 	}
 	var after int
 	k.Spawn("load", func(p *sim.Proc) {
-		n.Compute(p, 1400*60) // 60 s busy ≈ 60·33 J ≈ 550 mWh
+		compute(n, p, 1400*60) // 60 s busy ≈ 60·33 J ≈ 550 mWh
 		b.ForceRefresh()
 		after = b.Poll()
 	})
@@ -81,7 +90,7 @@ func TestBatteryStaleBetweenRefreshes(t *testing.T) {
 	k.Spawn("load", func(p *sim.Proc) {
 		b.Poll() // consume the fresh reading
 		for i := 0; i < 10; i++ {
-			n.Compute(p, 1400) // 1 s busy each
+			compute(n, p, 1400) // 1 s busy each
 			readings = append(readings, b.Poll())
 		}
 	})
@@ -108,7 +117,7 @@ func TestBatteryRecharge(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Spawn("load", func(p *sim.Proc) {
-		n.Compute(p, 1400*30)
+		compute(n, p, 1400*30)
 		b.Recharge()
 		if got := b.Poll(); got != DefaultBattery().CapacityMWh {
 			t.Errorf("after recharge: %d", got)
@@ -142,7 +151,7 @@ func TestBaytechWindowAverages(t *testing.T) {
 	var meas Measurement
 	k.Spawn("load", func(p *sim.Proc) {
 		m.Begin()
-		n.Compute(p, 1400*61) // 61 s busy
+		compute(n, p, 1400*61) // 61 s busy
 		meas, err = m.End()
 	})
 	if err := k.Run(sim.MaxTime); err != nil {
@@ -179,7 +188,7 @@ func TestMeterMeasuresRun(t *testing.T) {
 	var meas Measurement
 	k.Spawn("exp", func(p *sim.Proc) {
 		m.Begin()
-		nodes[0].Compute(p, 1400*120) // 2 minutes busy
+		compute(nodes[0], p, 1400*120) // 2 minutes busy
 		var err error
 		meas, err = m.End()
 		if err != nil {
@@ -218,7 +227,7 @@ func TestACPIErrorShrinksWithRuntime(t *testing.T) {
 		var meas Measurement
 		k.Spawn("exp", func(p *sim.Proc) {
 			m.Begin()
-			n.Compute(p, 1400*seconds)
+			compute(n, p, 1400*seconds)
 			meas, _ = m.End()
 		})
 		if err := k.Run(sim.MaxTime); err != nil {
@@ -244,7 +253,7 @@ func TestCollectorSamplesAndAligns(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Spawn("load", func(p *sim.Proc) {
-		n0.Compute(p, 1400*5)
+		compute(n0, p, 1400*5)
 		c.Stop()
 	})
 	if err := k.Run(sim.MaxTime); err != nil {
@@ -302,7 +311,7 @@ func TestPropertyBatteryMonotone(t *testing.T) {
 		k.Spawn("load", func(p *sim.Proc) {
 			prev := b.Poll()
 			for _, c := range chunks {
-				n.Compute(p, float64(c))
+				compute(n, p, float64(c))
 				cur := b.Poll()
 				if cur > prev {
 					ok = false

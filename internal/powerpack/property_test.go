@@ -58,7 +58,7 @@ func (mr meteredRun) measure(t *testing.T) Measurement {
 					return
 				}
 				if load.Intn(3) > 0 {
-					n.Compute(p, float64(100+load.Intn(20_000)))
+					compute(n, p, float64(100+load.Intn(20_000)))
 				} else {
 					p.Sleep(time.Duration(load.Intn(10_000)) * time.Millisecond)
 				}

@@ -45,7 +45,7 @@ func TestPowerCapHoldsBudget(t *testing.T) {
 		n := n
 		k.Spawn("load", func(p *sim.Proc) {
 			for p.Now() < sim.Time(120*time.Second) {
-				n.Compute(p, float64(n.Frequency())) // 1 s chunks
+				compute(n, p, float64(n.Frequency())) // 1 s chunks
 			}
 		})
 	}
@@ -78,7 +78,7 @@ func TestPowerCapReleasesWhenIdle(t *testing.T) {
 	}
 	k.Spawn("load", func(p *sim.Proc) {
 		for p.Now() < sim.Time(30*time.Second) {
-			n.Compute(p, float64(n.Frequency()))
+			compute(n, p, float64(n.Frequency()))
 		}
 		// Idle tail: 14 W idle < 20 W budget → release back to top.
 		p.Sleep(30 * time.Second)
@@ -106,7 +106,7 @@ func TestPowerCapUnreachableBudget(t *testing.T) {
 	}
 	k.Spawn("load", func(p *sim.Proc) {
 		for p.Now() < sim.Time(20*time.Second) {
-			n.Compute(p, float64(n.Frequency()))
+			compute(n, p, float64(n.Frequency()))
 		}
 		pc.Stop()
 	})

@@ -80,7 +80,7 @@ func TestPredictiveTracksPeriodicLoad(t *testing.T) {
 		k.Spawn("load", func(p *sim.Proc) {
 			start := p.Now()
 			for i := 0; i < 30; i++ {
-				n.Compute(p, 1400) // 1 s of work at top speed
+				compute(n, p, 1400) // 1 s of work at top speed
 				p.Sleep(time.Second)
 			}
 			elapsed = time.Duration(p.Now().Sub(start))
@@ -120,7 +120,7 @@ func TestPredictiveFallsBackEarly(t *testing.T) {
 		t.Fatal(err)
 	}
 	k.Spawn("load", func(p *sim.Proc) {
-		n.Compute(p, 1400) // 1 s busy
+		compute(n, p, 1400) // 1 s busy
 		d.Stop()
 	})
 	if err := k.Run(sim.MaxTime); err != nil {

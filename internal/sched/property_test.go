@@ -90,7 +90,7 @@ func checkStaysInTable(t *testing.T, kind string, rng *rand.Rand) {
 		k.Spawn("load", func(p *sim.Proc) {
 			for p.Now() < sim.Time(stopAt) {
 				busy := time.Duration(rng.Int63n(int64(3 * time.Second)))
-				n.Compute(p, float64(n.Frequency())*busy.Seconds())
+				compute(n, p, float64(n.Frequency())*busy.Seconds())
 				p.Sleep(time.Duration(rng.Int63n(int64(3 * time.Second))))
 			}
 		})

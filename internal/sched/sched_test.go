@@ -11,6 +11,15 @@ import (
 	"repro/internal/sim"
 )
 
+// compute runs a compute phase of megacycles on n from p's own body,
+// parking p through each sleep StepCompute arms.
+func compute(n *node.Node, p *sim.Proc, megacycles float64) {
+	n.StartCompute(p, megacycles, dvs.ActCompute)
+	for n.StepCompute(p) {
+		p.Park(nil)
+	}
+}
+
 func newNode(t *testing.T, k *sim.Kernel, id int) *node.Node {
 	t.Helper()
 	n, err := node.New(k, id, node.DefaultConfig())
@@ -46,7 +55,7 @@ func busyFor(k *sim.Kernel, n *node.Node, d time.Duration) {
 	k.Spawn("load", func(p *sim.Proc) {
 		for p.Now() < sim.Time(d) {
 			mcyc := float64(n.Frequency()) * 0.1 // 100 ms chunks
-			n.Compute(p, mcyc)
+			compute(n, p, mcyc)
 		}
 	})
 }
@@ -124,7 +133,7 @@ func TestDaemonV11StaysHighOnBurstyLoad(t *testing.T) {
 	// 40% duty cycle: 40 ms compute, 60 ms idle.
 	k.Spawn("bursty", func(p *sim.Proc) {
 		for p.Now() < sim.Time(10*time.Second) {
-			n.Compute(p, float64(n.Frequency())*0.04)
+			compute(n, p, float64(n.Frequency())*0.04)
 			p.Sleep(60 * time.Millisecond)
 		}
 	})
@@ -150,7 +159,7 @@ func TestDaemonV121DownshiftsSameLoad(t *testing.T) {
 	}
 	k.Spawn("bursty", func(p *sim.Proc) {
 		for p.Now() < sim.Time(30*time.Second) {
-			n.Compute(p, float64(n.Frequency())*0.04)
+			compute(n, p, float64(n.Frequency())*0.04)
 			p.Sleep(60 * time.Millisecond)
 		}
 	})

@@ -46,13 +46,17 @@ func steadyStateAllocs(t *testing.T, ranks, warmup, rounds int, op func(r *mpisi
 		for i := 0; i < warmup; i++ {
 			op(r)
 		}
+		// Drain the rank's operations before each reading, so that the
+		// rounds' operations run, not only their issuing, between them.
 		var m0, m1 runtime.MemStats
+		r.Now()
 		if r.ID() == 0 {
 			runtime.ReadMemStats(&m0)
 		}
 		for i := 0; i < rounds; i++ {
 			op(r)
 		}
+		r.Now()
 		if r.ID() == 0 {
 			runtime.ReadMemStats(&m1)
 			mallocs = m1.Mallocs - m0.Mallocs

@@ -36,22 +36,46 @@ func TestScheduleHotPathAllocFree(t *testing.T) {
 }
 
 // TestSignalHotPathAllocFree runs the wake path a callback's Wake takes,
-// 2,000 times over: a parked proc woken from an At callback.
+// 2,000 times in one Run: a parked proc woken from At callbacks that are
+// all queued up front, so the heap holds 2,000 of them. Every Wake must
+// find the proc parked, and once a first round has grown the event
+// freelist and the heap, a second round allocates nothing.
 func TestSignalHotPathAllocFree(t *testing.T) {
 	k := NewKernel()
 	const rounds = 2000
+	// AllocsPerRun below runs round twice: a warm-up and the measured run.
 	waiter := k.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < rounds; i++ {
+		for i := 0; i < 2*rounds; i++ {
 			p.Park(nil)
 		}
 	})
+	// A far-future sentinel keeps the deadlock detector quiet while the
+	// waiter is parked between bounded Run calls.
+	k.At(MaxTime-1, func() {})
+	missed := 0
+	wake := func() {
+		if !waiter.Wake() {
+			missed++
+		}
+	}
 	at := Time(0)
-	for i := 0; i < rounds; i++ {
-		at = at.Add(time.Microsecond)
-		k.At(at, func() { waiter.Wake() })
+	round := func() {
+		for i := 0; i < rounds; i++ {
+			at = at.Add(time.Microsecond)
+			k.At(at, wake)
+		}
+		if err := k.Run(at + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1, round); allocs != 0 {
+		t.Fatalf("a warm round of %d callback wakes allocates %.0f objects, want 0", rounds, allocs)
+	}
+	if missed != 0 {
+		t.Fatalf("%d of %d Wakes found the waiter not parked", missed, 2*rounds)
 	}
 	if err := k.Run(MaxTime); err != nil {
-		t.Fatal(err)
+		t.Fatalf("drain: %v", err)
 	}
 }
 
