@@ -514,3 +514,20 @@ func BenchmarkFullRun(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkJobKey measures one content address: what every cached cell
+// pays twice, in the gateway's sweep plan and in the backend's
+// /simulate. The job is a class-C cell under the cpuspeed daemon.
+func BenchmarkJobKey(b *testing.B) {
+	w, err := npb.FT(npb.ClassC, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	j := runner.Job{Workload: w, Strategy: core.Daemon(sched.CPUSpeedV121()), Config: core.DefaultConfig()}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := j.Key(); !ok {
+			b.Fatal("job not cacheable")
+		}
+	}
+}

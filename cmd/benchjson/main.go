@@ -48,9 +48,9 @@ import (
 
 // defaultBench selects the substrate benchmarks: the simulator's hot paths
 // (kernel events, proc switch), the MPI layer over them, the daemon poll
-// step, the node's thermal integrator, and one end-to-end cluster run per
-// NPB code.
-const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun"
+// step, the node's thermal integrator, one end-to-end cluster run per
+// NPB code, and the content address every cached cell pays for.
+const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun|BenchmarkJobKey"
 
 // Result is one benchmark's measured costs.
 type Result struct {

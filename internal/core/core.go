@@ -15,6 +15,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/dvs"
@@ -290,7 +291,9 @@ func runOn(ctx context.Context, m *machine, w npb.Workload, strat Strategy, warm
 	// sim.run covers launch through kernel completion — the simulation
 	// proper, where a slow cell actually spends its time.
 	_, ssp := obs.Start(ctx, "sim.run")
-	ssp.SetAttr("workload", w.Name())
+	if ssp != nil {
+		ssp.SetAttr("workload", w.Name())
+	}
 	if err := w.Launch(m.world); err != nil {
 		ssp.End()
 		return Result{}, err
@@ -303,7 +306,17 @@ func runOn(ctx context.Context, m *machine, w npb.Workload, strat Strategy, warm
 		ssp.End()
 		return Result{}, fmt.Errorf("core: %s did not complete", w.Name())
 	}
-	ssp.SetAttr("virtual_elapsed", (time.Duration(m.world.Elapsed()) - warmup).String())
+	if ssp != nil {
+		// The kernel's and the network's counters, the simulator's own
+		// account of the run's cost: events dispatched, proc switches,
+		// guard-absorbed wakes and messages.
+		st := m.k.Stats()
+		ssp.SetAttr("virtual_elapsed", (time.Duration(m.world.Elapsed()) - warmup).String())
+		ssp.SetAttr("events", strconv.Itoa(st.Events))
+		ssp.SetAttr("handoffs", strconv.Itoa(st.Handoffs))
+		ssp.SetAttr("absorbed", strconv.Itoa(st.Absorbed))
+		ssp.SetAttr("messages", strconv.Itoa(m.net.Stats().Messages))
+	}
 	ssp.End()
 
 	_, csp := obs.Start(ctx, "collect")

@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -667,4 +668,50 @@ func TestZeroByteCollectivesEverywhere(t *testing.T) {
 		r.Alltoallv(make([]int, 5))
 	})
 	_ = k
+}
+
+// TestRecvTraceStartsAtWait pins where a "recv" event starts: at the
+// start of the Wait it finishes, not at the receive overhead's start, for
+// Recv and for a collective's internal receive (here the reduce to rank
+// 0 inside a 3-rank Allreduce). Each receive below waits for a late
+// sender, so the two starts differ.
+func TestRecvTraceStartsAtWait(t *testing.T) {
+	k, w := world(t, 3)
+	type span struct{ start, end sim.Time }
+	waits := map[int][]span{}
+	recvs := map[int][]span{}
+	w.SetTracer(tracerFunc(func(rank int, kind EventKind, name string, start, end sim.Time, bytes, peer int) {
+		switch name {
+		case "wait":
+			waits[rank] = append(waits[rank], span{start, end})
+		case "recv":
+			recvs[rank] = append(recvs[rank], span{start, end})
+		}
+	}))
+	launch(t, k, w, func(r *Rank) {
+		switch r.ID() {
+		case 0:
+			r.Recv(1, 99)
+		case 1:
+			r.Compute(14)
+			r.Send(0, 99, 64)
+			r.Compute(28)
+		case 2:
+			r.Compute(56)
+		}
+		r.Allreduce(64)
+	})
+	if n := len(recvs[0]); n != 3 {
+		t.Fatalf("rank 0 traced %d recv events, want 3 (Recv and two reduce receives)", n)
+	}
+	if s := recvs[0][0].start; s != 0 {
+		t.Fatalf("rank 0's Recv, issued at 0, traced from %v", s)
+	}
+	for rank, rs := range recvs {
+		for _, rv := range rs {
+			if !slices.Contains(waits[rank], rv) {
+				t.Errorf("rank %d: recv event %v matches no wait event %v", rank, rv, waits[rank])
+			}
+		}
+	}
 }

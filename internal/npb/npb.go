@@ -22,7 +22,9 @@ package npb
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/mpisim"
 )
@@ -89,26 +91,39 @@ type Workload struct {
 
 // Name returns the paper's XX.S.# naming, e.g. "FT.C.8".
 func (w Workload) Name() string {
-	n := fmt.Sprintf("%s.%c.%d", w.Code, w.Class, w.Ranks)
-	if w.Variant != "" {
-		n += "+" + w.Variant
-	}
-	return n
+	var buf [32]byte
+	return string(w.appendName(buf[:0]))
 }
 
-// ID returns the workload's full value identity — Name plus the builder
-// parameters baked into Body — and whether that identity is complete.
-// It is incomplete (ok == false) when the workload is a variant that did
-// not declare its parameters, or when middleware is attached: such
-// workloads cannot safely be deduplicated by key.
-func (w Workload) ID() (id string, ok bool) {
+func (w Workload) appendName(b []byte) []byte {
+	b = append(b, w.Code...)
+	b = append(b, '.')
+	b = utf8.AppendRune(b, rune(w.Class))
+	b = append(b, '.')
+	b = strconv.AppendInt(b, int64(w.Ranks), 10)
+	if w.Variant != "" {
+		b = append(b, '+')
+		b = append(b, w.Variant...)
+	}
+	return b
+}
+
+// AppendID appends the workload's full value identity — Name plus the
+// builder parameters baked into Body — to b, and reports whether that
+// identity is complete. It is incomplete (ok == false, b returned as
+// is) when the workload is a variant that did not declare its
+// parameters, or when middleware is attached: such workloads cannot
+// safely be deduplicated by key.
+func (w Workload) AppendID(b []byte) ([]byte, bool) {
 	if w.Policy != nil || (w.Variant != "" && w.Params == "") {
-		return "", false
+		return b, false
 	}
-	if w.Params == "" {
-		return w.Name(), true
+	b = w.appendName(b)
+	if w.Params != "" {
+		b = append(b, '@')
+		b = append(b, w.Params...)
 	}
-	return w.Name() + "@" + w.Params, true
+	return b, true
 }
 
 // WithPolicy returns a copy of the workload with middleware attached and

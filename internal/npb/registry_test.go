@@ -127,7 +127,8 @@ func TestSpecForRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
-		want, ok := w.ID()
+		id, ok := w.AppendID(nil)
+		want := string(id)
 		if !ok {
 			t.Fatalf("%s has no value identity", w.Name())
 		}
@@ -139,7 +140,7 @@ func TestSpecForRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: spec %+v does not rebuild: %v", want, back, err)
 		}
-		if got, _ := rebuilt.ID(); got != want {
+		if got, _ := rebuilt.AppendID(nil); string(got) != want {
 			t.Fatalf("round trip of %s gave %s", want, got)
 		}
 	}

@@ -1,10 +1,8 @@
 package runner
 
-import "strings"
-
 // KeyAtModel is the key a simulator at model version v gives j: Key with
 // another version stamped in.
 func KeyAtModel(j Job, v string) string {
-	k, _ := j.key(strings.Replace(keyFormat, "model="+modelVersion+"|", "model="+v+"|", 1))
+	k, _ := j.key(v)
 	return k
 }

@@ -29,8 +29,6 @@ package runner
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -48,37 +46,6 @@ type Job struct {
 	Workload npb.Workload
 	Strategy core.Strategy
 	Config   core.Config
-}
-
-// Key returns the job's content address and whether the job is cacheable.
-// A job is uncacheable when its inputs are not fully value-identified: a
-// tracer is attached (side effects), middleware is installed, or the
-// workload is a variant that did not declare its closure parameters
-// (npb.Workload.ID).
-func (j Job) Key() (string, bool) { return j.key(keyFormat) }
-
-// modelVersion names the simulator's physics in every content address:
-// the memo cache and its snapshots, the sweep checkpoint journals (their
-// plan fingerprint hashes the cell keys), and the fleet's ring routing.
-// Bump it whenever an unchanged job's core.Result bytes change, so a
-// restarted daemon, a resumed sweep or a mixed-version fleet never
-// serves a result the current model would not produce.
-const modelVersion = "2"
-
-// keyFormat is what Key hashes: the model version, then the job's value.
-// %#v, not %+v: it never invokes String() methods (core.Strategy's
-// Stringer collapses distinct daemon configs to "auto"), and fmt prints
-// maps sorted by key, so the rendering is deterministic.
-const keyFormat = "model=" + modelVersion + "|w=%s|strat=%#v|node=%#v|net=%#v|mpi=%#v"
-
-func (j Job) key(format string) (string, bool) {
-	id, ok := j.Workload.ID()
-	if !ok || j.Config.Tracer != nil || j.Workload.Body == nil {
-		return "", false
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, format, id, j.Strategy, j.Config.Node, j.Config.Net, j.Config.MPI)
-	return hex.EncodeToString(h.Sum(nil)), true
 }
 
 // Outcome is one job's result.
