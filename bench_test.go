@@ -24,6 +24,7 @@ import (
 	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 )
 
 // compute runs a compute phase of megacycles on n from p's own body,
@@ -529,5 +530,43 @@ func BenchmarkJobKey(b *testing.B) {
 		if _, ok := j.Key(); !ok {
 			b.Fatal("job not cacheable")
 		}
+	}
+}
+
+// BenchmarkWireResult measures the result codec on one class-C result:
+// encoding and decoding the /simulate body dvsd sends and the gateway
+// reads, then the /sweep record line the gateway streams and a client
+// reads. Every cached cell of a gateway sweep pays all four.
+func BenchmarkWireResult(b *testing.B) {
+	r := sweep.ResultJSON{
+		Name: "FT.C.8", Strategy: "auto",
+		ElapsedSec: 43.26061727, EnergyJ: 6556.248790759172, AvgPowerW: 151.55236343115575,
+		EnergyPerNodeJ: 819.5310988448965, Transitions: 32, DaemonMoves: 32,
+		AvgTempC: 36.807296973209965, MinLifetimeFactor: 4.941368488379609,
+		NetMessages: 1600, NetBytes: 2660007680,
+	}
+	resp := sweep.SimulateResponse{Cached: true, Result: r}
+	rec := sweep.SweepRecord{Index: 41, Cached: true, Result: &r}
+	buf := make([]byte, 0, 1024)
+	var gotResp sweep.SimulateResponse
+	var gotRec sweep.SweepRecord
+	var err error
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if buf, err = sweep.AppendResponse(buf[:0], &resp); err != nil {
+			b.Fatal(err)
+		}
+		if err = sweep.DecodeResponse(buf, &gotResp); err != nil {
+			b.Fatal(err)
+		}
+		if buf, err = sweep.AppendRecord(buf[:0], &rec); err != nil {
+			b.Fatal(err)
+		}
+		if err = sweep.DecodeRecord(buf, &gotRec); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if gotResp != resp || *gotRec.Result != r {
+		b.Fatalf("round trip changed the result: %+v / %+v", gotResp, gotRec.Result)
 	}
 }

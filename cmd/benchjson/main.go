@@ -32,6 +32,14 @@
 // exactly. Timing on shared machines is not, so -fail-under gates speed
 // only when asked: it fails the run if any compared benchmark's speedup is
 // below the threshold.
+//
+// Every run also reads the host's speed with a fixed CPU probe, just
+// before and just after the benchmarks, and writes both readings into the
+// report. When the baseline carries readings too, a -baseline run prints
+// each speedup divided by the host-speed ratio (this run's mean reading
+// over the baseline's) and records it as host_adjusted, so a host that
+// slowed between the two recordings does not read as a uniform
+// regression. The adjusted figure is information only: no gate uses it.
 package main
 
 import (
@@ -49,8 +57,9 @@ import (
 // defaultBench selects the substrate benchmarks: the simulator's hot paths
 // (kernel events, proc switch), the MPI layer over them, the daemon poll
 // step, the node's thermal integrator, one end-to-end cluster run per
-// NPB code, and the content address every cached cell pays for.
-const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun|BenchmarkJobKey"
+// NPB code, and what every cached cell pays for: its content address and
+// the wire encoding of its result.
+const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun|BenchmarkJobKey|BenchmarkWireResult"
 
 // Result is one benchmark's measured costs.
 type Result struct {
@@ -64,17 +73,25 @@ type Comparison struct {
 	Before  *Result `json:"before,omitempty"`
 	After   Result  `json:"after"`
 	Speedup float64 `json:"speedup,omitempty"` // before.ns / after.ns
+	// HostAdjusted is Speedup divided by the host-speed ratio; zero when
+	// either side has no host readings.
+	HostAdjusted float64 `json:"host_adjusted,omitempty"`
 }
 
-// Report is the file format, shared by plain and -baseline runs.
+// Report is the file format, shared by plain and -baseline runs. Host
+// is this run's host-speed readings, BaselineHost the baseline's (in a
+// compared ledger). Ledgers written before the probe existed have
+// neither.
 type Report struct {
-	Goos       string                `json:"goos,omitempty"`
-	Goarch     string                `json:"goarch,omitempty"`
-	CPU        string                `json:"cpu,omitempty"`
-	Benchtime  string                `json:"benchtime"`
-	Count      int                   `json:"count"`
-	Benchmarks map[string]Result     `json:"benchmarks,omitempty"`
-	Compared   map[string]Comparison `json:"compared,omitempty"`
+	Goos         string                `json:"goos,omitempty"`
+	Goarch       string                `json:"goarch,omitempty"`
+	CPU          string                `json:"cpu,omitempty"`
+	Benchtime    string                `json:"benchtime"`
+	Count        int                   `json:"count"`
+	Host         *HostProbe            `json:"host_probe,omitempty"`
+	BaselineHost *HostProbe            `json:"baseline_host_probe,omitempty"`
+	Benchmarks   map[string]Result     `json:"benchmarks,omitempty"`
+	Compared     map[string]Comparison `json:"compared,omitempty"`
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
@@ -98,12 +115,15 @@ func main() {
 	rep := &Report{Benchtime: *benchtime, Count: *count, Benchmarks: map[string]Result{}}
 	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem",
 		"-benchtime", *benchtime, "-count", strconv.Itoa(*count), *pkg}
+	probe := newHostProbe()
+	rep.Host = &HostProbe{BeforePerS: round3(probe.rate(probeSpan))}
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
 	if err != nil {
 		fatalf("go %s: %v\n%s", strings.Join(args, " "), err, raw)
 	}
+	rep.Host.AfterPerS = round3(probe.rate(probeSpan))
 	parse(rep, string(raw))
 	if len(rep.Benchmarks) == 0 {
 		fatalf("no benchmarks matched %q", *bench)
@@ -135,6 +155,9 @@ func main() {
 		}
 		fmt.Printf("wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 	}
+	if compared != nil {
+		printAdjusted(compared)
+	}
 	// The gates run after the report is written, so a failing run still
 	// leaves the numbers on disk for inspection.
 	if compared != nil {
@@ -146,6 +169,26 @@ func main() {
 		if slow := regressions(compared, *failUnder); len(slow) > 0 {
 			fatalf("speedup below %v for: %s", *failUnder, strings.Join(slow, ", "))
 		}
+	}
+}
+
+// printAdjusted prints each speedup beside its host-adjusted value, on
+// stderr so that -out - keeps stdout to the report.
+func printAdjusted(rep *Report) {
+	if rep.Host == nil || rep.BaselineHost == nil {
+		fmt.Fprintln(os.Stderr, "benchjson: the baseline has no host-speed readings; speedups are not adjusted")
+		return
+	}
+	fmt.Fprintf(os.Stderr, "host speed %.1f/s against the baseline's %.1f/s (ratio %.3f)\n",
+		rep.Host.speed(), rep.BaselineHost.speed(), rep.Host.speed()/rep.BaselineHost.speed())
+	names := make([]string, 0, len(rep.Compared))
+	for name := range rep.Compared {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		c := rep.Compared[name]
+		fmt.Fprintf(os.Stderr, "  %-40s speedup %6.3f  host-adjusted %6.3f\n", name, c.Speedup, c.HostAdjusted)
 	}
 }
 
@@ -215,7 +258,8 @@ func parseF(s string) float64 {
 }
 
 // readReport loads a baseline. A compared ledger carries no plain
-// benchmarks; its after values, the numbers it last measured, stand in.
+// benchmarks; its after values, the numbers it last measured, stand in,
+// and its host readings are those of the same run.
 func readReport(path string) (*Report, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -241,7 +285,12 @@ func compare(base, cur *Report) (*Report, error) {
 	out := &Report{
 		Goos: cur.Goos, Goarch: cur.Goarch, CPU: cur.CPU,
 		Benchtime: cur.Benchtime, Count: cur.Count,
+		Host: cur.Host, BaselineHost: base.Host,
 		Compared: map[string]Comparison{},
+	}
+	hostRatio := 0.0
+	if cur.Host != nil && base.Host != nil && base.Host.speed() > 0 {
+		hostRatio = cur.Host.speed() / base.Host.speed()
 	}
 	var missing []string
 	for name, after := range cur.Benchmarks {
@@ -253,6 +302,9 @@ func compare(base, cur *Report) (*Report, error) {
 		c := Comparison{After: after, Before: &before}
 		if after.NsPerOp > 0 {
 			c.Speedup = round3(before.NsPerOp / after.NsPerOp)
+			if hostRatio > 0 {
+				c.HostAdjusted = round3(before.NsPerOp / after.NsPerOp / hostRatio)
+			}
 		}
 		out.Compared[name] = c
 	}

@@ -110,3 +110,48 @@ BenchmarkX-2   	     100	      1500 ns/op	      80 B/op	       3 allocs/op
 		t.Fatalf("parse kept %+v, want %+v", got, want)
 	}
 }
+
+// TestCompareAdjustsForHostSpeed: a host running at half the baseline's
+// speed doubles every ns/op; the adjusted speedup reads 1, the raw one
+// 0.5, and the gates still see only the raw figures.
+func TestCompareAdjustsForHostSpeed(t *testing.T) {
+	base := &Report{Host: &HostProbe{BeforePerS: 100, AfterPerS: 100},
+		Benchmarks: map[string]Result{"BenchmarkA": {NsPerOp: 10, AllocsPerOp: 1}}}
+	cur := &Report{Host: &HostProbe{BeforePerS: 60, AfterPerS: 40},
+		Benchmarks: map[string]Result{"BenchmarkA": {NsPerOp: 20, AllocsPerOp: 1}}}
+	rep, err := compare(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := rep.Compared["BenchmarkA"]; c.Speedup != 0.5 || c.HostAdjusted != 1 {
+		t.Fatalf("compared %+v, want speedup 0.5 and host-adjusted 1", c)
+	}
+	if rep.Host != cur.Host || rep.BaselineHost != base.Host {
+		t.Fatalf("ledger host readings %+v / %+v, want this run's and the baseline's", rep.Host, rep.BaselineHost)
+	}
+	if slow := regressions(rep, 0.9); len(slow) != 1 {
+		t.Fatalf("regressions = %v; -fail-under must keep gating the raw speedup", slow)
+	}
+}
+
+// TestOldLedgerHasNoHostReadings: a ledger from before the probe loads,
+// and a comparison against it leaves speedups unadjusted.
+func TestOldLedgerHasNoHostReadings(t *testing.T) {
+	base, err := readReport("../../BENCH_28.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Host != nil {
+		t.Fatalf("BENCH_28.json host readings = %+v, want none", base.Host)
+	}
+	cur := &Report{Host: &HostProbe{BeforePerS: 1, AfterPerS: 1}, Benchmarks: base.Benchmarks}
+	rep, err := compare(base, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range rep.Compared {
+		if c.HostAdjusted != 0 {
+			t.Fatalf("%s: host-adjusted %v against a ledger without readings", name, c.HostAdjusted)
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/sweep"
@@ -22,6 +23,9 @@ import (
 // /simulate summary is a few hundred bytes, so anything near the limit
 // is not our wire format.
 const maxResponseBody = 1 << 20
+
+// bodyBufs holds the buffers response bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Result classifies one forwarding attempt. Exactly one of the outcome
 // groups applies: Ok (Resp valid), AE (terminal typed rejection — relay
@@ -62,16 +66,27 @@ func Do(ctx context.Context, hc *http.Client, baseURL string, body []byte, trace
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 64<<10))
 		resp.Body.Close()
 	}()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
-	if err != nil {
+	// The body is read into a pooled buffer: decoding copies out every
+	// string it keeps, so the buffer is free again when Do returns. One
+	// grown by an outsized body is left to the collector.
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= 64<<10 {
+			bodyBufs.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody)); err != nil {
 		return Result{Retry: true, Transport: true}
 	}
+	raw := buf.Bytes()
 	if resp.StatusCode == http.StatusOK {
-		var sr sweep.SimulateResponse
-		if err := json.Unmarshal(raw, &sr); err != nil {
+		var res Result
+		if err := sweep.DecodeResponse(raw, &res.Resp); err != nil {
 			return Result{Retry: true}
 		}
-		return Result{Ok: true, Resp: sr}
+		res.Ok = true
+		return res
 	}
 	var env struct {
 		Error *sweep.APIError `json:"error"`

@@ -6,7 +6,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"repro/internal/core"
@@ -43,9 +42,7 @@ func (o Options) Sweep(jobs []runner.Job) ([]core.Result, error) {
 		c := sweep.Cell{Key: key, Job: j}
 		if o.Server != "" {
 			if spec, ok := server.JobSpecFor(j); ok {
-				if body, err := json.Marshal(spec); err == nil {
-					c.Body = body
-				}
+				c.Spec = spec
 			}
 		}
 		cells[i] = c

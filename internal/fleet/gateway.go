@@ -420,7 +420,7 @@ func (g *Gateway) backoff(n int) time.Duration {
 // under the cell's trace, so a slow cell explains itself at
 // /debug/traces.
 func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) sweep.Outcome {
-	body := c.Body
+	body := c.Body()
 	failedAttempts := 0
 	var shedSpent time.Duration
 	for body != nil { // wire-inexpressible cells go straight to local fallback

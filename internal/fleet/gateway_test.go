@@ -752,7 +752,7 @@ func TestCellRelaysTypedRejection(t *testing.T) {
 	}
 }
 
-// TestBodilessCellRunsLocally: a cell without a wire body cannot be
+// TestBodilessCellRunsLocally: a cell without a wire spec cannot be
 // forwarded, so the ladder runs it on the local rung straight away and
 // keeps its full-fidelity result.
 func TestBodilessCellRunsLocally(t *testing.T) {
@@ -765,7 +765,7 @@ func TestBodilessCellRunsLocally(t *testing.T) {
 	g := newGateway(t, Options{Peers: []string{ts.URL}})
 
 	c := sweepCells(t)[0]
-	c.Body = nil
+	c.Spec = nil
 	out := g.Place(context.Background(), 0, c)
 	if out.Err != nil || out.Raw == nil || out.Wire != nil {
 		t.Fatalf("out = %+v, want a local full-fidelity result", out)

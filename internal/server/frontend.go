@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -263,7 +264,15 @@ func (f *Frontend) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		sp.SetAttr("queue_depth", strconv.Itoa(f.gate.depth()))
 		sp.SetAttr("key", cell.Key)
 	}
-	o := f.d.Placer.Place(ctx, 0, cell)
+	o := sweep.Place(ctx, f.d.Placer, 0, cell)
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	if o.Err == nil {
+		var err error
+		if *buf, err = sweep.AppendResponse((*buf)[:0], &sweep.SimulateResponse{Cached: o.Cached, Result: *o.ResultJSON()}); err != nil {
+			o = sweep.Outcome{Err: sweep.OutcomeError(err)}
+		}
+	}
 	if o.Err != nil {
 		sp.SetAttr("error", o.Err.Code)
 		sp.End()
@@ -273,8 +282,12 @@ func (f *Frontend) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	sp.SetAttr("cached", strconv.FormatBool(o.Cached))
 	sp.End()
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(sweep.SimulateResponse{Cached: o.Cached, Result: *o.ResultJSON()})
+	_, _ = w.Write(*buf)
 }
+
+// bodyBufs holds the buffers /simulate bodies are appended into, so a
+// response allocates no buffer of its own.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {

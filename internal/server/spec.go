@@ -7,7 +7,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -144,25 +143,15 @@ func (s JobSpec) build() (runner.Job, error) {
 }
 
 // Cell compiles the spec into the sweep pipeline's placeable form: the
-// compiled job, its content key, and the spec as a forwardable POST
-// /simulate body.
-func (s JobSpec) Cell() (sweep.Cell, error) {
+// compiled job, its content key, and s itself as the wire spec a
+// forwarding placer encodes into a POST /simulate body.
+func (s *JobSpec) Cell() (sweep.Cell, error) {
 	job, err := s.build()
 	if err != nil {
 		return sweep.Cell{}, err
 	}
-	return compiledCell(s, job)
-}
-
-// compiledCell pairs a spec with the job already compiled from it.
-func compiledCell(s JobSpec, job runner.Job) (sweep.Cell, error) {
-	body, err := json.Marshal(s)
-	if err != nil { // specs are built from decoded JSON; cannot recur
-		return sweep.Cell{}, sweep.Errf(sweep.CodeSimFailed, "",
-			"encode cell: %v", err)
-	}
 	key, _ := job.Key()
-	return sweep.Cell{Key: key, Job: job, Body: body}, nil
+	return sweep.Cell{Key: key, Job: job, Spec: s}, nil
 }
 
 // SimulateRequest is the POST /simulate body: one job plus a deadline.
@@ -206,8 +195,8 @@ func (s SweepRequest) Plan(maxJobs int) (*sweep.Plan, error) {
 				"%d jobs exceeds the per-request bound of %d", len(s.Jobs), maxJobs)
 		}
 		cells := make([]sweep.Cell, len(s.Jobs))
-		for i, js := range s.Jobs {
-			c, err := js.Cell()
+		for i := range s.Jobs {
+			c, err := s.Jobs[i].Cell()
 			if err != nil {
 				return nil, sweep.InField(err, fmt.Sprintf("jobs[%d]", i))
 			}
@@ -236,12 +225,10 @@ func (s SweepRequest) Plan(maxJobs int) (*sweep.Plan, error) {
 				if err != nil {
 					return nil, specErr(err, sweep.CodeInvalidStrategy, fmt.Sprintf("strategies[%d]", j))
 				}
-				c, err := compiledCell(JobSpec{Workload: ws, Strategy: ss, Config: s.Config},
-					runner.Job{Workload: w, Strategy: strat, Config: cfg})
-				if err != nil {
-					return nil, sweep.InField(err, fmt.Sprintf("jobs[%d]", len(cells)))
-				}
-				cells = append(cells, c)
+				job := runner.Job{Workload: w, Strategy: strat, Config: cfg}
+				key, _ := job.Key()
+				cells = append(cells, sweep.Cell{Key: key, Job: job,
+					Spec: &JobSpec{Workload: ws, Strategy: ss, Config: s.Config}})
 			}
 		}
 		return sweep.NewPlan(cells), nil

@@ -52,6 +52,7 @@ type Checkpoint struct {
 	mu      sync.Mutex
 	f       File
 	w       *bufio.Writer
+	buf     []byte // reused for every appended record
 	done    map[int]Outcome
 	resumed int
 }
@@ -109,11 +110,12 @@ func OpenCheckpointFS(fsys FS, path string, p *Plan) (*Checkpoint, error) {
 		}
 	}()
 	bw := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(bw)
-	werr := enc.Encode(checkpointHeader{V: checkpointV, Plan: p.Fingerprint(), Cells: p.Len()})
+	werr := json.NewEncoder(bw).Encode(checkpointHeader{V: checkpointV, Plan: p.Fingerprint(), Cells: p.Len()})
 	for _, rec := range keep {
 		if werr == nil {
-			werr = enc.Encode(rec)
+			if c.buf, werr = rec.appendTo(c.buf[:0]); werr == nil {
+				_, werr = bw.Write(c.buf)
+			}
 		}
 	}
 	if werr == nil {
@@ -157,7 +159,7 @@ func (c *Checkpoint) load(f io.Reader, p *Plan) []checkpointRecord {
 	var keep []checkpointRecord
 	for sc.Scan() {
 		var rec checkpointRecord
-		if json.Unmarshal(sc.Bytes(), &rec) != nil {
+		if decodeCheckpointRecord(sc.Bytes(), &rec) != nil {
 			break
 		}
 		if rec.Index < 0 || rec.Index >= p.Len() || (rec.Raw == nil && rec.Wire == nil) {
@@ -211,7 +213,11 @@ func (c *Checkpoint) append(i int, o Outcome) {
 	if c.w == nil {
 		return
 	}
-	_ = json.NewEncoder(c.w).Encode(checkpointRecord{Index: i, Cached: o.Cached, Raw: o.Raw, Wire: o.Wire})
+	rec := checkpointRecord{Index: i, Cached: o.Cached, Raw: o.Raw, Wire: o.Wire}
+	if b, err := rec.appendTo(c.buf[:0]); err == nil {
+		c.buf = b
+		_, _ = c.w.Write(b)
+	}
 	_ = c.w.Flush()
 }
 

@@ -40,8 +40,8 @@ type Summary struct {
 // outcomes in submission order plus the sweep's summary. Cells stream to
 // OnRecord in completion order; cancellation follows the runner's
 // job-boundary semantics (in-flight cells finish, queued cells resolve
-// to canceled error records). A panicking placer fails its cell; a
-// panicking OnRecord is recovered. Neither stops the sweep.
+// to canceled error records). Each cell is resolved by Place; a
+// panicking OnRecord is recovered and does not stop the sweep.
 func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outcome, Summary) {
 	cells := p.Cells()
 	outs := make([]Outcome, len(cells))
@@ -96,7 +96,7 @@ func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outco
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				o := place(ctx, pl, i, cells[i])
+				o := Place(ctx, pl, i, cells[i])
 				outs[i] = o
 				// Journal before emit: a record the client saw is always
 				// resumable, even if the process dies between the two.
@@ -117,15 +117,29 @@ func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outco
 	return outs, sum
 }
 
-// place invokes the placer with a panic backstop: a placer blowing up
-// fails one cell, never the whole sweep. (The local runner contains
-// simulation panics itself; this guards custom placers.)
-func place(ctx context.Context, pl Placer, i int, c Cell) (o Outcome) {
+// Place resolves one cell on pl, the way Execute does for each cell: a
+// placer that panics fails its cell instead of the whole sweep (the
+// local runner contains simulation panics itself; this guards custom
+// placers), and a result with a figure JSON cannot carry (a non-finite
+// one) fails its cell with sim_failed instead of vanishing from the
+// response, the stream and the journal.
+func Place(ctx context.Context, pl Placer, i int, c Cell) (o Outcome) {
 	defer func() {
 		if v := recover(); v != nil {
 			o = Outcome{Err: Errf(CodeSimFailed, "",
 				"placer panicked: %v", v)}
 		}
 	}()
-	return pl.Place(ctx, i, c)
+	o = pl.Place(ctx, i, c)
+	var r ResultJSON
+	switch {
+	case o.Wire != nil:
+		r = *o.Wire
+	case o.Raw != nil:
+		r = ToResultJSON(*o.Raw)
+	}
+	if err := r.check(); err != nil {
+		return Outcome{Err: OutcomeError(err)}
+	}
+	return o
 }

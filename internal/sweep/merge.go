@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,31 +13,42 @@ import (
 // for dvsd, dvsgw, and every test harness. Not safe for concurrent use —
 // the executor's serialized OnRecord callback is the intended caller.
 type Encoder struct {
-	enc     *json.Encoder
+	w       io.Writer
 	flusher http.Flusher
+	buf     []byte // reused for every line
 }
 
 // NewEncoder wraps w. When w is an http.ResponseWriter that supports
 // flushing, each line is flushed as it is written so clients observe
 // per-cell progress.
 func NewEncoder(w io.Writer) *Encoder {
-	e := &Encoder{enc: json.NewEncoder(w)}
+	e := &Encoder{w: w}
 	if f, ok := w.(http.Flusher); ok {
 		e.flusher = f
 	}
 	return e
 }
 
-// Record writes one cell line.
-func (e *Encoder) Record(rec SweepRecord) { e.line(rec) }
+// Record writes one cell line. A result the wire cannot carry is sent as
+// the cell's sim_failed error record, never dropped; Execute has already
+// failed such cells (and counted them), so this is a backstop for other
+// callers.
+func (e *Encoder) Record(rec SweepRecord) {
+	b, err := AppendRecord(e.buf[:0], &rec)
+	if err != nil {
+		b, _ = AppendRecord(e.buf[:0], &SweepRecord{Index: rec.Index, Error: OutcomeError(err)})
+	}
+	e.line(b)
+}
 
 // Trailer writes the done line from the executed sweep's summary.
 func (e *Encoder) Trailer(s Summary) {
-	e.line(SweepTrailer{Done: true, Jobs: s.Jobs, CachedCells: s.Cached, Errors: s.Errors})
+	e.line(appendTrailer(e.buf[:0], &SweepTrailer{Done: true, Jobs: s.Jobs, CachedCells: s.Cached, Errors: s.Errors}))
 }
 
-func (e *Encoder) line(v any) {
-	_ = e.enc.Encode(v)
+func (e *Encoder) line(b []byte) {
+	e.buf = b
+	_, _ = e.w.Write(b)
 	if e.flusher != nil {
 		e.flusher.Flush()
 	}
@@ -68,7 +78,9 @@ type streamLine struct {
 // failed sweeps, never as short ones.
 func DecodeStream(r io.Reader) ([]SweepRecord, *SweepTrailer, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
+	// A record line is a few hundred bytes; the scanner grows its buffer
+	// for longer lines, up to the bound.
+	sc.Buffer(make([]byte, 4<<10), maxStreamLine)
 	var recs []SweepRecord
 	var trailer *SweepTrailer
 	for sc.Scan() {
@@ -80,7 +92,7 @@ func DecodeStream(r io.Reader) ([]SweepRecord, *SweepTrailer, error) {
 			return recs, trailer, fmt.Errorf("sweep stream: data after done trailer: %q", line)
 		}
 		var l streamLine
-		if err := json.Unmarshal(line, &l); err != nil {
+		if err := decodeLine(line, &l); err != nil {
 			return recs, nil, fmt.Errorf("sweep stream: bad line: %w", err)
 		}
 		if l.Done {

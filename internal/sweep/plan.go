@@ -15,6 +15,7 @@ package sweep
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/runner"
@@ -22,7 +23,8 @@ import (
 
 // Cell is one unit of placeable work: a sweep grid cell carried in its
 // compiled form (a runner.Job, runnable in-process) and optionally its
-// wire form (a POST /simulate body, forwardable to any dvsd backend).
+// wire spec (encoding to a POST /simulate body, forwardable to any dvsd
+// backend).
 // The Key is the runner's content address; it doubles as the fleet
 // router's affinity token and the checkpoint journal's cell identity.
 type Cell struct {
@@ -32,10 +34,25 @@ type Cell struct {
 	Key string
 	// Job is the compiled form, runnable in-process.
 	Job runner.Job
-	// Body is the cell's wire form — a valid POST /simulate JSON body —
-	// when the job is wire-expressible; nil otherwise (then only local
-	// placement can serve it).
-	Body []byte
+	// Spec is the cell's wire form — a value whose JSON encoding is a
+	// valid POST /simulate body — when the job is wire-expressible; nil
+	// otherwise (then only local placement can serve it). It is encoded
+	// only by a placer that forwards the cell (Body), so a cell placed
+	// in-process never pays for a body it does not send.
+	Spec any
+}
+
+// Body encodes the cell's POST /simulate body; nil when the cell has no
+// wire form.
+func (c Cell) Body() []byte {
+	if c.Spec == nil {
+		return nil
+	}
+	b, err := json.Marshal(c.Spec)
+	if err != nil {
+		return nil
+	}
+	return b
 }
 
 // Plan is a validated, ordered cell list: the single expansion result
