@@ -1,14 +1,12 @@
 // Command benchjson runs the substrate benchmarks through `go test -bench`
 // and writes a machine-readable JSON summary (ns/op, B/op, allocs/op per
-// benchmark). It seeds the repo's performance trajectory: each perf PR
-// captures a BENCH_<n>.json with before/after numbers, and CI publishes a
-// fresh snapshot per run so regressions are diffable.
+// benchmark). Each perf PR records a BENCH_<n>.json ledger with it, and
+// CI gates every run's allocations against the newest ledger.
 //
 // Usage:
 //
 //	go run ./cmd/benchjson -out bench.json
-//	go run ./cmd/benchjson -baseline old.json -out BENCH_7.json
-//	go run ./cmd/benchjson -baseline old.json -fail-under 0.8 -out -   # CI gate
+//	go run ./cmd/benchjson -count 3 -baseline BENCH_<newest>.json -out bench.json   # CI gate
 //
 // A ledger's before column comes from the parent commit, measured in the
 // same session on the same host: ns/op from two sessions on a shared
@@ -26,20 +24,11 @@
 // The baseline may be a plain report or a compared ledger such as a
 // committed BENCH_<n>.json, whose after values are then the baseline. A
 // selected benchmark missing from the baseline is an error. A run with
-// -baseline is also an allocation gate: after writing the report it exits
+// -baseline is an allocation gate: after writing the report it exits
 // non-zero if any compared benchmark's allocs/op is above the baseline's.
 // On one Go version allocation counts are deterministic, so they are gated
-// exactly. Timing on shared machines is not, so -fail-under gates speed
-// only when asked: it fails the run if any compared benchmark's speedup is
-// below the threshold.
-//
-// Every run also reads the host's speed with a fixed CPU probe, just
-// before and just after the benchmarks, and writes both readings into the
-// report. When the baseline carries readings too, a -baseline run prints
-// each speedup divided by the host-speed ratio (this run's mean reading
-// over the baseline's) and records it as host_adjusted, so a host that
-// slowed between the two recordings does not read as a uniform
-// regression. The adjusted figure is information only: no gate uses it.
+// exactly. Timing on a shared machine is not, so speedups are reported and
+// never gated.
 package main
 
 import (
@@ -61,6 +50,9 @@ import (
 // the wire encoding of its result.
 const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun|BenchmarkJobKey|BenchmarkWireResult"
 
+// benchtime is the per-benchmark budget passed to go test -benchtime.
+const benchtime = "100ms"
+
 // Result is one benchmark's measured costs.
 type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -73,60 +65,42 @@ type Comparison struct {
 	Before  *Result `json:"before,omitempty"`
 	After   Result  `json:"after"`
 	Speedup float64 `json:"speedup,omitempty"` // before.ns / after.ns
-	// HostAdjusted is Speedup divided by the host-speed ratio; zero when
-	// either side has no host readings.
-	HostAdjusted float64 `json:"host_adjusted,omitempty"`
 }
 
-// Report is the file format, shared by plain and -baseline runs. Host
-// is this run's host-speed readings, BaselineHost the baseline's (in a
-// compared ledger). Ledgers written before the probe existed have
-// neither.
+// Report is the file format, shared by plain and -baseline runs. Ledgers
+// recorded while benchjson took host-speed readings also carry
+// host_probe, baseline_host_probe and host_adjusted fields; loading
+// ignores them.
 type Report struct {
-	Goos         string                `json:"goos,omitempty"`
-	Goarch       string                `json:"goarch,omitempty"`
-	CPU          string                `json:"cpu,omitempty"`
-	Benchtime    string                `json:"benchtime"`
-	Count        int                   `json:"count"`
-	Host         *HostProbe            `json:"host_probe,omitempty"`
-	BaselineHost *HostProbe            `json:"baseline_host_probe,omitempty"`
-	Benchmarks   map[string]Result     `json:"benchmarks,omitempty"`
-	Compared     map[string]Comparison `json:"compared,omitempty"`
+	Goos       string                `json:"goos,omitempty"`
+	Goarch     string                `json:"goarch,omitempty"`
+	CPU        string                `json:"cpu,omitempty"`
+	Benchtime  string                `json:"benchtime"`
+	Count      int                   `json:"count"`
+	Benchmarks map[string]Result     `json:"benchmarks,omitempty"`
+	Compared   map[string]Comparison `json:"compared,omitempty"`
 }
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
 func main() {
-	bench := flag.String("bench", defaultBench, "benchmark regexp passed to go test -bench")
-	benchtime := flag.String("benchtime", "100ms", "per-benchmark budget passed to -benchtime")
 	count := flag.Int("count", 1, "repetitions; each metric keeps its best (lowest) value over the count runs")
-	pkg := flag.String("pkg", ".", "package to benchmark")
 	out := flag.String("out", "bench.json", "output path ('-' for stdout)")
-	baseline := flag.String("baseline", "", "prior benchjson output or compared ledger; emit before/after/speedup against it")
-	failUnder := flag.Float64("fail-under", 0, "with -baseline: exit non-zero when any compared benchmark's speedup falls below this ratio (e.g. 0.9 = tolerate a 10% regression; 0 = never fail)")
+	baseline := flag.String("baseline", "", "prior benchjson output or compared ledger; emit before/after/speedup against it and fail on allocs/op growth")
 	flag.Parse()
-	if *failUnder < 0 {
-		fatalf("invalid -fail-under %v: want >= 0", *failUnder)
-	}
-	if *failUnder > 0 && *baseline == "" {
-		fatalf("-fail-under requires -baseline: there is no speedup without a before")
-	}
 
-	rep := &Report{Benchtime: *benchtime, Count: *count, Benchmarks: map[string]Result{}}
-	args := []string{"test", "-run", "^$", "-bench", *bench, "-benchmem",
-		"-benchtime", *benchtime, "-count", strconv.Itoa(*count), *pkg}
-	probe := newHostProbe()
-	rep.Host = &HostProbe{BeforePerS: round3(probe.rate(probeSpan))}
+	rep := &Report{Benchtime: benchtime, Count: *count, Benchmarks: map[string]Result{}}
+	args := []string{"test", "-run", "^$", "-bench", defaultBench, "-benchmem",
+		"-benchtime", benchtime, "-count", strconv.Itoa(*count), "."}
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
 	if err != nil {
 		fatalf("go %s: %v\n%s", strings.Join(args, " "), err, raw)
 	}
-	rep.Host.AfterPerS = round3(probe.rate(probeSpan))
 	parse(rep, string(raw))
 	if len(rep.Benchmarks) == 0 {
-		fatalf("no benchmarks matched %q", *bench)
+		fatalf("no benchmarks matched %q", defaultBench)
 	}
 
 	var payload any = rep
@@ -155,54 +129,13 @@ func main() {
 		}
 		fmt.Printf("wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 	}
-	if compared != nil {
-		printAdjusted(compared)
-	}
-	// The gates run after the report is written, so a failing run still
+	// The gate runs after the report is written, so a failing run still
 	// leaves the numbers on disk for inspection.
 	if compared != nil {
 		if grown := allocGrowth(compared); len(grown) > 0 {
 			fatalf("allocs/op above the baseline for: %s", strings.Join(grown, ", "))
 		}
 	}
-	if *failUnder > 0 {
-		if slow := regressions(compared, *failUnder); len(slow) > 0 {
-			fatalf("speedup below %v for: %s", *failUnder, strings.Join(slow, ", "))
-		}
-	}
-}
-
-// printAdjusted prints each speedup beside its host-adjusted value, on
-// stderr so that -out - keeps stdout to the report.
-func printAdjusted(rep *Report) {
-	if rep.Host == nil || rep.BaselineHost == nil {
-		fmt.Fprintln(os.Stderr, "benchjson: the baseline has no host-speed readings; speedups are not adjusted")
-		return
-	}
-	fmt.Fprintf(os.Stderr, "host speed %.1f/s against the baseline's %.1f/s (ratio %.3f)\n",
-		rep.Host.speed(), rep.BaselineHost.speed(), rep.Host.speed()/rep.BaselineHost.speed())
-	names := make([]string, 0, len(rep.Compared))
-	for name := range rep.Compared {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		c := rep.Compared[name]
-		fmt.Fprintf(os.Stderr, "  %-40s speedup %6.3f  host-adjusted %6.3f\n", name, c.Speedup, c.HostAdjusted)
-	}
-}
-
-// regressions lists compared benchmarks whose speedup is below the
-// threshold, sorted for stable output.
-func regressions(rep *Report, threshold float64) []string {
-	var slow []string
-	for name, c := range rep.Compared {
-		if c.Speedup > 0 && c.Speedup < threshold {
-			slow = append(slow, fmt.Sprintf("%s (%.3fx)", name, c.Speedup))
-		}
-	}
-	sort.Strings(slow)
-	return slow
 }
 
 // allocGrowth lists compared benchmarks that allocate more per op than
@@ -258,8 +191,7 @@ func parseF(s string) float64 {
 }
 
 // readReport loads a baseline. A compared ledger carries no plain
-// benchmarks; its after values, the numbers it last measured, stand in,
-// and its host readings are those of the same run.
+// benchmarks; its after values, the numbers it last measured, stand in.
 func readReport(path string) (*Report, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -285,12 +217,7 @@ func compare(base, cur *Report) (*Report, error) {
 	out := &Report{
 		Goos: cur.Goos, Goarch: cur.Goarch, CPU: cur.CPU,
 		Benchtime: cur.Benchtime, Count: cur.Count,
-		Host: cur.Host, BaselineHost: base.Host,
 		Compared: map[string]Comparison{},
-	}
-	hostRatio := 0.0
-	if cur.Host != nil && base.Host != nil && base.Host.speed() > 0 {
-		hostRatio = cur.Host.speed() / base.Host.speed()
 	}
 	var missing []string
 	for name, after := range cur.Benchmarks {
@@ -302,9 +229,6 @@ func compare(base, cur *Report) (*Report, error) {
 		c := Comparison{After: after, Before: &before}
 		if after.NsPerOp > 0 {
 			c.Speedup = round3(before.NsPerOp / after.NsPerOp)
-			if hostRatio > 0 {
-				c.HostAdjusted = round3(before.NsPerOp / after.NsPerOp / hostRatio)
-			}
 		}
 		out.Compared[name] = c
 	}

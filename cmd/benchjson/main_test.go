@@ -2,7 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -43,25 +47,6 @@ func TestCompareMissingBaselineEntry(t *testing.T) {
 	}
 }
 
-func TestRegressionsFlagsSlowdown(t *testing.T) {
-	base := &Report{Benchmarks: map[string]Result{
-		"BenchmarkFast": {NsPerOp: 100},
-		"BenchmarkSlow": {NsPerOp: 100},
-	}}
-	cur := &Report{Benchmarks: map[string]Result{
-		"BenchmarkFast": {NsPerOp: 95},
-		"BenchmarkSlow": {NsPerOp: 200}, // 0.5x
-	}}
-	rep, err := compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := regressions(rep, 0.9)
-	if len(slow) != 1 || !strings.HasPrefix(slow[0], "BenchmarkSlow (0.500x)") {
-		t.Fatalf("regressions = %v, want only BenchmarkSlow at 0.500x", slow)
-	}
-}
-
 func TestAllocGrowthFlagsMoreAllocs(t *testing.T) {
 	base := &Report{Benchmarks: map[string]Result{
 		"BenchmarkSame":  {NsPerOp: 100, AllocsPerOp: 3},
@@ -83,18 +68,78 @@ func TestAllocGrowthFlagsMoreAllocs(t *testing.T) {
 	}
 }
 
+// TestAllocGrowthAgainstLedgerIsClean: a run that reproduces a ledger's
+// after values passes the gate. BENCH_29.json also carries the host-speed
+// fields of the probe benchjson once had; it must still load.
 func TestAllocGrowthAgainstLedgerIsClean(t *testing.T) {
-	// A run that reproduces a ledger's after values passes the gate.
-	base, err := readReport("../../BENCH_15.json")
+	for _, ledger := range []string{"BENCH_15.json", "BENCH_29.json"} {
+		t.Run(ledger, func(t *testing.T) {
+			base, err := readReport("../../" + ledger)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := compare(base, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Compared) == 0 {
+				t.Fatal("compared no benchmarks")
+			}
+			if grown := allocGrowth(rep); len(grown) != 0 {
+				t.Fatalf("allocGrowth = %v, want none", grown)
+			}
+		})
+	}
+	buf, err := os.ReadFile("../../BENCH_29.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := compare(base, base)
+	if !strings.Contains(string(buf), `"host_adjusted"`) {
+		t.Fatal("BENCH_29.json has no host_adjusted field; pick a ledger that still carries the host-speed fields")
+	}
+}
+
+// TestCIBaselineIsNewestLedger: CI's bench job gates against the newest
+// BENCH_<n>.json, and that ledger has an entry for every benchmark
+// defaultBench selects, so the gate's missing-entry error cannot fire.
+func TestCIBaselineIsNewestLedger(t *testing.T) {
+	ci, err := os.ReadFile("../../.github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grown := allocGrowth(rep); len(grown) != 0 {
-		t.Fatalf("allocGrowth = %v, want none", grown)
+	m := regexp.MustCompile(`-baseline BENCH_(\d+)\.json`).FindSubmatch(ci)
+	if m == nil {
+		t.Fatal("ci.yml runs benchjson with no -baseline BENCH_<n>.json")
+	}
+	gated, _ := strconv.Atoi(string(m[1]))
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest := 0
+	for _, p := range paths {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json"))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		newest = max(newest, n)
+	}
+	if gated != newest {
+		t.Errorf("CI gates against BENCH_%d.json, but the newest ledger is BENCH_%d.json", gated, newest)
+	}
+	base, err := readReport(fmt.Sprintf("../../BENCH_%d.json", gated))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tops := map[string]bool{}
+	for name := range base.Benchmarks {
+		top, _, _ := strings.Cut(name, "/")
+		tops[top] = true
+	}
+	for _, want := range strings.Split(defaultBench, "|") {
+		if !tops[want] {
+			t.Errorf("BENCH_%d.json has no entry for %s", gated, want)
+		}
 	}
 }
 
@@ -108,50 +153,5 @@ BenchmarkX-2   	     100	      1500 ns/op	      80 B/op	       3 allocs/op
 	want := Result{NsPerOp: 1000, BytesPerOp: 64, AllocsPerOp: 3}
 	if got := rep.Benchmarks["BenchmarkX"]; got != want {
 		t.Fatalf("parse kept %+v, want %+v", got, want)
-	}
-}
-
-// TestCompareAdjustsForHostSpeed: a host running at half the baseline's
-// speed doubles every ns/op; the adjusted speedup reads 1, the raw one
-// 0.5, and the gates still see only the raw figures.
-func TestCompareAdjustsForHostSpeed(t *testing.T) {
-	base := &Report{Host: &HostProbe{BeforePerS: 100, AfterPerS: 100},
-		Benchmarks: map[string]Result{"BenchmarkA": {NsPerOp: 10, AllocsPerOp: 1}}}
-	cur := &Report{Host: &HostProbe{BeforePerS: 60, AfterPerS: 40},
-		Benchmarks: map[string]Result{"BenchmarkA": {NsPerOp: 20, AllocsPerOp: 1}}}
-	rep, err := compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := rep.Compared["BenchmarkA"]; c.Speedup != 0.5 || c.HostAdjusted != 1 {
-		t.Fatalf("compared %+v, want speedup 0.5 and host-adjusted 1", c)
-	}
-	if rep.Host != cur.Host || rep.BaselineHost != base.Host {
-		t.Fatalf("ledger host readings %+v / %+v, want this run's and the baseline's", rep.Host, rep.BaselineHost)
-	}
-	if slow := regressions(rep, 0.9); len(slow) != 1 {
-		t.Fatalf("regressions = %v; -fail-under must keep gating the raw speedup", slow)
-	}
-}
-
-// TestOldLedgerHasNoHostReadings: a ledger from before the probe loads,
-// and a comparison against it leaves speedups unadjusted.
-func TestOldLedgerHasNoHostReadings(t *testing.T) {
-	base, err := readReport("../../BENCH_28.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Host != nil {
-		t.Fatalf("BENCH_28.json host readings = %+v, want none", base.Host)
-	}
-	cur := &Report{Host: &HostProbe{BeforePerS: 1, AfterPerS: 1}, Benchmarks: base.Benchmarks}
-	rep, err := compare(base, cur)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, c := range rep.Compared {
-		if c.HostAdjusted != 0 {
-			t.Fatalf("%s: host-adjusted %v against a ledger without readings", name, c.HostAdjusted)
-		}
 	}
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -109,26 +110,41 @@ func TestMain(m *testing.M) {
 
 const asAppEnv = "REPRODUCE_TEST_AS_APP"
 
-// TestArtifactsGolden pins every table of "reproduce -class S -only all"
-// through its -md file (stdout also carries wall-time lines). The
-// testdata file predates folding the cluster assembly into core, and
-// refactors must keep every byte of it.
+var updateArtifacts = flag.Bool("update", false, "rewrite testdata/artifacts_<class>.md from the current model")
+
+// TestArtifactsGolden pins every table of "reproduce -only all" at
+// classes S, W, A and C through its -md file (stdout also carries
+// wall-time lines). The class-S file predates folding the cluster
+// assembly into core, and refactors must keep every byte of each.
+// Regenerate with -update, and list every regeneration in CHANGES.md.
 func TestArtifactsGolden(t *testing.T) {
-	md := filepath.Join(t.TempDir(), "artifacts.md")
-	cmd := exec.Command(os.Args[0], "-class", "S", "-only", "all", "-workers", "2", "-md", md)
-	cmd.Env = append(os.Environ(), asAppEnv+"=1")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("reproduce: %v\n%s", err, out)
-	}
-	got, err := os.ReadFile(md)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "artifacts_S.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("artifacts differ from testdata/artifacts_S.md:\n--- got\n%s", got)
+	for _, class := range []string{"S", "W", "A", "C"} {
+		t.Run(class, func(t *testing.T) {
+			t.Parallel()
+			md := filepath.Join(t.TempDir(), "artifacts.md")
+			cmd := exec.Command(os.Args[0], "-class", class, "-only", "all", "-workers", "2", "-md", md)
+			cmd.Env = append(os.Environ(), asAppEnv+"=1")
+			if out, err := cmd.CombinedOutput(); err != nil {
+				t.Fatalf("reproduce: %v\n%s", err, out)
+			}
+			got, err := os.ReadFile(md)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", "artifacts_"+class+".md")
+			if *updateArtifacts {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("artifacts differ from %s:\n--- got\n%s", path, got)
+			}
+		})
 	}
 }
