@@ -170,7 +170,9 @@ func checkTrailer(o *Observed) (vs []Violation) {
 // faults. The backends are healthy and over-provisioned by
 // construction, so every retry, shed wait, and local fallback must be
 // explainable by an injected fault — and a fault-free schedule must
-// leave those counters at zero.
+// leave those counters at zero. The grid's cells are distinct and each
+// leg runs on a fresh gateway, so the result memo answers none of them:
+// every cell meets its injected faults on the full ladder.
 func checkMetrics(o *Observed) (vs []Violation) {
 	c, f := o.Counters, o.Faults
 	fail := func(format string, args ...any) {
@@ -190,6 +192,9 @@ func checkMetrics(o *Observed) (vs []Violation) {
 	}
 	if c.Resumed != 0 {
 		fail("resumed=%d on the first leg — the journal starts empty", c.Resumed)
+	}
+	if c.MemoHits != 0 {
+		fail("memo_hits=%d in one sweep of distinct cells — a cell skipped the ladder whose faults are accounted above", c.MemoHits)
 	}
 	if o.Sched.CrashAtOp == 0 && c.CheckpointErrors != 0 {
 		fail("checkpoint_errors=%d with a healthy journal FS", c.CheckpointErrors)

@@ -14,6 +14,8 @@
 // Failure handling is a degradation ladder, each rung preserving the
 // client contract of the rung above:
 //
+//  0. memo    — a cell a backend already answered is served from the
+//     gateway's bounded in-memory result memo, with no round trip
 //  1. route   — the cell's home backend on the ring
 //  2. retry   — bounded attempts with exponential backoff + jitter,
 //     failing over along the ring; backend 429s are treated
@@ -191,6 +193,7 @@ type Gateway struct {
 	*server.Frontend
 	opts Options
 	pool *Pool
+	memo *memo
 	met  gwMetrics
 }
 
@@ -201,6 +204,7 @@ type gwMetrics struct {
 	hedged   *obs.Counter // hedge requests launched
 	shedWait *obs.Counter // waits on a backend 429 (backpressure, not failure)
 	local    *obs.Counter // cells executed in-process (degradation floor)
+	memoHits *obs.Counter // cells answered from the result memo
 }
 
 // New builds a gateway over at least one peer.
@@ -222,6 +226,7 @@ func New(opts Options) (*Gateway, error) {
 	g := &Gateway{
 		opts: opts,
 		pool: newPool(opts.Peers, opts.FailAfter, opts.ProbeTimeout, opts.Client),
+		memo: newMemo(runner.DefaultMaxEntries),
 	}
 	g.Frontend = server.NewFrontend(server.Options{
 		MaxInflight:    opts.MaxInflight,
@@ -252,6 +257,7 @@ func New(opts Options) (*Gateway, error) {
 		hedged:   reg.Counter("dvsgw_hedged_requests_total", "Hedge requests launched against straggler cells.").Counter(),
 		shedWait: reg.Counter("dvsgw_shed_waits_total", "Backoff waits taken on a backend queue_full shed.").Counter(),
 		local:    reg.Counter("dvsgw_local_fallback_cells_total", "Cells executed in-process because no backend could serve them.").Counter(),
+		memoHits: reg.Counter("dvsgw_memo_hits_total", "Cells answered from the gateway's result memo without a backend request.").Counter(),
 	}
 	// Per-backend series, read from the pool's live state.
 	up := reg.Gauge("dvsgw_backend_up", "Probe state: 1 = admitted, 0 = ejected.", "backend")
@@ -291,6 +297,7 @@ type Counters struct {
 	Hedged           int64 // hedge requests launched
 	ShedWaits        int64 // waits taken on backend 429 backpressure
 	Local            int64 // cells run in-process (degradation floor)
+	MemoHits         int64 // cells answered from the result memo
 	Resumed          int64 // cells replayed from a checkpoint journal
 	CheckpointErrors int64 // journals that could not be opened
 }
@@ -304,6 +311,7 @@ func (g *Gateway) Counters() Counters {
 		Hedged:           g.met.hedged.Load(),
 		ShedWaits:        g.met.shedWait.Load(),
 		Local:            g.met.local.Load(),
+		MemoHits:         g.met.memoHits.Load(),
 		Resumed:          g.Resumed(),
 		CheckpointErrors: g.CheckpointErrors(),
 	}
@@ -413,13 +421,18 @@ func (g *Gateway) backoff(n int) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/2+1))
 }
 
-// runCell resolves one cell through the degradation ladder: route to the
-// ring's home backend, fail over with bounded backoff retries, hedge the
-// first attempt if configured, and finally fall back to in-process
-// execution when no backend could serve it. Every rung records a span
-// under the cell's trace, so a slow cell explains itself at
-// /debug/traces.
+// runCell resolves one cell through the degradation ladder: answer a
+// repeat from the memo, route to the ring's home backend, fail over with
+// bounded backoff retries, hedge the first attempt if configured, and
+// finally fall back to in-process execution when no backend could serve
+// it. Every rung records a span or attribute under the cell's trace, so
+// a slow cell explains itself at /debug/traces.
 func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) sweep.Outcome {
+	if r, ok := g.memo.get(c.Key); ok {
+		g.met.memoHits.Add(1)
+		obs.SpanFrom(ctx).SetAttr("memo", "hit")
+		return sweep.Outcome{Cached: true, Wire: &r}
+	}
 	body := c.Body()
 	failedAttempts := 0
 	var shedSpent time.Duration
@@ -446,6 +459,7 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) sweep.Outcome {
 		switch {
 		case res.Ok:
 			r := res.Resp.Result
+			g.memo.put(c.Key, r)
 			return sweep.Outcome{Cached: res.Resp.Cached, Wire: &r}
 		case res.AE != nil:
 			return sweep.Outcome{Err: res.AE}

@@ -169,18 +169,23 @@ func TestSweepFanoutMatchesSingleBackend(t *testing.T) {
 	}
 }
 
-// TestSweepCacheAffinity: repeating a sweep must route every cell back
-// to the backend that simulated it — the whole second pass is served
-// from backend caches, and no cell was simulated twice anywhere.
+// TestSweepCacheAffinity: repeating a sweep through another gateway over
+// the same backends must route every cell back to the backend that
+// simulated it — the whole second pass is served from backend caches,
+// and no cell was simulated twice anywhere.
 func TestSweepCacheAffinity(t *testing.T) {
 	sA, urlA := startBackend(t)
 	sB, urlB := startBackend(t)
-	g := newGateway(t, Options{Peers: []string{urlA, urlB}})
+	peers := []string{urlA, urlB}
 
+	g := newGateway(t, Options{Peers: peers})
 	if rec := postGW(g, "/sweep", sweepGrid); rec.Code != http.StatusOK {
 		t.Fatalf("first sweep: status=%d", rec.Code)
 	}
-	rec := postGW(g, "/sweep", sweepGrid)
+	// A second gateway starts with an empty memo, so every cell of its
+	// sweep reaches a backend, and only ring placement can make it a hit.
+	g2 := newGateway(t, Options{Peers: peers})
+	rec := postGW(g2, "/sweep", sweepGrid)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("second sweep: status=%d", rec.Code)
 	}
@@ -193,8 +198,13 @@ func TestSweepCacheAffinity(t *testing.T) {
 	if runs != 4 {
 		t.Fatalf("backends simulated %d cells for 4 distinct jobs; placement not stable", runs)
 	}
-	if g.met.local.Load() != 0 {
-		t.Fatalf("healthy fleet fell back to local execution %d times", g.met.local.Load())
+	if hits := sA.Runner().Stats().Hits + sB.Runner().Stats().Hits; hits != 4 {
+		t.Fatalf("backend cache hits = %d, want 4: the second gateway's cells did not reach their home backends", hits)
+	}
+	for _, gw := range []*Gateway{g, g2} {
+		if c := gw.Counters(); c.Local != 0 || c.MemoHits != 0 {
+			t.Fatalf("counters = %+v; a healthy fleet serves distinct cells from backends", c)
+		}
 	}
 }
 
@@ -508,6 +518,7 @@ func TestGatewayHealthzAndMetrics(t *testing.T) {
 		"dvsgw_requests_retried_total 0",
 		"dvsgw_hedged_requests_total 0",
 		"dvsgw_local_fallback_cells_total 0",
+		"dvsgw_memo_hits_total 0",
 		"dvsgw_queue_depth 0",
 		"dvsgw_queue_capacity 8",
 	} {
@@ -518,6 +529,21 @@ func TestGatewayHealthzAndMetrics(t *testing.T) {
 	if !strings.Contains(body, "dvsgw_backend_up{backend=\"http://127.0.0.1:") ||
 		!strings.Contains(body, "\"} 0") {
 		t.Fatalf("dead backend not visible as down:\n%s", body)
+	}
+
+	// The repeat is answered from the memo: counted there, not forwarded.
+	if rec := postGW(g, "/simulate", simFTS2); rec.Code != http.StatusOK {
+		t.Fatalf("repeated simulate status=%d", rec.Code)
+	}
+	body = getGW(g, "/metrics").Body.String()
+	for _, want := range []string{
+		`dvsgw_requests_total{path="/simulate",status="200"} 2`,
+		`dvsgw_backend_requests_total{backend="` + urlA + `"} 1`,
+		"dvsgw_memo_hits_total 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("after the repeat, metrics missing %q:\n%s", want, body)
+		}
 	}
 }
 

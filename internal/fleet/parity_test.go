@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,33 +62,18 @@ func TestSweepParityDvsdDvsgw(t *testing.T) {
 	_, backendURL := startBackend(t)
 	gw := newGateway(t, Options{Peers: []string{backendURL}})
 
-	dRecs, dTrailer, code := sweepVia(t, dvsd.Handler(), parityGrid)
-	if code != http.StatusOK {
-		t.Fatalf("dvsd sweep status %d", code)
-	}
-	gRecs, gTrailer, code := sweepVia(t, gw.Handler(), parityGrid)
-	if code != http.StatusOK {
-		t.Fatalf("dvsgw sweep status %d", code)
-	}
+	dRecs := sweepParity(t, dvsd, gw, "first pass")
 
-	if *dTrailer != *gTrailer {
-		t.Fatalf("trailers differ: dvsd %+v, dvsgw %+v", dTrailer, gTrailer)
+	// The second pass is answered from dvsd's runner cache on one side
+	// and from the gateway's memo on the other: the records, cached flags
+	// included, stay identical, and no cell reaches the backend.
+	before := backendRequests(t, gw)
+	sweepParity(t, dvsd, gw, "second pass")
+	if after := backendRequests(t, gw); after != before {
+		t.Fatalf("second pass sent %v cell requests to the backend, want 0", after-before)
 	}
-	if dTrailer.Jobs != 6 || dTrailer.Errors != 0 {
-		t.Fatalf("trailer = %+v", dTrailer)
-	}
-
-	sweep.SortRecords(dRecs)
-	sweep.SortRecords(gRecs)
-	if len(dRecs) != 6 || len(gRecs) != 6 {
-		t.Fatalf("record counts: dvsd %d, dvsgw %d", len(dRecs), len(gRecs))
-	}
-	for i := range dRecs {
-		db, _ := json.Marshal(dRecs[i])
-		gb, _ := json.Marshal(gRecs[i])
-		if !bytes.Equal(db, gb) {
-			t.Errorf("cell %d differs:\ndvsd:  %s\ndvsgw: %s", i, db, gb)
-		}
+	if c := gw.Counters(); c.MemoHits != 6 {
+		t.Fatalf("memo hits = %d, want 6 (every cell of the second pass)", c.MemoHits)
 	}
 
 	// Workload-major ordering: cell (i, j) lands at i*len(strategies)+j,
@@ -107,6 +93,59 @@ func TestSweepParityDvsdDvsgw(t *testing.T) {
 	if dRecs[0].Result.Name == dRecs[3].Result.Name {
 		t.Fatalf("both blocks ran workload %q; grid collapsed", dRecs[0].Result.Name)
 	}
+}
+
+// sweepParity posts parityGrid to dvsd and to gw and checks that the two
+// trailers and the sorted record bytes agree. It returns dvsd's sorted
+// records.
+func sweepParity(t *testing.T, dvsd *server.Server, gw *Gateway, pass string) []sweep.SweepRecord {
+	t.Helper()
+	dRecs, dTrailer, code := sweepVia(t, dvsd.Handler(), parityGrid)
+	if code != http.StatusOK {
+		t.Fatalf("%s: dvsd sweep status %d", pass, code)
+	}
+	gRecs, gTrailer, code := sweepVia(t, gw.Handler(), parityGrid)
+	if code != http.StatusOK {
+		t.Fatalf("%s: dvsgw sweep status %d", pass, code)
+	}
+	if *dTrailer != *gTrailer {
+		t.Fatalf("%s: trailers differ: dvsd %+v, dvsgw %+v", pass, dTrailer, gTrailer)
+	}
+	if dTrailer.Jobs != 6 || dTrailer.Errors != 0 {
+		t.Fatalf("%s: trailer = %+v", pass, dTrailer)
+	}
+	sweep.SortRecords(dRecs)
+	sweep.SortRecords(gRecs)
+	if len(dRecs) != 6 || len(gRecs) != 6 {
+		t.Fatalf("%s: record counts: dvsd %d, dvsgw %d", pass, len(dRecs), len(gRecs))
+	}
+	for i := range dRecs {
+		db, _ := json.Marshal(dRecs[i])
+		gb, _ := json.Marshal(gRecs[i])
+		if !bytes.Equal(db, gb) {
+			t.Errorf("%s: cell %d differs:\ndvsd:  %s\ndvsgw: %s", pass, i, db, gb)
+		}
+	}
+	return dRecs
+}
+
+// backendRequests sums the gateway's dvsgw_backend_requests_total series
+// as /metrics renders them.
+func backendRequests(t *testing.T, g *Gateway) float64 {
+	t.Helper()
+	var sum float64
+	for _, line := range strings.Split(getGW(g, "/metrics").Body.String(), "\n") {
+		if !strings.HasPrefix(line, "dvsgw_backend_requests_total{") {
+			continue
+		}
+		f := strings.Fields(line)
+		v, err := strconv.ParseFloat(f[len(f)-1], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
 }
 
 // TestBodyBoundParity pins the request-body bound on both services: a

@@ -27,7 +27,8 @@ func startTracedBackend(t *testing.T) (*obs.Tracer, string) {
 // queue and route spans under a gw.cell root — and each backend's
 // dvsd.simulate trace joins its cell's trace via the injected
 // traceparent: same trace ID, rooted under the gateway's route span,
-// with the simulation phases visible beneath it.
+// with the simulation phases visible beneath it. Repeating the sweep
+// leaves memo-hit gw.cell traces and nothing at the backends.
 func TestSweepTraceStitching(t *testing.T) {
 	trA, urlA := startTracedBackend(t)
 	trB, urlB := startTracedBackend(t)
@@ -105,6 +106,35 @@ func TestSweepTraceStitching(t *testing.T) {
 		if !hasSim {
 			t.Fatalf("backend trace %s missing the sim.run phase span", bt.TraceID)
 		}
+	}
+
+	// A repeated sweep is answered from the gateway's memo: each cell
+	// still roots a gw.cell trace, marked as a memo hit, with no route
+	// span, and no backend records anything.
+	if rec := postGW(g, "/sweep", sweepGrid); rec.Code != http.StatusOK {
+		t.Fatalf("repeat: status=%d body=%s", rec.Code, rec.Body.String())
+	}
+	if err := json.Unmarshal(getGW(g, "/debug/traces?min_ms=0").Body.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	memoTraces := 0
+	for _, tr := range dump.Traces {
+		for _, sp := range tr.Spans {
+			if sp.Name == "gw.cell" && sp.Attrs["memo"] == "hit" {
+				memoTraces++
+				for _, other := range tr.Spans {
+					if other.Name == "route" {
+						t.Fatalf("memo-hit trace %s carries a route span", tr.TraceID)
+					}
+				}
+			}
+		}
+	}
+	if len(dump.Traces) != 8 || memoTraces != 4 {
+		t.Fatalf("after the repeat: %d gateway traces, %d marked memo hits; want 8 and 4", len(dump.Traces), memoTraces)
+	}
+	if n := len(trA.Snapshot(0)) + len(trB.Snapshot(0)); n != 4 {
+		t.Fatalf("backends recorded %d traces after the repeat, want still 4", n)
 	}
 }
 

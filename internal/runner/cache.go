@@ -5,6 +5,7 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/mpisim"
 	"repro/internal/node"
 )
@@ -32,48 +33,17 @@ type entry struct {
 	size int64
 	// expiresAt bounds negative caching: set only on error entries under
 	// a positive ErrorTTL, after which lookup treats the entry as absent.
-	expiresAt  time.Time
-	prev, next *entry // recency ring links; nil when unlinked
+	expiresAt time.Time
+	link      lru.Elem[*entry] // recency ring element; Value points back here
 }
 
-// lruList is an intrusive recency ring over cache entries, front = most
-// recently used. The sentinel root removes nil edge cases.
-type lruList struct {
-	root entry
-}
-
-func (l *lruList) init() {
-	l.root.prev = &l.root
-	l.root.next = &l.root
-}
-
-func (l *lruList) pushFront(e *entry) {
-	e.prev = &l.root
-	e.next = l.root.next
-	e.prev.next = e
-	e.next.prev = e
-}
-
-func (l *lruList) moveToFront(e *entry) {
-	l.unlink(e)
-	l.pushFront(e)
-}
-
-func (l *lruList) unlink(e *entry) {
-	if e.prev == nil {
-		return // already unlinked
-	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	e.prev, e.next = nil, nil
-}
-
-// backCompleted returns the least-recently-used evictable entry, walking
-// past in-flight entries (they cannot be evicted), or nil if none.
-func (l *lruList) backCompleted() *entry {
-	for e := l.root.prev; e != &l.root; e = e.prev {
-		if e.completed {
-			return e
+// oldestCompleted returns the least-recently-used evictable entry,
+// walking past in-flight entries (they cannot be evicted), or nil if
+// none. Runner.mu held.
+func (r *Runner) oldestCompleted() *entry {
+	for l := r.lru.Oldest(); l != nil; l = r.lru.Newer(l) {
+		if l.Value.completed {
+			return l.Value
 		}
 	}
 	return nil
@@ -91,7 +61,7 @@ func (r *Runner) lookup(key string) *entry {
 		r.remove(e)
 		return nil
 	}
-	r.lru.moveToFront(e)
+	r.lru.MoveToFront(&e.link)
 	return e
 }
 
@@ -99,7 +69,8 @@ func (r *Runner) lookup(key string) *entry {
 // must be absent. Runner.mu held.
 func (r *Runner) insert(e *entry) {
 	r.cache[e.key] = e
-	r.lru.pushFront(e)
+	e.link.Value = e
+	r.lru.PushFront(&e.link)
 }
 
 // remove drops an entry from the cache and recency ring, refunding its
@@ -109,7 +80,7 @@ func (r *Runner) remove(e *entry) {
 	if cur, ok := r.cache[e.key]; ok && cur == e {
 		delete(r.cache, e.key)
 	}
-	r.lru.unlink(e)
+	r.lru.Remove(&e.link)
 	r.bytes -= e.size
 	e.size = 0
 }
@@ -120,7 +91,7 @@ func (r *Runner) remove(e *entry) {
 // settles back as they complete. Runner.mu held.
 func (r *Runner) evictOverBound() {
 	for len(r.cache) > r.maxEntries {
-		victim := r.lru.backCompleted()
+		victim := r.oldestCompleted()
 		if victim == nil {
 			return
 		}

@@ -32,8 +32,8 @@ func (r *Runner) SaveCache(path string) (int, error) {
 	// once completed, so sharing the slices is safe.
 	r.mu.Lock()
 	recs := make([]snapshotRecord, 0, len(r.cache))
-	for e := r.lru.root.prev; e != &r.lru.root; e = e.prev {
-		if e.completed && e.err == nil {
+	for l := r.lru.Oldest(); l != nil; l = r.lru.Newer(l) {
+		if e := l.Value; e.completed && e.err == nil {
 			recs = append(recs, snapshotRecord{Key: e.key, Result: e.res})
 		}
 	}

@@ -36,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/npb"
 	"repro/internal/obs"
 )
@@ -118,7 +119,7 @@ type Runner struct {
 
 	mu    sync.Mutex
 	cache map[string]*entry
-	lru   lruList
+	lru   lru.Ring[*entry]
 	bytes int64
 	stats Stats
 }
@@ -140,15 +141,13 @@ func NewWithOptions(opts Options) *Runner {
 	if max <= 0 {
 		max = DefaultMaxEntries
 	}
-	r := &Runner{
+	return &Runner{
 		workers:    workers,
 		maxEntries: max,
 		errTTL:     opts.ErrorTTL,
 		now:        time.Now,
 		cache:      map[string]*entry{},
 	}
-	r.lru.init()
-	return r
 }
 
 // Workers returns the runner's in-process capacity.
