@@ -36,17 +36,13 @@ func main() {
 		"sweep-engine parallelism (0 = GOMAXPROCS, 1 = serial)",
 		"finished-trace ring size served at /debug/traces (0 disables tracing)")
 	cacheEntries := flag.Int("cache-entries", runner.DefaultMaxEntries, "memo-cache bound in entries (LRU eviction beyond it)")
-	errorTTL := flag.Duration("error-cache-ttl", 0, "how long failed cells are negative-cached (0 = failures are never memoized)")
 	cacheDir := flag.String("cache-dir", "", "directory for the persistent memo-cache snapshot, loaded at startup and written on graceful drain (empty = in-memory only)")
 	sh.Parse(func() error {
-		switch {
-		case *cacheEntries < 0:
+		if *cacheEntries < 0 {
 			// The library reads any bound <= 0 as the default; on the
 			// command line only 0 spells that, so a negative value is a
 			// mistake to report, not to reinterpret.
 			return fmt.Errorf("invalid -cache-entries %d: want >= 0 (0 = default %d)", *cacheEntries, runner.DefaultMaxEntries)
-		case *errorTTL < 0:
-			return fmt.Errorf("invalid -error-cache-ttl %v: want >= 0", *errorTTL)
 		}
 		return nil
 	})
@@ -54,7 +50,6 @@ func main() {
 	sh.Runner = runner.NewWithOptions(runner.Options{
 		Workers:    sh.Workers(),
 		MaxEntries: *cacheEntries,
-		ErrorTTL:   *errorTTL,
 	})
 	var snapshot string
 	if *cacheDir != "" {

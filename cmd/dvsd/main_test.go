@@ -86,7 +86,6 @@ func TestRejectedFlags(t *testing.T) {
 		{[]string{"-queue", "0"}, "invalid -queue 0: want > 0"},
 		{[]string{"-trace-buffer", "-1"}, "invalid -trace-buffer -1: want >= 0 (0 = tracing off)"},
 		{[]string{"-cache-entries", "-1"}, "invalid -cache-entries -1: want >= 0 (0 = default 4096)"},
-		{[]string{"-error-cache-ttl", "-1s"}, "invalid -error-cache-ttl -1s: want >= 0"},
 	} {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
 			stderr, code := run(t, c.args...)

@@ -149,3 +149,42 @@ func TestPropertyEnergyAndResidency(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyStaticPointKeepsMemoryAndTraffic: frequency scales only the
+// CPU's work. At every static operating point, each rank's memory
+// stalls, disk time, message count and byte count equal the NoDVS run's
+// exactly, for every class-S code at every rank count it builds at.
+func TestPropertyStaticPointKeepsMemoryAndTraffic(t *testing.T) {
+	cfg := core.DefaultConfig()
+	for _, code := range npb.Codes() {
+		for _, ranks := range []int{1, 2, 4, 8, 9} {
+			w, err := npb.New(code, npb.ClassS, ranks)
+			if err != nil {
+				continue // the kernel does not run at this rank count
+			}
+			base, err := core.Run(w, core.NoDVS(), cfg)
+			if err != nil {
+				t.Fatalf("%s NoDVS: %v", w.Name(), err)
+			}
+			for _, f := range cfg.Node.Table.Frequencies() {
+				res, err := core.Run(w, core.External(f), cfg)
+				if err != nil {
+					t.Fatalf("%s at %v MHz: %v", w.Name(), f, err)
+				}
+				if len(res.RankStats) != ranks || len(base.RankStats) != ranks {
+					t.Fatalf("%s at %v MHz: stats for %d ranks, NoDVS for %d; want %d",
+						w.Name(), f, len(res.RankStats), len(base.RankStats), ranks)
+				}
+				for r, got := range res.RankStats {
+					want := base.RankStats[r]
+					if got.Memory != want.Memory || got.Disk != want.Disk ||
+						got.Messages != want.Messages || got.Bytes != want.Bytes {
+						t.Errorf("%s at %v MHz rank %d: memory %v, disk %v, %d msgs, %d B; NoDVS has %v, %v, %d msgs, %d B",
+							w.Name(), f, r, got.Memory, got.Disk, got.Messages, got.Bytes,
+							want.Memory, want.Disk, want.Messages, want.Bytes)
+					}
+				}
+			}
+		}
+	}
+}

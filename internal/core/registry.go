@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -58,9 +59,12 @@ func (s StrategySpec) Interval(def time.Duration) (time.Duration, error) {
 	if s.IntervalMS == 0 {
 		return def, nil
 	}
-	iv := time.Duration(s.IntervalMS * float64(time.Millisecond))
-	if iv < MinInterval {
+	if s.IntervalMS < ms(MinInterval) {
 		return 0, spec.Errorf("interval_ms", "must be at least %g ms, got %g", ms(MinInterval), s.IntervalMS)
+	}
+	iv, ok := spec.Duration(s.IntervalMS, time.Millisecond)
+	if !ok {
+		return 0, spec.Errorf("interval_ms", "must be at most %v, got %g ms", time.Duration(math.MaxInt64), s.IntervalMS)
 	}
 	return iv, nil
 }

@@ -3,6 +3,7 @@ package core_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dvs"
@@ -126,6 +127,36 @@ func TestDecodeStrategyUnknownKind(t *testing.T) {
 	for _, name := range core.StrategyNames() {
 		if !strings.Contains(se.Msg, name) {
 			t.Fatalf("rejection %q does not enumerate registered name %q", se.Msg, name)
+		}
+	}
+}
+
+// TestIntervalBounds: the control-period override converts to a
+// duration, falls back when unset, and rejects a period below the floor
+// or beyond time.Duration's range by name, without wrapping.
+func TestIntervalBounds(t *testing.T) {
+	const def = 80 * time.Millisecond
+	for _, c := range []struct {
+		ms   float64
+		want time.Duration
+		msg  string // substring of the rejection; "" means accepted
+	}{
+		{0, def, ""},
+		{250, 250 * time.Millisecond, ""},
+		{0.5, 0, "at least"},
+		{-5, 0, "at least"},
+		{1e13, 0, "at most"},
+	} {
+		got, err := core.StrategySpec{Kind: "daemon", IntervalMS: c.ms}.Interval(def)
+		if c.msg == "" {
+			if err != nil || got != c.want {
+				t.Fatalf("Interval(%g ms) = %v, %v; want %v", c.ms, got, err, c.want)
+			}
+			continue
+		}
+		se, ok := err.(*spec.Error)
+		if !ok || se.Field != "interval_ms" || !strings.Contains(se.Msg, c.msg) {
+			t.Fatalf("Interval(%g ms) = %v, %v; want an interval_ms rejection saying %q", c.ms, got, err, c.msg)
 		}
 	}
 }

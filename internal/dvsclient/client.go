@@ -27,17 +27,17 @@ const maxResponseBody = 1 << 20
 // bodyBufs holds the buffers response bodies are read into.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// Result classifies one forwarding attempt. Exactly one of the outcome
+// Result classifies one forwarding attempt. At most one of the outcome
 // groups applies: Ok (Resp valid), AE (terminal typed rejection — relay
-// as-is, retrying is pointless), Shed (backend 429 backpressure: wait
-// WaitHint and re-ask, don't charge an attempt), or Retry (failed, but
-// another backend or a later attempt may succeed; Transport additionally
-// means no usable HTTP response arrived).
+// as-is, retrying is pointless), or Shed (backend 429 backpressure: wait
+// WaitHint and re-ask, don't charge an attempt). When none applies the
+// attempt is retryable: it failed, but another backend or a later attempt
+// may succeed; Transport additionally means no usable HTTP response
+// arrived.
 type Result struct {
 	Ok        bool
 	Resp      sweep.SimulateResponse
 	AE        *sweep.APIError
-	Retry     bool
 	Transport bool
 	Shed      bool
 	WaitHint  time.Duration
@@ -50,7 +50,7 @@ type Result struct {
 func Do(ctx context.Context, hc *http.Client, baseURL string, body []byte, traceparent string) Result {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/simulate", bytes.NewReader(body))
 	if err != nil {
-		return Result{Retry: true, Transport: true}
+		return Result{Transport: true}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if traceparent != "" {
@@ -58,7 +58,7 @@ func Do(ctx context.Context, hc *http.Client, baseURL string, body []byte, trace
 	}
 	resp, err := hc.Do(req)
 	if err != nil {
-		return Result{Retry: true, Transport: true}
+		return Result{Transport: true}
 	}
 	defer func() {
 		// Drain whatever ReadAll's limit left behind before closing, or
@@ -77,13 +77,13 @@ func Do(ctx context.Context, hc *http.Client, baseURL string, body []byte, trace
 		}
 	}()
 	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody)); err != nil {
-		return Result{Retry: true, Transport: true}
+		return Result{Transport: true}
 	}
 	raw := buf.Bytes()
 	if resp.StatusCode == http.StatusOK {
 		var res Result
 		if err := sweep.DecodeResponse(raw, &res.Resp); err != nil {
-			return Result{Retry: true}
+			return Result{}
 		}
 		res.Ok = true
 		return res
@@ -93,7 +93,7 @@ func Do(ctx context.Context, hc *http.Client, baseURL string, body []byte, trace
 	}
 	if err := json.Unmarshal(raw, &env); err != nil || env.Error == nil {
 		// Not our wire format — a crashed backend, a proxy error page.
-		return Result{Retry: true}
+		return Result{}
 	}
 	if env.Error.Code == sweep.CodeQueueFull {
 		return Result{Shed: true,

@@ -18,6 +18,9 @@ func serve(t *testing.T, h http.HandlerFunc) string {
 	return ts.URL
 }
 
+// retryable reports that none of Result's outcome groups applies.
+func retryable(res Result) bool { return !res.Ok && res.AE == nil && !res.Shed }
+
 func okBody() string {
 	return `{"cached":true,"result":{"name":"ft.S.8","strategy":"external 600","elapsed_sec":1.5,"energy_j":42}}`
 }
@@ -46,7 +49,7 @@ func TestDoClassifiesTypedRejection(t *testing.T) {
 		fmt.Fprintln(w, `{"error":{"code":"invalid_workload","message":"no such code","field":"workload.code"}}`)
 	})
 	res := Do(context.Background(), http.DefaultClient, url, []byte(`{}`), "")
-	if res.Ok || res.Retry || res.Shed || res.AE == nil {
+	if res.Ok || res.Shed || res.AE == nil {
 		t.Fatalf("res = %+v", res)
 	}
 	if res.AE.Code != sweep.CodeInvalidWorkload || res.AE.Field != "workload.code" {
@@ -77,7 +80,7 @@ func TestDoClassifiesGarbageAsRetry(t *testing.T) {
 	} {
 		url := serve(t, h)
 		res := Do(context.Background(), http.DefaultClient, url, []byte(`{}`), "")
-		if !res.Retry || res.Ok || res.AE != nil {
+		if !retryable(res) {
 			t.Fatalf("%s: res = %+v", name, res)
 		}
 	}
@@ -88,7 +91,7 @@ func TestDoClassifiesTransportError(t *testing.T) {
 	url := ts.URL
 	ts.Close() // refuse all connections
 	res := Do(context.Background(), http.DefaultClient, url, []byte(`{}`), "")
-	if !res.Retry || !res.Transport {
+	if !retryable(res) || !res.Transport {
 		t.Fatalf("res = %+v", res)
 	}
 }
@@ -102,7 +105,7 @@ func TestDoMidBodyCutIsTransportRetry(t *testing.T) {
 		fmt.Fprint(w, `{"cached":true,"result":{"name":"ft`)
 	})
 	res := Do(context.Background(), http.DefaultClient, url, []byte(`{}`), "")
-	if !res.Retry || !res.Transport || res.Ok || res.AE != nil {
+	if !retryable(res) || !res.Transport {
 		t.Fatalf("mid-body cut classified as %+v, want transport retry", res)
 	}
 }
@@ -127,7 +130,7 @@ func TestDoContextCanceledMidBody(t *testing.T) {
 		cancel()
 	}()
 	res := Do(ctx, http.DefaultClient, url, []byte(`{}`), "")
-	if !res.Retry || !res.Transport {
+	if !retryable(res) || !res.Transport {
 		t.Fatalf("mid-body cancellation classified as %+v, want transport retry", res)
 	}
 }

@@ -436,7 +436,7 @@ func (g *Gateway) runCell(ctx context.Context, c sweep.Cell) sweep.Outcome {
 	body := c.Body()
 	failedAttempts := 0
 	var shedSpent time.Duration
-	for body != nil { // wire-inexpressible cells go straight to local fallback
+	for body != nil { // bodiless cells (no wire spec or no key) go straight to local fallback
 		if ctx.Err() != nil {
 			return sweep.Outcome{Err: sweep.OutcomeError(ctx.Err())}
 		}

@@ -778,25 +778,38 @@ func TestCellRelaysTypedRejection(t *testing.T) {
 	}
 }
 
-// TestBodilessCellRunsLocally: a cell without a wire spec cannot be
-// forwarded, so the ladder runs it on the local rung straight away and
-// keeps its full-fidelity result.
+// TestBodilessCellRunsLocally: a cell without a wire spec, or without a
+// content key, has no body to forward, so the ladder runs it on the local
+// rung straight away, keeps its full-fidelity result and memoizes
+// nothing: a repeat runs locally again.
 func TestBodilessCellRunsLocally(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Write([]byte(fakeResponse("remote")))
-	}))
-	defer ts.Close()
-	g := newGateway(t, Options{Peers: []string{ts.URL}})
+	for _, tc := range []struct {
+		name string
+		drop func(*sweep.Cell)
+	}{
+		{"no spec", func(c *sweep.Cell) { c.Spec = nil }},
+		{"empty key", func(c *sweep.Cell) { c.Key = "" }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int64
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				w.Write([]byte(fakeResponse("remote")))
+			}))
+			defer ts.Close()
+			g := newGateway(t, Options{Peers: []string{ts.URL}})
 
-	c := sweepCells(t)[0]
-	c.Spec = nil
-	out := g.Place(context.Background(), 0, c)
-	if out.Err != nil || out.Raw == nil || out.Wire != nil {
-		t.Fatalf("out = %+v, want a local full-fidelity result", out)
-	}
-	if calls.Load() != 0 || g.met.local.Load() != 1 {
-		t.Fatalf("backend requests = %d, local = %d; want 0 and 1", calls.Load(), g.met.local.Load())
+			c := sweepCells(t)[0]
+			tc.drop(&c)
+			for i := 0; i < 2; i++ {
+				if out := g.Place(context.Background(), 0, c); out.Err != nil || out.Raw == nil || out.Wire != nil {
+					t.Fatalf("place %d: %+v, want a local full-fidelity result", i, out)
+				}
+			}
+			if c := g.Counters(); calls.Load() != 0 || c.Local != 2 || c.MemoHits != 0 || memoLen(g) != 0 {
+				t.Fatalf("backend requests = %d, counters = %+v, memoized = %d; want 0 requests, 2 local, nothing memoized",
+					calls.Load(), c, memoLen(g))
+			}
+		})
 	}
 }

@@ -42,12 +42,8 @@ func (m *memo) get(key string) (sweep.ResultJSON, bool) {
 	return e.Value.res, true
 }
 
-// put memoizes a backend's answer for key. A key-less cell has no
-// content address to answer a repeat by, so it is never stored.
+// put memoizes a backend's answer for key.
 func (m *memo) put(key string, res sweep.ResultJSON) {
-	if key == "" {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e, ok := m.cells[key]; ok {

@@ -55,7 +55,6 @@ type Pool struct {
 
 	probeTimeout time.Duration
 	failAfter    int32
-	rr           atomic.Uint64 // rotation for key-less cells
 
 	started  atomic.Bool
 	stopOnce sync.Once
@@ -156,22 +155,12 @@ func (p *Pool) probe(b *backend) {
 }
 
 // order returns the live backends to try for a cell key, in failover
-// order. Keyed cells walk the consistent-hash ring from the key's point,
-// so a repeated cell lands on the backend whose memo cache holds it (and
-// has a deterministic failover successor). Key-less cells are not cache-
-// affine anywhere; they rotate across live backends for load spread.
+// order: the consistent-hash ring walked from the key's point, so a
+// repeated cell lands on the backend whose memo cache holds it (and has a
+// deterministic failover successor). Only keyed cells are forwarded
+// (sweep.Cell.Body).
 func (p *Pool) order(key string) []*backend {
-	var seq []int
-	if key != "" {
-		seq = p.ring.seq(key)
-	} else {
-		n := len(p.backends)
-		start := int(p.rr.Add(1)-1) % n
-		seq = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			seq = append(seq, (start+i)%n)
-		}
-	}
+	seq := p.ring.seq(key)
 	out := make([]*backend, 0, len(seq))
 	for _, i := range seq {
 		if p.backends[i].up.Load() {

@@ -76,20 +76,6 @@ func TestDataPathFeedback(t *testing.T) {
 	}
 }
 
-// TestOrderRotatesKeylessCells: cells without a cache key have no warm
-// backend anywhere; placement must spread across the live set rather
-// than hammering one backend.
-func TestOrderRotatesKeylessCells(t *testing.T) {
-	p := newPool(testURLs(3), 2, time.Second, http.DefaultClient)
-	first := map[string]int{}
-	for i := 0; i < 9; i++ {
-		first[p.order("")[0].url]++
-	}
-	if len(first) != 3 {
-		t.Fatalf("key-less placement used %d of 3 backends: %v", len(first), first)
-	}
-}
-
 // TestProbeReusesConnection: probes must drain the healthz body before
 // closing it — an unread body makes the transport drop the connection,
 // so every probe round (and, before the fix, every error-path probe)

@@ -31,10 +31,7 @@ type entry struct {
 	// size is the entry's approximate resident payload, charged to
 	// Runner.bytes while the entry is linked.
 	size int64
-	// expiresAt bounds negative caching: set only on error entries under
-	// a positive ErrorTTL, after which lookup treats the entry as absent.
-	expiresAt time.Time
-	link      lru.Elem[*entry] // recency ring element; Value points back here
+	link lru.Elem[*entry] // recency ring element; Value points back here
 }
 
 // oldestCompleted returns the least-recently-used evictable entry,
@@ -50,15 +47,10 @@ func (r *Runner) oldestCompleted() *entry {
 }
 
 // lookup returns the live entry for key and refreshes its recency, or nil
-// on a miss. A negative-cached error entry past its TTL is dropped here
-// and reported as a miss, so the caller re-runs the cell. Runner.mu held.
+// on a miss. Runner.mu held.
 func (r *Runner) lookup(key string) *entry {
 	e, ok := r.cache[key]
 	if !ok {
-		return nil
-	}
-	if e.completed && e.err != nil && r.now().After(e.expiresAt) {
-		r.remove(e)
 		return nil
 	}
 	r.lru.MoveToFront(&e.link)
@@ -108,20 +100,11 @@ func (r *Runner) finalize(e *entry, res core.Result, err error) {
 	r.mu.Lock()
 	e.res, e.err = res, err
 	e.completed = true
-	switch {
-	case err == nil:
+	if err == nil {
 		e.size = int64(len(e.key)) + resultSize(res)
 		r.bytes += e.size
 		r.evictOverBound()
-	case r.errTTL > 0:
-		// Negative caching: hold the failure for the TTL so a hammered
-		// known-bad cell is not re-simulated on every request.
-		r.stats.Poisoned++
-		e.expiresAt = r.now().Add(r.errTTL)
-		e.size = int64(len(e.key))
-		r.bytes += e.size
-		r.evictOverBound()
-	default:
+	} else {
 		// Never memoize failures: only waiters already coalesced onto
 		// this run observe the error; the next identical job re-runs.
 		r.stats.Poisoned++

@@ -205,8 +205,8 @@ func TestLoadSkipsGarbageAndMissingFile(t *testing.T) {
 func TestSaveSkipsFailures(t *testing.T) {
 	w := ftS(t)
 	bad := quickCfg()
-	bad.Node.Table = nil                                    // core.Run rejects this
-	r := NewWithOptions(Options{Workers: 1, ErrorTTL: 1e9}) // keep the error resident
+	bad.Node.Table = nil // core.Run rejects this
+	r := New(1)
 	if out := r.Do(context.Background(), Job{Workload: w, Strategy: core.NoDVS(), Config: bad}); out.Err == nil {
 		t.Fatal("bad config should fail")
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/mpisim"
@@ -177,35 +176,5 @@ func TestTransientErrorNotPoisoning(t *testing.T) {
 	// Third submission is a plain cache hit on the successful result.
 	if out := r.Do(context.Background(), job); out.Err != nil || !out.Cached {
 		t.Fatalf("post-recovery hit: err=%v cached=%v", out.Err, out.Cached)
-	}
-}
-
-// TestErrorTTLNegativeCaching asserts the service-facing policy: with a
-// positive ErrorTTL an error outcome is served from cache until the TTL
-// lapses, then the cell re-runs.
-func TestErrorTTLNegativeCaching(t *testing.T) {
-	swapCoreRun(t, func(npb.Workload, core.Strategy, core.Config) (core.Result, error) {
-		return core.Result{}, fmt.Errorf("persistent fault")
-	})
-	w := ftS(t)
-	job := Job{Workload: w, Strategy: core.External(600), Config: quickCfg()}
-	r := NewWithOptions(Options{Workers: 1, ErrorTTL: time.Minute})
-	clock := time.Unix(1000, 0)
-	r.now = func() time.Time { return clock }
-
-	if out := r.Do(context.Background(), job); out.Err == nil || out.Cached {
-		t.Fatalf("first run: err=%v cached=%v", out.Err, out.Cached)
-	}
-	out := r.Do(context.Background(), job)
-	if out.Err == nil || !out.Cached {
-		t.Fatalf("within TTL: err=%v cached=%v, want negative-cache hit", out.Err, out.Cached)
-	}
-	clock = clock.Add(2 * time.Minute)
-	if out := r.Do(context.Background(), job); out.Err == nil || out.Cached {
-		t.Fatalf("past TTL: err=%v cached=%v, want fresh re-run", out.Err, out.Cached)
-	}
-	st := r.Stats()
-	if st.Runs != 2 || st.Hits != 1 || st.Poisoned != 2 {
-		t.Fatalf("runs=%d hits=%d poisoned=%d, want 2/1/2", st.Runs, st.Hits, st.Poisoned)
 	}
 }

@@ -135,8 +135,16 @@ func TestJournalFromOtherModelNotReplayed(t *testing.T) {
 			}
 			return local.Place(ctx, i, c)
 		}), sweep.ExecOptions{Parallel: 1, Checkpoint: ck0})
-		if again, err := sweep.OpenCheckpoint(sweep.CheckpointPath(dir, p0), p0); err != nil || again.Resumed() != 2 {
-			t.Fatalf("old journal under its own model: resumed %d, %v; want 2", again.Resumed(), err)
+		again, err := sweep.OpenCheckpoint(sweep.CheckpointPath(dir, p0), p0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every live cell fails again, so the journal survives this check.
+		_, sum0 := sweep.Execute(context.Background(), p0, placerFunc(func(context.Context, int, sweep.Cell) sweep.Outcome {
+			return sweep.Outcome{Err: sweep.Errf(sweep.CodeSimFailed, "", "interrupted")}
+		}), sweep.ExecOptions{Parallel: 1, Checkpoint: again})
+		if sum0.Resumed != 2 {
+			t.Fatalf("old journal under its own model: resumed %d; want 2", sum0.Resumed)
 		}
 
 		p1 := plan(current)

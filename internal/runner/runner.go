@@ -17,9 +17,8 @@
 //     recovered and converted to a *PanicError outcome for that job
 //     alone. Coalesced waiters on the panicking job always unblock; the
 //     process stays up.
-//   - Failure policy: error outcomes are not memoized by default, so a
-//     transient failure never poisons the cache for future identical
-//     jobs. Options.ErrorTTL enables bounded negative caching instead.
+//   - Failure policy: error outcomes are never memoized, so a transient
+//     failure never poisons the cache for future identical jobs.
 //   - Bounded cache: the memo cache is an LRU capped at
 //     Options.MaxEntries completed entries; eviction never touches an
 //     in-flight entry, so coalescing stays correct under churn. A cache
@@ -33,7 +32,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/lru"
@@ -66,9 +64,8 @@ type Stats struct {
 	// Panics counts panics recovered from simulations; each became an
 	// error outcome instead of a process crash.
 	Panics int
-	// Poisoned counts error outcomes withheld from durable memoization
-	// by the failure policy (dropped outright, or negative-cached with a
-	// TTL when Options.ErrorTTL is set).
+	// Poisoned counts error outcomes the failure policy dropped instead
+	// of memoizing.
 	Poisoned int
 	// Evictions counts completed entries dropped by the LRU bound.
 	Evictions int
@@ -99,13 +96,6 @@ type Options struct {
 	Workers int
 	// MaxEntries bounds the memo cache; <= 0 selects DefaultMaxEntries.
 	MaxEntries int
-	// ErrorTTL is the failure policy. Zero (the default) never memoizes
-	// an error outcome: the entry is dropped the moment it completes, so
-	// only waiters already coalesced onto the in-flight run observe the
-	// failure. A positive TTL negative-caches errors for that long —
-	// useful in the service, where hammering a known-bad cell should not
-	// re-simulate it on every request.
-	ErrorTTL time.Duration
 }
 
 // Runner is the memo cache and single-job engine. It is safe for
@@ -114,8 +104,6 @@ type Options struct {
 type Runner struct {
 	workers    int
 	maxEntries int // resolved: > 0
-	errTTL     time.Duration
-	now        func() time.Time // test hook for ErrorTTL expiry
 
 	mu    sync.Mutex
 	cache map[string]*entry
@@ -130,8 +118,7 @@ func New(workers int) *Runner {
 	return NewWithOptions(Options{Workers: workers})
 }
 
-// NewWithOptions returns a runner with explicit cache and failure
-// policy. The zero Options value matches New(0).
+// NewWithOptions returns a runner with an explicit cache bound. The zero Options value matches New(0).
 func NewWithOptions(opts Options) *Runner {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -144,8 +131,6 @@ func NewWithOptions(opts Options) *Runner {
 	return &Runner{
 		workers:    workers,
 		maxEntries: max,
-		errTTL:     opts.ErrorTTL,
-		now:        time.Now,
 		cache:      map[string]*entry{},
 	}
 }

@@ -216,16 +216,18 @@ func (f *Frontend) decodeBody(w http.ResponseWriter, r *http.Request, v any) *sw
 	return nil
 }
 
-// timeoutFor resolves a request's timeout_ms against the bounds.
+// timeoutFor resolves a request's timeout_ms against the bounds. The
+// clamp compares in float: a value past time.Duration's range would wrap
+// negative if converted first.
 func (f *Frontend) timeoutFor(ms float64) time.Duration {
 	if ms <= 0 {
 		return f.opts.DefaultTimeout
 	}
-	d := time.Duration(ms * float64(time.Millisecond))
-	if d > f.opts.MaxTimeout {
+	ns := ms * float64(time.Millisecond)
+	if ns >= float64(f.opts.MaxTimeout) {
 		return f.opts.MaxTimeout
 	}
-	return d
+	return time.Duration(ns)
 }
 
 // methodNotAllowed renders the typed 405 naming the verb to use.

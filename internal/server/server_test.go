@@ -130,6 +130,8 @@ func TestSimulateValidation(t *testing.T) {
 		{"config bad wait frac", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"wait_busy_frac":2}}`, 400, sweep.CodeInvalidConfig, "config.wait_busy_frac"},
 		{"config bad loss rate", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"net_loss_rate":1.5}}`, 400, sweep.CodeInvalidConfig, "config.net_loss_rate"},
 		{"config bad bandwidth", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"net_bandwidth_bps":-1}}`, 400, sweep.CodeInvalidConfig, "config.net_bandwidth_bps"},
+		{"config net latency past duration range", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"net_latency_us":1e16}}`, 400, sweep.CodeInvalidConfig, "config.net_latency_us"},
+		{"config transition latency past duration range", `{"workload":{"code":"FT","class":"S"},"strategy":{"kind":"nodvs"},"config":{"transition_latency_us":1e16}}`, 400, sweep.CodeInvalidConfig, "config.transition_latency_us"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,19 +216,34 @@ func TestQueueFullSheds(t *testing.T) {
 // TestSimulateDeadlineExpired uses a timeout so small it truncates to a
 // zero-duration context deadline, which context.WithTimeout cancels
 // synchronously — the simulation must be skipped and the typed 504
-// returned, with no run charged to the engine.
+// returned, with no run charged to the engine. A timeout past
+// time.Duration's range is clamped to the maximum, not wrapped into an
+// expired deadline: that cell runs.
 func TestSimulateDeadlineExpired(t *testing.T) {
-	s := testServer(t, Options{})
-	body := `{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"nodvs"},"timeout_ms":1e-9}`
-	rec := post(s, "/simulate", body)
-	if rec.Code != http.StatusGatewayTimeout {
-		t.Fatalf("status=%d want 504; body=%s", rec.Code, rec.Body.String())
-	}
-	if ae := errEnvelope(t, rec); ae.Code != sweep.CodeDeadlineExceeded {
-		t.Fatalf("code=%q want %q", ae.Code, sweep.CodeDeadlineExceeded)
-	}
-	if st := s.Runner().Stats(); st.Runs != 0 {
-		t.Fatalf("expired request still ran %d simulations", st.Runs)
+	for _, c := range []struct {
+		timeoutMS string
+		status    int
+		runs      int
+	}{
+		{"1e-9", http.StatusGatewayTimeout, 0},
+		{"1e13", http.StatusOK, 1},
+	} {
+		t.Run(c.timeoutMS, func(t *testing.T) {
+			s := testServer(t, Options{})
+			body := `{"workload":{"code":"FT","class":"S","ranks":2},"strategy":{"kind":"nodvs"},"timeout_ms":` + c.timeoutMS + `}`
+			rec := post(s, "/simulate", body)
+			if rec.Code != c.status {
+				t.Fatalf("status=%d want %d; body=%s", rec.Code, c.status, rec.Body.String())
+			}
+			if c.status == http.StatusGatewayTimeout {
+				if ae := errEnvelope(t, rec); ae.Code != sweep.CodeDeadlineExceeded {
+					t.Fatalf("code=%q want %q", ae.Code, sweep.CodeDeadlineExceeded)
+				}
+			}
+			if st := s.Runner().Stats(); st.Runs != c.runs {
+				t.Fatalf("ran %d simulations, want %d", st.Runs, c.runs)
+			}
+		})
 	}
 }
 

@@ -9,6 +9,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -80,11 +81,11 @@ func (s *ConfigSpec) build() (core.Config, error) {
 		cfg.Node.WaitBusyFrac = *s.WaitBusyFrac
 	}
 	if s.NetLatencyUS != nil {
-		if *s.NetLatencyUS < 0 {
-			return core.Config{}, sweep.Errf(sweep.CodeInvalidConfig, "config.net_latency_us",
-				"must be non-negative, got %g", *s.NetLatencyUS)
+		d, err := latency("config.net_latency_us", *s.NetLatencyUS)
+		if err != nil {
+			return core.Config{}, err
 		}
-		cfg.Net.Latency = time.Duration(*s.NetLatencyUS * float64(time.Microsecond))
+		cfg.Net.Latency = d
 	}
 	if s.NetBandwidthBps != nil {
 		if *s.NetBandwidthBps <= 0 {
@@ -110,13 +111,26 @@ func (s *ConfigSpec) build() (core.Config, error) {
 		cfg.Net.Seed = *s.NetSeed
 	}
 	if s.TransitionLatencyUS != nil {
-		if *s.TransitionLatencyUS < 0 {
-			return core.Config{}, sweep.Errf(sweep.CodeInvalidConfig, "config.transition_latency_us",
-				"must be non-negative, got %g", *s.TransitionLatencyUS)
+		d, err := latency("config.transition_latency_us", *s.TransitionLatencyUS)
+		if err != nil {
+			return core.Config{}, err
 		}
-		cfg.Node.Transition.Latency = time.Duration(*s.TransitionLatencyUS * float64(time.Microsecond))
+		cfg.Node.Transition.Latency = d
 	}
 	return cfg, nil
+}
+
+// latency converts a wire latency in µs, rejecting a negative value or
+// one beyond time.Duration's range with a typed error blaming field.
+func latency(field string, us float64) (time.Duration, error) {
+	if us < 0 {
+		return 0, sweep.Errf(sweep.CodeInvalidConfig, field, "must be non-negative, got %g", us)
+	}
+	d, ok := spec.Duration(us, time.Microsecond)
+	if !ok {
+		return 0, sweep.Errf(sweep.CodeInvalidConfig, field, "must be at most %v, got %g µs", time.Duration(math.MaxInt64), us)
+	}
+	return d, nil
 }
 
 // JobSpec is one grid cell: workload × strategy × optional config.

@@ -11,7 +11,11 @@
 // without knowing which table produced it.
 package spec
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"time"
+)
 
 // Error is a field-level decode rejection. Field is the offending
 // parameter's relative path ("freq_mhz", "per_node[3]"); an empty Field
@@ -31,4 +35,16 @@ func (e *Error) Error() string {
 // Errorf builds a field-level rejection with a formatted message.
 func Errorf(field, format string, args ...any) *Error {
 	return &Error{Field: field, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Duration converts a wire quantity v, counted in unit, to a
+// time.Duration. ok is false when v·unit lies outside Duration's range
+// (or is NaN), where a plain conversion would wrap to an arbitrary value
+// and slip past any bound checked after it.
+func Duration(v float64, unit time.Duration) (d time.Duration, ok bool) {
+	f := v * float64(unit)
+	if !(f >= math.MinInt64 && f < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(f), true
 }

@@ -49,12 +49,11 @@ type Checkpoint struct {
 	path string
 	fs   FS
 
-	mu      sync.Mutex
-	f       File
-	w       *bufio.Writer
-	buf     []byte // reused for every appended record
-	done    map[int]Outcome
-	resumed int
+	mu   sync.Mutex
+	f    File
+	w    *bufio.Writer
+	buf  []byte // reused for every appended record
+	done map[int]Outcome
 }
 
 // CheckpointPath names the journal file for a plan inside dir. The name
@@ -90,7 +89,6 @@ func OpenCheckpointFS(fsys FS, path string, p *Plan) (*Checkpoint, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	c.resumed = len(keep)
 
 	// Rewrite header + surviving records to a temp file and rename it
 	// into place, then reopen for appending: the journal on disk is
@@ -172,22 +170,6 @@ func (c *Checkpoint) load(f io.Reader, p *Plan) []checkpointRecord {
 		keep = append(keep, rec)
 	}
 	return keep
-}
-
-// Path returns the journal's file path.
-func (c *Checkpoint) Path() string {
-	if c == nil {
-		return ""
-	}
-	return c.path
-}
-
-// Resumed returns how many cells the journal replays for this run.
-func (c *Checkpoint) Resumed() int {
-	if c == nil {
-		return 0
-	}
-	return c.resumed
 }
 
 // lookup returns the journaled outcome for cell i, if a prior run

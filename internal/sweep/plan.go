@@ -29,8 +29,8 @@ import (
 // router's affinity token and the checkpoint journal's cell identity.
 type Cell struct {
 	// Key is the runner's content address, "" when the cell is not
-	// cacheable (then no backend holds it warm, any placement is as good
-	// as any other, and the cell is never journaled or replayed).
+	// cacheable (then the cell has no Body, runs in-process, and is never
+	// journaled or replayed).
 	Key string
 	// Job is the compiled form, runnable in-process.
 	Job runner.Job
@@ -43,9 +43,11 @@ type Cell struct {
 }
 
 // Body encodes the cell's POST /simulate body; nil when the cell has no
-// wire form.
+// wire form or no content key. Only a content-addressed cell leaves the
+// process: its key is what places it on a backend and memoizes the
+// answer, so a key-less cell runs in-process like a bodiless one.
 func (c Cell) Body() []byte {
-	if c.Spec == nil {
+	if c.Key == "" || c.Spec == nil {
 		return nil
 	}
 	b, err := json.Marshal(c.Spec)

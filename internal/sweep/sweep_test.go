@@ -155,7 +155,8 @@ func TestResumeByteIdentical(t *testing.T) {
 	// mid-sweep. Completed keyed cells journal; the failed ones keep the
 	// journal alive for the next run.
 	p1 := mkPlan()
-	ck1, err := OpenCheckpoint(CheckpointPath(dir, p1), p1)
+	path := CheckpointPath(dir, p1)
+	ck1, err := OpenCheckpoint(path, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,19 +169,19 @@ func TestResumeByteIdentical(t *testing.T) {
 	if sum1.Errors == 0 {
 		t.Fatal("first run reported no errors; test needs an interrupted sweep")
 	}
-	if _, err := os.Stat(ck1.Path()); err != nil {
+	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("journal should survive a failed sweep: %v", err)
 	}
 
 	// Resumed run: a fresh checkpoint over the same plan replays the
 	// journaled cells and executes only the remainder.
 	p2 := mkPlan()
-	ck2, err := OpenCheckpoint(CheckpointPath(dir, p2), p2)
+	if CheckpointPath(dir, p2) != path {
+		t.Fatal("the same grid named a different journal")
+	}
+	ck2, err := OpenCheckpoint(path, p2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ck2.Resumed() != 5 { // cells 0..4 completed and are all keyed
-		t.Fatalf("journal holds %d cells, want 5 (0..4 completed, all keyed)", ck2.Resumed())
 	}
 	placed := map[int]bool{}
 	var resRecs []SweepRecord
@@ -195,8 +196,8 @@ func TestResumeByteIdentical(t *testing.T) {
 		mu.Unlock()
 	}})
 
-	if sum2.Resumed != 5 {
-		t.Fatalf("resumed = %d, want 5", sum2.Resumed)
+	if sum2.Resumed != 5 { // cells 0..4 completed and are all keyed
+		t.Fatalf("resumed = %d, want 5 (0..4 completed, all keyed)", sum2.Resumed)
 	}
 	for i := 0; i < 5; i++ {
 		if placed[i] {
@@ -229,9 +230,18 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 
 	// Fully successful resume removes the journal; the next run is cold.
-	if _, err := os.Stat(ck2.Path()); !os.IsNotExist(err) {
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("journal not removed after successful sweep: %v", err)
 	}
+}
+
+// replayed executes p over ck with every live cell failing, so the
+// journal survives, and returns how many cells the run replayed.
+func replayed(p *Plan, ck *Checkpoint) int {
+	_, sum := Execute(context.Background(), p, placerFunc(func(context.Context, int, Cell) Outcome {
+		return Outcome{Err: Errf(CodeSimFailed, "", "interrupted")}
+	}), ExecOptions{Parallel: 1, Checkpoint: ck})
+	return sum.Resumed
 }
 
 func TestCheckpointRejectsOtherPlan(t *testing.T) {
@@ -251,10 +261,9 @@ func TestCheckpointRejectsOtherPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck2.Resumed() != 0 {
-		t.Fatalf("foreign journal replayed %d cells", ck2.Resumed())
+	if n := replayed(pB, ck2); n != 0 {
+		t.Fatalf("foreign journal replayed %d cells", n)
 	}
-	ck2.finish(false)
 }
 
 func TestCheckpointToleratesTornTail(t *testing.T) {
@@ -283,9 +292,6 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck2.Resumed() != 2 {
-		t.Fatalf("resumed = %d, want the 2 intact records", ck2.Resumed())
-	}
 	if _, ok := ck2.lookup(1); ok {
 		t.Fatal("torn record replayed")
 	}
@@ -295,7 +301,9 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 			t.Fatalf("lookup(%d) = %+v, %v", i, o, ok)
 		}
 	}
-	ck2.finish(false)
+	if n := replayed(p, ck2); n != 2 {
+		t.Fatalf("resumed = %d, want the 2 intact records", n)
+	}
 
 	// Compaction rewrote the file: reopening sees a clean journal with no
 	// torn bytes left behind.
