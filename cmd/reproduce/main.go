@@ -13,7 +13,6 @@
 //	reproduce -workers 8         # sweep-engine parallelism (0 = all cores)
 //	reproduce -csv out/          # additionally write CSV files
 //	reproduce -server URL        # place sweep cells on a remote dvsd
-//	reproduce -checkpoint DIR    # journal sweeps; re-run resumes
 //	reproduce grid -codes FT,CG -classes S -freqs all -csv out.csv
 //	reproduce run -code CG -strategy internal -high 1200 -low 800
 //	reproduce power -code FT -profile ft.csv -json ft.json
@@ -277,7 +276,6 @@ func main() {
 	mdPath := flag.String("md", "", "also write all tables to this markdown file")
 	cacheDir := flag.String("cache-dir", "", "directory for a persistent memo-cache snapshot: loaded before the run, written after, so repeated invocations skip already-simulated cells")
 	serverURL := flag.String("server", "", "base URL of a dvsd-compatible endpoint: wire-expressible sweep cells are placed there instead of simulated in-process")
-	ckptDir := flag.String("checkpoint", "", "directory for sweep checkpoint journals: completed cells are journaled as they finish, and a re-run resumes instead of recomputing them")
 	flag.Parse()
 
 	o := experiments.Default()
@@ -295,7 +293,7 @@ func main() {
 	if *serverURL != "" && *cacheDir != "" {
 		fmt.Fprintln(os.Stderr, "reproduce: -server and -cache-dir are mutually exclusive: "+
 			"remotely-served cells never enter the local memo cache, so the snapshot would be "+
-			"misleadingly sparse; the server keeps its own cache, or use -checkpoint to persist progress")
+			"misleadingly sparse; the server keeps its own cache")
 		os.Exit(2)
 	}
 	// One engine for the whole invocation: artifacts that revisit a grid
@@ -303,13 +301,7 @@ func main() {
 	// memoized-run cache instead of re-simulating.
 	o.Runner = runner.New(*workers)
 	o.Server = *serverURL
-	o.CheckpointDir = *ckptDir
 	o.Stats = &experiments.SweepStats{}
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
 	var snapshot string
 	if *cacheDir != "" {
 		snapshot = filepath.Join(*cacheDir, "cache.ndjson")
@@ -427,17 +419,9 @@ func main() {
 	st := o.Runner.Stats()
 	fmt.Printf("(sweep engine: %d simulations run, %d cache hits, %d workers)\n",
 		st.Runs, st.Hits, o.Runner.Workers())
-	if o.Server != "" || o.CheckpointDir != "" {
-		fmt.Printf("(sweep pipeline: %d cells, %d resumed from checkpoint, %d served by %s)\n",
-			o.Stats.Jobs, o.Stats.Resumed, o.Stats.Remote, displayServer(o.Server))
+	if o.Server != "" {
+		fmt.Printf("(sweep pipeline: %d cells, %d served by %s)\n", o.Stats.Jobs, o.Stats.Remote, o.Server)
 	}
-}
-
-func displayServer(url string) string {
-	if url == "" {
-		return "no server"
-	}
-	return url
 }
 
 func fatal(err error) {

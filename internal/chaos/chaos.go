@@ -441,11 +441,9 @@ func journalPrefix(dir string) int {
 	for sc.Scan() {
 		var rec struct {
 			Index *int            `json:"index"`
-			Raw   json.RawMessage `json:"raw"`
 			Wire  json.RawMessage `json:"wire"`
 		}
-		if json.Unmarshal(sc.Bytes(), &rec) != nil ||
-			rec.Index == nil || (rec.Raw == nil && rec.Wire == nil) {
+		if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.Index == nil || rec.Wire == nil {
 			break
 		}
 		n++

@@ -127,9 +127,9 @@ func TestCompactionRenameFailure(t *testing.T) {
 	path := sweep.CheckpointPath(dir, plan)
 
 	fsys := &FS{FailRenames: true}
-	ck, err := sweep.OpenCheckpointFS(fsys, path, plan)
+	ck, err := sweep.OpenCheckpoint(fsys, path, plan)
 	if err == nil {
-		t.Fatalf("OpenCheckpointFS succeeded through a failing rename (ck=%v)", ck)
+		t.Fatalf("OpenCheckpoint succeeded through a failing rename (ck=%v)", ck)
 	}
 	if !strings.Contains(err.Error(), "chaos: injected fs failure") {
 		t.Fatalf("error does not surface the rename failure: %v", err)
@@ -201,7 +201,7 @@ func TestFSCrashFreezesJournal(t *testing.T) {
 	// Ops: 1 CreateTemp, 2 header write, 3 rename — crash at op 5 lands
 	// on the second record append.
 	fsys := &FS{CrashAtOp: 5}
-	ck, err := sweep.OpenCheckpointFS(fsys, path, plan)
+	ck, err := sweep.OpenCheckpoint(fsys, path, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

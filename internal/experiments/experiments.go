@@ -38,10 +38,7 @@ type Options struct {
 	// failed twice in a row. A typed rejection from the server fails
 	// its cell.
 	Server string
-	// CheckpointDir, when set, journals each sweep's completed cells so
-	// an interrupted reproduction resumes instead of recomputing.
-	CheckpointDir string
-	// Stats, when non-nil, accumulates sweep bookkeeping (resumed and
+	// Stats, when non-nil, accumulates sweep bookkeeping (submitted and
 	// remotely-served cell counts) across experiment calls.
 	Stats *SweepStats
 }

@@ -1,7 +1,7 @@
 // Sweep placement: every experiment's job grid executes through the
 // shared sweep pipeline (internal/sweep), so reproduce gets the same
 // plan → place → execute semantics as dvsd and dvsgw — including remote
-// placement onto a dvsd (-server) and checkpoint/resume (-checkpoint).
+// placement onto a dvsd (-server).
 package experiments
 
 import (
@@ -19,10 +19,8 @@ import (
 // sweeps. The counters are updated between sweeps, not concurrently —
 // read them after the experiment calls return.
 type SweepStats struct {
-	Jobs    int // cells submitted across all sweeps
-	Cached  int // cells served from a memo cache (local or backend)
-	Resumed int // cells replayed from a checkpoint journal
-	Remote  int // cells answered with a wire result (-server mode)
+	Jobs   int // cells submitted across all sweeps
+	Remote int // cells answered with a wire result (-server mode)
 }
 
 // Sweep executes jobs through the sweep pipeline and returns their
@@ -31,9 +29,7 @@ type SweepStats struct {
 // gateway's ladder over that one peer: wire-expressible cells go remote
 // (their results carry only the summary wire fields — enough for every
 // normalized figure), and bodiless cells, like every cell once the server
-// has failed FailAfter times in a row, run on the local engine. With
-// CheckpointDir set, completed cells journal to disk and an interrupted
-// reproduction resumes where it stopped.
+// has failed FailAfter times in a row, run on the local engine.
 func (o Options) Sweep(jobs []runner.Job) ([]core.Result, error) {
 	eng := o.engine()
 	cells := make([]sweep.Cell, len(jobs))
@@ -59,21 +55,9 @@ func (o Options) Sweep(jobs []runner.Job) ([]core.Result, error) {
 		}
 	}
 
-	var ckpt *sweep.Checkpoint
-	if o.CheckpointDir != "" {
-		// Best-effort: an unopenable journal (permissions, torn header)
-		// degrades to an uncheckpointed sweep, never a failed one.
-		ckpt, _ = sweep.OpenCheckpoint(sweep.CheckpointPath(o.CheckpointDir, plan), plan)
-	}
-
-	souts, sum := sweep.Execute(context.Background(), plan, pl, sweep.ExecOptions{
-		Parallel:   eng.Workers(),
-		Checkpoint: ckpt,
-	})
+	souts, sum := sweep.Execute(context.Background(), plan, pl, sweep.ExecOptions{Parallel: eng.Workers()})
 	if o.Stats != nil {
 		o.Stats.Jobs += sum.Jobs
-		o.Stats.Cached += sum.Cached
-		o.Stats.Resumed += sum.Resumed
 	}
 	res := make([]core.Result, len(souts))
 	var first error

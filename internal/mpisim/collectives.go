@@ -1,5 +1,7 @@
 package mpisim
 
+import "math/bits"
+
 // Collective algorithms over point-to-point, matching the classic MPICH
 // implementations. Every rank of the world must call the same collectives
 // in the same order; per-rank sequence numbers generate matching internal
@@ -94,7 +96,7 @@ func (r *Rank) bcastNoEmit(root, bytes int) {
 	n := r.Size()
 	rel := (r.id - root + n) % n
 	if rel != 0 {
-		parentRel := rel &^ (1 << (bitLen(rel) - 1))
+		parentRel := rel &^ (1 << (bits.Len(uint(rel)) - 1))
 		r.recv((parentRel+root)%n, r.collTag(0))
 	}
 	for dist := nextPow2(rel + 1); rel+dist < n; dist *= 2 {
@@ -144,15 +146,6 @@ func (r *Rank) Alltoallv(bytesTo []int) {
 		r.WaitAll(reqs...)
 		r.nextColl()
 	})
-}
-
-func bitLen(x int) int {
-	n := 0
-	for x > 0 {
-		x >>= 1
-		n++
-	}
-	return n
 }
 
 func nextPow2(x int) int {

@@ -1,6 +1,7 @@
 package mpisim
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
@@ -327,7 +328,7 @@ func TestBcastNonzeroRoot(t *testing.T) {
 	want := make([]int, n)
 	for rel := 1; rel < n; rel++ {
 		want[(rel+root)%n]++
-		want[(rel&^(1<<(bitLen(rel)-1))+root)%n]++
+		want[(rel&^(1<<(bits.Len(uint(rel))-1))+root)%n]++
 	}
 	for i := 0; i < n; i++ {
 		if got := w.Rank(i).Stats().Messages; got != want[i] {
@@ -353,13 +354,13 @@ func TestAllreduceCompletesPow2AndNot(t *testing.T) {
 	// (parent: clear the highest set bit); each tree edge is one send and
 	// one receive.
 	reduceParent := func(rel int) int { return rel & (rel - 1) }
-	bcastParent := func(rel int) int { return rel &^ (1 << (bitLen(rel) - 1)) }
+	bcastParent := func(rel int) int { return rel &^ (1 << (bits.Len(uint(rel)) - 1)) }
 	const bytes = 96
 	for _, n := range []int{2, 4, 8, 3, 5, 6, 7, 9} {
 		want := make([]int, n)
 		if n&(n-1) == 0 {
 			for i := range want {
-				want[i] = 2 * (bitLen(n) - 1)
+				want[i] = 2 * (bits.Len(uint(n)) - 1)
 			}
 		} else {
 			for c := 1; c < n; c++ {

@@ -163,7 +163,7 @@ func (n *Network) Transfer(src, dst, bytes int) (txDone, arrive sim.Time, err er
 	}
 	ser := n.serial(bytes)
 
-	txStart := maxTime(now, n.txFree[src])
+	txStart := max(now, n.txFree[src])
 	txDone = txStart.Add(ser)
 	n.txFree[src] = txDone
 
@@ -229,11 +229,4 @@ func (n *Network) pruneRxQueue(dst int, now sim.Time) []inflight {
 	}
 	n.rxQueue[dst] = q
 	return q
-}
-
-func maxTime(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -77,13 +77,13 @@ func (n *Network) uplinkSerial(bytes int) time.Duration {
 func (n *Network) crossLeaf(srcLeaf, dstLeaf int, bytes int, departAt sim.Time) sim.Time {
 	ser := n.uplinkSerial(bytes)
 	// Source leaf uplink (shared by the whole leaf).
-	upStart := maxTime(departAt, n.leafUpFree[srcLeaf])
+	upStart := max(departAt, n.leafUpFree[srcLeaf])
 	upDone := upStart.Add(ser)
 	n.leafUpFree[srcLeaf] = upDone
 	// Spine hop.
 	atDst := upDone.Add(n.cfg.TwoTier.SpineLatency)
 	// Destination leaf downlink (shared).
-	downStart := maxTime(atDst, n.leafDownFree[dstLeaf])
+	downStart := max(atDst, n.leafDownFree[dstLeaf])
 	downDone := downStart.Add(ser)
 	n.leafDownFree[dstLeaf] = downDone
 	return downDone

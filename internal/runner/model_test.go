@@ -124,7 +124,7 @@ func TestJournalFromOtherModelNotReplayed(t *testing.T) {
 		dir := t.TempDir()
 		// The old model's sweep dies after two cells: its journal keeps them.
 		p0 := plan(old)
-		ck0, err := sweep.OpenCheckpoint(sweep.CheckpointPath(dir, p0), p0)
+		ck0, err := sweep.OpenCheckpoint(nil, sweep.CheckpointPath(dir, p0), p0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestJournalFromOtherModelNotReplayed(t *testing.T) {
 			}
 			return local.Place(ctx, i, c)
 		}), sweep.ExecOptions{Parallel: 1, Checkpoint: ck0})
-		again, err := sweep.OpenCheckpoint(sweep.CheckpointPath(dir, p0), p0)
+		again, err := sweep.OpenCheckpoint(nil, sweep.CheckpointPath(dir, p0), p0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func TestJournalFromOtherModelNotReplayed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ck1, err := sweep.OpenCheckpoint(path, p1)
+		ck1, err := sweep.OpenCheckpoint(nil, path, p1)
 		if err != nil {
 			t.Fatal(err)
 		}

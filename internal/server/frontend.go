@@ -366,7 +366,7 @@ func (f *Frontend) openCheckpoint(ctx context.Context, plan *sweep.Plan) *sweep.
 	if f.opts.CheckpointDir == "" {
 		return nil
 	}
-	ckpt, err := sweep.OpenCheckpointFS(f.opts.CheckpointFS, sweep.CheckpointPath(f.opts.CheckpointDir, plan), plan)
+	ckpt, err := sweep.OpenCheckpoint(f.opts.CheckpointFS, sweep.CheckpointPath(f.opts.CheckpointDir, plan), plan)
 	if err != nil {
 		f.ckptErr.Add(1)
 		obs.SpanFrom(ctx).Event("checkpoint.open_failed")

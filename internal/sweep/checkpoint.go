@@ -8,17 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"repro/internal/core"
 )
 
 // checkpointV versions the journal format; a mismatched header discards
 // the file rather than guessing.
 const checkpointV = 1
-
-// maxCheckpointLine bounds one journal line; matches the runner's cache
-// snapshot bound (a core.Result with per-rank stats can be large).
-const maxCheckpointLine = 8 << 20
 
 // checkpointHeader is the journal's first line, binding it to one exact
 // plan. Plan is the fingerprint; Cells is redundant but makes a
@@ -29,15 +23,14 @@ type checkpointHeader struct {
 	Cells int    `json:"cells"`
 }
 
-// checkpointRecord journals one completed cell. Exactly one of Raw/Wire
-// is set, mirroring the outcome it snapshots; Cached preserves the
-// original run's flag so a replayed record is byte-identical to the one
-// the interrupted stream already emitted.
+// checkpointRecord journals one completed cell as its wire result, the
+// form a replayed cell streams, whether it ran in-process or remotely;
+// Cached preserves the original run's flag so a replayed record is
+// byte-identical to the one the interrupted stream already emitted.
 type checkpointRecord struct {
-	Index  int          `json:"index"`
-	Cached bool         `json:"cached,omitempty"`
-	Raw    *core.Result `json:"raw,omitempty"`
-	Wire   *ResultJSON  `json:"wire,omitempty"`
+	Index  int         `json:"index"`
+	Cached bool        `json:"cached,omitempty"`
+	Wire   *ResultJSON `json:"wire,omitempty"`
 }
 
 // Checkpoint is an append-only NDJSON journal of a sweep's completed
@@ -63,20 +56,14 @@ func CheckpointPath(dir string, p *Plan) string {
 	return filepath.Join(dir, "sweep-"+p.Fingerprint()[:16]+".ndjson")
 }
 
-// OpenCheckpoint opens (or creates) the journal at path for the given
-// plan. Records from a prior interrupted run of the same plan are loaded
-// for replay; a journal written for a different plan or format version is
-// discarded and started fresh. The file survives with valid records
-// intact: loading compacts it (temp file + rename, the runner.SaveCache
-// discipline) so torn trailing lines don't accumulate.
-func OpenCheckpoint(path string, p *Plan) (*Checkpoint, error) {
-	return OpenCheckpointFS(nil, path, p)
-}
-
-// OpenCheckpointFS is OpenCheckpoint with an explicit filesystem; a nil
-// fsys means the real one. Fault-injection tests pass a faulty FS to
-// exercise torn writes and compaction failures deterministically.
-func OpenCheckpointFS(fsys FS, path string, p *Plan) (*Checkpoint, error) {
+// OpenCheckpoint opens (or creates) the journal at path on fsys for the
+// given plan; a nil fsys means the OS filesystem (fault-injection tests
+// pass a faulty one). Records from a prior interrupted run of the same
+// plan are loaded for replay; a journal written for a different plan or
+// format version is discarded and started fresh. The file survives with
+// valid records intact: loading compacts it (temp file + rename, the
+// runner.SaveCache discipline) so torn trailing lines don't accumulate.
+func OpenCheckpoint(fsys FS, path string, p *Plan) (*Checkpoint, error) {
 	if fsys == nil {
 		fsys = OSFS
 	}
@@ -141,11 +128,11 @@ func OpenCheckpointFS(fsys FS, path string, p *Plan) (*Checkpoint, error) {
 
 // load reads a prior journal, validates its header against the plan, and
 // returns the surviving records (also populating c.done). Any decode
-// failure — torn line, wrong shape — ends the scan: everything before it
-// is intact, everything after is suspect.
+// failure — torn line, wrong shape, a record with no wire result — ends
+// the scan: everything before it is intact, everything after is suspect.
 func (c *Checkpoint) load(f io.Reader, p *Plan) []checkpointRecord {
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64<<10), maxCheckpointLine)
+	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 	if !sc.Scan() {
 		return nil
 	}
@@ -160,13 +147,13 @@ func (c *Checkpoint) load(f io.Reader, p *Plan) []checkpointRecord {
 		if decodeCheckpointRecord(sc.Bytes(), &rec) != nil {
 			break
 		}
-		if rec.Index < 0 || rec.Index >= p.Len() || (rec.Raw == nil && rec.Wire == nil) {
+		if rec.Index < 0 || rec.Index >= p.Len() || rec.Wire == nil {
 			break
 		}
 		if _, dup := c.done[rec.Index]; dup {
 			continue
 		}
-		c.done[rec.Index] = Outcome{Cached: rec.Cached, Raw: rec.Raw, Wire: rec.Wire}
+		c.done[rec.Index] = Outcome{Cached: rec.Cached, Wire: rec.Wire}
 		keep = append(keep, rec)
 	}
 	return keep
@@ -195,7 +182,7 @@ func (c *Checkpoint) append(i int, o Outcome) {
 	if c.w == nil {
 		return
 	}
-	rec := checkpointRecord{Index: i, Cached: o.Cached, Raw: o.Raw, Wire: o.Wire}
+	rec := checkpointRecord{Index: i, Cached: o.Cached, Wire: o.ResultJSON()}
 	if b, err := rec.appendTo(c.buf[:0]); err == nil {
 		c.buf = b
 		_, _ = c.w.Write(b)

@@ -15,10 +15,11 @@ import (
 //
 // The appenders write exactly the bytes encoding/json writes for the same
 // value: fields in struct order, omitempty fields left out when zero,
-// floats by encoding/json's 'f'/'e' rule, strings HTML-safe escaped, and
-// a trailing newline as json.Encoder adds. A result encoding/json cannot
-// encode (a non-finite figure) is an error here too, and nothing is
-// appended.
+// floats by encoding/json's 'f'/'e' rule, and a trailing newline as
+// json.Encoder adds. A string that needs an escape, and a /sweep error
+// record, are written by encoding/json itself. A result encoding/json
+// cannot encode (a non-finite figure) is an error here too, and nothing
+// is appended.
 //
 // The reader takes its fast path only when the input is the layout the
 // appenders write: those keys in that order, no whitespace, plain
@@ -65,8 +66,18 @@ func readResponse(data []byte, resp *SimulateResponse) bool {
 	return r.end()
 }
 
-// AppendRecord appends rec as one /sweep stream line.
+// AppendRecord appends rec as one /sweep stream line. An error record
+// goes through encoding/json: it is rare, and its message is free text.
 func AppendRecord(dst []byte, rec *SweepRecord) ([]byte, error) {
+	if rec.Error != nil {
+		// By value: a pointer would move every caller's record to the
+		// heap, result records included.
+		b, err := json.Marshal(*rec)
+		if err != nil {
+			return dst, err
+		}
+		return append(append(dst, b...), '\n'), nil
+	}
 	if rec.Result != nil {
 		if err := rec.Result.check(); err != nil {
 			return dst, err
@@ -76,21 +87,6 @@ func AppendRecord(dst []byte, rec *SweepRecord) ([]byte, error) {
 	if rec.Result != nil {
 		dst = append(dst, `,"result":`...)
 		dst = appendResult(dst, rec.Result)
-	}
-	if e := rec.Error; e != nil {
-		dst = append(dst, `,"error":{"code":`...)
-		dst = appendString(dst, e.Code)
-		dst = append(dst, `,"message":`...)
-		dst = appendString(dst, e.Message)
-		if e.Field != "" {
-			dst = append(dst, `,"field":`...)
-			dst = appendString(dst, e.Field)
-		}
-		if e.RetryAfterMS != 0 {
-			dst = append(dst, `,"retry_after_ms":`...)
-			dst = strconv.AppendInt(dst, e.RetryAfterMS, 10)
-		}
-		dst = append(dst, '}')
 	}
 	return append(dst, "}\n"...), nil
 }
@@ -133,16 +129,8 @@ func decodeLine(line []byte, l *streamLine) error {
 	return json.Unmarshal(line, l)
 }
 
-// appendTo appends the record as one journal line. Records of cells that
-// ran in-process carry the full core.Result and stay on encoding/json.
+// appendTo appends the record as one journal line.
 func (rec *checkpointRecord) appendTo(dst []byte) ([]byte, error) {
-	if rec.Raw != nil || rec.Wire == nil {
-		b, err := json.Marshal(rec)
-		if err != nil {
-			return dst, err
-		}
-		return append(append(dst, b...), '\n'), nil
-	}
 	if err := rec.Wire.check(); err != nil {
 		return dst, err
 	}
@@ -246,60 +234,18 @@ func htmlSafe(b byte) bool {
 	return b >= 0x20 && b < utf8.RuneSelf && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
 }
 
-const hexDigits = "0123456789abcdef"
-
-// appendString is encoding/json's HTML-safe string encoding: short
-// escapes for quote, backslash and \b \f \n \r \t, \u00XX for other
-// control bytes and <, >, &, \ufffd for each invalid UTF-8 byte, and
-// U+2028 and U+2029 escaped as \u2028 and \u2029.
+// appendString is encoding/json's HTML-safe string encoding. A string
+// whose bytes all pass htmlSafe (every name and strategy the simulator
+// writes) is copied between quotes; any other goes to json.Marshal.
 func appendString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if htmlSafe(b) {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
+	for i := 0; i < len(s); i++ {
+		if !htmlSafe(s[i]) {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
 		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
 	}
-	dst = append(dst, s[start:]...)
+	dst = append(dst, '"')
+	dst = append(dst, s...)
 	return append(dst, '"')
 }
 

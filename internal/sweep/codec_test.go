@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"testing"
@@ -262,5 +263,17 @@ func TestWireCodecAllocs(t *testing.T) {
 	}
 	if gotResp != resp || *gotRec.Result != classC {
 		t.Fatalf("round trip changed the result: %+v / %+v", gotResp, gotRec.Result)
+	}
+}
+
+// TestEncoderRecordAllocFree: streaming a result record allocates
+// nothing, the Encoder's own copy of the record included; only an error
+// record, which goes through encoding/json, may allocate.
+func TestEncoderRecordAllocFree(t *testing.T) {
+	enc := NewEncoder(io.Discard)
+	rec := SweepRecord{Index: 41, Cached: true, Result: &classC}
+	enc.Record(rec) // grow the line buffer once
+	if a := testing.AllocsPerRun(100, func() { enc.Record(rec) }); a != 0 {
+		t.Errorf("Encoder.Record: %v allocs, want 0", a)
 	}
 }

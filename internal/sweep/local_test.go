@@ -71,7 +71,7 @@ func TestObserverPanicBackstop(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		plan := NewPlan(cells)
 		path := CheckpointPath(t.TempDir(), plan)
-		ck, err := OpenCheckpoint(path, plan)
+		ck, err := OpenCheckpoint(nil, path, plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestObserverPanicBackstop(t *testing.T) {
 			ck.append(i, Local{Runner: r}.Place(context.Background(), i, cells[i]))
 		}
 		ck.finish(false)
-		if ck, err = OpenCheckpoint(path, plan); err != nil {
+		if ck, err = OpenCheckpoint(nil, path, plan); err != nil {
 			t.Fatal(err)
 		}
 

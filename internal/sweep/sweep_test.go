@@ -9,6 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/npb"
+	"repro/internal/runner"
+	"repro/internal/sched"
 )
 
 // placerFunc adapts a function to the Placer interface.
@@ -126,20 +131,66 @@ func TestExecutePanickingPlacerFailsOnlyItsCell(t *testing.T) {
 // TestResumeByteIdentical is the checkpoint/resume contract: a sweep
 // interrupted after some cells completed, then resumed against a fresh
 // executor, re-executes only the unfinished cells yet merges to a stream
-// byte-identical (index-sorted) to an uninterrupted run. Run under
-// -race: placements, journaling, and emission race across workers.
+// byte-identical (index-sorted) to an uninterrupted run. The journal
+// holds every completed keyed cell as a wire record, whether the placer
+// served it remotely or ran it in-process. Run under -race: placements,
+// journaling, and emission race across workers.
 func TestResumeByteIdentical(t *testing.T) {
-	const n = 12
-	keyless := 7 // uncacheable: must re-execute even if it finished
-	mkPlan := func() *Plan { return testPlan(n, keyless) }
+	// A fresh placer per run, so a cell's cached flag is the same in
+	// every run.
+	// Each plan has a key-less (uncacheable) cell past the interruption,
+	// which must re-execute even though it finished.
+	inputs := []struct {
+		name   string
+		plan   func(*testing.T) *Plan
+		placer func() Placer
+	}{
+		{"wire", func(*testing.T) *Plan { return testPlan(12, 7) }, func() Placer {
+			return placerFunc(func(_ context.Context, i int, _ Cell) Outcome { return testOutcome(i) })
+		}},
+		{"local", func(t *testing.T) *Plan { return ftPlan(t, 6) }, func() Placer {
+			return Local{Runner: runner.New(2)}
+		}},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) { testResume(t, in.plan, in.placer) })
+	}
+}
+
+// ftPlan is FT.S.2 under every static point, NoDVS and the cpuspeed
+// daemon; the cells listed in keyless get Key "".
+func ftPlan(t *testing.T, keyless ...int) *Plan {
+	w, err := npb.FT(npb.ClassS, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	strats := []core.Strategy{core.NoDVS(), core.Daemon(sched.CPUSpeedV121())}
+	for _, f := range cfg.Node.Table.Frequencies() {
+		strats = append(strats, core.External(f))
+	}
+	cells := make([]Cell, len(strats))
+	for i, s := range strats {
+		j := runner.Job{Workload: w, Strategy: s, Config: cfg}
+		key, _ := j.Key()
+		cells[i] = Cell{Key: key, Job: j}
+	}
+	for _, i := range keyless {
+		cells[i].Key = ""
+	}
+	return NewPlan(cells)
+}
+
+func testResume(t *testing.T, plan func(*testing.T) *Plan, mkPlacer func() Placer) {
+	const done = 5 // cells 0..4 complete before the interruption
+	mkPlan := func() *Plan { return plan(t) }
+	n := mkPlan().Len()
 	dir := t.TempDir()
 
 	// Reference: one uninterrupted run.
 	var refRecs []SweepRecord
 	var mu sync.Mutex
-	refOuts, refSum := Execute(context.Background(), mkPlan(), placerFunc(func(_ context.Context, i int, _ Cell) Outcome {
-		return testOutcome(i)
-	}), ExecOptions{Parallel: 4, OnRecord: func(r SweepRecord) {
+	refOuts, refSum := Execute(context.Background(), mkPlan(), mkPlacer(), ExecOptions{Parallel: 4, OnRecord: func(r SweepRecord) {
 		mu.Lock()
 		refRecs = append(refRecs, r)
 		mu.Unlock()
@@ -151,26 +202,38 @@ func TestResumeByteIdentical(t *testing.T) {
 	}
 	refBytes := encodeSorted(t, refRecs, refSum)
 
-	// First run: cells with index >= 5 fail, as if the process died
+	// First run: cells with index >= done fail, as if the process died
 	// mid-sweep. Completed keyed cells journal; the failed ones keep the
 	// journal alive for the next run.
 	p1 := mkPlan()
 	path := CheckpointPath(dir, p1)
-	ck1, err := OpenCheckpoint(path, p1)
+	ck1, err := OpenCheckpoint(nil, path, p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sum1 := Execute(context.Background(), p1, placerFunc(func(_ context.Context, i int, _ Cell) Outcome {
-		if i >= 5 {
+	pl1 := mkPlacer()
+	_, sum1 := Execute(context.Background(), p1, placerFunc(func(ctx context.Context, i int, c Cell) Outcome {
+		if i >= done {
 			return Outcome{Err: Errf(CodeSimFailed, "", "interrupted")}
 		}
-		return testOutcome(i)
+		return pl1.Place(ctx, i, c)
 	}), ExecOptions{Parallel: 4, Checkpoint: ck1})
 	if sum1.Errors == 0 {
 		t.Fatal("first run reported no errors; test needs an interrupted sweep")
 	}
-	if _, err := os.Stat(path); err != nil {
+	journal, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatalf("journal should survive a failed sweep: %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(journal), "\n"), "\n")
+	if len(lines) != 1+done {
+		t.Fatalf("journal has %d lines, want a header and %d records:\n%s", len(lines), done, journal)
+	}
+	for _, line := range lines[1:] {
+		var res ResultJSON
+		if i, _ := decodeCell([]byte(line), `,"wire":`, &res); i < 0 {
+			t.Fatalf("journal line is not a wire record: %s", line)
+		}
 	}
 
 	// Resumed run: a fresh checkpoint over the same plan replays the
@@ -179,32 +242,33 @@ func TestResumeByteIdentical(t *testing.T) {
 	if CheckpointPath(dir, p2) != path {
 		t.Fatal("the same grid named a different journal")
 	}
-	ck2, err := OpenCheckpoint(path, p2)
+	ck2, err := OpenCheckpoint(nil, path, p2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	placed := map[int]bool{}
 	var resRecs []SweepRecord
-	outs2, sum2 := Execute(context.Background(), p2, placerFunc(func(_ context.Context, i int, _ Cell) Outcome {
+	pl2 := mkPlacer()
+	outs2, sum2 := Execute(context.Background(), p2, placerFunc(func(ctx context.Context, i int, c Cell) Outcome {
 		mu.Lock()
 		placed[i] = true
 		mu.Unlock()
-		return testOutcome(i)
+		return pl2.Place(ctx, i, c)
 	}), ExecOptions{Parallel: 4, Checkpoint: ck2, OnRecord: func(r SweepRecord) {
 		mu.Lock()
 		resRecs = append(resRecs, r)
 		mu.Unlock()
 	}})
 
-	if sum2.Resumed != 5 { // cells 0..4 completed and are all keyed
-		t.Fatalf("resumed = %d, want 5 (0..4 completed, all keyed)", sum2.Resumed)
+	if sum2.Resumed != done { // cells before the interruption are all keyed
+		t.Fatalf("resumed = %d, want %d", sum2.Resumed, done)
 	}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < done; i++ {
 		if placed[i] {
 			t.Fatalf("cell %d re-executed despite being journaled", i)
 		}
 	}
-	for i := 5; i < n; i++ {
+	for i := done; i < n; i++ {
 		if !placed[i] {
 			t.Fatalf("cell %d not executed on resume", i)
 		}
@@ -213,14 +277,14 @@ func TestResumeByteIdentical(t *testing.T) {
 		t.Fatalf("resumed run errors = %d", sum2.Errors)
 	}
 	for i, o := range outs2 {
-		if o.Wire == nil {
+		if o.ResultJSON() == nil {
 			t.Fatalf("outs2[%d] missing result", i)
 		}
 	}
 
 	// Replayed records stream before any live cell's.
 	for pos, r := range resRecs[:sum2.Resumed] {
-		if r.Index >= 5 {
+		if r.Index >= done {
 			t.Fatalf("record at stream position %d is live cell %d; replayed cells must stream first", pos, r.Index)
 		}
 	}
@@ -248,7 +312,7 @@ func TestCheckpointRejectsOtherPlan(t *testing.T) {
 	dir := t.TempDir()
 	pA := testPlan(4)
 	path := filepath.Join(dir, "shared.ndjson")
-	ck, err := OpenCheckpoint(path, pA)
+	ck, err := OpenCheckpoint(nil, path, pA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +321,7 @@ func TestCheckpointRejectsOtherPlan(t *testing.T) {
 
 	// A different grid at the same path starts cold.
 	pB := testPlan(5)
-	ck2, err := OpenCheckpoint(path, pB)
+	ck2, err := OpenCheckpoint(nil, path, pB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +334,7 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	p := testPlan(4)
 	path := CheckpointPath(dir, p)
-	ck, err := OpenCheckpoint(path, p)
+	ck, err := OpenCheckpoint(nil, path, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +352,7 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	ck2, err := OpenCheckpoint(path, p)
+	ck2, err := OpenCheckpoint(nil, path, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,7 +261,7 @@ func (l *Log) Timeline(r int, t0, t1 sim.Time, width int) string {
 			}
 			blo := float64(t0) + float64(b)*span/float64(width)
 			bhi := blo + span/float64(width)
-			olo, ohi := maxf(blo, float64(lo)), minf(bhi, float64(hi))
+			olo, ohi := max(blo, float64(lo)), min(bhi, float64(hi))
 			if ohi > olo {
 				buckets[b][e.Kind] += ohi - olo
 			}
@@ -300,18 +300,4 @@ func (l *Log) Render(width int) string {
 		fmt.Fprintf(&sb, "rank %2d |%s|\n", r, l.Timeline(r, 0, t1, width))
 	}
 	return sb.String()
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
