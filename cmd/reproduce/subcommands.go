@@ -10,7 +10,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/autosched"
 	"repro/internal/core"
 	"repro/internal/dvs"
 	"repro/internal/experiments"
@@ -35,6 +34,12 @@ var subcommands = map[string]subcommand{
 	"power": power,
 }
 
+// usageError is a body's rejection of a flag combination: it exits 2
+// with the usage, as a flag the parser rejects does.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 // runSubcommand parses args into the named subcommand's flags and runs
 // it, returning the process exit code: 2 for a flag error, 1 for a
 // failed run.
@@ -50,6 +55,11 @@ func runSubcommand(name string, args []string, stdout, stderr io.Writer) int {
 	}
 	if err := body(stdout); err != nil {
 		fmt.Fprintf(stderr, "reproduce %s: %v\n", name, err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			fs.Usage()
+			return 2
+		}
 		return 1
 	}
 	return 0
@@ -187,11 +197,17 @@ func run(fs *flag.FlagSet) func(io.Writer) error {
 		}
 
 		if strat.Kind == "auto-tune" {
+			switch {
+			case *traceFlag:
+				return usageError("-trace does not apply to -strategy auto-tune")
+			case *baseline:
+				return usageError("-baseline does not apply to -strategy auto-tune")
+			}
 			w, err := spec.Build()
 			if err != nil {
 				return err
 			}
-			res, err := autosched.Tune(w, cfg, autosched.DefaultConfig())
+			res, err := experiments.Options{Config: cfg}.Tune(w)
 			if err != nil {
 				return err
 			}

@@ -41,6 +41,15 @@ func TestSubcommandFlags(t *testing.T) {
 			t.Errorf("%s flags = %v, want %v", name, got, w)
 		}
 	}
+	// run's flags that auto-tune cannot honour are usage errors (exit 2,
+	// naming the flag), not silently dropped.
+	for _, name := range []string{"-trace", "-baseline"} {
+		var o, e strings.Builder
+		code := runSubcommand("run", []string{"-code", "CG", "-class", "S", "-strategy", "auto-tune", name}, &o, &e)
+		if code != 2 || o.Len() != 0 || !strings.Contains(e.String(), name+" does not apply to -strategy auto-tune") {
+			t.Errorf("run -strategy auto-tune %s: exit %d, stdout %q, stderr %q", name, code, o.String(), e.String())
+		}
+	}
 }
 
 func TestStrategyAliasesAndPresets(t *testing.T) {

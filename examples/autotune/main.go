@@ -14,14 +14,16 @@ import (
 	"log"
 
 	"repro/internal/autosched"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/npb"
 	"repro/internal/report"
+	"repro/internal/runner"
 )
 
 func main() {
-	cfg := core.DefaultConfig()
-	acfg := autosched.DefaultConfig()
+	// One runner for every code, so the microbenchmark probes run once.
+	o := experiments.Default()
+	o.Runner = runner.New(0)
 
 	t := report.NewTable("Automatic DVS scheduling across NPB (class C, zero source changes)",
 		"code", "norm delay", "norm energy", "saving", "schedule")
@@ -30,7 +32,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := autosched.Tune(w, cfg, acfg)
+		res, err := o.Tune(w)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -10,8 +10,8 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/autosched"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/metrics"
 	"repro/internal/npb"
 	"repro/internal/report"
@@ -56,7 +56,7 @@ func main() {
 	add("ondemand governor", r, err)
 	r, err = core.Run(plain, core.Predictive(sched.DefaultPredictive()), cfg)
 	add("predictive daemon (X2)", r, err)
-	tuned, err := autosched.Tune(plain, cfg, autosched.DefaultConfig())
+	tuned, err := experiments.Options{Config: cfg}.Tune(plain)
 	if err != nil {
 		log.Fatal(err)
 	}

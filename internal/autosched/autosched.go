@@ -16,8 +16,11 @@
 //     (mpisim.PhasePolicy): no source changes, exactly the interposition a
 //     production tool would use.
 //
-// The result reproduces the paper's hand schedules: FT gets its all-to-all
-// wrap, CG gets heterogeneous speeds, EP is left alone.
+// The package runs nothing itself: experiments.Options.Tune simulates the
+// profiling and tuned runs through the sweep engine and calls ProfileOf,
+// Analyze and Policy in between. The result reproduces the paper's hand
+// schedules: FT gets its all-to-all wrap, CG gets heterogeneous speeds,
+// EP is left alone.
 package autosched
 
 import (
@@ -28,35 +31,23 @@ import (
 	"repro/internal/dvs"
 	"repro/internal/micro"
 	"repro/internal/mpisim"
-	"repro/internal/npb"
 	"repro/internal/trace"
 )
 
-// Config tunes the analyzer.
-type Config struct {
-	// Metric exponent for operating-point selection (3 = ED3P, the
-	// paper's performance-constrained choice; 2 = ED2P).
-	MetricExponent int
-	// MinPhase: only collectives whose profiled mean duration is at least
-	// this long are wrapped (must dominate the set_cpuspeed software cost
-	// and transition latency).
-	MinPhase time.Duration
-	// AsymmetryThreshold: per-rank heterogeneous frequencies are assigned
-	// when the max/min comm-to-comp ratio across ranks exceeds this.
-	AsymmetryThreshold float64
-	// WrapLow is the speed used inside wrapped phases (0 = table bottom).
-	WrapLow dvs.MHz
-}
-
-// DefaultConfig mirrors the paper's choices: ED3P, phases must be ≥ 200×
-// the ~1 ms set_cpuspeed cost, CG-scale asymmetry triggers heterogeneity.
-func DefaultConfig() Config {
-	return Config{
-		MetricExponent:     3,
-		MinPhase:           200 * time.Millisecond,
-		AsymmetryThreshold: 1.15,
-	}
-}
+// The analyzer's settings mirror the paper's choices.
+const (
+	// metricExponent selects operating points by ED3P, the paper's
+	// performance-constrained metric.
+	metricExponent = 3
+	// minPhase: only collectives whose profiled mean duration is at least
+	// this long are wrapped; it must dominate the ~1 ms set_cpuspeed
+	// software cost and transition latency.
+	minPhase = 200 * time.Millisecond
+	// asymmetryThreshold: per-rank heterogeneous frequencies are assigned
+	// when the max/min comm-to-comp ratio across ranks reaches this
+	// (CG-scale asymmetry).
+	asymmetryThreshold = 1.15
+)
 
 // PhaseKey identifies a collective site by operation name; sizes are
 // folded into the profile's mean.
@@ -66,37 +57,28 @@ type PhaseKey string
 type PhaseStat struct {
 	Count int
 	Mean  time.Duration
-	Bytes int64
 }
 
 // Profile is the measured behaviour the analyzer consumes.
 type Profile struct {
-	Workload  string
 	Elapsed   time.Duration
 	RankMixes []micro.Mix // per-rank compute/memory/comm fractions
 	Asymmetry float64     // max/min comm:comp across ranks
 	Phases    map[PhaseKey]PhaseStat
 }
 
-// ProfileWorkload runs the profiling pass: one full-speed traced run.
-// Tracing is passive, so the run's result is also the workload's NoDVS
-// baseline, returned alongside the profile.
-func ProfileWorkload(w npb.Workload, cfg core.Config) (*Profile, core.Result, error) {
-	log := trace.New(w.Ranks)
-	cfg.Tracer = log
-	res, err := core.Run(w, core.NoDVS(), cfg)
-	if err != nil {
-		return nil, core.Result{}, fmt.Errorf("autosched: profiling pass: %w", err)
-	}
+// ProfileOf builds the profile of a full-speed NoDVS run, res, from the
+// MPE-analogue trace log collected during it (the paper's "performance
+// profiling" step). Tracing is passive, so res is also the workload's
+// NoDVS baseline.
+func ProfileOf(log *trace.Log, res core.Result) *Profile {
 	p := &Profile{
-		Workload:  w.Name(),
 		Elapsed:   res.Elapsed,
 		Asymmetry: log.Asymmetry(),
 		Phases:    map[PhaseKey]PhaseStat{},
 	}
 	total := res.Elapsed.Seconds()
-	for r := 0; r < w.Ranks; r++ {
-		s := log.Summarize(r)
+	for _, s := range log.SummarizeAll() {
 		p.RankMixes = append(p.RankMixes, micro.Mix{
 			CPU:    s.Compute.Seconds() / total,
 			Memory: s.Memory.Seconds() / total,
@@ -113,7 +95,6 @@ func ProfileWorkload(w npb.Workload, cfg core.Config) (*Profile, core.Result, er
 		st := p.Phases[PhaseKey(e.Name)]
 		st.Count++
 		st.Mean += e.Duration() // sum for now; normalized below
-		st.Bytes += int64(e.Bytes)
 		p.Phases[PhaseKey(e.Name)] = st
 	}
 	for k, st := range p.Phases {
@@ -122,12 +103,11 @@ func ProfileWorkload(w npb.Workload, cfg core.Config) (*Profile, core.Result, er
 		}
 		p.Phases[k] = st
 	}
-	return p, res, nil
+	return p
 }
 
 // Schedule is the analyzer's output: what the middleware will do.
 type Schedule struct {
-	Workload string
 	// PerRank base frequencies, applied once at startup.
 	PerRank []dvs.MHz
 	// WrapOps: collective names to bracket with WrapLow; empty = none.
@@ -155,30 +135,20 @@ func (s Schedule) NoOp(table dvs.Table) bool {
 
 // Analyze derives a schedule from a profile using the microbenchmark
 // database for operating-point choices.
-func Analyze(p *Profile, db micro.Database, cfg Config) (Schedule, error) {
-	if cfg.MetricExponent <= 0 {
-		return Schedule{}, fmt.Errorf("autosched: non-positive metric exponent")
-	}
+func Analyze(p *Profile, db micro.Database) (Schedule, error) {
 	top := db.Table.Top().Frequency
-	s := Schedule{
-		Workload: p.Workload,
-		WrapOps:  map[PhaseKey]bool{},
-		WrapLow:  cfg.WrapLow,
-	}
-	if s.WrapLow == 0 {
-		s.WrapLow = db.Table.Bottom().Frequency
-	}
+	s := Schedule{WrapOps: map[PhaseKey]bool{}, WrapLow: db.Table.Bottom().Frequency}
 
 	// Step 1: phase wraps — FT-style — for collectives long enough to
 	// amortize the set_cpuspeed cost.
 	wrappedShare := 0.0
 	for name, st := range p.Phases {
-		if st.Mean >= cfg.MinPhase {
+		if st.Mean >= minPhase {
 			s.WrapOps[name] = true
 			wrappedShare += (st.Mean * time.Duration(st.Count)).Seconds() / p.Elapsed.Seconds()
 			s.Rationale = append(s.Rationale,
 				fmt.Sprintf("%s phases average %v ≥ %v: wrap with set_cpuspeed(%v) (FT-style)",
-					name, st.Mean.Round(time.Millisecond), cfg.MinPhase, float64(s.WrapLow)))
+					name, st.Mean.Round(time.Millisecond), minPhase, float64(s.WrapLow)))
 		}
 	}
 	if wrappedShare > 1 {
@@ -192,15 +162,15 @@ func Analyze(p *Profile, db micro.Database, cfg Config) (Schedule, error) {
 	// residual mix with the wrapped communication share removed —
 	// otherwise a comm-heavy mix would drag the compute phases down too,
 	// exactly what the paper's performance-constrained FT schedule avoids.
-	hetero := p.Asymmetry >= cfg.AsymmetryThreshold
+	hetero := p.Asymmetry >= asymmetryThreshold
 	if hetero {
 		s.Rationale = append(s.Rationale,
 			fmt.Sprintf("rank asymmetry %.2f ≥ %.2f: heterogeneous per-rank speeds (CG-style)",
-				p.Asymmetry, cfg.AsymmetryThreshold))
+				p.Asymmetry, asymmetryThreshold))
 	}
 	decide := func(m micro.Mix) (dvs.MHz, error) {
 		m = residualMix(m, wrappedShare)
-		return db.Recommend(m, cfg.MetricExponent)
+		return db.Recommend(m, metricExponent)
 	}
 	if hetero {
 		for _, mix := range p.RankMixes {
@@ -219,7 +189,7 @@ func Analyze(p *Profile, db micro.Database, cfg Config) (Schedule, error) {
 		if f != top {
 			s.Rationale = append(s.Rationale,
 				fmt.Sprintf("homogeneous residual mix favours %v MHz (ED%dP over microbenchmark database)",
-					float64(f), cfg.MetricExponent))
+					float64(f), metricExponent))
 		}
 	}
 	s.Heterogeneous = heteroFreqs(s.PerRank)
@@ -324,42 +294,13 @@ func (p *policy) AfterCollective(r *mpisim.Rank, name string, bytes int) {
 	}
 }
 
-// Result is the end-to-end outcome of Tune.
+// Result is the end-to-end outcome of tuning a workload: the derived
+// schedule and the measured runs.
 type Result struct {
-	Profile  *Profile
 	Schedule Schedule
 	// Tuned and Baseline are the measured runs; Normalized is tuned
 	// relative to baseline.
 	Baseline   core.Result
 	Tuned      core.Result
 	Normalized core.Normalized
-}
-
-// Tune runs the full pipeline on a workload: profile, analyze, apply, and
-// measure the tuned application against the untouched baseline.
-func Tune(w npb.Workload, clusterCfg core.Config, cfg Config) (*Result, error) {
-	prof, base, err := ProfileWorkload(w, clusterCfg)
-	if err != nil {
-		return nil, err
-	}
-	db, err := micro.Build(clusterCfg.Node)
-	if err != nil {
-		return nil, err
-	}
-	schedule, err := Analyze(prof, db, cfg)
-	if err != nil {
-		return nil, err
-	}
-	tuned := w.WithPolicy("autosched", schedule.Policy(w.Ranks))
-	res, err := core.Run(tuned, core.NoDVS(), clusterCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Profile:    prof,
-		Schedule:   schedule,
-		Baseline:   base,
-		Tuned:      res,
-		Normalized: core.Normalize(res, base),
-	}, nil
 }

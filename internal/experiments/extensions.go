@@ -7,10 +7,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/dvs"
 	"repro/internal/metrics"
+	"repro/internal/micro"
 	"repro/internal/npb"
 	"repro/internal/report"
 	"repro/internal/runner"
 	"repro/internal/sched"
+	"repro/internal/trace"
 )
 
 // Extensions beyond the paper's published evaluation, following its §7
@@ -29,7 +31,7 @@ func X1AutoSchedule(o Options) (*report.Table, map[string]core.Normalized, error
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := autosched.Tune(w, o.Config, autosched.DefaultConfig())
+		res, err := o.Tune(w)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -48,6 +50,38 @@ func X1AutoSchedule(o Options) (*report.Table, map[string]core.Normalized, error
 			report.Pct(1-res.Normalized.Energy), desc)
 	}
 	return t, out, nil
+}
+
+// Tune runs the automatic scheduler on w in two sweeps. The first
+// profiles w with one traced NoDVS run, a keyless job, beside the
+// microbenchmark probes the analyzer's database is assembled from, which
+// a shared runner memoizes. The second measures w with the derived
+// schedule installed as middleware, also a keyless job. Both run
+// locally: the probes' per-node energies do not cross the wire.
+func (o Options) Tune(w npb.Workload) (*autosched.Result, error) {
+	o = o.localOnly()
+	log := trace.New(w.Ranks)
+	traced := o.Config
+	traced.Tracer = log
+	jobs := append([]runner.Job{{Workload: w, Strategy: core.NoDVS(), Config: traced}}, micro.Plan(o.Config.Node)...)
+	res, err := o.Sweep(jobs)
+	if err != nil {
+		return nil, err
+	}
+	db, err := micro.Assemble(o.Config.Node.Table, res[1:])
+	if err != nil {
+		return nil, err
+	}
+	base := res[0]
+	schedule, err := autosched.Analyze(autosched.ProfileOf(log, base), db)
+	if err != nil {
+		return nil, err
+	}
+	tuned := w.WithPolicy("autosched", schedule.Policy(w.Ranks))
+	if res, err = o.Sweep([]runner.Job{{Workload: tuned, Strategy: core.NoDVS(), Config: o.Config}}); err != nil {
+		return nil, err
+	}
+	return &autosched.Result{Schedule: schedule, Baseline: base, Tuned: res[0], Normalized: core.Normalize(res[0], base)}, nil
 }
 
 // X2PredictiveDaemon contrasts three generations of history-driven

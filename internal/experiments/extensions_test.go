@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/npb"
 	"repro/internal/paper"
+	"repro/internal/runner"
 )
 
 func TestX1AutoScheduleShape(t *testing.T) {
@@ -33,6 +35,26 @@ func TestX1AutoScheduleShape(t *testing.T) {
 		if n.Delay > 1.08 {
 			t.Errorf("%s auto-tuned delay %.3f", code, n.Delay)
 		}
+	}
+}
+
+// TestX1RunsThroughTheSweepEngine: every X1 simulation goes through the
+// shared runner. Each code adds a traced profiling run and a tuned run,
+// both keyless; the 20 microbenchmark probes run for the first code and
+// are cache hits for the rest.
+func TestX1RunsThroughTheSweepEngine(t *testing.T) {
+	o := Default()
+	o.Class = npb.ClassS
+	o.Runner = runner.New(2)
+	if _, _, err := X1AutoSchedule(o); err != nil {
+		t.Fatal(err)
+	}
+	st := o.Runner.Stats()
+	if want := 2*len(NPBCodes) + 20; st.Runs != want {
+		t.Errorf("runs = %d, want %d", st.Runs, want)
+	}
+	if want := 20 * (len(NPBCodes) - 1); st.Hits != want {
+		t.Errorf("cache hits = %d, want %d", st.Hits, want)
 	}
 }
 

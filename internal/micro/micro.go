@@ -15,6 +15,7 @@ import (
 	"repro/internal/mpisim"
 	"repro/internal/node"
 	"repro/internal/npb"
+	"repro/internal/runner"
 )
 
 // Kind identifies a microbenchmark category.
@@ -65,14 +66,14 @@ type Database struct {
 	Points map[Kind]map[dvs.MHz]Point
 }
 
-// run executes one microbenchmark as a 2-rank workload on the one cluster
-// assembly path, every node starting at op-point index opIdx, and returns
-// (seconds, joules): node 0's energy, plus node 1's for the ping-pong.
-func run(kind Kind, nodeCfg node.Config, opIdx int) (float64, float64, error) {
-	cfg := core.DefaultConfig()
-	cfg.Node = nodeCfg
-	cfg.Node.StartIndex = opIdx
-	w := npb.Workload{Code: "micro", Class: npb.ClassC, Ranks: 2, Variant: kind.String(), Body: func(r *mpisim.Rank) {
+// probeParams names the constants the probe bodies bake in (1 s of work;
+// 50 round trips of 125 kB), completing each probe's identity so its job
+// has a content address and a shared runner memoizes the grid.
+const probeParams = "1s;50x125000B"
+
+// probe is one microbenchmark as a 2-rank workload.
+func probe(kind Kind) npb.Workload {
+	return npb.Workload{Code: "micro", Class: npb.ClassC, Ranks: 2, Variant: kind.String(), Params: probeParams, Body: func(r *mpisim.Rank) {
 		switch kind {
 		case CPUBound:
 			if r.ID() == 0 {
@@ -99,42 +100,49 @@ func run(kind Kind, nodeCfg node.Config, opIdx int) (float64, float64, error) {
 			}
 		}
 	}}
-	res, err := core.Run(w, core.NoDVS(), cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	e := res.NodeEnergy[0].Total()
-	if kind == CommBound {
-		e += res.NodeEnergy[1].Total()
-	}
-	return res.Elapsed.Seconds(), e, nil
 }
 
-// Build measures every kind at every operating point of the node config's
-// table and normalizes to the top point.
-func Build(nodeCfg node.Config) (Database, error) {
-	db := Database{Table: nodeCfg.Table, Points: map[Kind]map[dvs.MHz]Point{}}
-	top := len(nodeCfg.Table) - 1
+// Plan returns the probe grid for the node config's table: every kind at
+// every operating point, kind by kind in table order, each job's nodes
+// starting at the probed point. Assemble turns the grid's results into
+// the database.
+func Plan(nodeCfg node.Config) []runner.Job {
+	var jobs []runner.Job
 	for _, kind := range Kinds() {
-		baseD, baseE, err := run(kind, nodeCfg, top)
-		if err != nil {
-			return db, fmt.Errorf("micro: %v at top: %w", kind, err)
+		w := probe(kind)
+		for i := range nodeCfg.Table {
+			cfg := core.DefaultConfig()
+			cfg.Node = nodeCfg
+			cfg.Node.StartIndex = i
+			jobs = append(jobs, runner.Job{Workload: w, Strategy: core.NoDVS(), Config: cfg})
 		}
+	}
+	return jobs
+}
+
+// Assemble builds the database from the results of Plan's jobs, in order,
+// normalizing every kind to its top-point run. A probe's energy is node
+// 0's, plus node 1's for the ping-pong.
+func Assemble(table dvs.Table, res []core.Result) (Database, error) {
+	db := Database{Table: table, Points: map[Kind]map[dvs.MHz]Point{}}
+	n := len(table)
+	if n == 0 || len(res) != len(Kinds())*n {
+		return db, fmt.Errorf("micro: %d results for a %d-kind × %d-point grid", len(res), len(Kinds()), n)
+	}
+	for k, kind := range Kinds() {
+		row := res[k*n : (k+1)*n]
+		measure := func(r core.Result) (float64, float64) {
+			e := r.NodeEnergy[0].Total()
+			if kind == CommBound {
+				e += r.NodeEnergy[1].Total()
+			}
+			return r.Elapsed.Seconds(), e
+		}
+		baseD, baseE := measure(row[n-1])
 		db.Points[kind] = map[dvs.MHz]Point{}
-		for i, op := range nodeCfg.Table {
-			d, e := baseD, baseE
-			if i != top {
-				d, e, err = run(kind, nodeCfg, i)
-				if err != nil {
-					return db, fmt.Errorf("micro: %v at %v: %w", kind, op, err)
-				}
-			}
-			db.Points[kind][op.Frequency] = Point{
-				Kind:   kind,
-				Freq:   op.Frequency,
-				Delay:  d / baseD,
-				Energy: e / baseE,
-			}
+		for i, op := range table {
+			d, e := measure(row[i])
+			db.Points[kind][op.Frequency] = Point{Kind: kind, Freq: op.Frequency, Delay: d / baseD, Energy: e / baseE}
 		}
 	}
 	return db, nil

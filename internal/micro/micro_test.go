@@ -2,18 +2,64 @@ package micro
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/node"
+)
+
+// The probe grid is simulated once per test binary.
+var (
+	dbOnce sync.Once
+	dbVal  Database
+	dbErr  error
 )
 
 func buildDB(t *testing.T) Database {
 	t.Helper()
-	db, err := Build(node.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	dbOnce.Do(func() {
+		cfg := node.DefaultConfig()
+		jobs := Plan(cfg)
+		res := make([]core.Result, len(jobs))
+		for i, j := range jobs {
+			if res[i], dbErr = core.Run(j.Workload, j.Strategy, j.Config); dbErr != nil {
+				return
+			}
+		}
+		dbVal, dbErr = Assemble(cfg.Table, res)
+	})
+	if dbErr != nil {
+		t.Fatal(dbErr)
 	}
-	return db
+	return dbVal
+}
+
+// TestPlanKeysDistinct: every probe job has a content address, and no
+// two probes share one, so a shared runner memoizes the whole grid.
+func TestPlanKeysDistinct(t *testing.T) {
+	cfg := node.DefaultConfig()
+	jobs := Plan(cfg)
+	if want := len(Kinds()) * len(cfg.Table); len(jobs) != want {
+		t.Fatalf("%d probe jobs, want %d", len(jobs), want)
+	}
+	seen := map[string]bool{}
+	for _, j := range jobs {
+		key, ok := j.Key()
+		if !ok {
+			t.Fatalf("probe %s has no key", j.Workload.Name())
+		}
+		if seen[key] {
+			t.Fatalf("probe %s at op %d repeats a key", j.Workload.Name(), j.Config.Node.StartIndex)
+		}
+		seen[key] = true
+	}
+}
+
+func TestAssembleChecksLength(t *testing.T) {
+	if _, err := Assemble(node.DefaultConfig().Table, make([]core.Result, 3)); err == nil {
+		t.Fatal("3 results for the 20-probe grid accepted")
+	}
 }
 
 func TestKindsAndStrings(t *testing.T) {
@@ -31,7 +77,7 @@ func TestKindsAndStrings(t *testing.T) {
 	}
 }
 
-func TestBuildCoversGrid(t *testing.T) {
+func TestAssembleCoversGrid(t *testing.T) {
 	db := buildDB(t)
 	for _, kind := range Kinds() {
 		pts, ok := db.Points[kind]

@@ -91,19 +91,6 @@ func AppendRecord(dst []byte, rec *SweepRecord) ([]byte, error) {
 	return append(dst, "}\n"...), nil
 }
 
-// DecodeRecord decodes one /sweep record line into rec, which it zeroes
-// first.
-func DecodeRecord(line []byte, rec *SweepRecord) error {
-	*rec = SweepRecord{}
-	var res ResultJSON
-	if rec.Index, rec.Cached = decodeCell(line, `,"result":`, &res); rec.Index >= 0 {
-		rec.Result = &res
-		return nil
-	}
-	*rec = SweepRecord{}
-	return json.Unmarshal(line, rec)
-}
-
 // appendTrailer appends the stream's done line.
 func appendTrailer(dst []byte, t *SweepTrailer) []byte {
 	dst = append(dst, `{"done":`...)

@@ -160,7 +160,6 @@ func FuzzWireCodec(f *testing.F) {
 		}
 		for _, in := range inputs {
 			sameDecoding(t, "DecodeResponse", in, DecodeResponse)
-			sameDecoding(t, "DecodeRecord", in, DecodeRecord)
 			sameDecoding(t, "decodeLine", in, decodeLine)
 			sameDecoding(t, "decodeCheckpointRecord", in, decodeCheckpointRecord)
 		}
@@ -237,7 +236,7 @@ func TestAppendRefusesNonFinite(t *testing.T) {
 
 // TestWireCodecAllocs pins the codec's cost on one class-C result:
 // appending into a reused buffer allocates nothing, and decoding
-// allocates only the two strings (and, for a record, the result it
+// allocates only the two strings (and, for a stream line, the result it
 // points to).
 func TestWireCodecAllocs(t *testing.T) {
 	resp := SimulateResponse{Result: classC}
@@ -246,7 +245,7 @@ func TestWireCodecAllocs(t *testing.T) {
 	body, _ := AppendResponse(nil, &resp)
 	line, _ := AppendRecord(nil, &rec)
 	var gotResp SimulateResponse
-	var gotRec SweepRecord
+	var gotLine streamLine
 	for _, c := range []struct {
 		name   string
 		budget float64
@@ -255,14 +254,14 @@ func TestWireCodecAllocs(t *testing.T) {
 		{"AppendResponse", 0, func() { buf, _ = AppendResponse(buf[:0], &resp) }},
 		{"AppendRecord", 0, func() { buf, _ = AppendRecord(buf[:0], &rec) }},
 		{"DecodeResponse", 2, func() { _ = DecodeResponse(body, &gotResp) }},
-		{"DecodeRecord", 3, func() { _ = DecodeRecord(line, &gotRec) }},
+		{"decodeLine", 3, func() { _ = decodeLine(line, &gotLine) }},
 	} {
 		if a := testing.AllocsPerRun(100, c.f); a != c.budget {
 			t.Errorf("%s: %v allocs, pinned at %v", c.name, a, c.budget)
 		}
 	}
-	if gotResp != resp || *gotRec.Result != classC {
-		t.Fatalf("round trip changed the result: %+v / %+v", gotResp, gotRec.Result)
+	if gotResp != resp || *gotLine.Result != classC {
+		t.Fatalf("round trip changed the result: %+v / %+v", gotResp, gotLine.Result)
 	}
 }
 
