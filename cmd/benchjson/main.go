@@ -46,9 +46,9 @@ import (
 // defaultBench selects the substrate benchmarks: the simulator's hot paths
 // (kernel events, proc switch), the MPI layer over them, the daemon poll
 // step, the node's thermal integrator, one end-to-end cluster run per
-// NPB code, and what every cached cell pays for: its content address and
-// the wire encoding of its result.
-const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun|BenchmarkJobKey|BenchmarkWireResult"
+// NPB code, and what every cached cell pays for: its content address,
+// the wire encoding of its result and its share of the /sweep stream.
+const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun|BenchmarkJobKey|BenchmarkWireResult|BenchmarkSweepStream"
 
 // benchtime is the per-benchmark budget passed to go test -benchtime.
 const benchtime = "100ms"
@@ -81,7 +81,7 @@ type Report struct {
 	Compared   map[string]Comparison `json:"compared,omitempty"`
 }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:.*?\s([\d.]+) B/op\s+([\d.]+) allocs/op)?`)
 
 func main() {
 	count := flag.Int("count", 1, "repetitions; each metric keeps its best (lowest) value over the count runs")

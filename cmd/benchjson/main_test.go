@@ -155,3 +155,14 @@ BenchmarkX-2   	     100	      1500 ns/op	      80 B/op	       3 allocs/op
 		t.Fatalf("parse kept %+v, want %+v", got, want)
 	}
 }
+
+// TestParseSkipsCustomMetrics: go test prints a b.ReportMetric unit
+// between ns/op and B/op; the allocation figures after it still count.
+func TestParseSkipsCustomMetrics(t *testing.T) {
+	rep := &Report{Benchmarks: map[string]Result{}}
+	parse(rep, "BenchmarkS-2   \t   25869\t     53505 ns/op\t        49.00 flushes/sweep\t    4713 B/op\t      18 allocs/op\n")
+	want := Result{NsPerOp: 53505, BytesPerOp: 4713, AllocsPerOp: 18}
+	if got := rep.Benchmarks["BenchmarkS"]; got != want {
+		t.Fatalf("parse kept %+v, want %+v", got, want)
+	}
+}
