@@ -195,7 +195,7 @@ func (db Database) Recommend(m Mix, exponent int) (dvs.MHz, error) {
 		for i := 0; i < exponent; i++ {
 			v *= d
 		}
-		if bestF == 0 || v < bestV-1e-12 {
+		if bestF == 0 || v <= bestV+1e-12 { // the table ascends: a tie moves up
 			bestF, bestV = op.Frequency, v
 		}
 	}

@@ -177,6 +177,19 @@ func TestRecommendEPStaysHigh(t *testing.T) {
 	}
 }
 
+// TestRecommendTieGoesHigh: an empty mix predicts the same (zero) cost
+// at every point, and a tie goes to the highest frequency.
+func TestRecommendTieGoesHigh(t *testing.T) {
+	db := buildDB(t)
+	f, err := db.Recommend(Mix{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top := db.Table.Top().Frequency; f != top {
+		t.Fatalf("recommended %v for an all-tied mix, want the top point %v", f, top)
+	}
+}
+
 func TestDiskBoundIsPureSlack(t *testing.T) {
 	// The disk microbenchmark: flat delay, strong energy savings at low
 	// frequency — the paper's "more opportunities to DVS".

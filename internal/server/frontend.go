@@ -339,6 +339,7 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	_, sum := sweep.Execute(ctx, plan, f.d.Placer, sweep.ExecOptions{
 		Parallel:   f.d.Parallel,
 		OnRecord:   enc.Record, // Execute serializes observer calls
+		Flush:      enc.Flush,  // once per batch of ready records
 		Checkpoint: ckpt,
 	})
 	enc.Trailer(sum)

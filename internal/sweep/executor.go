@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // ExecOptions configures one Execute call.
@@ -15,9 +16,15 @@ type ExecOptions struct {
 	// OnRecord observes each cell's stream record as it completes.
 	// Calls are serialized (never concurrent) and arrive in completion
 	// order — replayed checkpoint cells first, then live cells as their
-	// placements finish. A panic out of OnRecord is recovered and the
-	// sweep goes on. Nil disables streaming.
+	// placements finish. Records go out in batches: every record that is
+	// ready when the stream is free, then one Flush, made on Execute's
+	// goroutine. There is no timer and no size threshold; a record waits
+	// only while the batch before it is written, so a lone cell's record
+	// is flushed as soon as it is written. A panic out of OnRecord is
+	// recovered and the sweep goes on. Nil disables streaming.
 	OnRecord func(SweepRecord)
+	// Flush ends each batch of OnRecord calls; nil means nothing to flush.
+	Flush func()
 	// Checkpoint journals completed cells and replays the ones a prior
 	// interrupted run already finished. Nil disables checkpointing.
 	// Execute finishes the journal: removed on a fully successful sweep,
@@ -38,35 +45,16 @@ type Summary struct {
 
 // Execute runs every cell of the plan through the placer and returns the
 // outcomes in submission order plus the sweep's summary. Cells stream to
-// OnRecord in completion order; cancellation follows the runner's
-// job-boundary semantics (in-flight cells finish, queued cells resolve
-// to canceled error records). Each cell is resolved by Place; a
-// panicking OnRecord is recovered and does not stop the sweep.
+// OnRecord in completion order, with one Flush per batch of records that
+// are ready when the stream is free: a record waits only while the batch
+// before it is written, never for a timer or a count. Cancellation
+// follows the runner's job-boundary semantics (in-flight cells finish,
+// queued cells resolve to canceled error records). Each cell is resolved
+// by Place; a panicking OnRecord is recovered and does not stop the
+// sweep.
 func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outcome, Summary) {
 	cells := p.Cells()
-	outs := make([]Outcome, len(cells))
-	sum := Summary{Jobs: len(cells)}
-
-	var mu sync.Mutex // serializes OnRecord and the summary counters
-	emit := func(i int, o Outcome) {
-		// A panicking observer is contained here, on the caller's
-		// goroutine for replayed cells and on a worker's for live ones,
-		// so the sweep and every remaining cell go on. Deferred first, so
-		// it runs after the unlock below: a panic that skipped the unlock
-		// would deadlock every later emit.
-		defer func() { _ = recover() }()
-		mu.Lock()
-		defer mu.Unlock()
-		switch {
-		case o.Err != nil:
-			sum.Errors++
-		case o.Cached:
-			sum.Cached++
-		}
-		if opts.OnRecord != nil {
-			opts.OnRecord(o.Record(i))
-		}
-	}
+	x := &execution{opts: opts, outs: make([]Outcome, len(cells)), sum: Summary{Jobs: len(cells)}}
 
 	// Replay finished cells from the journal first: their records stream
 	// before any live cell's, with the cached flags of the original run,
@@ -74,13 +62,17 @@ func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outco
 	todo := make([]int, 0, len(cells))
 	for i := range cells {
 		if o, ok := opts.Checkpoint.lookup(i); ok && cells[i].Key != "" {
-			outs[i] = o
-			sum.Resumed++
-			emit(i, o)
+			x.outs[i] = o
+			x.sum.Resumed++
+			x.emit(i)
 			continue
 		}
 		todo = append(todo, i)
 	}
+	if x.sum.Resumed > 0 {
+		x.flush()
+	}
+	x.ready = make([]int, 0, len(todo))
 
 	workers := opts.Parallel
 	if workers <= 0 {
@@ -89,32 +81,131 @@ func Execute(ctx context.Context, p *Plan, pl Placer, opts ExecOptions) ([]Outco
 	if workers > len(todo) {
 		workers = len(todo)
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
+	// At most one batch is handed over at a time: the stream stays taken
+	// until stream() has flushed it and written everything after it.
+	x.handoff = make(chan struct{}, 1)
+	x.running.Store(int32(workers))
 	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for i := range idx {
+			defer func() {
+				if x.running.Add(-1) == 0 {
+					close(x.handoff)
+				}
+			}()
+			for {
+				k := int(x.next.Add(1)) - 1
+				if k >= len(todo) {
+					return
+				}
+				i := todo[k]
 				o := Place(ctx, pl, i, cells[i])
-				outs[i] = o
+				x.outs[i] = o
 				// Journal before emit: a record the client saw is always
 				// resumable, even if the process dies between the two.
 				if o.Err == nil && cells[i].Key != "" {
 					opts.Checkpoint.append(i, o)
 				}
-				emit(i, o)
+				x.commit(i)
 			}
 		}()
 	}
-	for _, i := range todo {
-		idx <- i
+	if workers > 0 {
+		x.stream() // until the last worker closes handoff
 	}
-	close(idx)
-	wg.Wait()
 
-	opts.Checkpoint.finish(sum.Errors == 0)
-	return outs, sum
+	opts.Checkpoint.finish(x.sum.Errors == 0)
+	return x.outs, x.sum
+}
+
+// execution is one Execute call's state shared with its workers.
+//
+// Live records are group-committed. A worker whose cell is done queues it
+// in ready. If the stream is free, the worker takes it, writes every
+// queued record (its own included) and hands the stream to Execute's
+// goroutine, which flushes, then writes and flushes whatever was queued
+// meanwhile until nothing is left. So a worker never waits on a flush,
+// and records that finish during one leave together in the next. A
+// record that finds the stream free reaches OnRecord before its worker
+// starts another cell, so an observer that cancels on the first record
+// of a serial sweep stops every cell after it.
+type execution struct {
+	opts    ExecOptions
+	outs    []Outcome
+	sum     Summary       // written only by the stream's holder
+	next    atomic.Int64  // cursor into the cells to place
+	running atomic.Int32  // workers not yet done; the last closes handoff
+	handoff chan struct{} // a worker passes the taken stream to stream()
+
+	mu sync.Mutex
+	// ready holds the completed live cells in completion order. It is
+	// sized for every cell, so an append never moves a batch being written.
+	ready   []int
+	written int  // ready[:written] are streamed
+	taken   bool // a worker or stream() holds the stream
+}
+
+// commit queues live cell i and, if the stream is free, writes the queue
+// and hands the stream on for flushing.
+func (x *execution) commit(i int) {
+	x.mu.Lock()
+	x.ready = append(x.ready, i)
+	if x.taken {
+		x.mu.Unlock()
+		return
+	}
+	x.taken = true
+	x.emitReady()
+	x.handoff <- struct{}{}
+}
+
+// stream runs on Execute's goroutine until the last worker is done. For
+// each handed-over stream it flushes, then writes and flushes every batch
+// queued meanwhile, and frees the stream once the queue is empty.
+func (x *execution) stream() {
+	for range x.handoff {
+		x.flush()
+		x.mu.Lock()
+		for x.written < len(x.ready) {
+			x.emitReady()
+			x.flush()
+			x.mu.Lock()
+		}
+		x.taken = false
+		x.mu.Unlock()
+	}
+}
+
+// emitReady streams the queued records. It is called with mu held by the
+// stream's holder and returns with mu released.
+func (x *execution) emitReady() {
+	batch := x.ready[x.written:]
+	x.written = len(x.ready)
+	x.mu.Unlock()
+	for _, j := range batch {
+		x.emit(j)
+	}
+}
+
+// emit counts cell i in the summary and streams its record. A panicking
+// observer is contained here, so the sweep and every remaining cell go on.
+func (x *execution) emit(i int) {
+	defer func() { _ = recover() }()
+	o := x.outs[i]
+	switch {
+	case o.Err != nil:
+		x.sum.Errors++
+	case o.Cached:
+		x.sum.Cached++
+	}
+	if x.opts.OnRecord != nil {
+		x.opts.OnRecord(o.Record(i))
+	}
+}
+
+func (x *execution) flush() {
+	if x.opts.Flush != nil {
+		x.opts.Flush()
+	}
 }
 
 // Place resolves one cell on pl, the way Execute does for each cell: a

@@ -11,7 +11,9 @@ import (
 // Encoder writes the NDJSON sweep stream: one SweepRecord line per cell
 // in completion order, then a SweepTrailer. It is the single encode path
 // for dvsd, dvsgw, and every test harness. Not safe for concurrent use —
-// the executor's serialized OnRecord callback is the intended caller.
+// the executor's serialized OnRecord and Flush callbacks are the intended
+// callers: Record writes a line, Flush ends each batch of ready records,
+// so clients see per-cell progress at one flush per batch, not per line.
 type Encoder struct {
 	w       io.Writer
 	flusher http.Flusher
@@ -19,8 +21,8 @@ type Encoder struct {
 }
 
 // NewEncoder wraps w. When w is an http.ResponseWriter that supports
-// flushing, each line is flushed as it is written so clients observe
-// per-cell progress.
+// flushing, Flush and Trailer flush it; Record only writes, so the lines
+// of one batch leave together.
 func NewEncoder(w io.Writer) *Encoder {
 	e := &Encoder{w: w}
 	if f, ok := w.(http.Flusher); ok {
@@ -41,17 +43,23 @@ func (e *Encoder) Record(rec SweepRecord) {
 	e.line(b)
 }
 
-// Trailer writes the done line from the executed sweep's summary.
+// Flush sends the lines written so far to the client.
+func (e *Encoder) Flush() {
+	if e.flusher != nil {
+		e.flusher.Flush()
+	}
+}
+
+// Trailer writes the done line from the executed sweep's summary and
+// flushes it.
 func (e *Encoder) Trailer(s Summary) {
 	e.line(appendTrailer(e.buf[:0], &SweepTrailer{Done: true, Jobs: s.Jobs, CachedCells: s.Cached, Errors: s.Errors}))
+	e.Flush()
 }
 
 func (e *Encoder) line(b []byte) {
 	e.buf = b
 	_, _ = e.w.Write(b)
-	if e.flusher != nil {
-		e.flusher.Flush()
-	}
 }
 
 // maxStreamLine bounds one NDJSON line; matches the read limit clients
