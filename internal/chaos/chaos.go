@@ -440,10 +440,10 @@ func journalPrefix(dir string) int {
 	n := 0
 	for sc.Scan() {
 		var rec struct {
-			Index *int            `json:"index"`
-			Wire  json.RawMessage `json:"wire"`
+			Index  *int            `json:"index"`
+			Result json.RawMessage `json:"result"`
 		}
-		if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.Index == nil || rec.Wire == nil {
+		if json.Unmarshal(sc.Bytes(), &rec) != nil || rec.Index == nil || rec.Result == nil {
 			break
 		}
 		n++

@@ -802,7 +802,7 @@ func TestBodilessCellRunsLocally(t *testing.T) {
 			c := sweepCells(t)[0]
 			tc.drop(&c)
 			for i := 0; i < 2; i++ {
-				if out := g.Place(context.Background(), 0, c); out.Err != nil || out.Raw == nil || out.Wire != nil {
+				if out := g.Place(context.Background(), 0, c); out.Err != nil || out.Raw == nil || out.Wire == nil {
 					t.Fatalf("place %d: %+v, want a local full-fidelity result", i, out)
 				}
 			}

@@ -271,7 +271,7 @@ func (f *Frontend) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	defer bodyBufs.Put(buf)
 	if o.Err == nil {
 		var err error
-		if *buf, err = sweep.AppendResponse((*buf)[:0], &sweep.SimulateResponse{Cached: o.Cached, Result: *o.ResultJSON()}); err != nil {
+		if *buf, err = sweep.AppendResponse((*buf)[:0], &sweep.SimulateResponse{Cached: o.Cached, Result: *o.Wire}); err != nil {
 			o = sweep.Outcome{Err: sweep.OutcomeError(err)}
 		}
 	}

@@ -8,7 +8,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/runner"
 	"repro/internal/sweep"
 )
 
@@ -36,20 +39,42 @@ func TestSimulateHitAllocBudget(t *testing.T) {
 	t.Logf("cache-hit /simulate: %.0f allocs (budget %d)", allocs, budget)
 }
 
-// infPlacer answers every cell with a result whose average power is
-// +Inf, a figure JSON has no form for.
+// infPlacer answers every cell with a wire result whose average power
+// is +Inf, a figure JSON has no form for.
 type infPlacer struct{}
 
 func (infPlacer) Place(context.Context, int, sweep.Cell) sweep.Outcome {
 	return sweep.Outcome{Wire: &sweep.ResultJSON{Name: "FT.S.2", AvgPowerW: math.Inf(1)}}
 }
 
+// infLocalPlacer answers every cell as an in-process run whose energy is
+// +Inf, through the conversion the local placer uses.
+type infLocalPlacer struct{}
+
+func (infLocalPlacer) Place(context.Context, int, sweep.Cell) sweep.Outcome {
+	return sweep.FromRunner(runner.Outcome{Result: core.Result{Name: "FT.S.2", Energy: math.Inf(1), Elapsed: time.Second}})
+}
+
 // TestUnencodableResultFailsItsCell: a result the wire cannot carry is a
 // typed sim_failed failure on both endpoints — a 500 with the error
 // envelope from /simulate, an error record counted in the trailer from
-// /sweep — never a 200 with an empty body or a silently missing record.
+// /sweep — never a 200 with an empty body or a silently missing record,
+// whether the cell was served as a wire result or ran in-process.
 func TestUnencodableResultFailsItsCell(t *testing.T) {
-	f := NewFrontend(Options{}, Daemon{Name: "stub", Placer: infPlacer{}})
+	for _, tc := range []struct {
+		name  string
+		pl    sweep.Placer
+		field string // the figure the error names
+	}{
+		{"wire", infPlacer{}, "avg_power_w"},
+		{"in-process", infLocalPlacer{}, "energy_j"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testUnencodable(t, tc.pl, tc.field) })
+	}
+}
+
+func testUnencodable(t *testing.T, pl sweep.Placer, field string) {
+	f := NewFrontend(Options{}, Daemon{Name: "stub", Placer: pl})
 	do := func(path, body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
@@ -59,8 +84,8 @@ func TestUnencodableResultFailsItsCell(t *testing.T) {
 	rec := do("/simulate", simFTS2)
 	var env struct{ Error *sweep.APIError }
 	if rec.Code != http.StatusInternalServerError || json.Unmarshal(rec.Body.Bytes(), &env) != nil ||
-		env.Error == nil || env.Error.Code != sweep.CodeSimFailed || !strings.Contains(env.Error.Message, "avg_power_w") {
-		t.Fatalf("/simulate: status %d, body %q; want 500 sim_failed naming avg_power_w", rec.Code, rec.Body)
+		env.Error == nil || env.Error.Code != sweep.CodeSimFailed || !strings.Contains(env.Error.Message, field) {
+		t.Fatalf("/simulate: status %d, body %q; want 500 sim_failed naming %s", rec.Code, rec.Body, field)
 	}
 
 	rec = do("/sweep", `{"jobs":[`+simFTS2+`]}`)

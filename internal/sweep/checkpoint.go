@@ -11,8 +11,9 @@ import (
 )
 
 // checkpointV versions the journal format; a mismatched header discards
-// the file rather than guessing.
-const checkpointV = 1
+// the file rather than guessing. Version 2 journals stream lines;
+// version 1 had a record form of its own.
+const checkpointV = 2
 
 // checkpointHeader is the journal's first line, binding it to one exact
 // plan. Plan is the fingerprint; Cells is redundant but makes a
@@ -23,21 +24,13 @@ type checkpointHeader struct {
 	Cells int    `json:"cells"`
 }
 
-// checkpointRecord journals one completed cell as its wire result, the
-// form a replayed cell streams, whether it ran in-process or remotely;
-// Cached preserves the original run's flag so a replayed record is
-// byte-identical to the one the interrupted stream already emitted.
-type checkpointRecord struct {
-	Index  int         `json:"index"`
-	Cached bool        `json:"cached,omitempty"`
-	Wire   *ResultJSON `json:"wire,omitempty"`
-}
-
 // Checkpoint is an append-only NDJSON journal of a sweep's completed
-// cells: header line, then one record per finished cell, flushed as
-// written. Torn final lines (the process died mid-write) are skipped on
-// load. One sweep per plan per directory at a time — concurrent sweeps
-// over the same plan would interleave appends.
+// cells: header line, then each finished cell's stream record, the
+// exact line the stream sends for it (cached flag included), flushed as
+// written. So a replayed record is byte-identical to the one the
+// interrupted stream already emitted. Torn final lines (the process died
+// mid-write) are skipped on load. One sweep per plan per directory at a
+// time — concurrent sweeps over the same plan would interleave appends.
 type Checkpoint struct {
 	path string
 	fs   FS
@@ -69,9 +62,10 @@ func OpenCheckpoint(fsys FS, path string, p *Plan) (*Checkpoint, error) {
 	}
 	c := &Checkpoint{path: path, fs: fsys, done: make(map[int]Outcome)}
 
-	var keep []checkpointRecord
+	fp := p.Fingerprint()
+	var keep []SweepRecord
 	if f, err := fsys.Open(path); err == nil {
-		keep = c.load(f, p)
+		keep = c.load(f, p, fp)
 		f.Close()
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -95,10 +89,10 @@ func OpenCheckpoint(fsys FS, path string, p *Plan) (*Checkpoint, error) {
 		}
 	}()
 	bw := bufio.NewWriter(tmp)
-	werr := json.NewEncoder(bw).Encode(checkpointHeader{V: checkpointV, Plan: p.Fingerprint(), Cells: p.Len()})
-	for _, rec := range keep {
+	werr := json.NewEncoder(bw).Encode(checkpointHeader{V: checkpointV, Plan: fp, Cells: p.Len()})
+	for i := range keep {
 		if werr == nil {
-			if c.buf, werr = rec.appendTo(c.buf[:0]); werr == nil {
+			if c.buf, werr = AppendRecord(c.buf[:0], &keep[i]); werr == nil {
 				_, werr = bw.Write(c.buf)
 			}
 		}
@@ -126,11 +120,13 @@ func OpenCheckpoint(fsys FS, path string, p *Plan) (*Checkpoint, error) {
 	return c, nil
 }
 
-// load reads a prior journal, validates its header against the plan, and
-// returns the surviving records (also populating c.done). Any decode
-// failure — torn line, wrong shape, a record with no wire result — ends
-// the scan: everything before it is intact, everything after is suspect.
-func (c *Checkpoint) load(f io.Reader, p *Plan) []checkpointRecord {
+// load reads a prior journal, validates its header against the plan and
+// its fingerprint fp, and returns the surviving records (also populating
+// c.done). Any line that is not a result record for a cell of the plan —
+// torn, an error record, a trailer, no result, an index out of range —
+// ends the scan: everything before it is intact, everything after is
+// suspect.
+func (c *Checkpoint) load(f io.Reader, p *Plan, fp string) []SweepRecord {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 	if !sc.Scan() {
@@ -138,23 +134,21 @@ func (c *Checkpoint) load(f io.Reader, p *Plan) []checkpointRecord {
 	}
 	var h checkpointHeader
 	if json.Unmarshal(sc.Bytes(), &h) != nil ||
-		h.V != checkpointV || h.Plan != p.Fingerprint() || h.Cells != p.Len() {
+		h.V != checkpointV || h.Plan != fp || h.Cells != p.Len() {
 		return nil
 	}
-	var keep []checkpointRecord
+	var keep []SweepRecord
 	for sc.Scan() {
-		var rec checkpointRecord
-		if decodeCheckpointRecord(sc.Bytes(), &rec) != nil {
+		var l streamLine
+		if decodeLine(sc.Bytes(), &l) != nil || l.Result == nil || l.Error != nil || l.Done ||
+			l.Index < 0 || l.Index >= p.Len() {
 			break
 		}
-		if rec.Index < 0 || rec.Index >= p.Len() || rec.Wire == nil {
-			break
-		}
-		if _, dup := c.done[rec.Index]; dup {
+		if _, dup := c.done[l.Index]; dup {
 			continue
 		}
-		c.done[rec.Index] = Outcome{Cached: rec.Cached, Wire: rec.Wire}
-		keep = append(keep, rec)
+		c.done[l.Index] = Outcome{Cached: l.Cached, Wire: l.Result}
+		keep = append(keep, SweepRecord{Index: l.Index, Cached: l.Cached, Result: l.Result})
 	}
 	return keep
 }
@@ -169,10 +163,10 @@ func (c *Checkpoint) lookup(i int) (Outcome, bool) {
 	return o, ok
 }
 
-// append journals one completed cell, flushed immediately so the record
-// survives a kill right after the client saw it. Write errors are
-// swallowed: checkpointing is best-effort and must never fail the sweep
-// (worst case the cell re-executes on resume).
+// append journals one completed cell as its stream record, flushed
+// immediately so the record survives a kill right after the client saw
+// it. Write errors are swallowed: checkpointing is best-effort and must
+// never fail the sweep (worst case the cell re-executes on resume).
 func (c *Checkpoint) append(i int, o Outcome) {
 	if c == nil {
 		return
@@ -182,8 +176,8 @@ func (c *Checkpoint) append(i int, o Outcome) {
 	if c.w == nil {
 		return
 	}
-	rec := checkpointRecord{Index: i, Cached: o.Cached, Wire: o.ResultJSON()}
-	if b, err := rec.appendTo(c.buf[:0]); err == nil {
+	rec := o.Record(i)
+	if b, err := AppendRecord(c.buf[:0], &rec); err == nil {
 		c.buf = b
 		_, _ = c.w.Write(b)
 	}

@@ -8,10 +8,11 @@ import (
 	"unicode/utf8"
 )
 
-// The result codec: every wire form that carries a ResultJSON — the
-// POST /simulate success body, a /sweep record line and a checkpoint
-// journal's wire record — is appended with strconv into the caller's
-// buffer and read back by a fixed-layout reader, without reflection.
+// The result codec: both wire forms that carry a ResultJSON — the POST
+// /simulate success body and a /sweep record line, which is also what a
+// checkpoint journal stores — are appended with strconv into the
+// caller's buffer and read back by a fixed-layout reader, without
+// reflection.
 //
 // The appenders write exactly the bytes encoding/json writes for the same
 // value: fields in struct order, omitempty fields left out when zero,
@@ -83,7 +84,11 @@ func AppendRecord(dst []byte, rec *SweepRecord) ([]byte, error) {
 			return dst, err
 		}
 	}
-	dst = appendIndex(dst, rec.Index, rec.Cached)
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(rec.Index), 10)
+	if rec.Cached {
+		dst = append(dst, `,"cached":true`...)
+	}
 	if rec.Result != nil {
 		dst = append(dst, `,"result":`...)
 		dst = appendResult(dst, rec.Result)
@@ -109,34 +114,11 @@ func appendTrailer(dst []byte, t *SweepTrailer) []byte {
 func decodeLine(line []byte, l *streamLine) error {
 	*l = streamLine{}
 	var res ResultJSON
-	if i, cached := decodeCell(line, `,"result":`, &res); i >= 0 {
+	if i, cached := decodeCell(line, &res); i >= 0 {
 		l.Index, l.Cached, l.Result = i, cached, &res
 		return nil
 	}
 	return json.Unmarshal(line, l)
-}
-
-// appendTo appends the record as one journal line.
-func (rec *checkpointRecord) appendTo(dst []byte) ([]byte, error) {
-	if err := rec.Wire.check(); err != nil {
-		return dst, err
-	}
-	dst = appendIndex(dst, rec.Index, rec.Cached)
-	dst = append(dst, `,"wire":`...)
-	dst = appendResult(dst, rec.Wire)
-	return append(dst, "}\n"...), nil
-}
-
-// decodeCheckpointRecord decodes one journal line into rec (zeroed
-// first).
-func decodeCheckpointRecord(line []byte, rec *checkpointRecord) error {
-	*rec = checkpointRecord{}
-	var res ResultJSON
-	if i, cached := decodeCell(line, `,"wire":`, &res); i >= 0 {
-		rec.Index, rec.Cached, rec.Wire = i, cached, &res
-		return nil
-	}
-	return json.Unmarshal(line, rec)
 }
 
 // check reports the first figure encoding/json cannot encode.
@@ -154,16 +136,6 @@ func (r *ResultJSON) check() error {
 		}
 	}
 	return nil
-}
-
-// appendIndex opens a record: its index and, when set, the cached flag.
-func appendIndex(dst []byte, index int, cached bool) []byte {
-	dst = append(dst, `{"index":`...)
-	dst = strconv.AppendInt(dst, int64(index), 10)
-	if cached {
-		dst = append(dst, `,"cached":true`...)
-	}
-	return dst
 }
 
 // appendResult appends r as a JSON object; r.check() must have passed.
@@ -236,15 +208,15 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// decodeCell reads a canonical record line, `{"index":N[,"cached":true]`
-// then key, a result object and `}`, into res. It returns index -1 when
-// line is not in that layout.
-func decodeCell(line []byte, key string, res *ResultJSON) (index int, cached bool) {
+// decodeCell reads a canonical result record line,
+// `{"index":N[,"cached":true],"result":` then a result object and `}`,
+// into res. It returns index -1 when line is not in that layout.
+func decodeCell(line []byte, res *ResultJSON) (index int, cached bool) {
 	r := reader{b: line, ok: true}
 	r.lit(`{"index":`)
 	index = int(r.int(strconv.IntSize))
 	cached = r.opt(`,"cached":true`)
-	r.lit(key)
+	r.lit(`,"result":`)
 	r.result(res)
 	r.lit("}")
 	if !r.end() || index < 0 {

@@ -98,7 +98,7 @@ func FuzzWireCodec(f *testing.F) {
 		seedLines = append(seedLines, b)
 		b, _ = AppendRecord(nil, &SweepRecord{Index: 7, Cached: true, Result: &r})
 		seedLines = append(seedLines, b)
-		b, _ = (&checkpointRecord{Index: 3, Wire: &r}).appendTo(nil)
+		b, _ = AppendRecord(nil, &SweepRecord{Index: 3, Result: &r})
 		seedLines = append(seedLines, b)
 	}
 	seedLines = append(seedLines, []byte(`{"cached":false,"result":null}`),
@@ -126,7 +126,6 @@ func FuzzWireCodec(f *testing.F) {
 		rec := SweepRecord{Index: index, Cached: cached, Result: &r}
 		errRec := SweepRecord{Index: index, Cached: cached, Error: &APIError{Code: name, Message: strategy, Field: name + strategy, RetryAfterMS: netBytes}}
 		bare := SweepRecord{Index: index, Cached: cached}
-		ck := checkpointRecord{Index: index, Cached: cached, Wire: &r}
 		tr := SweepTrailer{Done: cached, Jobs: index, CachedCells: transitions, Errors: moves}
 
 		encoded := [][]byte{
@@ -134,7 +133,6 @@ func FuzzWireCodec(f *testing.F) {
 			sameEncoding(t, "record", rec, func(b []byte) ([]byte, error) { return AppendRecord(b, &rec) }),
 			sameEncoding(t, "error record", errRec, func(b []byte) ([]byte, error) { return AppendRecord(b, &errRec) }),
 			sameEncoding(t, "bare record", bare, func(b []byte) ([]byte, error) { return AppendRecord(b, &bare) }),
-			sameEncoding(t, "journal record", ck, ck.appendTo),
 			sameEncoding(t, "trailer", tr, func(b []byte) ([]byte, error) { return appendTrailer(b, &tr), nil }),
 		}
 
@@ -145,9 +143,7 @@ func FuzzWireCodec(f *testing.F) {
 				t.Fatalf("canonical body took the slow path: %s", encoded[0])
 			}
 			var res ResultJSON
-			i, _ := decodeCell(encoded[1], `,"result":`, &res)
-			j, _ := decodeCell(encoded[4], `,"wire":`, &res)
-			if index >= 0 && (i < 0 || j < 0) {
+			if i, _ := decodeCell(encoded[1], &res); index >= 0 && i < 0 {
 				t.Fatalf("canonical record took the slow path: %s", encoded[1])
 			}
 		}
@@ -161,7 +157,6 @@ func FuzzWireCodec(f *testing.F) {
 		for _, in := range inputs {
 			sameDecoding(t, "DecodeResponse", in, DecodeResponse)
 			sameDecoding(t, "decodeLine", in, decodeLine)
-			sameDecoding(t, "decodeCheckpointRecord", in, decodeCheckpointRecord)
 		}
 	})
 }

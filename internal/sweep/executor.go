@@ -211,9 +211,9 @@ func (x *execution) flush() {
 // Place resolves one cell on pl, the way Execute does for each cell: a
 // placer that panics fails its cell instead of the whole sweep (the
 // local runner contains simulation panics itself; this guards custom
-// placers), and a result with a figure JSON cannot carry (a non-finite
-// one) fails its cell with sim_failed instead of vanishing from the
-// response, the stream and the journal.
+// placers), and a wire result with a figure JSON cannot carry (a
+// non-finite one) fails its cell with sim_failed instead of vanishing
+// from the response, the stream and the journal.
 func Place(ctx context.Context, pl Placer, i int, c Cell) (o Outcome) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -222,15 +222,10 @@ func Place(ctx context.Context, pl Placer, i int, c Cell) (o Outcome) {
 		}
 	}()
 	o = pl.Place(ctx, i, c)
-	var r ResultJSON
-	switch {
-	case o.Wire != nil:
-		r = *o.Wire
-	case o.Raw != nil:
-		r = ToResultJSON(*o.Raw)
-	}
-	if err := r.check(); err != nil {
-		return Outcome{Err: OutcomeError(err)}
+	if o.Wire != nil {
+		if err := o.Wire.check(); err != nil {
+			return Outcome{Err: OutcomeError(err)}
+		}
 	}
 	return o
 }

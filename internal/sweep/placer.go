@@ -7,15 +7,16 @@ import (
 	"repro/internal/runner"
 )
 
-// Outcome is one placed cell's terminal result. Exactly one of Raw,
-// Wire, or Err is meaningful: Raw for cells that ran in-process (full
-// per-node fidelity), Wire for cells served remotely (the summary wire
-// form is all that travels), Err for failures.
+// Outcome is one placed cell's terminal result: Wire on success, Err on
+// failure. Wire is the one form every layer above the placer reads — the
+// /simulate body, the stream record and the journal line — and is derived
+// once, where the cell finished. A cell that ran in-process also keeps
+// Raw, the full per-node result the wire form summarizes.
 type Outcome struct {
 	Cached bool
 	// Raw is the full-fidelity result when the cell ran in-process.
 	Raw *core.Result
-	// Wire is the decoded wire result when the cell was served remotely.
+	// Wire is the cell's wire result, nil on failure.
 	Wire *ResultJSON
 	// Err is the typed failure, nil on success.
 	Err *APIError
@@ -24,34 +25,27 @@ type Outcome struct {
 	RawErr error
 }
 
-// ResultJSON returns the outcome's wire form, deriving it from the raw
-// result when the cell ran in-process. Nil for failed outcomes.
-func (o Outcome) ResultJSON() *ResultJSON {
-	if o.Wire != nil {
-		return o.Wire
-	}
-	if o.Raw != nil {
-		r := ToResultJSON(*o.Raw)
-		return &r
-	}
-	return nil
-}
+// ResultJSON returns the outcome's wire result; nil for failed outcomes.
+func (o Outcome) ResultJSON() *ResultJSON { return o.Wire }
 
 // Record builds the outcome's NDJSON stream line at submission index i.
 func (o Outcome) Record(i int) SweepRecord {
 	if o.Err != nil {
 		return SweepRecord{Index: i, Error: o.Err}
 	}
-	return SweepRecord{Index: i, Cached: o.Cached, Result: o.ResultJSON()}
+	return SweepRecord{Index: i, Cached: o.Cached, Result: o.Wire}
 }
 
-// FromRunner converts a runner outcome into a placement outcome.
+// FromRunner converts a runner outcome into a placement outcome, deriving
+// the wire result of a successful run: the one place an in-process
+// result becomes its wire form.
 func FromRunner(o runner.Outcome) Outcome {
 	if o.Err != nil {
 		return Outcome{Err: OutcomeError(o.Err), RawErr: o.Err}
 	}
 	r := o.Result
-	return Outcome{Cached: o.Cached, Raw: &r}
+	w := ToResultJSON(r)
+	return Outcome{Cached: o.Cached, Raw: &r, Wire: &w}
 }
 
 // Placer decides where one cell runs and returns its terminal outcome.

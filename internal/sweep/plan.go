@@ -16,7 +16,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
+	"strconv"
 
 	"repro/internal/runner"
 )
@@ -63,26 +63,12 @@ func (c Cell) Body() []byte {
 // (i, j) at index i*len(strategies)+j.
 type Plan struct {
 	cells []Cell
-	fp    string
 }
 
 // NewPlan wraps an expanded cell list. The slice is owned by the plan
-// from here on.
-func NewPlan(cells []Cell) *Plan {
-	h := sha256.New()
-	fmt.Fprintf(h, "cells=%d", len(cells))
-	for i, c := range cells {
-		if c.Key == "" {
-			// Uncacheable cells have no stable identity; stamp the slot so
-			// two plans differing only in uncacheable cells still collide
-			// (they re-execute on resume regardless).
-			fmt.Fprintf(h, "|%d:!", i)
-			continue
-		}
-		fmt.Fprintf(h, "|%d:%s", i, c.Key)
-	}
-	return &Plan{cells: cells, fp: hex.EncodeToString(h.Sum(nil))}
-}
+// from here on. Nothing is hashed here: only a checkpointed sweep reads
+// the plan's Fingerprint.
+func NewPlan(cells []Cell) *Plan { return &Plan{cells: cells} }
 
 // Len returns the number of cells.
 func (p *Plan) Len() int { return len(p.cells) }
@@ -91,7 +77,24 @@ func (p *Plan) Len() int { return len(p.cells) }
 func (p *Plan) Cells() []Cell { return p.cells }
 
 // Fingerprint is a content address for the whole plan: the hash of the
-// ordered cell keys. A checkpoint journal binds to it, so a resumed
-// sweep replays finished cells only when the plan is byte-for-byte the
-// same grid in the same order.
-func (p *Plan) Fingerprint() string { return p.fp }
+// ordered cell keys, computed on each call. A checkpoint journal binds
+// to it, so a resumed sweep replays finished cells only when the plan is
+// byte-for-byte the same grid in the same order.
+func (p *Plan) Fingerprint() string {
+	h := sha256.New()
+	b := strconv.AppendInt([]byte("cells="), int64(len(p.cells)), 10)
+	h.Write(b)
+	for i, c := range p.cells {
+		b = strconv.AppendInt(append(b[:0], '|'), int64(i), 10)
+		if c.Key == "" {
+			// Uncacheable cells have no stable identity; stamp the slot so
+			// two plans differing only in uncacheable cells still collide
+			// (they re-execute on resume regardless).
+			b = append(b, ":!"...)
+		} else {
+			b = append(append(b, ':'), c.Key...)
+		}
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}

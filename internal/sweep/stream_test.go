@@ -146,12 +146,12 @@ func journaled(t *testing.T, path string, i int) bool {
 	sc.Buffer(nil, maxStreamLine)
 	sc.Scan() // the header
 	for sc.Scan() {
-		var rec checkpointRecord
-		if err := decodeCheckpointRecord(sc.Bytes(), &rec); err != nil {
+		var l streamLine
+		if err := decodeLine(sc.Bytes(), &l); err != nil {
 			t.Errorf("journal line %q: %v", sc.Bytes(), err)
 			return false
 		}
-		if rec.Index == i {
+		if l.Index == i {
 			return true
 		}
 	}

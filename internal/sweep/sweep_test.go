@@ -132,28 +132,36 @@ func TestExecutePanickingPlacerFailsOnlyItsCell(t *testing.T) {
 // interrupted after some cells completed, then resumed against a fresh
 // executor, re-executes only the unfinished cells yet merges to a stream
 // byte-identical (index-sorted) to an uninterrupted run. The journal
-// holds every completed keyed cell as a wire record, whether the placer
-// served it remotely or ran it in-process. Run under -race: placements,
-// journaling, and emission race across workers.
+// holds every completed keyed cell as the exact stream line the
+// interrupted run emitted for it, whether the placer served it remotely
+// or ran it in-process. Run under -race: placements, journaling, and
+// emission race across workers.
 func TestResumeByteIdentical(t *testing.T) {
 	// A fresh placer per run, so a cell's cached flag is the same in
 	// every run.
 	// Each plan has a key-less (uncacheable) cell past the interruption,
-	// which must re-execute even though it finished.
+	// which must re-execute even though it finished. The wire placer
+	// answers cells 0 and 3 as cached, so its journal holds
+	// "cached":true lines.
 	inputs := []struct {
 		name   string
 		plan   func(*testing.T) *Plan
 		placer func() Placer
+		cached int // journal lines with "cached":true
 	}{
 		{"wire", func(*testing.T) *Plan { return testPlan(12, 7) }, func() Placer {
 			return placerFunc(func(_ context.Context, i int, _ Cell) Outcome { return testOutcome(i) })
-		}},
+		}, 2},
 		{"local", func(t *testing.T) *Plan { return ftPlan(t, 6) }, func() Placer {
 			return Local{Runner: runner.New(2)}
-		}},
+		}, 0},
 	}
 	for _, in := range inputs {
-		t.Run(in.name, func(t *testing.T) { testResume(t, in.plan, in.placer) })
+		t.Run(in.name, func(t *testing.T) {
+			if got := testResume(t, in.plan, in.placer); got != in.cached {
+				t.Fatalf("journal has %d cached lines, want %d", got, in.cached)
+			}
+		})
 	}
 }
 
@@ -181,7 +189,9 @@ func ftPlan(t *testing.T, keyless ...int) *Plan {
 	return NewPlan(cells)
 }
 
-func testResume(t *testing.T, plan func(*testing.T) *Plan, mkPlacer func() Placer) {
+// testResume runs the interrupted-then-resumed sweep and returns how many
+// of the interrupted run's journal lines are cached ones.
+func testResume(t *testing.T, plan func(*testing.T) *Plan, mkPlacer func() Placer) (cached int) {
 	const done = 5 // cells 0..4 complete before the interruption
 	mkPlan := func() *Plan { return plan(t) }
 	n := mkPlan().Len()
@@ -204,8 +214,10 @@ func testResume(t *testing.T, plan func(*testing.T) *Plan, mkPlacer func() Place
 
 	// First run: cells with index >= done fail, as if the process died
 	// mid-sweep. Completed keyed cells journal; the failed ones keep the
-	// journal alive for the next run.
+	// journal alive for the next run. emitted holds the stream line the
+	// run sent for each cell.
 	p1 := mkPlan()
+	emitted := make(map[int]string)
 	path := CheckpointPath(dir, p1)
 	ck1, err := OpenCheckpoint(nil, path, p1)
 	if err != nil {
@@ -217,7 +229,13 @@ func testResume(t *testing.T, plan func(*testing.T) *Plan, mkPlacer func() Place
 			return Outcome{Err: Errf(CodeSimFailed, "", "interrupted")}
 		}
 		return pl1.Place(ctx, i, c)
-	}), ExecOptions{Parallel: 4, Checkpoint: ck1})
+	}), ExecOptions{Parallel: 4, Checkpoint: ck1, OnRecord: func(r SweepRecord) {
+		line, err := AppendRecord(nil, &r)
+		if err != nil {
+			t.Errorf("record %d: %v", r.Index, err)
+		}
+		emitted[r.Index] = string(line)
+	}})
 	if sum1.Errors == 0 {
 		t.Fatal("first run reported no errors; test needs an interrupted sweep")
 	}
@@ -230,9 +248,15 @@ func testResume(t *testing.T, plan func(*testing.T) *Plan, mkPlacer func() Place
 		t.Fatalf("journal has %d lines, want a header and %d records:\n%s", len(lines), done, journal)
 	}
 	for _, line := range lines[1:] {
-		var res ResultJSON
-		if i, _ := decodeCell([]byte(line), `,"wire":`, &res); i < 0 {
-			t.Fatalf("journal line is not a wire record: %s", line)
+		var l streamLine
+		if err := decodeLine([]byte(line), &l); err != nil || l.Result == nil {
+			t.Fatalf("journal line is not a result record (%v): %s", err, line)
+		}
+		if want := emitted[l.Index]; line+"\n" != want {
+			t.Fatalf("journal line for cell %d differs from its stream line:\njournal %s\nstream  %s", l.Index, line, want)
+		}
+		if l.Cached {
+			cached++
 		}
 	}
 
@@ -297,6 +321,7 @@ func testResume(t *testing.T, plan func(*testing.T) *Plan, mkPlacer func() Place
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("journal not removed after successful sweep: %v", err)
 	}
+	return cached
 }
 
 // replayed executes p over ck with every live cell failing, so the
@@ -347,7 +372,7 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"index":1,"wire":{"torn`); err != nil {
+	if _, err := f.WriteString(`{"index":1,"result":{"torn`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -434,5 +459,23 @@ func TestPlanFingerprintDistinguishesGrids(t *testing.T) {
 	c := testPlan(3, 1) // same length, one cell keyless
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("different keys share a fingerprint")
+	}
+}
+
+// planSink keeps TestNewPlanAllocs's plans on the heap, as a caller's are.
+var planSink *Plan
+
+// TestNewPlanAllocs: NewPlan only wraps the cells, so a sweep that keeps
+// no journal hashes nothing; the fingerprint is computed on demand and
+// stays the hash journal names have always used, so a given grid keeps
+// its journal file.
+func TestNewPlanAllocs(t *testing.T) {
+	cells := testPlan(48).Cells()
+	if a := testing.AllocsPerRun(100, func() { planSink = NewPlan(cells) }); a != 1 {
+		t.Errorf("NewPlan over %d cells: %v allocs, want 1", len(cells), a)
+	}
+	const want = "a2752f8cb705ddb27bf26b61e6f51b083c70973981ee38da8809382e3887f2c4"
+	if got := testPlan(3, 1).Fingerprint(); got != want {
+		t.Fatalf("fingerprint of a fixed 3-cell plan = %s, pinned at %s", got, want)
 	}
 }
