@@ -10,8 +10,13 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,6 +30,7 @@ import (
 	"repro/internal/npb"
 	"repro/internal/runner"
 	"repro/internal/sched"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 )
@@ -622,4 +628,67 @@ func BenchmarkSweepStream(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(w.flushes)/float64(b.N), "flushes/sweep")
+}
+
+// table2Body is the /sweep body of the Table 2 grid at class C: the eight
+// NPB codes × every operating point (the top one as NoDVS) and the
+// cpuspeed daemon, 48 cells.
+func table2Body() []byte {
+	table := core.DefaultConfig().Node.Table
+	var req server.SweepRequest
+	for _, code := range experiments.NPBCodes {
+		req.Workloads = append(req.Workloads, server.WorkloadSpec{Code: code, Class: "C"})
+	}
+	for _, f := range table.Frequencies() {
+		if f == table.Top().Frequency {
+			req.Strategies = append(req.Strategies, server.StrategySpec{Kind: "nodvs"})
+		} else {
+			req.Strategies = append(req.Strategies, server.StrategySpec{Kind: "external", FreqMHz: float64(f)})
+		}
+	}
+	req.Strategies = append(req.Strategies, server.StrategySpec{Kind: "daemon"})
+	body, err := json.Marshal(req)
+	if err != nil {
+		panic(err)
+	}
+	return body
+}
+
+// warmTable2 is a dvsd handler whose runner has simulated the Table 2
+// grid once, built on first use and shared by every run of
+// BenchmarkSweepRepeat in the process.
+var warmTable2 = sync.OnceValues(func() (http.Handler, error) {
+	h := server.New(server.Options{Runner: runner.New(0)}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(string(table2Body()))))
+	if _, trailer, err := sweep.DecodeStream(rec.Body); err != nil || trailer.Errors != 0 {
+		return nil, fmt.Errorf("warm-up sweep: trailer %+v, err %v", trailer, err)
+	}
+	return h, nil
+})
+
+// BenchmarkSweepRepeat measures a repeated /sweep on a warm dvsd: the
+// Table 2 grid posted to the handler again, every cell a memo-cache hit,
+// so the request path around the cells (body, plan, admission, stream)
+// is the cost.
+func BenchmarkSweepRepeat(b *testing.B) {
+	h, err := warmTable2()
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := string(table2Body())
+	var rec *httptest.ResponseRecorder
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/sweep", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	b.StopTimer()
+	if _, trailer, err := sweep.DecodeStream(rec.Body); err != nil || trailer.CachedCells != trailer.Jobs || trailer.Jobs != 48 {
+		b.Fatalf("repeat sweep: trailer %+v, err %v; want 48 cached cells", trailer, err)
+	}
 }

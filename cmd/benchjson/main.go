@@ -47,8 +47,9 @@ import (
 // (kernel events, proc switch), the MPI layer over them, the daemon poll
 // step, the node's thermal integrator, one end-to-end cluster run per
 // NPB code, and what every cached cell pays for: its content address,
-// the wire encoding of its result and its share of the /sweep stream.
-const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun|BenchmarkJobKey|BenchmarkWireResult|BenchmarkSweepStream"
+// the wire encoding of its result, its share of the /sweep stream, and a
+// whole repeated /sweep on a warm dvsd.
+const defaultBench = "BenchmarkSimKernelEvents|BenchmarkSimProcSwitch|BenchmarkSimProcHandoff|BenchmarkMPIPingPong|BenchmarkMPIAlltoall|BenchmarkDaemonDecision|BenchmarkThermalIntegrator|BenchmarkFullRun|BenchmarkJobKey|BenchmarkWireResult|BenchmarkSweepStream|BenchmarkSweepRepeat"
 
 // benchtime is the per-benchmark budget passed to go test -benchtime.
 const benchtime = "100ms"
