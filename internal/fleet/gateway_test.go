@@ -519,6 +519,7 @@ func TestGatewayHealthzAndMetrics(t *testing.T) {
 		"dvsgw_hedged_requests_total 0",
 		"dvsgw_local_fallback_cells_total 0",
 		"dvsgw_memo_hits_total 0",
+		"dvsgw_sweep_plan_hits_total 0",
 		"dvsgw_queue_depth 0",
 		"dvsgw_queue_capacity 8",
 	} {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,19 +55,20 @@ const bodyBytesPerJob = 4 << 10
 const retryAfter = time.Second
 
 // Frontend is the HTTP service both daemons are made of: decode and
-// validate, admit or shed, apply the deadline, open the request span and
-// the checkpoint journal, place the cells, encode the response. It serves
-// POST /simulate, POST /sweep, GET /healthz, GET /metrics and
-// GET /debug/traces.
+// validate (a repeated /sweep body reuses its plan), admit or shed, apply
+// the deadline, open the request span and the checkpoint journal, place
+// the cells, encode the response. It serves POST /simulate, POST /sweep,
+// GET /healthz, GET /metrics and GET /debug/traces.
 type Frontend struct {
-	opts Options
-	d    Daemon
-	gate *gate
-	mux  *http.ServeMux
+	opts  Options
+	d     Daemon
+	gate  *gate
+	plans *planMemo
+	mux   *http.ServeMux
 
-	reg                     obs.Registry
-	requests, latency       *obs.Family
-	cells, resumed, ckptErr *obs.Counter
+	reg                               obs.Registry
+	requests, latency                 *obs.Family
+	cells, resumed, ckptErr, planHits *obs.Counter
 
 	hs *http.Server
 }
@@ -75,13 +78,14 @@ type Frontend struct {
 // own concern.
 func NewFrontend(opts Options, d Daemon) *Frontend {
 	opts = opts.withDefaults()
-	f := &Frontend{opts: opts, d: d, gate: newGate(opts.MaxInflight)}
+	f := &Frontend{opts: opts, d: d, gate: newGate(opts.MaxInflight), plans: newPlanMemo(opts.MaxJobs)}
 	p := d.Name + "_"
 	f.requests = f.reg.Counter(p+"requests_total", "Requests served, by path and status.", "path", "status")
 	f.latency = f.reg.Histogram(p+"request_seconds", "Request latency, by path.", "path")
 	f.cells = f.reg.Counter(p+"sweep_cells_total", "Sweep grid cells streamed.").Counter()
 	f.resumed = f.reg.Counter(p+"resumed_cells_total", "Sweep cells replayed from a checkpoint journal instead of re-executed.").Counter()
 	f.ckptErr = f.reg.Counter(p+"checkpoint_errors_total", "Checkpoint journals that could not be opened (the sweep ran uncheckpointed).").Counter()
+	f.planHits = f.reg.Counter(p+"sweep_plan_hits_total", "Sweep requests that reused the plan of an identical earlier body.").Counter()
 	f.reg.Gauge(p+"queue_depth", "Requests currently admitted.").Set(obs.Func(func() float64 { return float64(f.gate.depth()) }))
 	f.reg.Gauge(p+"queue_capacity", "Admission queue bound.").Set(obs.Func(func() float64 { return float64(f.gate.capacity()) }))
 
@@ -198,22 +202,59 @@ func (f *Frontend) instrument(path string, h http.HandlerFunc) http.HandlerFunc 
 	}
 }
 
-// decodeBody strictly parses a JSON body of at most MaxJobs+1 job
-// allowances into v. Unknown fields are typed errors, not silently dropped — a misspelled
-// knob must not run a default-configured simulation — and an oversize
-// body is a typed 413, read no further than the bound.
-func (f *Frontend) decodeBody(w http.ResponseWriter, r *http.Request, v any) *sweep.APIError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, int64(f.opts.MaxJobs+1)*bodyBytesPerJob))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+// readBody reads a request body of at most MaxJobs+1 job allowances
+// into buf. An oversize body is a typed 413, read no further than the
+// bound.
+func (f *Frontend) readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) *sweep.APIError {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, int64(f.opts.MaxJobs+1)*bodyBytesPerJob)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			return sweep.Errf(sweep.CodeBodyTooLarge, "",
 				"request body exceeds %d bytes", tooLarge.Limit)
 		}
-		return sweep.Errf(sweep.CodeBadRequest, "", "invalid JSON body: %v", err)
+		return sweep.Errf(sweep.CodeBadRequest, "", "reading body: %v", err)
 	}
 	return nil
+}
+
+// decodeStrict parses the body read into buf, which must be exactly one
+// JSON value with nothing after it but whitespace, into v. Unknown
+// fields are typed errors, not silently dropped: a misspelled knob must
+// not run a default-configured simulation.
+func decodeStrict(buf *bytes.Buffer, v any) *sweep.APIError {
+	body := buf.Bytes()
+	dec := json.NewDecoder(buf)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return sweep.Errf(sweep.CodeBadRequest, "", "invalid JSON body: %v", err)
+	}
+	if rest := bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return sweep.Errf(sweep.CodeBadRequest, "",
+			"invalid JSON body: data after the JSON value at offset %d", len(body)-len(rest))
+	}
+	return nil
+}
+
+// decodeBody reads and strictly parses a request body into v.
+func (f *Frontend) decodeBody(w http.ResponseWriter, r *http.Request, v any) *sweep.APIError {
+	buf := reqBufs.Get().(*bytes.Buffer)
+	defer putReqBuf(buf)
+	if ae := f.readBody(w, r, buf); ae != nil {
+		return ae
+	}
+	return decodeStrict(buf, v)
+}
+
+// reqBufs holds the buffers request bodies are read into.
+var reqBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putReqBuf returns a body buffer to reqBufs, unless a large body grew it
+// past what a pool should keep alive.
+func putReqBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= 64<<10 {
+		buf.Reset()
+		reqBufs.Put(buf)
+	}
 }
 
 // timeoutFor resolves a request's timeout_ms against the bounds. The
@@ -296,23 +337,19 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 		methodNotAllowed(w, http.MethodPost)
 		return
 	}
-	var req SweepRequest
-	if ae := f.decodeBody(w, r, &req); ae != nil {
+	mp, ae := f.sweepPlan(w, r)
+	if ae != nil {
 		sweep.WriteError(w, ae)
 		return
 	}
-	plan, err := req.Plan(f.opts.MaxJobs)
-	if err != nil {
-		sweep.WriteError(w, sweep.InField(err, ""))
-		return
-	}
+	plan := mp.plan
 	if !f.gate.tryAcquire() {
 		sweep.WriteError(w, sweep.QueueFull(retryAfter))
 		return
 	}
 	defer f.gate.release()
 
-	ctx, cancel := context.WithTimeout(r.Context(), f.timeoutFor(req.TimeoutMS))
+	ctx, cancel := context.WithTimeout(r.Context(), f.timeoutFor(mp.timeoutMS))
 	defer cancel()
 	if f.d.SweepSpan != "" {
 		// One trace per sweep request: cells show up as child spans.
@@ -345,6 +382,34 @@ func (f *Frontend) handleSweep(w http.ResponseWriter, r *http.Request) {
 	enc.Trailer(sum)
 	f.cells.Add(int64(plan.Len()))
 	f.resumed.Add(int64(sum.Resumed))
+}
+
+// sweepPlan resolves a /sweep body to its validated plan: the body is
+// read under the bound and hashed, and an identical earlier body's plan
+// is reused; otherwise the body is decoded and planned, and a valid plan
+// is stored for the next identical body.
+func (f *Frontend) sweepPlan(w http.ResponseWriter, r *http.Request) (memoPlan, *sweep.APIError) {
+	buf := reqBufs.Get().(*bytes.Buffer)
+	defer putReqBuf(buf)
+	if ae := f.readBody(w, r, buf); ae != nil {
+		return memoPlan{}, ae
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if mp, ok := f.plans.get(sum); ok {
+		f.planHits.Add(1)
+		return mp, nil
+	}
+	var req SweepRequest
+	if ae := decodeStrict(buf, &req); ae != nil {
+		return memoPlan{}, ae
+	}
+	plan, err := req.Plan(f.opts.MaxJobs)
+	if err != nil {
+		return memoPlan{}, sweep.InField(err, "")
+	}
+	mp := memoPlan{sum: sum, plan: plan, timeoutMS: req.TimeoutMS}
+	f.plans.put(mp)
+	return mp, nil
 }
 
 type queuedKey struct{}

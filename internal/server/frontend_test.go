@@ -39,6 +39,54 @@ func TestSimulateHitAllocBudget(t *testing.T) {
 	t.Logf("cache-hit /simulate: %.0f allocs (budget %d)", allocs, budget)
 }
 
+// TestSweepRepeatAllocBudget pins the cost of a repeated /sweep on a
+// warm dvsd: the Table 2 grid's shape (the eight NPB codes at class S ×
+// every operating point and the daemon, 48 cells) posted again, its plan
+// reused and every cell a memo-cache hit. The budget is the measured
+// count (go1.24); decoding and planning the body again on every post
+// costs 292.
+func TestSweepRepeatAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	table := core.DefaultConfig().Node.Table
+	var req SweepRequest
+	for _, code := range []string{"BT", "CG", "EP", "FT", "IS", "LU", "MG", "SP"} {
+		req.Workloads = append(req.Workloads, WorkloadSpec{Code: code, Class: "S"})
+	}
+	for _, f := range table.Frequencies() {
+		if f == table.Top().Frequency {
+			req.Strategies = append(req.Strategies, StrategySpec{Kind: "nodvs"})
+		} else {
+			req.Strategies = append(req.Strategies, StrategySpec{Kind: "external", FreqMHz: float64(f)})
+		}
+	}
+	req.Strategies = append(req.Strategies, StrategySpec{Kind: "daemon"})
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(b)
+
+	s := testServer(t, Options{})
+	if rec := post(s, "/sweep", body); rec.Code != http.StatusOK {
+		t.Fatalf("warm-up: status=%d body=%s", rec.Code, rec.Body.String())
+	}
+	const budget = 148
+	allocs := testing.AllocsPerRun(20, func() {
+		if rec := post(s, "/sweep", body); rec.Code != http.StatusOK {
+			t.Fatalf("status=%d", rec.Code)
+		}
+	})
+	if st := s.Runner().Stats(); st.Runs != 48 {
+		t.Fatalf("runs = %d, want 48: every repeated cell must be a cache hit", st.Runs)
+	}
+	if allocs > budget {
+		t.Fatalf("repeated 48-cell /sweep costs %.0f allocs, budget %d", allocs, budget)
+	}
+	t.Logf("repeated 48-cell /sweep: %.0f allocs (budget %d)", allocs, budget)
+}
+
 // infPlacer answers every cell with a wire result whose average power
 // is +Inf, a figure JSON has no form for.
 type infPlacer struct{}

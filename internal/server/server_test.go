@@ -497,7 +497,8 @@ func TestHealthz(t *testing.T) {
 
 // TestMetrics asserts the acceptance-criteria wiring: after an identical
 // repeated /simulate, the cache hit is visible in /metrics, alongside
-// request counters, the latency histogram, and queue gauges.
+// request counters, the latency histogram, and queue gauges; after an
+// identical repeated /sweep, so is the reused plan.
 func TestMetrics(t *testing.T) {
 	s := testServer(t, Options{})
 	for i := 0; i < 2; i++ {
@@ -526,6 +527,7 @@ func TestMetrics(t *testing.T) {
 		"dvsd_runner_poisoned_total 0",
 		"dvsd_runner_cache_evictions_total 0",
 		"dvsd_runner_cache_entries 1",
+		"dvsd_sweep_plan_hits_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
@@ -533,6 +535,22 @@ func TestMetrics(t *testing.T) {
 	}
 	if !strings.Contains(body, "dvsd_runner_cache_bytes ") {
 		t.Fatalf("metrics missing cache bytes gauge:\n%s", body)
+	}
+
+	for i := 0; i < 2; i++ {
+		if rec := post(s, "/sweep", `{"jobs":[`+simFTS2+`]}`); rec.Code != http.StatusOK {
+			t.Fatalf("sweep %d: status=%d", i, rec.Code)
+		}
+	}
+	body = get(s, "/metrics").Body.String()
+	for _, want := range []string{
+		`dvsd_requests_total{path="/sweep",status="200"} 2`,
+		"dvsd_sweep_plan_hits_total 1",
+		"dvsd_runner_runs_total 1",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("after the repeated sweep, metrics missing %q:\n%s", want, body)
+		}
 	}
 }
 
